@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Survey the principal-congruence index over a range of levels.
 
-For each level the closed formula, the BFS enumeration and the ambient
-SL2 order are tabulated side by side, flagging where reduction fails to
-be surjective.  Levels with enumeration cost above --max-enumerate are
-reported from the formula alone.
+For each level the closed formula, the orbit-stabilizer count and the
+ambient SL2 order are tabulated side by side, flagging where reduction
+fails to be surjective.  Levels whose formula index exceeds
+--max-enumerate are reported from the formula alone.
 
 Example:
     python3 scripts/index_survey.py --max-norm 60 --max-enumerate 200000
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
 from hecke5.ideals import IdealHNF, ideal_from_generator
-from hecke5.quotient import build_quotient, sl2_order
+from hecke5.quotient import index_h, sl2_order
 
 
 @dataclass(frozen=True)
@@ -50,25 +50,25 @@ def candidate_levels(max_norm: int) -> list[tuple[str, IdealHNF]]:
 
 
 def run(config: SurveyConfig) -> None:
-    header = f"{'level':>14} {'norm':>6} {'formula':>12} {'enumerated':>12} {'sl2':>12} {'onto':>5} {'sec':>7}"
+    header = f"{'level':>14} {'norm':>6} {'formula':>12} {'counted':>12} {'sl2':>12} {'onto':>5} {'sec':>7}"
     print(header)
     print("-" * len(header))
     for ideal, label in candidate_levels(config.max_norm):
         report = index_formula(ideal)
         sl2 = sl2_order(ideal)
-        enumerated = "-"
+        counted = "-"
         elapsed = 0.0
         if report.total <= config.max_enumerate:
             start = time.perf_counter()
-            enumerated = str(build_quotient(ideal, config.cap).order)
+            counted = str(index_h(ideal, config.cap))
             elapsed = time.perf_counter() - start
-            if int(enumerated) != report.total:
+            if int(counted) != report.total:
                 raise AssertionError(
-                    f"formula {report.total} != enumeration {enumerated} at {label}"
+                    f"formula {report.total} != count {counted} at {label}"
                 )
         onto = "yes" if report.total == sl2 else "no"
         print(
-            f"{label:>14} {ideal.norm:>6} {report.total:>12} {enumerated:>12} "
+            f"{label:>14} {ideal.norm:>6} {report.total:>12} {counted:>12} "
             f"{sl2:>12} {onto:>5} {elapsed:>7.2f}"
         )
 
@@ -77,8 +77,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-norm", type=int, default=50)
     parser.add_argument("--max-enumerate", type=int, default=500_000,
-                        help="skip enumeration when the formula index exceeds this")
-    parser.add_argument("--cap", type=int, default=5_000_000)
+                        help="skip counting when the formula index exceeds this")
+    parser.add_argument("--cap", type=int, default=5_000_000,
+                        help="most orbit points one count may visit")
     args = parser.parse_args()
     run(SurveyConfig(args.max_norm, args.max_enumerate, args.cap))
 

@@ -25,6 +25,7 @@ from .ideals import (
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
+    lattice_hnf,
     split_rational_prime,
 )
 from .matrices import (
@@ -50,6 +51,7 @@ from .quotient import (
     index_h,
     is_surjective,
     minus_i_in_level,
+    orbit_stabilizer,
     power_subgroup,
     sl2_order,
     subgroup_from_predicate,

@@ -2,7 +2,10 @@
 
 Every command is a thin adapter over the library; `--json` emits a single
 JSON document with a versioned `schema` field.  Exit codes: 0 success,
-1 mathematical failure (a verification did not pass), 2 usage error.
+1 mathematical failure (a verification did not pass), 2 usage error,
+3 a safeguard cap was hit (`--cap`, or an internal iteration cap); the
+error goes to stderr and, under `--json`, a `hecke5/v1/error` document
+with `error`, `cap` and `partial` goes to stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 
 from .formula import index_formula
 from .golden import (
-    GoldenInt,
+    IterationCapError,
     divmod_pseudo,
     format_element,
     gcd_pseudo,
@@ -27,10 +30,11 @@ from .matrices import (
     reduce_fraction,
 )
 from .quotient import (
+    CapExceededError,
     build_quotient,
     coset_words,
     index_g,
-    minus_i_in_level,
+    orbit_stabilizer,
     sl2_order,
 )
 from . import verify as verify_mod
@@ -45,10 +49,6 @@ def _level_ideal(args) -> IdealHNF:
     if not args.level:
         raise ValueError("one of --level or --hnf is required")
     return ideal_from_generator(parse_element(args.level))
-
-
-def _matrix_str(m) -> str:
-    return str(m)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -96,7 +96,7 @@ def cmd_efactor(args) -> int:
             "e": rr.e,
             "unit_sign": rr.unit.sign,
             "quotients": rr.quotients,
-            "completion": _matrix_str(rr.completion),
+            "completion": str(rr.completion),
         },
         f"e = {rr.e}",
     )
@@ -113,7 +113,7 @@ def cmd_member(args) -> int:
 def cmd_complete(args) -> int:
     a, c = parse_element(args.a), parse_element(args.c)
     x = complete_column(a, c)
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/complete", "matrix": _matrix_str(x)}, _matrix_str(x))
+    _emit(args, {"schema": f"{SCHEMA_PREFIX}/complete", "matrix": str(x)}, str(x))
     return 0
 
 
@@ -160,9 +160,12 @@ def cmd_index(args) -> int:
         payload["coprime_part_norm"] = rep.coprime_part_norm
         lines.append(f"index (formula)     = {rep.total}")
     if args.mode in ("enumerate", "both"):
-        n = build_quotient(ideal, args.cap).order
+        orbit, stabilizer = orbit_stabilizer(ideal, args.cap)
+        n = orbit * stabilizer
         payload["index_h"] = n
-        payload["index_g"] = n if minus_i_in_level(ideal) else n // 2
+        payload["orbit"] = orbit
+        payload["stabilizer"] = stabilizer
+        payload["index_g"] = index_g(ideal, index=n)
         payload["surjective"] = n == payload["sl2_order"]
         lines.append(f"index (enumerated)  = {n}")
         lines.append(f"index in G (mod +-I) = {payload['index_g']}")
@@ -249,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_level(p):
+    def add_level(p, cap_help="not used by this command"):
         p.add_argument("--level", help="level as a generator literal, e.g. '2+L'")
         p.add_argument("--hnf", help="level as an HNF triple 'd1,k,d2'")
-        p.add_argument("--cap", type=int, default=5_000_000, help="enumeration cap")
+        p.add_argument("--cap", type=int, default=5_000_000, help=cap_help)
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sl2order)
 
     p = sub.add_parser("index", help="index of the principal congruence subgroup")
-    add_level(p)
+    add_level(p, "most orbit points (columns) the count may visit; exit 3 beyond it")
     add_json(p)
     p.add_argument(
         "--enumerate", dest="mode", action="store_const", const="enumerate"
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index, mode="both")
 
     p = sub.add_parser("cosets", help="coset representative words for a level")
-    add_level(p)
+    add_level(p, "most quotient elements to enumerate; exit 3 beyond it")
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
     p.set_defaults(func=cmd_cosets)
 
@@ -321,7 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=["all", "kernel-layers", "conjugation-action", "level5", "identities"],
     )
-    p.add_argument("--cap", type=int, default=5_000_000)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=5_000_000,
+        help="most elements any one group enumeration may hold; exit 3 beyond it",
+    )
     add_json(p)
     p.set_defaults(func=cmd_verify)
 
@@ -329,19 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already
-        raise exc
+    # argparse itself exits 2 on usage errors
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (CapExceededError, IterationCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            payload = {
+                "schema": f"{SCHEMA_PREFIX}/error",
+                "error": str(exc),
+                "cap": getattr(exc, "cap", None),
+                "partial": getattr(exc, "partial", None),
+            }
+            print(json.dumps(payload, sort_keys=True))
+        return 3
 
 
 if __name__ == "__main__":

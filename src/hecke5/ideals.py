@@ -22,8 +22,13 @@ class IdealHNF:
     d2: int
 
     def __post_init__(self) -> None:
-        if self.d1 <= 0 or self.d2 <= 0 or not 0 <= self.k < max(self.d2, 1):
-            raise ValueError(f"not a valid HNF triple: {(self.d1, self.k, self.d2)}")
+        d1, k, d2 = self.d1, self.k, self.d2
+        if d1 <= 0 or d2 <= 0 or not 0 <= k < d2:
+            raise ValueError(f"not a valid HNF triple: {(d1, k, d2)}")
+        # an ideal is closed under multiplication by L, (x, y) -> (y, x + y);
+        # checking the two basis rows (d1, k) and (0, d2) suffices
+        if not (self.contains(GoldenInt(k, d1 + k)) and self.contains(GoldenInt(d2, d2))):
+            raise ValueError(f"HNF triple {(d1, k, d2)} is a lattice but not an ideal")
 
     @property
     def norm(self) -> int:
@@ -44,8 +49,12 @@ class IdealHNF:
         return f"[{self.d1},{self.k},{self.d2}]"
 
 
-def _hnf_rows(rows: list[tuple[int, int]]) -> IdealHNF:
-    """HNF of a full-rank row lattice in Z^2."""
+def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """HNF (d1, k, d2) of a full-rank row lattice in Z^2.
+
+    The lattice is spanned by (d1, k) and (0, d2), with d1, d2 > 0 and
+    0 <= k < d2, and has determinant d1 * d2.  It need not be an ideal.
+    """
     r1 = (0, 0)
     for row in rows:
         if row == (0, 0):
@@ -64,7 +73,12 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> IdealHNF:
         d2 = math.gcd(d2, y)
     if d2 == 0:
         raise ValueError("lattice is not of full rank")
-    return IdealHNF(d1, r1[1] % d2, d2)
+    return d1, r1[1] % d2, d2
+
+
+def _hnf_rows(rows: list[tuple[int, int]]) -> IdealHNF:
+    """The ideal whose lattice the rows span."""
+    return IdealHNF(*lattice_hnf(rows))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

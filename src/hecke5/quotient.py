@@ -1,25 +1,32 @@
 """Finite image of the Hecke group in SL(2, Z[L]/A).
 
-The quotient is built by breadth-first closure from the identity under
-right-multiplication by the images of S and T (a finite group, so
-semigroup closure suffices; coset words therefore use positive letters
-only).  Elements are keyed by the 8 reduced integer coordinates of the
-four entries, making the enumeration deterministic and hashable.
+Two engines, one per kind of question:
+
+- Counting.  The order of the image (the index [H : H(A)]) comes from
+  orbit-stabilizer: `orbit_stabilizer` walks the orbit of the column e1
+  and spans the stabilizer of e1 by Schreier generators, storing one
+  column per orbit point and no group elements.  `index_h`, `index_g`
+  and `is_surjective` use it.
+- Elements and words.  `build_quotient` is a breadth-first closure from
+  the identity under right-multiplication by the images of S and T (a
+  finite group, so semigroup closure suffices; coset words therefore use
+  positive letters only).  Elements are keyed by the 8 reduced integer
+  coordinates of the four entries, making the enumeration deterministic
+  and hashable.  Coset words, the subgroup machinery and the verifiers
+  use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .golden import GoldenInt
 from .ideals import (
     IdealHNF,
     ResElt,
     ResidueRing,
     factor_ideal,
     ideal_divides,
-    ideal_from_generator,
+    lattice_hnf,
 )
 from .matrices import Mat2, S, T
 
@@ -29,8 +36,8 @@ DEFAULT_CAP = 5_000_000
 
 
 class CapExceededError(RuntimeError):
-    def __init__(self, cap: int, partial: int):
-        super().__init__(f"quotient exceeded cap {cap} (partial count {partial})")
+    def __init__(self, cap: int, partial: int, what: str = "quotient"):
+        super().__init__(f"{what} exceeded cap {cap} (partial count {partial})")
         self.cap = cap
         self.partial = partial
 
@@ -181,20 +188,74 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     return QuotientGroup(level, ring, tuple(order), parent)
 
 
+def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+    """(|orbit of e1|, |stabilizer of e1|) for the image of the group mod
+    the level acting on columns; their product is the image's order.
+
+    Each orbit point v = (a, c) keeps only the second column (q, s) of a
+    transversal element t_v with first column v.  A non-tree edge v -> w
+    under g in {S, T} gives the Schreier generator t_w^-1 g t_v, which
+    fixes e1 and so is [[1, b], [0, 1]].  These b together with the level
+    span a lattice of Z^2 (not always an ideal: at (2) it is Z*2 + Z*L),
+    and the stabilizer, a group of translations, has order
+    N(level) / det of that lattice.  Raises CapExceededError once the
+    orbit holds more than `cap` points.
+    """
+    if level.norm < 2:
+        raise ValueError("level must be a proper ideal (norm >= 2)")
+    d1, k, d2 = level.d1, level.k, level.d2
+
+    def red(x: int, y: int) -> tuple[int, int]:
+        q = x // d1
+        return x - q * d1, (y - q * k) % d2
+
+    # points and columns are flat (x, y, x', y') pairs of residues x + yL
+    one = red(1, 0)
+    e1 = (*one, 0, 0)
+    column = {e1: (0, 0, *one)}
+    queue = [e1]
+    bs: set[tuple[int, int]] = set()
+    for v in queue:
+        ax, ay, cx, cy = v
+        qx, qy, sx, sy = column[v]
+        # S (a, c) = (c, -a); T (a, c) = (a + L c, c), with L (x + yL) = y + (x + y)L
+        for w, col in (
+            ((cx, cy, *red(-ax, -ay)), (sx, sy, *red(-qx, -qy))),
+            ((*red(ax + cy, ay + cx + cy), cx, cy), (*red(qx + sy, qy + sx + sy), sx, sy)),
+        ):
+            known = column.get(w)
+            if known is None:
+                column[w] = col
+                queue.append(w)
+                if len(queue) > cap:
+                    raise CapExceededError(cap, len(queue), "orbit")
+            elif known != col:
+                # b = s_w q' - q_w s' for (q_w, s_w) = known and (q', s') = col
+                wqx, wqy, wsx, wsy = known
+                px, py, rx, ry = col
+                bs.add(red(
+                    wsx * px + wsy * py - wqx * rx - wqy * ry,
+                    wsx * py + wsy * px + wsy * py - wqx * ry - wqy * rx - wqy * ry,
+                ))
+    f1, _, f2 = lattice_hnf([(d1, k), (0, d2), *bs])
+    return len(queue), level.norm // (f1 * f2)
+
+
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
-    """[H : H(level)] by enumeration."""
-    return build_quotient(level, cap).order
+    """[H : H(level)], counted by orbit-stabilizer; `cap` bounds orbit points."""
+    orbit, stabilizer = orbit_stabilizer(level, cap)
+    return orbit * stabilizer
 
 
 def sl2_order(level: IdealHNF) -> int:
-    """|SL(2, Z[L]/A)| = N(A)^3 * prod over primes P | A of (1 - N(P)^-2)."""
+    """|SL(2, Z[L]/A)|: the product over P^e || A of N(P)^(3e-2) (N(P)^2 - 1)."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    total = Fraction(level.norm) ** 3
+    total = 1
     for pf in factor_ideal(level):
-        total *= 1 - Fraction(1, pf.prime.norm**2)
-    assert total.denominator == 1
-    return total.numerator
+        q = pf.prime.norm
+        total *= q ** (3 * pf.exponent - 2) * (q * q - 1)
+    return total
 
 
 def is_surjective(level: IdealHNF, cap: int = DEFAULT_CAP) -> bool:
@@ -202,20 +263,15 @@ def is_surjective(level: IdealHNF, cap: int = DEFAULT_CAP) -> bool:
     return index_h(level, cap) == sl2_order(level)
 
 
-_TWO = None
-
-
 def minus_i_in_level(level: IdealHNF) -> bool:
-    """-I = I mod A exactly when A divides (2)."""
-    global _TWO
-    if _TWO is None:
-        _TWO = ideal_from_generator(GoldenInt(2, 0))
-    return ideal_divides(level, _TWO)
+    """-I = I mod A exactly when A divides (2), whose HNF is [2,0,2]."""
+    return ideal_divides(level, IdealHNF(2, 0, 2))
 
 
-def index_g(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
-    """Index of the level in the inhomogeneous (mod +-I) group."""
-    n = index_h(level, cap)
+def index_g(level: IdealHNF, cap: int = DEFAULT_CAP, *, index: int | None = None) -> int:
+    """Index of the level in the inhomogeneous (mod +-I) group.  `index`
+    is [H : H(level)] when the caller has already counted it."""
+    n = index_h(level, cap) if index is None else index
     return n if minus_i_in_level(level) else n // 2
 
 

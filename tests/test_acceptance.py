@@ -1,8 +1,9 @@
 """Acceptance gate: every numbered criterion below must pass exactly.
 
-Each test prints one PASS line on success; run with `-s` (or read
-test_output.txt) to see them.  The full mod-(11) enumeration is marked
-`extended` and can be deselected with `-m "not extended"`.
+Each test prints one PASS line on success; run with `-s` to see them.
+Every count here goes through the BFS enumeration `build_quotient`.
+The full mod-(11) enumeration is marked `extended` and can be
+deselected with `-m "not extended"`.
 """
 
 import math

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,92 @@ class TestLevelCommands:
         _, out1, _ = run(capsys, "index", "--level", "4", "--json")
         _, out2, _ = run(capsys, "index", "--level", "4", "--json")
         assert out1 == out2
+
+    def test_index_reports_orbit_and_stabilizer(self, capsys):
+        code, payload = run_json(capsys, "index", "--level", "7", "--enumerate")
+        assert code == 0
+        assert (payload["orbit"], payload["stabilizer"]) == (2400, 49)
+        assert payload["orbit"] * payload["stabilizer"] == payload["index_h"] == 117600
+        assert payload["index_g"] == 58800
+
+    def test_index_eleven_agrees(self, capsys):
+        code, payload = run_json(capsys, "index", "--level", "11")
+        assert code == 0
+        assert payload["index_h"] == payload["index_formula"] == 1742400
+        assert payload["agrees"] is True
+
+    @pytest.mark.extended
+    def test_index_nineteen_agrees(self, capsys):
+        code, payload = run_json(capsys, "index", "--level", "19")
+        assert code == 0
+        assert payload["index_h"] == payload["index_formula"] == 46785600
+        assert payload["agrees"] is True
+
+    def test_index_text_lines_unchanged(self, capsys):
+        code, out, _ = run(capsys, "index", "--level", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "level [2,0,2] of norm 4",
+            "index (formula)     = 10",
+            "index (enumerated)  = 10",
+            "index in G (mod +-I) = 10",
+            "sl2 order            = 60",
+            "surjective           = False",
+            "agrees               = True",
+        ]
+
+
+class TestCapErrors:
+    def test_text_mode(self, capsys):
+        code, out, err = run(capsys, "index", "--level", "7", "--enumerate", "--cap", "100")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: orbit exceeded cap 100")
+        assert len(err.splitlines()) == 1
+
+    def test_json_mode(self, capsys):
+        code, out, err = run(
+            capsys, "index", "--level", "7", "--enumerate", "--cap", "100", "--json"
+        )
+        assert code == 3
+        assert err.startswith("error: ")
+        payload = json.loads(out)
+        assert payload["schema"] == "hecke5/v1/error"
+        assert payload["cap"] == 100
+        assert payload["partial"] == 101
+        assert "exceeded cap 100" in payload["error"]
+
+    def test_cosets_cap_bounds_elements(self, capsys):
+        code, _, err = run(capsys, "cosets", "--level", "3", "--cap", "119")
+        assert code == 3
+        assert err.startswith("error: quotient exceeded cap 119")
+
+
+def run_optimized(*argv):
+    """Run the CLI in a fresh `python -O` process, where asserts are gone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "hecke5.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+class TestNonIdealLevels:
+    """A lattice that is not an ideal must be a usage error even without asserts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", "--hnf", "1,0,2"], ["index", "--formula", "--hnf", "1,0,2"]],
+    )
+    def test_rejected_under_python_O(self, argv):
+        proc = run_optimized(*argv)
+        assert proc.returncode == 2, proc
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "not an ideal" in proc.stderr
 
 
 class TestCosets:

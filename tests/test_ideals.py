@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
@@ -14,6 +17,7 @@ from hecke5.ideals import (
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
+    lattice_hnf,
     split_rational_prime,
 )
 
@@ -61,6 +65,63 @@ class TestIdealHNF:
     def test_unit_ideal(self):
         assert IdealHNF(1, 0, 1).is_unit_ideal()
         assert not IdealHNF(2, 0, 2).is_unit_ideal()
+
+    def test_lattice_that_is_not_an_ideal_rejected(self):
+        # Z*1 + Z*2L: L * 1 = L is not in it
+        with pytest.raises(ValueError, match="not an ideal"):
+            IdealHNF(1, 0, 2)
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda d2: st.tuples(st.integers(1, 30), st.integers(0, d2 - 1), st.just(d2))
+        )
+    )
+    @settings(max_examples=300)
+    def test_rejected_exactly_when_not_closed_under_L(self, triple):
+        d1, k, d2 = triple
+        # oracle: the lattice with basis rows B is closed under v -> v M, the
+        # action of L on coordinates, iff B M B^-1 is an integer matrix
+        b = sympy.Matrix([[d1, k], [0, d2]])
+        m = sympy.Matrix([[0, 1], [1, 1]])
+        closed = all(x.is_integer for x in b * m * b.inv())
+        if closed:
+            assert IdealHNF(d1, k, d2).norm == d1 * d2
+        else:
+            with pytest.raises(ValueError):
+                IdealHNF(d1, k, d2)
+
+
+class TestLatticeHNF:
+    def test_stabilizer_lattice_at_two(self):
+        # the span Z*2 + Z*L (with the level (2)) is a lattice but not an ideal
+        assert lattice_hnf([(2, 0), (0, 2), (0, 1)]) == (2, 0, 1)
+        with pytest.raises(ValueError):
+            IdealHNF(2, 0, 1)
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(ValueError):
+            lattice_hnf([(2, 4), (1, 2)])
+        with pytest.raises(ValueError):
+            lattice_hnf([(0, 3), (0, 5)])
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=6))
+    @settings(max_examples=300)
+    def test_spans_the_same_lattice(self, rows):
+        # the determinant of the span is the gcd of the 2x2 minors
+        det = 0
+        for (a, b), (c, d) in combinations(rows, 2):
+            det = math.gcd(det, a * d - b * c)
+        if det == 0:
+            with pytest.raises(ValueError):
+                lattice_hnf(rows)
+            return
+        d1, k, d2 = lattice_hnf(rows)
+        assert d1 > 0 and d2 > 0 and 0 <= k < d2
+        assert d1 * d2 == det
+        # every row lies in the HNF lattice, which has the same determinant,
+        # so the two lattices are equal
+        for x, y in rows:
+            assert x % d1 == 0 and (y - x // d1 * k) % d2 == 0
 
 
 class TestFromGenerator:
@@ -214,7 +275,7 @@ class TestResidueRing:
             assert ring.reduce(e.lift()) == e
 
     def test_reduction_kernel_is_the_ideal(self):
-        ideal = IdealHNF(2, 1, 3)
+        ideal = IdealHNF(2, 6, 10)
         ring = ResidueRing(ideal)
         for a in range(-6, 7):
             for b in range(-6, 7):

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
 from hecke5.ideals import IdealHNF, ideal_from_generator, ideal_mul
 from hecke5.matrices import IDENTITY, MINUS_IDENTITY, S, T, eval_word
@@ -16,6 +18,7 @@ from hecke5.quotient import (
     is_normal,
     is_surjective,
     minus_i_in_level,
+    orbit_stabilizer,
     power_subgroup,
     sl2_order,
     subgroup_from_predicate,
@@ -23,8 +26,22 @@ from hecke5.quotient import (
 )
 
 from conftest import random_word
+from test_acceptance import BASE_LEVELS
 
 TAU = GoldenInt(2, 1)
+
+
+def principal_levels(lo: int, hi: int) -> list[IdealHNF]:
+    """Every level of norm in [lo, hi], once each (Z[L] is a PID, and a box
+    of side about sqrt(hi) holds a generator of each)."""
+    bound = math.isqrt(hi) + 2
+    levels = {
+        ideal_from_generator(g)
+        for a in range(-bound, bound + 1)
+        for b in range(-bound, bound + 1)
+        if lo <= (g := GoldenInt(a, b)).norm() <= hi
+    }
+    return sorted(levels, key=lambda x: (x.norm, x.d1, x.k))
 
 
 class TestBuildQuotient:
@@ -76,6 +93,54 @@ class TestBuildQuotient:
         q = quotient_cache(4)
         one = q.ring.one()
         assert all(q.resmat(k).det() == one for k in q.elements)
+
+
+class TestOrbitStabilizer:
+    def test_matches_enumeration(self, quotient_cache):
+        # the acceptance gate builds all of these, so the cache is warm
+        gens = [gen for gen, _ in BASE_LEVELS] + [6, 10, 14]
+        for gen in gens:
+            level = gen if isinstance(gen, IdealHNF) else ideal_from_generator(gen)
+            orbit, stabilizer = orbit_stabilizer(level)
+            assert orbit * stabilizer == quotient_cache(gen).order, level
+
+    def test_matches_formula_up_to_norm_100(self):
+        levels = principal_levels(2, 100)
+        assert len(levels) == 43
+        for level in levels:
+            orbit, stabilizer = orbit_stabilizer(level)
+            assert orbit * stabilizer == index_formula(level).total, level
+
+    @pytest.mark.extended
+    def test_matches_formula_norms_101_to_200(self):
+        levels = principal_levels(101, 200)
+        assert len(levels) == 42
+        for level in levels:
+            assert index_h(level) == index_formula(level).total, level
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("gen,order", [(13, 4826640), (19, 46785600)])
+    def test_beyond_enumeration(self, gen, order):
+        assert index_h(ideal_from_generator(gen)) == order
+
+    def test_orbit_and_stabilizer_at_two(self):
+        # mod (2) the image has order 10: 5 of the 15 nonzero columns of F_4^2,
+        # and the translations by Z*2 + Z*L mod (2), a lattice of index 2
+        assert orbit_stabilizer(ideal_from_generator(2)) == (5, 2)
+        assert orbit_stabilizer(ideal_from_generator(7)) == (2400, 49)
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(ValueError):
+            orbit_stabilizer(IdealHNF(1, 0, 1))
+
+    def test_cap_counts_orbit_points(self):
+        level = ideal_from_generator(7)
+        assert orbit_stabilizer(level, cap=2400) == (2400, 49)
+        with pytest.raises(CapExceededError) as exc:
+            orbit_stabilizer(level, cap=2399)
+        assert exc.value.cap == 2399
+        assert exc.value.partial == 2400
+        assert str(exc.value).startswith("orbit exceeded cap 2399")
 
 
 class TestIndexHelpers:
