@@ -195,22 +195,11 @@ def cmd_cosets(args) -> int:
     return 0
 
 
-_VERIFIERS = {
-    "kernel-layers": lambda cap: [
-        verify_mod.verify_kernel_layer(p, n, cap)
-        for p, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1))
-    ],
-    "conjugation-action": lambda cap: [verify_mod.verify_conjugation_action()],
-    "level5": lambda cap: [verify_mod.verify_level5_structure(cap)],
-    "identities": lambda cap: [verify_mod.verify_identities()],
-}
-
-
 def cmd_verify(args) -> int:
     if args.target == "all":
         reports = verify_mod.verify_all(args.cap)
     else:
-        reports = _VERIFIERS[args.target](args.cap)
+        reports = verify_mod.VERIFIERS[args.target](args.cap)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -322,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="machine-verify the supporting computations")
     p.add_argument(
         "target",
-        choices=["all", "kernel-layers", "conjugation-action", "level5", "identities"],
+        choices=["all", *verify_mod.VERIFIERS],
     )
     p.add_argument(
         "--cap",

@@ -1,17 +1,22 @@
 """Closed-form index of a principal congruence level.
 
-The total index is I_a * J_b * N(pi)^3 * prod over primes P dividing pi
-of (1 - N(P)^-2), where a and b are the exponents of the inert primes (2)
-and (3) and pi is the part of the level with norm coprime to 6.  The
-constants: I_0 = 1, I_1 = 10, I_a = 5 * 2^(6(a-1)) for a >= 2, J_0 = 1,
-J_b = 120 * 3^(6(b-1)) for b >= 1.
+The index is a product of local factors, one per prime power P^e exactly
+dividing the level (N(P) the norm of P):
+
+    P above 2 (inert, N = 4):   I_e = 10 for e = 1, 5 * 2^(6(e-1)) for e >= 2
+    P above 3 (inert, N = 9):   J_e = 120 * 3^(6(e-1))
+    any other P:                N^(3e-2) (N^2 - 1) = |SL2(O/P^e)|
+
+and the empty factor (e = 0) is 1.  `index_factor` is that table and
+`sl2_factor` its last row; every formula here and `quotient.sl2_order`
+are built from the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import IdealHNF, PrimeFactor, factor_ideal
+from .ideals import IdealHNF, PrimeFactor, _is_prime, factor_ideal
 
 
 @dataclass(frozen=True)
@@ -30,48 +35,41 @@ class IndexReport:
     total: int
 
 
-def _i_constant(a: int) -> int:
-    if a == 0:
+def sl2_factor(norm: int, e: int) -> int:
+    """|SL2(O/P^e)| for a prime P of the given norm: N^(3e-2) (N^2 - 1)."""
+    return norm ** (3 * e - 2) * (norm * norm - 1)
+
+
+def index_factor(p: int, norm: int, e: int) -> int:
+    """Local index factor at P^e, for P a prime of the given norm above the
+    rational prime p: I_e at p = 2, J_e at p = 3, the SL2 factor otherwise."""
+    if e == 0:
         return 1
-    if a == 1:
-        return 10
-    return 5 * 2 ** (6 * (a - 1))
-
-
-def _j_constant(b: int) -> int:
-    if b == 0:
-        return 1
-    return 120 * 3 ** (6 * (b - 1))
-
-
-def _coprime_partial(pf: PrimeFactor) -> int:
-    # N(P)^(3e) * (1 - N(P)^-2), always integral since 3e - 2 >= 1
-    n = pf.prime.norm
-    return n ** (3 * pf.exponent - 2) * (n * n - 1)
+    if p == 2:
+        return 10 if e == 1 else 5 * 2 ** (6 * (e - 1))
+    if p == 3:
+        return 120 * 3 ** (6 * (e - 1))
+    return sl2_factor(norm, e)
 
 
 def index_formula(level: IdealHNF) -> IndexReport:
     """Pure integer arithmetic; never enumerates."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    a = b = 0
-    coprime_norm = 1
+    i_a = j_b = coprime_norm = total = 1
     factors = []
-    total = 1
     for pf in factor_ideal(level):
-        p = pf.rational_prime
+        p, norm = pf.rational_prime, pf.prime.norm
+        partial = index_factor(p, norm, pf.exponent)
         if p == 2:
-            a = pf.exponent
-            partial = _i_constant(a)
+            i_a = partial
         elif p == 3:
-            b = pf.exponent
-            partial = _j_constant(b)
+            j_b = partial
         else:
-            partial = _coprime_partial(pf)
-            coprime_norm *= pf.prime.norm**pf.exponent
+            coprime_norm *= norm**pf.exponent
         factors.append((pf, partial))
         total *= partial
-    return IndexReport(level, tuple(factors), _i_constant(a), _j_constant(b), coprime_norm, total)
+    return IndexReport(level, tuple(factors), i_a, j_b, coprime_norm, total)
 
 
 def index_prime_power(p: int, n: int, tau_exponent: int = 0) -> int:
@@ -83,28 +81,18 @@ def index_prime_power(p: int, n: int, tau_exponent: int = 0) -> int:
     """
     if n < 0 or tau_exponent < 0 or (n == 0 and tau_exponent == 0):
         raise ValueError("need a positive prime-power level")
-    if p == 2:
-        if tau_exponent:
-            raise ValueError("2 is inert; no split part")
-        return _i_constant(n)
-    if p == 3:
-        if tau_exponent:
-            raise ValueError("3 is inert; no split part")
-        return _j_constant(n)
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not a rational prime")
     if p == 5:
         if tau_exponent:
             raise ValueError("pass the tau-power as n for p = 5")
-        return 24 * 5 ** (3 * n - 2)
-    if p % 5 in (2, 3):
-        if tau_exponent:
-            raise ValueError(f"{p} is inert; no split part")
-        q = p * p
-        return q ** (3 * n - 2) * (q * q - 1)
-    # split prime: level p^n tau^s = tau^(n+s) sigma^n
-    total = p ** (3 * (n + tau_exponent) - 2) * (p * p - 1)
-    if n:
-        total *= p ** (3 * n - 2) * (p * p - 1)
-    return total
+        return index_factor(5, 5, n)
+    if p % 5 in (1, 4):
+        # p^n tau^s = tau^(n+s) sigma^n
+        return index_factor(p, p, n + tau_exponent) * index_factor(p, p, n)
+    if tau_exponent:
+        raise ValueError(f"{p} is inert; no split part")
+    return index_factor(p, p * p, n)
 
 
 def index_bound_step(pi: IdealHNF, n: int) -> StepBound:
@@ -115,13 +103,6 @@ def index_bound_step(pi: IdealHNF, n: int) -> StepBound:
     factors = factor_ideal(pi)
     if len(factors) != 1 or factors[0].exponent != 1:
         raise ValueError(f"{pi} is not a prime ideal")
-    pf = factors[0]
-    p = pf.rational_prime
-    bound = pi.norm**3
-    if pf.ramified:
-        return StepBound(125, bound)
-    if p == 2:
-        return StepBound(32 if n == 1 else 64, bound)
-    if pf.residue_degree == 2:
-        return StepBound(p**6, bound)
-    return StepBound(p**3, bound)
+    p, norm = factors[0].rational_prime, pi.norm
+    exact = index_factor(p, norm, n + 1) // index_factor(p, norm, n)
+    return StepBound(exact, norm**3)

@@ -7,19 +7,25 @@ Two engines, one per kind of question:
   and spans the stabilizer of e1 by Schreier generators, storing one
   column per orbit point and no group elements.  `index_h`, `index_g`
   and `is_surjective` use it.
-- Elements and words.  `build_quotient` is a breadth-first closure from
-  the identity under right-multiplication by the images of S and T (a
-  finite group, so semigroup closure suffices; coset words therefore use
-  positive letters only).  Elements are keyed by the 8 reduced integer
-  coordinates of the four entries, making the enumeration deterministic
-  and hashable.  Coset words, the subgroup machinery and the verifiers
-  use it.
+- Elements and words.  `semigroup_closure` is the one breadth-first
+  closure: from the identity under right-multiplication by the given
+  generators (a finite group, so semigroup closure suffices and words
+  use positive letters only).  It returns an insertion-ordered dict
+  mapping each element to its BFS predecessor (the identity to None),
+  which is at once the element set, the BFS order and the parent map.
+  Elements are keyed by the 8 reduced integer coordinates of the four
+  entries, making the enumeration deterministic and hashable.
+  `build_quotient` is that closure under the images of S and T; coset
+  words, the subgroup machinery and the verifiers use it.
 """
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass
+from math import prod
 
+from .formula import sl2_factor
 from .ideals import (
     IdealHNF,
     ResElt,
@@ -101,8 +107,9 @@ class ResMat:
         return out
 
     def inverse(self) -> ResMat:
-        # adjugate; valid since everything enumerated here has det 1
-        assert self.det() == self.ring.one(), "inverse of a non-det-1 matrix"
+        # the adjugate, which is the inverse only when det is 1
+        if self.det() != self.ring.one():
+            raise ValueError(f"det {self.det()} is not 1: the adjugate is no inverse")
         red = self.ring.reduce_pair
         a, b, c, d, e, f, g, h = self.key
         key = (g, h, *red(-c, -d), *red(-e, -f), a, b)
@@ -126,34 +133,33 @@ class ResMat:
 class QuotientGroup:
     """Fully enumerated image of the Hecke group modulo an ideal.
 
-    elements is in deterministic BFS order; parent maps each non-identity
-    element key to (predecessor key, generator letter), so parent chains
-    spell a positive word evaluating to the element.
+    elements is in deterministic BFS order; predecessor is the closure's
+    dict from each element to its BFS predecessor (None at the identity),
+    so predecessor chains spell a positive word evaluating to the element.
     """
 
     level: IdealHNF
     ring: ResidueRing
     elements: tuple[Key, ...]
-    parent: dict[Key, tuple[Key, str]]
+    predecessor: dict[Key, Key | None]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @property
-    def element_set(self) -> frozenset[Key]:
-        # cached lazily on the instance despite frozen dataclass
-        cached = self.__dict__.get("_element_set")
-        if cached is None:
-            cached = frozenset(self.elements)
-            object.__setattr__(self, "_element_set", cached)
-        return cached
+    def element_set(self) -> KeysView[Key]:
+        return self.predecessor.keys()
 
     def word_for(self, key: Key) -> str:
+        # the letter taking a predecessor to its element: T keeps the first
+        # column (coordinates 0, 1, 4, 5); S never does, since it moves the
+        # second column there and a det-1 matrix has distinct columns
         letters = []
-        while key in self.parent:
-            key, letter = self.parent[key]
-            letters.append(letter)
+        while (pred := self.predecessor[key]) is not None:
+            same = pred[0] == key[0] and pred[1] == key[1] and pred[4] == key[4] and pred[5] == key[5]
+            letters.append("T" if same else "S")
+            key = pred
         return "".join(reversed(letters))
 
     def resmat(self, key: Key) -> ResMat:
@@ -165,27 +171,8 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     ring = ResidueRing(level)
-    d1, k, d2 = level.d1, level.k, level.d2
-    gens = [("S", _mat_key(ring, S)), ("T", _mat_key(ring, T))]
-    identity = ResMat.identity(ring).key
-    parent: dict[Key, tuple[Key, str]] = {}
-    seen = {identity}
-    order: list[Key] = [identity]
-    frontier = [identity]
-    while frontier:
-        next_frontier: list[Key] = []
-        for u in frontier:
-            for letter, g in gens:
-                w = _key_mul(u, g, d1, k, d2)
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (u, letter)
-                    order.append(w)
-                    next_frontier.append(w)
-                    if len(order) > cap:
-                        raise CapExceededError(cap, len(order))
-        frontier = next_frontier
-    return QuotientGroup(level, ring, tuple(order), parent)
+    predecessor = semigroup_closure(ring, [_mat_key(ring, S), _mat_key(ring, T)], cap)
+    return QuotientGroup(level, ring, tuple(predecessor), predecessor)
 
 
 def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
@@ -248,14 +235,10 @@ def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
 
 
 def sl2_order(level: IdealHNF) -> int:
-    """|SL(2, Z[L]/A)|: the product over P^e || A of N(P)^(3e-2) (N(P)^2 - 1)."""
+    """|SL(2, Z[L]/A)|: the product of the SL2 factors of the P^e || A."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    total = 1
-    for pf in factor_ideal(level):
-        q = pf.prime.norm
-        total *= q ** (3 * pf.exponent - 2) * (q * q - 1)
-    return total
+    return prod(sl2_factor(pf.prime.norm, pf.exponent) for pf in factor_ideal(level))
 
 
 def is_surjective(level: IdealHNF, cap: int = DEFAULT_CAP) -> bool:
@@ -276,7 +259,7 @@ def index_g(level: IdealHNF, cap: int = DEFAULT_CAP, *, index: int | None = None
 
 
 def coset_words(q: QuotientGroup) -> list[tuple[ResMat, str]]:
-    """One positive word per element, via BFS parent chains."""
+    """One positive word per element, via BFS predecessor chains."""
     return [(q.resmat(key), q.word_for(key)) for key in q.elements]
 
 
@@ -292,13 +275,16 @@ class SubgroupHandle:
 
     @property
     def index(self) -> int:
-        assert self.group.order % self.order == 0
+        if self.group.order % self.order:
+            raise ValueError(f"{self.order} does not divide the group order {self.group.order}")
         return self.group.order // self.order
 
 
 def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
     """The congruence-condition subgroups: `H0` (lower-left entry 0) or
     `H1` (additionally both diagonal entries 1)."""
+    if which not in ("H0", "H1"):
+        raise ValueError(f"unknown predicate {which!r}")
     ring = q.ring
     zero = (ring.zero().x, ring.zero().y)
     one = (ring.one().x, ring.one().y)
@@ -309,49 +295,44 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
         if which == "H1" and ((key[0], key[1]) != one or (key[6], key[7]) != one):
             continue
         members.add(key)
-    if which not in ("H0", "H1"):
-        raise ValueError(f"unknown predicate {which!r}")
     return SubgroupHandle(q, frozenset(members), which)
 
 
 def semigroup_closure(
     ring: ResidueRing, gen_keys: list[Key], cap: int | None = None
-) -> list[Key]:
+) -> dict[Key, Key | None]:
     """Deterministic BFS closure of the identity under right-multiplication.
 
-    In a finite group semigroup closure equals subgroup closure, so no
-    inverses are needed.
+    Returns an insertion-ordered dict from each element, in BFS order, to
+    its predecessor (None at the identity); each element was first reached
+    from its predecessor by the first generator, in `gen_keys` order, that
+    reaches it.  In a finite group semigroup closure equals subgroup
+    closure, so no inverses are needed.
     """
     m = ring.modulus
     d1, k, d2 = m.d1, m.k, m.d2
     identity = ResMat.identity(ring).key
-    seen = {identity}
-    order = [identity]
+    predecessor: dict[Key, Key | None] = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for u in frontier:
             for g in gen_keys:
                 w = _key_mul(u, g, d1, k, d2)
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
+                if w not in predecessor:
+                    predecessor[w] = u
                     nxt.append(w)
-                    if cap is not None and len(order) > cap:
-                        raise CapExceededError(cap, len(order))
+                    if cap is not None and len(predecessor) > cap:
+                        raise CapExceededError(cap, len(predecessor))
         frontier = nxt
-    return order
-
-
-def _closure(q: QuotientGroup, gens: list[Key]) -> frozenset[Key]:
-    return frozenset(semigroup_closure(q.ring, gens))
+    return predecessor
 
 
 def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
     for g in gens:
         if g.key not in q.element_set:
             raise ValueError(f"generator {g.key} is not in the quotient")
-    members = _closure(q, [g.key for g in gens])
+    members = frozenset(semigroup_closure(q.ring, [g.key for g in gens]))
     return SubgroupHandle(q, members, f"<{len(gens)} generators>")
 
 
@@ -367,15 +348,15 @@ def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
         if p not in seen_powers:
             seen_powers.add(p)
             powers.append(p)
-    members = frozenset({q.elements[0]})
+    members = {q.elements[0]}
     gens: list[Key] = []
     for p in powers:
         if p not in members:
             gens.append(p)
-            members = _closure(q, gens)
+            members = semigroup_closure(q.ring, gens)
             if len(members) == q.order:
                 break
-    return SubgroupHandle(q, members, f"{k}-th powers")
+    return SubgroupHandle(q, frozenset(members), f"{k}-th powers")
 
 
 def is_normal(sub: SubgroupHandle) -> bool:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +31,22 @@ def random_golden(rng: random.Random, bound: int = 10**6) -> GoldenInt:
 
 def random_word(rng: random.Random, max_len: int = 40) -> str:
     return "".join(rng.choice("SsTt") for _ in range(rng.randint(0, max_len)))
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH, for
+    running the package or its scripts in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python_O(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -O *args` in a fresh process, where asserts are gone."""
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )

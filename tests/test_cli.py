@@ -1,13 +1,12 @@
+import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from hecke5.cli import main
 from hecke5.matrices import eval_word
+
+from conftest import run_python_O
 
 
 def run(capsys, *argv):
@@ -186,15 +185,7 @@ class TestCapErrors:
 
 def run_optimized(*argv):
     """Run the CLI in a fresh `python -O` process, where asserts are gone."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "hecke5.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
-    )
+    return run_python_O("-m", "hecke5.cli", *argv)
 
 
 class TestNonIdealLevels:
@@ -229,6 +220,39 @@ class TestCosets:
         assert code == 0
         assert len(target.read_text().splitlines()) == 10
         assert "wrote 10 cosets" in err
+
+    def test_output_pinned_at_two(self, capsys):
+        # the BFS order (S before T, first discovery wins) fixes every line
+        code, out, _ = run(capsys, "cosets", "--level", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "\t[[1+0L,0+0L],[0+0L,1+0L]]",
+            "S\t[[0+0L,1+0L],[1+0L,0+0L]]",
+            "T\t[[1+0L,0+1L],[0+0L,1+0L]]",
+            "ST\t[[0+0L,1+0L],[1+0L,0+1L]]",
+            "TS\t[[0+1L,1+0L],[1+0L,0+0L]]",
+            "STS\t[[1+0L,0+0L],[0+1L,1+0L]]",
+            "TST\t[[0+1L,0+1L],[1+0L,0+1L]]",
+            "STST\t[[1+0L,0+1L],[0+1L,0+1L]]",
+            "TSTS\t[[0+1L,0+1L],[0+1L,1+0L]]",
+            "STSTS\t[[0+1L,1+0L],[0+1L,0+1L]]",
+        ]
+
+    def test_output_pinned_at_three_plus_L(self, capsys):
+        code, out, _ = run(capsys, "cosets", "--level", "3+L")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1320
+        assert lines[:3] == [
+            "\t[[0+7L,0+0L],[0+0L,0+7L]]",
+            "S\t[[0+0L,0+7L],[0+4L,0+0L]]",
+            "T\t[[0+7L,0+1L],[0+0L,0+7L]]",
+        ]
+        assert lines[-1] == "TTTTSTTSTSTTTTTT\t[[0+10L,0+9L],[0+2L,0+10L]]"
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "5450d1b2f3ca4bc81d0fcdd32c2f4963aa5666272915c14c9d1697444a93002d"
+        )
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 
 from hecke5.golden import GoldenInt
 from hecke5.formula import (
@@ -16,6 +17,8 @@ from hecke5.ideals import (
     split_rational_prime,
 )
 from hecke5.quotient import index_h, sl2_order
+
+from test_quotient import principal_levels
 
 TAU = GoldenInt(2, 1)
 TAU_IDEAL = IdealHNF(1, 3, 5)
@@ -117,6 +120,42 @@ class TestIndexPrimePower:
         tau11 = split_rational_prime(11)[0].prime
         assert index_prime_power(11, 0, 1) == index_formula(tau11).total
 
+    def test_every_prime_power_level_up_to_norm_2000(self):
+        # index_prime_power(p, n, s) is the index at tau^(n+s) sigma^n for the
+        # two primes above a split p, and so also at sigma^(n+s) tau^n
+        levels = set()
+        for n in range(1, 5):
+            level = ideal_pow(TAU_IDEAL, n)
+            assert index_prime_power(5, n) == index_formula(level).total, level
+            levels.add(level)
+        for p in sympy.primerange(2, 2001):
+            if p % 5 in (2, 3):
+                n = 1
+                while p ** (2 * n) <= 2000:
+                    level = ideal_from_generator(p**n)
+                    assert index_prime_power(p, n) == index_formula(level).total, level
+                    levels.add(level)
+                    n += 1
+            elif p != 5:
+                tau, sigma = (pf.prime for pf in split_rational_prime(p))
+                for a in range(1, 12):
+                    for b in range(a + 1):
+                        if p ** (a + b) > 2000:
+                            break
+                        expected = index_prime_power(p, b, a - b)
+                        for x, y in ((tau, sigma), (sigma, tau)):
+                            level = ideal_mul(ideal_pow(x, a), ideal_pow(y, b))
+                            assert expected == index_formula(level).total, level
+                            levels.add(level)
+        # the sweep reached every level of prime-power norm up to 2000,
+        # among them the mixed tau^2 sigma above 11
+        assert levels == {
+            level
+            for level in principal_levels(2, 2000)
+            if len(sympy.factorint(level.norm)) == 1
+        }
+        assert len(levels) == 329
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             index_prime_power(2, 0)
@@ -126,6 +165,9 @@ class TestIndexPrimePower:
             index_prime_power(7, 1, tau_exponent=1)
         with pytest.raises(ValueError):
             index_prime_power(5, 1, tau_exponent=1)
+        for not_prime in (4, 1, 9, -3):
+            with pytest.raises(ValueError):
+                index_prime_power(not_prime, 1)
 
 
 class TestIndexBoundStep:
@@ -151,7 +193,7 @@ class TestIndexBoundStep:
 
     def test_steps_assemble_the_tower(self):
         # index at pi^(n+1) = index at pi^n times the step, for several pi
-        for pi_gen, reps in [(2, 3), (3, 2), (7, 2)]:
+        for pi_gen, reps in [(2, 3), (3, 2), (7, 2), (GoldenInt(3, 1), 3)]:
             pi = ideal_from_generator(pi_gen)
             level = pi
             for n in range(1, reps + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from hecke5.quotient import (
     CapExceededError,
     QuotientGroup,
     ResMat,
+    SubgroupHandle,
     build_quotient,
     coset_words,
     index_g,
@@ -25,7 +27,7 @@ from hecke5.quotient import (
     subgroup_generated,
 )
 
-from conftest import random_word
+from conftest import random_word, run_python_O
 from test_acceptance import BASE_LEVELS
 
 TAU = GoldenInt(2, 1)
@@ -69,6 +71,13 @@ class TestBuildQuotient:
         q2 = build_quotient(ideal_from_generator(3))
         assert q1.elements == q2.elements
 
+    def test_bfs_order_pinned(self, quotient_cache):
+        elements = tuple(quotient_cache(5).elements)
+        assert (
+            hashlib.sha256(repr(elements).encode()).hexdigest()
+            == "2c5f1c5395ca59f22be72fd0b1fdaf56d4d1ab93d56174009467d31c593da1e5"
+        )
+
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
             build_quotient(IdealHNF(1, 0, 1))
@@ -93,6 +102,31 @@ class TestBuildQuotient:
         q = quotient_cache(4)
         one = q.ring.one()
         assert all(q.resmat(k).det() == one for k in q.elements)
+
+
+class TestResMatInverse:
+    def test_inverse(self, quotient_cache):
+        q = quotient_cache(TAU)
+        ident = ResMat.identity(q.ring)
+        for key in q.elements[:50]:
+            m = q.resmat(key)
+            assert m * m.inverse() == ident == m.inverse() * m
+
+    def test_det_not_one_rejected_under_python_O(self):
+        # SAMPLE_MATRICES[2] has det -L, which is not 1 mod 5
+        proc = run_python_O(
+            "-c",
+            "from hecke5.ideals import ResidueRing, ideal_from_generator\n"
+            "from hecke5.quotient import ResMat\n"
+            "from hecke5.verify import SAMPLE_MATRICES\n"
+            "m = ResMat.from_mat2(ResidueRing(ideal_from_generator(5)), SAMPLE_MATRICES[2])\n"
+            "try:\n"
+            "    m.inverse()\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n",
+        )
+        assert proc.returncode == 0, proc
+        assert proc.stdout.startswith("ValueError:")
 
 
 class TestOrbitStabilizer:
@@ -187,6 +221,12 @@ class TestCosetWords:
         assert len(pairs) == q.order
         assert len({m.key for m, _ in pairs}) == q.order
 
+    def test_non_member_has_no_word(self, quotient_cache):
+        q = quotient_cache(2)
+        stray = tuple(x + 1 for x in ResMat.from_mat2(q.ring, T).key)
+        with pytest.raises(KeyError):
+            q.word_for(stray)
+
     def test_random_elements_hit_listed_words(self, quotient_cache):
         q = quotient_cache(3)
         rng = random.Random(9)
@@ -208,6 +248,12 @@ class TestSubgroups:
     def test_unknown_predicate(self, quotient_cache):
         with pytest.raises(ValueError):
             subgroup_from_predicate(quotient_cache(2), "H2")
+
+    def test_index_of_a_non_divisor_rejected(self, quotient_cache):
+        q = quotient_cache(2)
+        handle = SubgroupHandle(q, frozenset(q.elements[:3]), "not a subgroup")
+        with pytest.raises(ValueError):
+            handle.index
 
     def test_subgroup_generated_whole_group(self, quotient_cache):
         q = quotient_cache(2)
