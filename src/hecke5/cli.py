@@ -30,6 +30,7 @@ from .matrices import (
     reduce_fraction,
 )
 from .quotient import (
+    DEFAULT_CAP,
     CapExceededError,
     build_quotient,
     coset_words,
@@ -241,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_level(p, cap_help="not used by this command"):
+    def add_level(p):
         p.add_argument("--level", help="level as a generator literal, e.g. '2+L'")
         p.add_argument("--hnf", help="level as an HNF triple 'd1,k,d2'")
-        p.add_argument("--cap", type=int, default=5_000_000, help=cap_help)
+
+    def add_cap(p, what):
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"most {what}; exit 3 beyond it")
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -294,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sl2order)
 
     p = sub.add_parser("index", help="index of the principal congruence subgroup")
-    add_level(p, "most orbit points (columns) the count may visit; exit 3 beyond it")
+    add_level(p)
+    add_cap(p, "orbit points (columns) the count may visit")
     add_json(p)
     p.add_argument(
         "--enumerate", dest="mode", action="store_const", const="enumerate"
@@ -304,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index, mode="both")
 
     p = sub.add_parser("cosets", help="coset representative words for a level")
-    add_level(p, "most quotient elements to enumerate; exit 3 beyond it")
+    add_level(p)
+    add_cap(p, "quotient elements to enumerate")
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
     p.set_defaults(func=cmd_cosets)
 
@@ -313,12 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=["all", *verify_mod.VERIFIERS],
     )
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=5_000_000,
-        help="most elements any one group enumeration may hold; exit 3 beyond it",
-    )
+    add_cap(p, "elements any one group enumeration may hold")
     add_json(p)
     p.set_defaults(func=cmd_verify)
 

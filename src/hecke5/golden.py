@@ -4,13 +4,16 @@ Elements are stored as integer pairs (a, b) meaning a + b*L.  All
 comparisons against the real embedding are decided by exact integer sign
 tests; floating point is only ever used as a first guess that is then
 corrected exactly.
+
+`power` is the one exponentiation routine (left-to-right binary
+square-and-multiply): `lambda_power` here and the `**` of the matrix
+types in `matrices` and `quotient` are each one call to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class NotAUnitError(ValueError):
@@ -122,13 +125,6 @@ def exact_div(x: GoldenInt, y: GoldenInt) -> GoldenInt | None:
     return GoldenInt(z.a // n, z.b // n)
 
 
-def _real_fraction(x: GoldenInt, prec: int) -> Fraction:
-    # (2a+b)*2^p + b*floor(sqrt(5*4^p)), halved: a rational sandwich of the
-    # real value, good to ~prec bits
-    s5 = math.isqrt(5 << (2 * prec))
-    return Fraction((2 * x.a + x.b) * (1 << prec) + x.b * s5, 1 << (prec + 1))
-
-
 def _floor_quotient(w: GoldenInt, n: int) -> int:
     """Exact floor of the real value of w / n for a positive integer n.
 
@@ -212,13 +208,28 @@ def unit_log(x: GoldenInt) -> UnitDecomposition:
     return UnitDecomposition(sign, k)
 
 
+def power(x, n: int, one):
+    """x**n for n >= 0 under x's associative `*`, and `one` at n = 0.
+
+    Left-to-right binary method (Knuth, TAOCP vol. 2, 4.6.3): start from
+    x, then square once per remaining bit of n and multiply by x on each
+    1 bit, so n costs at most 2*log2(n) products.
+    """
+    if n < 0:
+        raise ValueError(f"power needs n >= 0, got {n}")
+    if n == 0:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 def lambda_power(k: int) -> GoldenInt:
     """L**k for any integer k."""
-    base = LAMBDA if k >= 0 else LAMBDA_INV
-    out = ONE
-    for _ in range(abs(k)):
-        out = out * base
-    return out
+    return power(LAMBDA if k >= 0 else LAMBDA_INV, abs(k), ONE)
 
 
 def parse_element(text: str) -> GoldenInt:

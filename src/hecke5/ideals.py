@@ -76,11 +76,6 @@ def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     return d1, r1[1] % d2, d2
 
 
-def _hnf_rows(rows: list[tuple[int, int]]) -> IdealHNF:
-    """The ideal whose lattice the rows span."""
-    return IdealHNF(*lattice_hnf(rows))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -102,8 +97,9 @@ def ideal_from_generator(g: GoldenInt | int) -> IdealHNF:
         g = GoldenInt(g, 0)
     if not g:
         raise ValueError("zero element does not generate a lattice of full rank")
-    ideal = _hnf_rows([(g.a, g.b), (g.b, g.a + g.b)])
-    assert ideal.norm == g.norm()
+    ideal = IdealHNF(*lattice_hnf([(g.a, g.b), (g.b, g.a + g.b)]))
+    if ideal.norm != g.norm():
+        raise RuntimeError(f"ideal {ideal} of ({g}) has norm {ideal.norm}, not {g.norm()}")
     return ideal
 
 
@@ -113,8 +109,9 @@ def ideal_mul(x: IdealHNF, y: IdealHNF) -> IdealHNF:
         for f in y.basis():
             p = e * f
             rows.append((p.a, p.b))
-    out = _hnf_rows(rows)
-    assert out.norm == x.norm * y.norm
+    out = IdealHNF(*lattice_hnf(rows))
+    if out.norm != x.norm * y.norm:
+        raise RuntimeError(f"{x} * {y} = {out} has norm {out.norm}, not {x.norm * y.norm}")
     return out
 
 
@@ -201,9 +198,11 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
             if (t * t - t - 1) % p == 0:
                 g, _ = gcd_pseudo(GoldenInt(p, 0), GoldenInt(-t, 1))
                 prime = ideal_from_generator(g)
-                assert prime.norm == p
+                if prime.norm != p:
+                    raise RuntimeError(f"gcd({p}, L - {t}) = {g} has norm {prime.norm}, not {p}")
                 factors.append(PrimeFactor(prime, g, 1, 1, False))
-        assert len(factors) == 2 and factors[0].prime != factors[1].prime
+        if len(factors) != 2 or factors[0].prime == factors[1].prime:
+            raise RuntimeError(f"{p} split into {[str(f.prime) for f in factors]}, not two primes")
         factors.sort(key=lambda f: (f.prime.d1, f.prime.k, f.prime.d2))
         return tuple(factors)
     gp = GoldenInt(p, 0)
@@ -226,7 +225,8 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
             if e:
                 out.append(PrimeFactor(pf.prime, pf.generator, e, pf.residue_degree, pf.ramified))
                 check = ideal_mul(check, ideal_pow(pf.prime, e))
-    assert check == ideal, f"factorization of {ideal} does not reconstruct"
+    if check != ideal:
+        raise RuntimeError(f"factorization of {ideal} reconstructs {check}")
     return out
 
 
@@ -252,9 +252,6 @@ class ResidueRing:
         a, b = self.reduce_pair(x.a, x.b)
         return ResElt(a, b, self)
 
-    def zero(self) -> ResElt:
-        return self.reduce(GoldenInt(0, 0))
-
     def one(self) -> ResElt:
         return self.reduce(GoldenInt(1, 0))
 
@@ -274,21 +271,16 @@ class ResElt:
         return GoldenInt(self.x, self.y)
 
     def __add__(self, other: ResElt) -> ResElt:
-        a, b = self.ring.reduce_pair(self.x + other.x, self.y + other.y)
-        return ResElt(a, b, self.ring)
+        return self.ring.reduce(self.lift() + other.lift())
 
     def __sub__(self, other: ResElt) -> ResElt:
-        a, b = self.ring.reduce_pair(self.x - other.x, self.y - other.y)
-        return ResElt(a, b, self.ring)
+        return self.ring.reduce(self.lift() - other.lift())
 
     def __neg__(self) -> ResElt:
-        a, b = self.ring.reduce_pair(-self.x, -self.y)
-        return ResElt(a, b, self.ring)
+        return self.ring.reduce(-self.lift())
 
     def __mul__(self, other: ResElt) -> ResElt:
-        a1, b1, a2, b2 = self.x, self.y, other.x, other.y
-        a, b = self.ring.reduce_pair(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
-        return ResElt(a, b, self.ring)
+        return self.ring.reduce(self.lift() * other.lift())
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

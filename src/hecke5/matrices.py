@@ -14,6 +14,7 @@ from .golden import (
     ZERO,
     divmod_pseudo,
     parse_element,
+    power,
     unit_log,
 )
 
@@ -62,11 +63,7 @@ class Mat2:
         raise ValueError(f"only det +-1 matrices are invertible here, det = {d}")
 
     def __pow__(self, n: int) -> Mat2:
-        base = self if n >= 0 else self.inverse()
-        out = IDENTITY
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return power(self if n >= 0 else self.inverse(), abs(n), IDENTITY)
 
     def entries(self) -> tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]:
         return self.a11, self.a12, self.a21, self.a22
@@ -160,7 +157,8 @@ def complete_column(a: GoldenInt, c: GoldenInt) -> Mat2:
     if rr.e != 0:
         raise NotReducedError(f"({a}, {c}) has reduced factor {rr.e} != 0")
     x = rr.completion if rr.unit.sign == 1 else rr.completion * MINUS_IDENTITY
-    assert x.a11 == a and x.a21 == c
+    if x.a11 != a or x.a21 != c:
+        raise RuntimeError(f"completion {x} of ({a}, {c}) has another first column")
     return x
 
 
@@ -176,7 +174,8 @@ def parabolic_conjugate(a: GoldenInt, c: GoldenInt, m: int) -> Mat2:
     expected = Mat2(
         ONE - a * c * ml, a * a * ml, -(c * c) * ml, ONE + a * c * ml
     )
-    assert out == expected
+    if out != expected:
+        raise RuntimeError(f"parabolic conjugate {out} of ({a}, {c}, {m}) is not {expected}")
     return out
 
 

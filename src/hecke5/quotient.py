@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .formula import sl2_factor
+from .golden import power
 from .ideals import (
     IdealHNF,
     ResElt,
@@ -50,6 +51,7 @@ class CapExceededError(RuntimeError):
 
 def _key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
     """Product of two residue matrices in flat-key form."""
+    # GoldenInt.__mul__'s product formula, inlined: this is the BFS hot loop
     ua, ub, uc, ud, ue, uf, ug, uh = u
     va, vb, vc, vd, ve, vf, vg, vh = v
     # entry 11 = u11*v11 + u12*v21
@@ -95,16 +97,7 @@ class ResMat:
         return ResMat(self.ring, _key_mul(self.key, other.key, m.d1, m.k, m.d2))
 
     def __pow__(self, n: int) -> ResMat:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ResMat.identity(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.ring))
 
     def inverse(self) -> ResMat:
         # the adjugate, which is the inverse only when det is 1
@@ -124,9 +117,9 @@ class ResMat:
 
     @classmethod
     def identity(cls, ring: ResidueRing) -> ResMat:
-        one = ring.one()
-        zero = ring.zero()
-        return cls(ring, (one.x, one.y, zero.x, zero.y, zero.x, zero.y, one.x, one.y))
+        # zero is (0, 0) in every residue ring
+        one = ring.reduce_pair(1, 0)
+        return cls(ring, (*one, 0, 0, 0, 0, *one))
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,8 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
                 if len(queue) > cap:
                     raise CapExceededError(cap, len(queue), "orbit")
             elif known != col:
-                # b = s_w q' - q_w s' for (q_w, s_w) = known and (q', s') = col
+                # b = s_w q' - q_w s' for (q_w, s_w) = known and (q', s') = col,
+                # with GoldenInt.__mul__'s product formula inlined for speed
                 wqx, wqy, wsx, wsy = known
                 px, py, rx, ry = col
                 bs.add(red(
@@ -285,12 +279,10 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
     `H1` (additionally both diagonal entries 1)."""
     if which not in ("H0", "H1"):
         raise ValueError(f"unknown predicate {which!r}")
-    ring = q.ring
-    zero = (ring.zero().x, ring.zero().y)
-    one = (ring.one().x, ring.one().y)
+    one = q.ring.reduce_pair(1, 0)
     members = set()
     for key in q.elements:
-        if (key[4], key[5]) != zero:
+        if (key[4], key[5]) != (0, 0):
             continue
         if which == "H1" and ((key[0], key[1]) != one or (key[6], key[7]) != one):
             continue

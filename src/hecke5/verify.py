@@ -24,6 +24,7 @@ from .matrices import (
     translation,
 )
 from .quotient import (
+    DEFAULT_CAP,
     ResMat,
     build_quotient,
     is_normal,
@@ -102,12 +103,11 @@ def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
     return a, b, c
 
 
-def verify_kernel_layer(p: int, n: int, cap: int = 5_000_000) -> VerificationReport:
+def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """The six unipotent matrices at depth p^n generate, modulo p^(n+1),
     an elementary abelian group of order p^6 with the expected upper- and
-    lower-triangular subgroup structure."""
-    if p**6 > cap:
-        raise ValueError(f"p^6 = {p**6} exceeds cap {cap}")
+    lower-triangular subgroup structure.  Raises CapExceededError once
+    the group holds more than `cap` elements."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     ring = ResidueRing(ideal_from_generator(p ** (n + 1)))
     pn = p**n
@@ -124,8 +124,7 @@ def verify_kernel_layer(p: int, n: int, cap: int = 5_000_000) -> VerificationRep
                 GoldenInt(1, 0) + pn * lambda_power(i + 1),
             )
         )
-    gens = xs + ys + zs
-    gen_keys = [ResMat.from_mat2(ring, g).key for g in gens]
+    gen_keys = [ResMat.from_mat2(ring, g).key for g in xs + ys + zs]
     group = semigroup_closure(ring, gen_keys, cap=cap)
     report.add("order", len(group), p**6)
     commuting = all(
@@ -136,8 +135,8 @@ def verify_kernel_layer(p: int, n: int, cap: int = 5_000_000) -> VerificationRep
     identity = ResMat.identity(ring)
     exponent_ok = all(ResMat(ring, g) ** p == identity for g in group)
     report.add_bool("every-element-has-order-dividing-p", exponent_ok)
-    m_group = semigroup_closure(ring, [ResMat.from_mat2(ring, g).key for g in xs + ys])
-    n_group = semigroup_closure(ring, [ResMat.from_mat2(ring, g).key for g in zs])
+    m_group = semigroup_closure(ring, gen_keys[:4])
+    n_group = semigroup_closure(ring, gen_keys[4:])
     report.add("unipotent-part-order", len(m_group), p**4)
     report.add("diagonal-part-order", len(n_group), p**2)
     report.add("parts-intersection", len(m_group.keys() & n_group.keys()), 1)
@@ -254,7 +253,7 @@ def verify_conjugation_action() -> VerificationReport:
     return report
 
 
-def verify_level5_structure(cap: int = 5_000_000) -> VerificationReport:
+def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     """Sizes and structure of the level-5 quotient and its fifth-power
     subgroup, the finite facts behind the non-congruence argument."""
     report = VerificationReport("level5-structure")
@@ -289,7 +288,7 @@ def verify_level5_structure(cap: int = 5_000_000) -> VerificationReport:
     return report
 
 
-def verify_identities() -> VerificationReport:
+def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     """Regression suite over the individual matrix identities."""
     report = VerificationReport("identities")
     ring2 = ResidueRing(ideal_from_generator(2))
@@ -308,7 +307,7 @@ def verify_identities() -> VerificationReport:
         )
 
     # their image mod (4) is elementary abelian of order 16
-    q4 = build_quotient(ideal_from_generator(4))
+    q4 = build_quotient(ideal_from_generator(4), cap)
     imgs = [ResMat.from_mat2(q4.ring, m) for m in LEVEL2_GENERATORS]
     sub16 = subgroup_generated(q4, imgs)
     report.add("level2-generators-mod4-order", sub16.order, 16)
@@ -419,9 +418,9 @@ VERIFIERS = {
     ],
     "conjugation-action": lambda cap: [verify_conjugation_action()],
     "level5": lambda cap: [verify_level5_structure(cap)],
-    "identities": lambda cap: [verify_identities()],
+    "identities": lambda cap: [verify_identities(cap)],
 }
 
 
-def verify_all(cap: int = 5_000_000) -> list[VerificationReport]:
+def verify_all(cap: int = DEFAULT_CAP) -> list[VerificationReport]:
     return [report for run in VERIFIERS.values() for report in run(cap)]

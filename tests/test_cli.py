@@ -182,6 +182,26 @@ class TestCapErrors:
         assert code == 3
         assert err.startswith("error: quotient exceeded cap 119")
 
+    def test_verify_kernel_layers_json(self, capsys):
+        code, out, err = run(capsys, "verify", "kernel-layers", "--cap", "1000", "--json")
+        assert code == 3
+        assert err.startswith("error: quotient exceeded cap 1000")
+        payload = json.loads(out)
+        assert payload["schema"] == "hecke5/v1/error"
+        assert (payload["cap"], payload["partial"]) == (1000, 1001)
+
+    def test_verify_identities(self, capsys):
+        # the identities build the 320-element quotient mod (4)
+        code, _, err = run(capsys, "verify", "identities", "--cap", "100")
+        assert code == 3
+        assert err.startswith("error: quotient exceeded cap 100")
+
+    @pytest.mark.parametrize("command", ["factor", "sl2order"])
+    def test_commands_that_enumerate_nothing_take_no_cap(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--level", "6", "--cap", "5"])
+        assert exc.value.code == 2
+
 
 def run_optimized(*argv):
     """Run the CLI in a fresh `python -O` process, where asserts are gone."""

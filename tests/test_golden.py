@@ -19,6 +19,7 @@ from hecke5.golden import (
     gcd_pseudo,
     lambda_power,
     parse_element,
+    power,
     unit_log,
 )
 
@@ -191,6 +192,24 @@ class TestUnitLog:
     def test_roundtrip(self, k, sign):
         d = unit_log(lambda_power(k) * sign)
         assert (d.sign, d.exponent) == (sign, k)
+
+
+class TestLambdaPower:
+    def test_fibonacci_coordinates(self):
+        # L^k = F(k-1) + F(k) L for every integer k, with F(-n) = (-1)^(n+1) F(n)
+        fib = [0, 1]
+        while len(fib) < 302:
+            fib.append(fib[-1] + fib[-2])
+
+        def f(n):
+            return fib[n] if n >= 0 else (-1) ** (-n + 1) * fib[-n]
+
+        for k in range(-300, 301):
+            assert lambda_power(k) == GoldenInt(f(k - 1), f(k)), k
+
+    def test_power_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            power(LAMBDA, -1, ONE)
 
 
 class TestLiterals:

@@ -23,6 +23,8 @@ from hecke5.matrices import (
     translation,
 )
 
+from hecke5.verify import J, SAMPLE_MATRICES
+
 from conftest import random_golden, random_word
 
 words = st.text(alphabet="SsTt", max_size=25)
@@ -46,6 +48,16 @@ class TestMat2:
         assert T**3 == translation(3)
         assert T**-2 == translation(-2)
         assert S**0 == IDENTITY
+
+    @pytest.mark.parametrize(
+        "m", [SAMPLE_MATRICES[0], eval_word("ST"), J], ids=["sample-0", "ST", "J-det-minus-1"]
+    )
+    def test_pow_matches_repeated_product(self, m):
+        for n in range(-12, 13):
+            product = IDENTITY
+            for _ in range(abs(n)):
+                product = product * (m if n > 0 else m.inverse())
+            assert m**n == product, n
 
     def test_from_ints(self):
         m = Mat2.from_ints([[(0, 1), (1, 0)], [(0, 0), (2, -1)]])

@@ -129,6 +129,19 @@ class TestResMatInverse:
         assert proc.stdout.startswith("ValueError:")
 
 
+class TestResMatPower:
+    def test_matches_repeated_product(self, quotient_cache):
+        q = quotient_cache(TAU)
+        ident = ResMat.identity(q.ring)
+        for key in q.elements[:: len(q.elements) // 12]:
+            m = q.resmat(key)
+            for n in range(-7, 8):
+                product = ident
+                for _ in range(abs(n)):
+                    product = product * (m if n > 0 else m.inverse())
+                assert m**n == product, (key, n)
+
+
 class TestOrbitStabilizer:
     def test_matches_enumeration(self, quotient_cache):
         # the acceptance gate builds all of these, so the cache is warm

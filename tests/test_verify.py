@@ -2,6 +2,7 @@ import pytest
 
 from hecke5.golden import GoldenInt, ONE
 from hecke5.matrices import is_member
+from hecke5.quotient import CapExceededError
 from hecke5.verify import (
     DET1_VARIANT,
     LEVEL2_GENERATORS,
@@ -65,8 +66,9 @@ class TestKernelLayer:
         assert len(names) == 6
 
     def test_cap_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError) as exc:
             verify_kernel_layer(7, 1, cap=1000)
+        assert (exc.value.cap, exc.value.partial) == (1000, 1001)
 
 
 class TestConjugationAction:
