@@ -13,22 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from .formula import index_formula
-from .golden import (
-    IterationCapError,
-    divmod_pseudo,
-    format_element,
-    gcd_pseudo,
-    parse_element,
-)
+from .golden import IterationCapError, divmod_pseudo, format_element, gcd_pseudo, parse_element
 from .ideals import IdealHNF, factor_ideal, ideal_from_generator
-from .matrices import (
-    complete_column,
-    is_member,
-    parse_matrix,
-    reduce_fraction,
-)
+from .matrices import complete_column, is_member, parse_matrix, reduce_fraction
 from .quotient import (
     DEFAULT_CAP,
     CapExceededError,
@@ -52,73 +43,47 @@ def _level_ideal(args) -> IdealHNF:
     return ideal_from_generator(parse_element(args.level))
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def cmd_norm(args) -> int:
+def cmd_norm(args):
     x = parse_element(args.element)
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/norm", "element": format_element(x), "norm": x.norm()}, str(x.norm()))
-    return 0
+    return {"element": format_element(x), "norm": x.norm()}, str(x.norm())
 
 
-def cmd_divmod(args) -> int:
+def cmd_divmod(args):
     a, b = parse_element(args.a), parse_element(args.b)
     q, r = divmod_pseudo(a, b)
-    _emit(
-        args,
-        {"schema": f"{SCHEMA_PREFIX}/divmod", "q": q, "r": format_element(r)},
-        f"q = {q}, r = {format_element(r)}",
-    )
-    return 0
+    return {"q": q, "r": format_element(r)}, f"q = {q}, r = {format_element(r)}"
 
 
-def cmd_gcd(args) -> int:
+def cmd_gcd(args):
     a, b = parse_element(args.a), parse_element(args.b)
     g, quots = gcd_pseudo(a, b)
-    _emit(
-        args,
-        {"schema": f"{SCHEMA_PREFIX}/gcd", "gcd": format_element(g), "quotients": quots},
-        f"gcd = {format_element(g)}  (quotients {quots})",
-    )
-    return 0
+    text = f"gcd = {format_element(g)}  (quotients {quots})"
+    return {"gcd": format_element(g), "quotients": quots}, text
 
 
-def cmd_efactor(args) -> int:
+def cmd_efactor(args):
     a, b = parse_element(args.a), parse_element(args.b)
     rr = reduce_fraction(a, b)
-    _emit(
-        args,
-        {
-            "schema": f"{SCHEMA_PREFIX}/efactor",
-            "e": rr.e,
-            "unit_sign": rr.unit.sign,
-            "quotients": rr.quotients,
-            "completion": str(rr.completion),
-        },
-        f"e = {rr.e}",
-    )
-    return 0
+    payload = {
+        "e": rr.e,
+        "unit_sign": rr.unit.sign,
+        "quotients": rr.quotients,
+        "completion": str(rr.completion),
+    }
+    return payload, f"e = {rr.e}"
 
 
-def cmd_member(args) -> int:
-    m = parse_matrix(args.matrix)
-    ok = is_member(m)
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/member", "member": ok}, str(ok).lower())
-    return 0
+def cmd_member(args):
+    ok = is_member(parse_matrix(args.matrix))
+    return {"member": ok}, str(ok).lower()
 
 
-def cmd_complete(args) -> int:
-    a, c = parse_element(args.a), parse_element(args.c)
-    x = complete_column(a, c)
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/complete", "matrix": str(x)}, str(x))
-    return 0
+def cmd_complete(args):
+    x = complete_column(parse_element(args.a), parse_element(args.c))
+    return {"matrix": str(x)}, str(x)
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args):
     ideal = _level_ideal(args)
     factors = [
         {
@@ -130,107 +95,130 @@ def cmd_factor(args) -> int:
         }
         for pf in factor_ideal(ideal)
     ]
-    text = " * ".join(
-        f"({f['generator']})^{f['exponent']}" for f in factors
-    ) or "(1)"
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/factor", "norm": ideal.norm, "factors": factors}, text)
-    return 0
+    text = " * ".join(f"({f['generator']})^{f['exponent']}" for f in factors) or "(1)"
+    return {"norm": ideal.norm, "factors": factors}, text
 
 
-def cmd_sl2order(args) -> int:
+def cmd_sl2order(args):
+    n = sl2_order(_level_ideal(args))
+    return {"order": n}, str(n)
+
+
+def cmd_index(args):
     ideal = _level_ideal(args)
-    n = sl2_order(ideal)
-    _emit(args, {"schema": f"{SCHEMA_PREFIX}/sl2order", "order": n}, str(n))
-    return 0
-
-
-def cmd_index(args) -> int:
-    ideal = _level_ideal(args)
-    payload: dict = {
-        "schema": f"{SCHEMA_PREFIX}/index",
-        "level": str(ideal),
-        "norm": ideal.norm,
-        "sl2_order": sl2_order(ideal),
-    }
+    payload: dict = {"level": str(ideal), "norm": ideal.norm, "sl2_order": sl2_order(ideal)}
     lines = [f"level {ideal} of norm {ideal.norm}"]
     if args.mode in ("formula", "both"):
         rep = index_formula(ideal)
-        payload["index_formula"] = rep.total
-        payload["i_a"] = rep.i_a
-        payload["j_b"] = rep.j_b
-        payload["coprime_part_norm"] = rep.coprime_part_norm
+        payload.update(
+            index_formula=rep.total,
+            i_a=rep.i_a,
+            j_b=rep.j_b,
+            coprime_part_norm=rep.coprime_part_norm,
+        )
         lines.append(f"index (formula)     = {rep.total}")
     if args.mode in ("enumerate", "both"):
         orbit, stabilizer = orbit_stabilizer(ideal, args.cap)
         n = orbit * stabilizer
-        payload["index_h"] = n
-        payload["orbit"] = orbit
-        payload["stabilizer"] = stabilizer
-        payload["index_g"] = index_g(ideal, index=n)
-        payload["surjective"] = n == payload["sl2_order"]
-        lines.append(f"index (enumerated)  = {n}")
-        lines.append(f"index in G (mod +-I) = {payload['index_g']}")
-        lines.append(f"sl2 order            = {payload['sl2_order']}")
-        lines.append(f"surjective           = {payload['surjective']}")
+        payload.update(
+            index_h=n,
+            orbit=orbit,
+            stabilizer=stabilizer,
+            index_g=index_g(ideal, index=n),
+            surjective=n == payload["sl2_order"],
+        )
+        lines += [
+            f"index (enumerated)  = {n}",
+            f"index in G (mod +-I) = {payload['index_g']}",
+            f"sl2 order            = {payload['sl2_order']}",
+            f"surjective           = {payload['surjective']}",
+        ]
     if args.mode == "both":
         payload["agrees"] = payload["index_formula"] == payload["index_h"]
         lines.append(f"agrees               = {payload['agrees']}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def cmd_cosets(args) -> int:
-    ideal = _level_ideal(args)
-    q = build_quotient(ideal, args.cap)
-    rows = [
+def cmd_cosets(args):
+    q = build_quotient(_level_ideal(args), args.cap)
+    text = "\n".join(
         f"{word}\t[[{m.entry(0, 0)},{m.entry(0, 1)}],[{m.entry(1, 0)},{m.entry(1, 1)}]]"
         for m, word in coset_words(q)
-    ]
-    out = "\n".join(rows) + "\n"
+    )
     if args.out == "-":
-        sys.stdout.write(out)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-        print(f"wrote {q.order} cosets to {args.out}", file=sys.stderr)
-    return 0
+        return None, text
+    with open(args.out, "w") as fh:
+        fh.write(text + "\n")
+    print(f"wrote {q.order} cosets to {args.out}", file=sys.stderr)
+    return None, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.target == "all":
         reports = verify_mod.verify_all(args.cap)
     else:
         reports = verify_mod.VERIFIERS[args.target](args.cap)
     ok = all(r.passed for r in reports)
-    if args.json:
-        payload = {
-            "schema": f"{SCHEMA_PREFIX}/verify",
-            "passed": ok,
-            "reports": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "passed": c.passed,
-                            "computed": c.computed,
-                            "expected": c.expected,
-                        }
-                        for c in r.checks
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in reports:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
-            for c in r.checks:
-                if not c.passed:
-                    print(f"    FAIL {c.name}: computed {c.computed}, expected {c.expected}")
-    return 0 if ok else 1
+    payload = {
+        "passed": ok,
+        "reports": [
+            {"name": r.name, "passed": r.passed, "checks": [asdict(c) for c in r.checks]}
+            for r in reports
+        ],
+    }
+    lines = []
+    for r in reports:
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
+        lines.extend(
+            f"    FAIL {c.name}: computed {c.computed}, expected {c.expected}"
+            for c in r.checks
+            if not c.passed
+        )
+    return payload, "\n".join(lines), 0 if ok else 1
+
+
+class Command(NamedTuple):
+    """A subcommand and the shared flags it takes: `--level`/`--hnf`,
+    `--cap` (`cap` says what it bounds) and `--json`."""
+
+    help: str
+    handler: Callable
+    positionals: tuple[str, ...] = ()
+    level: bool = False
+    cap: str | None = None
+    json: bool = True
+
+
+COMMANDS = {
+    "norm": Command("absolute norm of an element", cmd_norm, ("element",)),
+    "divmod": Command("pseudo-Euclidean division a = (qL)b + r", cmd_divmod, ("a", "b")),
+    "gcd": Command("pseudo-Euclidean gcd", cmd_gcd, ("a", "b")),
+    "efactor": Command("reduced factor e(a/b) of a fraction", cmd_efactor, ("a", "b")),
+    "member": Command("Hecke group membership test for a matrix", cmd_member, ("matrix",)),
+    "complete": Command(
+        "complete a reduced column (a, c) to a group element", cmd_complete, ("a", "c")
+    ),
+    "factor": Command("prime factorization of a level ideal", cmd_factor, level=True),
+    "sl2order": Command("order of SL2 of the residue ring", cmd_sl2order, level=True),
+    "index": Command(
+        "index of the principal congruence subgroup",
+        cmd_index,
+        level=True,
+        cap="orbit points (columns) the count may visit",
+    ),
+    "cosets": Command(
+        "coset representative words for a level",
+        cmd_cosets,
+        level=True,
+        cap="quotient elements to enumerate",
+        json=False,
+    ),
+    "verify": Command(
+        "machine-verify the supporting computations",
+        cmd_verify,
+        cap="elements any one group enumeration may hold",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,109 +229,51 @@ def build_parser() -> argparse.ArgumentParser:
         "coefficients and L, e.g. '3+2L'; matrices look like '[[0,1L],[-1,0]]'.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        if command.level:
+            p.add_argument("--level", help="level as a generator literal, e.g. '2+L'")
+            p.add_argument("--hnf", help="level as an HNF triple 'd1,k,d2'")
+        if command.cap:
+            cap_help = f"most {command.cap}; exit 3 beyond it"
+            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
+        if command.json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=command.handler)
 
-    def add_level(p):
-        p.add_argument("--level", help="level as a generator literal, e.g. '2+L'")
-        p.add_argument("--hnf", help="level as an HNF triple 'd1,k,d2'")
-
-    def add_cap(p, what):
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"most {what}; exit 3 beyond it")
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("norm", help="absolute norm of an element")
-    p.add_argument("element")
-    add_json(p)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("divmod", help="pseudo-Euclidean division a = (qL)b + r")
-    p.add_argument("a")
-    p.add_argument("b")
-    add_json(p)
-    p.set_defaults(func=cmd_divmod)
-
-    p = sub.add_parser("gcd", help="pseudo-Euclidean gcd")
-    p.add_argument("a")
-    p.add_argument("b")
-    add_json(p)
-    p.set_defaults(func=cmd_gcd)
-
-    p = sub.add_parser("efactor", help="reduced factor e(a/b) of a fraction")
-    p.add_argument("a")
-    p.add_argument("b")
-    add_json(p)
-    p.set_defaults(func=cmd_efactor)
-
-    p = sub.add_parser("member", help="Hecke group membership test for a matrix")
-    p.add_argument("matrix")
-    add_json(p)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("complete", help="complete a reduced column (a, c) to a group element")
-    p.add_argument("a")
-    p.add_argument("c")
-    add_json(p)
-    p.set_defaults(func=cmd_complete)
-
-    p = sub.add_parser("factor", help="prime factorization of a level ideal")
-    add_level(p)
-    add_json(p)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser("sl2order", help="order of SL2 of the residue ring")
-    add_level(p)
-    add_json(p)
-    p.set_defaults(func=cmd_sl2order)
-
-    p = sub.add_parser("index", help="index of the principal congruence subgroup")
-    add_level(p)
-    add_cap(p, "orbit points (columns) the count may visit")
-    add_json(p)
-    p.add_argument(
-        "--enumerate", dest="mode", action="store_const", const="enumerate"
-    )
-    p.add_argument("--formula", dest="mode", action="store_const", const="formula")
-    p.add_argument("--both", dest="mode", action="store_const", const="both")
-    p.set_defaults(func=cmd_index, mode="both")
-
-    p = sub.add_parser("cosets", help="coset representative words for a level")
-    add_level(p)
-    add_cap(p, "quotient elements to enumerate")
-    p.add_argument("--out", default="-", help="output file ('-' for stdout)")
-    p.set_defaults(func=cmd_cosets)
-
-    p = sub.add_parser("verify", help="machine-verify the supporting computations")
-    p.add_argument(
-        "target",
-        choices=["all", *verify_mod.VERIFIERS],
-    )
-    add_cap(p, "elements any one group enumeration may hold")
-    add_json(p)
-    p.set_defaults(func=cmd_verify)
-
+    index = sub.choices["index"]
+    for mode in ("enumerate", "formula", "both"):
+        index.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
+    index.set_defaults(mode="both")
+    sub.choices["cosets"].add_argument("--out", default="-", help="output file ('-' for stdout)")
+    sub.choices["verify"].add_argument("target", choices=["all", *verify_mod.VERIFIERS])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse itself exits 2 on usage errors
+    """Run one command.  Its handler returns `(payload, text)`, or
+    `(payload, text, exit code)`; this prints the payload under `--json`,
+    else the text unless it is None, and maps errors to exit codes.
+    argparse itself exits 2 on usage errors."""
     args = build_parser().parse_args(argv)
+    command = args.command
     try:
-        return args.func(args)
+        payload, text, *status = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceededError, IterationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
-            payload = {
-                "schema": f"{SCHEMA_PREFIX}/error",
-                "error": str(exc),
-                "cap": getattr(exc, "cap", None),
-                "partial": getattr(exc, "partial", None),
-            }
-            print(json.dumps(payload, sort_keys=True))
-        return 3
+        command, text, status = "error", None, [3]
+        cap, partial = getattr(exc, "cap", None), getattr(exc, "partial", None)
+        payload = {"error": str(exc), "cap": cap, "partial": partial}
+    if getattr(args, "json", False):
+        print(json.dumps({"schema": f"{SCHEMA_PREFIX}/{command}", **payload}, sort_keys=True))
+    elif text is not None:
+        print(text)
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":
