@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Every command is a thin adapter over the library; `--json` emits a single
-JSON document with a versioned `schema` field.  Exit codes: 0 success,
-1 mathematical failure (a verification did not pass), 2 usage error,
-3 a safeguard cap was hit (`--cap`, or an internal iteration cap); the
-error goes to stderr and, under `--json`, a `hecke5/v1/error` document
-with `error`, `cap` and `partial` goes to stdout.
+Every command is a thin adapter over the library, declared once in
+`COMMANDS`; `--json` emits a single JSON document with a versioned
+`schema` field.  Exit codes: 0 success, 1 mathematical failure (a
+verification did not pass), 2 usage error (a malformed literal, a zero
+divisor, a level that is not an ideal, a `--cap` below 1, an `--out`
+that cannot be written), 3 a safeguard cap was hit (`--cap`, or an
+internal iteration cap); the error goes to stderr and, under `--json`, a
+`hecke5/v1/error` document with `error`, `cap` and `partial` goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ from .quotient import (
 from . import verify as verify_mod
 
 SCHEMA_PREFIX = "hecke5/v1"
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
 
 
 def _level_ideal(args) -> IdealHNF:
@@ -169,11 +179,9 @@ def cmd_verify(args):
     lines = []
     for r in reports:
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
-        lines.extend(
-            f"    FAIL {c.name}: computed {c.computed}, expected {c.expected}"
-            for c in r.checks
-            if not c.passed
-        )
+        for c in r.checks:
+            if not c.passed:
+                lines.append(f"    FAIL {c.name}: computed {c.computed}, expected {c.expected}")
     return payload, "\n".join(lines), 0 if ok else 1
 
 
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hnf", help="level as an HNF triple 'd1,k,d2'")
         if command.cap:
             cap_help = f"most {command.cap}; exit 3 beyond it"
-            p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
+            p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP, help=cap_help)
         if command.json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=command.handler)
@@ -253,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  Its handler returns `(payload, text)`, or
-    `(payload, text, exit code)`; this prints the payload under `--json`,
-    else the text unless it is None, and maps errors to exit codes.
-    argparse itself exits 2 on usage errors."""
+    """Run one command: its handler returns `(payload, text)` or `(payload,
+    text, exit code)`; print the payload under `--json`, else the text
+    unless it is None.  argparse itself exits 2 on usage errors."""
     args = build_parser().parse_args(argv)
     command = args.command
     try:
         payload, text, *status = args.func(args)
-    except ValueError as exc:
+    # ZeroDivisionError: a zero divisor argument; OSError: opening `--out`
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceededError, IterationCapError) as exc:

@@ -233,9 +233,12 @@ def lambda_power(k: int) -> GoldenInt:
 
 
 def parse_element(text: str) -> GoldenInt:
-    """Parse the literal grammar: integer coefficients, `L` for lambda.
+    """Parse the literal grammar: a sum of terms, each an integer or an
+    optional integer followed by `L` (lambda); every term after the first
+    starts with `+` or `-`.
 
     Examples: `3+2L`, `-4L-2`, `0`, `L`.  Whitespace is insignificant.
+    `2L3`, `LL` and `L2` are errors, not products or sums.
     """
     s = "".join(text.split())
     if not s:
@@ -248,6 +251,8 @@ def parse_element(text: str) -> GoldenInt:
         if s[i] in "+-":
             sign = -1 if s[i] == "-" else 1
             i += 1
+        elif seen_term:
+            raise ValueError(f"expected '+' or '-' at position {i}: {text!r}")
         j = i
         while j < len(s) and s[j].isdigit():
             j += 1
@@ -261,8 +266,6 @@ def parse_element(text: str) -> GoldenInt:
         else:
             raise ValueError(f"bad element literal at position {i}: {text!r}")
         seen_term = True
-    if not seen_term:
-        raise ValueError(f"bad element literal: {text!r}")
     return GoldenInt(a, b)
 
 

@@ -103,12 +103,26 @@ def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
     return a, b, c
 
 
-def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """The six unipotent matrices at depth p^n generate, modulo p^(n+1),
-    an elementary abelian group of order p^6 with the expected upper- and
-    lower-triangular subgroup structure.  Raises CapExceededError once
-    the group holds more than `cap` elements."""
-    report = VerificationReport(f"kernel-layer(p={p},n={n})")
+def _commute(ring: ResidueRing, keys) -> bool:
+    """Whether the elements with these keys commute pairwise."""
+    return all(
+        ResMat(ring, a) * ResMat(ring, b) == ResMat(ring, b) * ResMat(ring, a)
+        for a, b in combinations(keys, 2)
+    )
+
+
+def elementary_abelian(ring: ResidueRing, gen_keys, p: int) -> bool:
+    """Whether the elements with these keys generate an abelian group of
+    exponent dividing p: they commute pairwise and each has p-th power I.
+    No other element needs a look: in an abelian group (gh)^p = g^p h^p,
+    and the generators are elements of the group themselves."""
+    identity = ResMat.identity(ring)
+    return _commute(ring, gen_keys) and all(ResMat(ring, g) ** p == identity for g in gen_keys)
+
+
+def kernel_layer_generators(p: int, n: int) -> tuple[ResidueRing, list[tuple]]:
+    """The ring modulo p^(n+1) and the keys of the six unipotent matrices
+    at depth p^n: x_i, y_i and z_i for i = 0, 1."""
     ring = ResidueRing(ideal_from_generator(p ** (n + 1)))
     pn = p**n
     xs, ys, zs = [], [], []
@@ -124,17 +138,22 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
                 GoldenInt(1, 0) + pn * lambda_power(i + 1),
             )
         )
-    gen_keys = [ResMat.from_mat2(ring, g).key for g in xs + ys + zs]
+    return ring, [ResMat.from_mat2(ring, g).key for g in xs + ys + zs]
+
+
+def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The six unipotent matrices at depth p^n generate, modulo p^(n+1),
+    an elementary abelian group of order p^6 with the expected upper- and
+    lower-triangular subgroup structure.  Raises CapExceededError once
+    the group holds more than `cap` elements."""
+    report = VerificationReport(f"kernel-layer(p={p},n={n})")
+    ring, gen_keys = kernel_layer_generators(p, n)
     group = semigroup_closure(ring, gen_keys, cap=cap)
     report.add("order", len(group), p**6)
-    commuting = all(
-        ResMat(ring, a) * ResMat(ring, b) == ResMat(ring, b) * ResMat(ring, a)
-        for a, b in combinations(gen_keys, 2)
+    report.add_bool("generators-commute", _commute(ring, gen_keys))
+    report.add_bool(
+        "every-element-has-order-dividing-p", elementary_abelian(ring, gen_keys, p)
     )
-    report.add_bool("generators-commute", commuting)
-    identity = ResMat.identity(ring)
-    exponent_ok = all(ResMat(ring, g) ** p == identity for g in group)
-    report.add_bool("every-element-has-order-dividing-p", exponent_ok)
     m_group = semigroup_closure(ring, gen_keys[:4])
     n_group = semigroup_closure(ring, gen_keys[4:])
     report.add("unipotent-part-order", len(m_group), p**4)
@@ -267,14 +286,9 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     sub = subgroup_generated(q, delta)
     report.add("delta-subgroup-order", sub.order, 125)
     report.add_bool("delta-subgroup-normal", is_normal(sub))
-    ident = ResMat.identity(q.ring)
     report.add_bool(
         "delta-subgroup-elementary-abelian",
-        all(q.resmat(g) ** 5 == ident for g in sub.members)
-        and all(
-            q.resmat(x) * q.resmat(y) == q.resmat(y) * q.resmat(x)
-            for x, y in combinations([d.key for d in delta], 2)
-        ),
+        elementary_abelian(q.ring, [d.key for d in delta], 5),
     )
     report.add("quotient-by-delta", q.order // sub.order, 120)
     fifth = power_subgroup(q, 5)

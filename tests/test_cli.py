@@ -50,6 +50,20 @@ class TestElementCommands:
         code, _, err = run(capsys, "norm", "2+x")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("a", ["1", "0"])
+    def test_zero_divisor_is_usage_error(self, capsys, a):
+        code, out, err = run(capsys, "divmod", a, "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: pseudo-division by zero\n"
+
+    def test_term_without_sign_is_usage_error(self, capsys):
+        # "2L3" used to be read as 3+2L, of norm 11
+        code, out, err = run(capsys, "norm", "2L3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestMatrixCommands:
     def test_member_false(self, capsys):
@@ -196,6 +210,22 @@ class TestCapErrors:
         assert code == 3
         assert err.startswith("error: quotient exceeded cap 100")
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "--level", "7", "--enumerate"],
+            ["cosets", "--level", "2"],
+            ["verify", "level5"],
+        ],
+    )
+    def test_non_positive_cap_is_usage_error(self, capsys, argv, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", cap])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument --cap: invalid positive_int value: '{cap}'")
+
     @pytest.mark.parametrize("command", ["factor", "sl2order"])
     def test_commands_that_enumerate_nothing_take_no_cap(self, command):
         with pytest.raises(SystemExit) as exc:
@@ -222,6 +252,19 @@ class TestNonIdealLevels:
         assert proc.stderr.startswith("error: ") and "not an ideal" in proc.stderr
 
 
+class TestUsageErrorsUnderPythonO:
+    @pytest.mark.parametrize(
+        "argv",
+        [["divmod", "1", "0"], ["norm", "2L3"], ["index", "--level", "7", "--cap", "0"]],
+    )
+    def test_exit_two(self, argv):
+        proc = run_optimized(*argv)
+        assert proc.returncode == 2, proc
+        assert proc.stdout == ""
+        assert "error: " in proc.stderr.splitlines()[-1]
+        assert "Traceback" not in proc.stderr
+
+
 class TestCosets:
     def test_stdout_words_evaluate(self, capsys):
         code, out, _ = run(capsys, "cosets", "--level", "2")
@@ -240,6 +283,20 @@ class TestCosets:
         assert code == 0
         assert len(target.read_text().splitlines()) == 10
         assert "wrote 10 cosets" in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.tsv"
+        code, out, err = run(capsys, "cosets", "--level", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_no_file_when_the_cap_is_hit(self, capsys, tmp_path):
+        target = tmp_path / "x.tsv"
+        code, _, _ = run(capsys, "cosets", "--level", "3", "--cap", "119", "--out", str(target))
+        assert code == 3
+        assert not target.exists()
 
     def test_output_pinned_at_two(self, capsys):
         # the BFS order (S before T, first discovery wins) fixes every line

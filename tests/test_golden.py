@@ -227,7 +227,9 @@ class TestLiterals:
     def test_parse(self, text, value):
         assert parse_element(text) == value
 
-    @pytest.mark.parametrize("bad", ["", "2+", "x", "1.5", "+"])
+    # a term after the first needs its sign: these are not read as 3+2L,
+    # 2L, 2+L or 3L (the values they used to give)
+    @pytest.mark.parametrize("bad", ["", "2+", "x", "1.5", "+", "2L3", "LL", "L2", "2LL"])
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_element(bad)

@@ -1,14 +1,17 @@
 import pytest
 
 from hecke5.golden import GoldenInt, ONE
-from hecke5.matrices import is_member
-from hecke5.quotient import CapExceededError
+from hecke5.ideals import ResidueRing, ideal_from_generator
+from hecke5.matrices import S, T, is_member
+from hecke5.quotient import CapExceededError, ResMat, semigroup_closure
 from hecke5.verify import (
     DET1_VARIANT,
     LEVEL2_GENERATORS,
     SAMPLE_MATRICES,
     VerificationReport,
     _delta_matrices,
+    elementary_abelian,
+    kernel_layer_generators,
     verify_all,
     verify_conjugation_action,
     verify_identities,
@@ -65,10 +68,43 @@ class TestKernelLayer:
         assert "order" in names and "generators-commute" in names
         assert len(names) == 6
 
+    def test_check_names_in_order(self):
+        assert [c.name for c in verify_kernel_layer(3, 1).checks] == [
+            "order",
+            "generators-commute",
+            "every-element-has-order-dividing-p",
+            "unipotent-part-order",
+            "diagonal-part-order",
+            "parts-intersection",
+        ]
+
     def test_cap_too_small(self):
         with pytest.raises(CapExceededError) as exc:
             verify_kernel_layer(7, 1, cap=1000)
         assert (exc.value.cap, exc.value.partial) == (1000, 1001)
+
+
+class TestElementaryAbelian:
+    def test_commuting_is_required(self):
+        # S and T each square to I mod (2), but they generate a group of
+        # order 10 whose other elements include some of order 5
+        ring = ResidueRing(ideal_from_generator(2))
+        keys = [ResMat.from_mat2(ring, m).key for m in (S, T)]
+        identity = ResMat.identity(ring)
+        group = semigroup_closure(ring, keys)
+        assert all(ResMat(ring, k) ** 2 == identity for k in keys)
+        assert len(group) == 10
+        assert any(ResMat(ring, g) ** 2 != identity for g in group)
+        assert not elementary_abelian(ring, keys, 2)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
+    def test_agrees_with_a_scan_of_every_element(self, p, n):
+        ring, gen_keys = kernel_layer_generators(p, n)
+        identity = ResMat.identity(ring)
+        group = semigroup_closure(ring, gen_keys)
+        scan = all(ResMat(ring, g) ** p == identity for g in group)
+        assert elementary_abelian(ring, gen_keys, p) == scan
+        assert scan and len(group) == p**6
 
 
 class TestConjugationAction:
