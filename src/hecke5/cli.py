@@ -34,9 +34,6 @@ from .quotient import (
 )
 from . import verify as verify_mod
 
-SCHEMA_PREFIX = "hecke5/v1"
-
-
 def positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -84,12 +81,14 @@ def cmd_efactor(args):
 
 
 def cmd_member(args):
-    ok = is_member(parse_matrix(args.matrix))
+    m = parse_matrix(args.matrix)
+    ok = is_member(m)
     return {"member": ok}, str(ok).lower()
 
 
 def cmd_complete(args):
-    x = complete_column(parse_element(args.a), parse_element(args.c))
+    a, c = parse_element(args.a), parse_element(args.c)
+    x = complete_column(a, c)
     return {"matrix": str(x)}, str(x)
 
 
@@ -110,7 +109,8 @@ def cmd_factor(args):
 
 
 def cmd_sl2order(args):
-    n = sl2_order(_level_ideal(args))
+    ideal = _level_ideal(args)
+    n = sl2_order(ideal)
     return {"order": n}, str(n)
 
 
@@ -120,29 +120,23 @@ def cmd_index(args):
     lines = [f"level {ideal} of norm {ideal.norm}"]
     if args.mode in ("formula", "both"):
         rep = index_formula(ideal)
-        payload.update(
-            index_formula=rep.total,
-            i_a=rep.i_a,
-            j_b=rep.j_b,
-            coprime_part_norm=rep.coprime_part_norm,
-        )
+        payload["index_formula"] = rep.total
+        payload["i_a"] = rep.i_a
+        payload["j_b"] = rep.j_b
+        payload["coprime_part_norm"] = rep.coprime_part_norm
         lines.append(f"index (formula)     = {rep.total}")
     if args.mode in ("enumerate", "both"):
         orbit, stabilizer = orbit_stabilizer(ideal, args.cap)
         n = orbit * stabilizer
-        payload.update(
-            index_h=n,
-            orbit=orbit,
-            stabilizer=stabilizer,
-            index_g=index_g(ideal, index=n),
-            surjective=n == payload["sl2_order"],
-        )
-        lines += [
-            f"index (enumerated)  = {n}",
-            f"index in G (mod +-I) = {payload['index_g']}",
-            f"sl2 order            = {payload['sl2_order']}",
-            f"surjective           = {payload['surjective']}",
-        ]
+        payload["index_h"] = n
+        payload["orbit"] = orbit
+        payload["stabilizer"] = stabilizer
+        payload["index_g"] = index_g(ideal, index=n)
+        payload["surjective"] = n == payload["sl2_order"]
+        lines.append(f"index (enumerated)  = {n}")
+        lines.append(f"index in G (mod +-I) = {payload['index_g']}")
+        lines.append(f"sl2 order            = {payload['sl2_order']}")
+        lines.append(f"surjective           = {payload['surjective']}")
     if args.mode == "both":
         payload["agrees"] = payload["index_formula"] == payload["index_h"]
         lines.append(f"agrees               = {payload['agrees']}")
@@ -150,7 +144,8 @@ def cmd_index(args):
 
 
 def cmd_cosets(args):
-    q = build_quotient(_level_ideal(args), args.cap)
+    ideal = _level_ideal(args)
+    q = build_quotient(ideal, args.cap)
     text = "\n".join(
         f"{word}\t[[{m.entry(0, 0)},{m.entry(0, 1)}],[{m.entry(1, 0)},{m.entry(1, 1)}]]"
         for m, word in coset_words(q)
@@ -187,7 +182,9 @@ def cmd_verify(args):
 
 class Command(NamedTuple):
     """A subcommand and the shared flags it takes: `--level`/`--hnf`,
-    `--cap` (`cap` says what it bounds) and `--json`."""
+    `--cap` (`cap` says what it bounds) and `--json`.  The handler returns
+    `(payload, text)` or `(payload, text, exit code)`; `main` prints the
+    payload under `--json`, else the text unless it is None."""
 
     help: str
     handler: Callable
@@ -261,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: its handler returns `(payload, text)` or `(payload,
-    text, exit code)`; print the payload under `--json`, else the text
-    unless it is None.  argparse itself exits 2 on usage errors."""
+    # argparse itself exits 2 on usage errors
     args = build_parser().parse_args(argv)
     command = args.command
     try:
@@ -278,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         cap, partial = getattr(exc, "cap", None), getattr(exc, "partial", None)
         payload = {"error": str(exc), "cap": cap, "partial": partial}
     if getattr(args, "json", False):
-        print(json.dumps({"schema": f"{SCHEMA_PREFIX}/{command}", **payload}, sort_keys=True))
+        print(json.dumps({"schema": f"hecke5/v1/{command}", **payload}, sort_keys=True))
     elif text is not None:
         print(text)
     return status[0] if status else 0
