@@ -35,6 +35,7 @@ from .quotient import (
 from . import verify as verify_mod
 
 def positive_int(text: str) -> int:
+    """argparse type of `--cap`; argparse turns the ValueError into exit 2."""
     n = int(text)
     if n < 1:
         raise ValueError(text)
