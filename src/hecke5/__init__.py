@@ -18,8 +18,6 @@ from .golden import (
 from .ideals import (
     IdealHNF,
     PrimeFactor,
-    ResElt,
-    ResidueRing,
     factor_ideal,
     ideal_divides,
     ideal_from_generator,

@@ -147,10 +147,9 @@ def cmd_index(args):
 def cmd_cosets(args):
     ideal = _level_ideal(args)
     q = build_quotient(ideal, args.cap)
-    text = "\n".join(
-        f"{word}\t[[{m.entry(0, 0)},{m.entry(0, 1)}],[{m.entry(1, 0)},{m.entry(1, 1)}]]"
-        for m, word in coset_words(q)
-    )
+    # a key is the four entries' reduced pairs (x, y), each printed x+yL
+    entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]"
+    text = "\n".join(f"{word}\t{entries.format(*m.key)}" for m, word in coset_words(q))
     if args.out == "-":
         return None, text
     with open(args.out, "w") as fh:

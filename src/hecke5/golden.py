@@ -237,10 +237,11 @@ def parse_element(text: str) -> GoldenInt:
     optional integer followed by `L` (lambda); every term after the first
     starts with `+` or `-`.
 
-    Examples: `3+2L`, `-4L-2`, `0`, `L`.  Whitespace is insignificant.
-    `2L3`, `LL` and `L2` are errors, not products or sums.
+    Examples: `3+2L`, `-4L-2`, `0`, `L`.  Whitespace around signs, terms
+    and `L` is insignificant.  `2L3`, `LL`, `L2` and `2 3` are errors, not
+    products, sums or one number.
     """
-    s = "".join(text.split())
+    s = squeeze_whitespace(text)
     if not s:
         raise ValueError("empty element literal")
     a = b = 0
@@ -267,6 +268,16 @@ def parse_element(text: str) -> GoldenInt:
             raise ValueError(f"bad element literal at position {i}: {text!r}")
         seen_term = True
     return GoldenInt(a, b)
+
+
+def squeeze_whitespace(text: str) -> str:
+    """`text` with its whitespace removed.  Whitespace between two digits
+    is a ValueError: removing it would join two numbers into one."""
+    tokens = text.split()
+    for left, right in zip(tokens, tokens[1:]):
+        if left[-1].isdigit() and right[0].isdigit():
+            raise ValueError(f"whitespace between digits: {text!r}")
+    return "".join(tokens)
 
 
 def format_element(x: GoldenInt) -> str:

@@ -4,6 +4,10 @@ An ideal is stored as the row lattice spanned by (d1, k) and (0, d2) in
 coordinates (coefficient of 1, coefficient of L), with d1, d2 > 0 and
 0 <= k < d2.  The triple is canonical, so ideals are hashable and compare
 structurally.
+
+An ideal A is also its own residue ring Z[L]/A: a residue is the pair
+(x, y), 0 <= x < d1 and 0 <= y < d2, standing for x + yL, that
+`IdealHNF.reduce_pair` gives.  There is no other form of a residue.
 """
 
 from __future__ import annotations
@@ -37,10 +41,14 @@ class IdealHNF:
     def basis(self) -> tuple[GoldenInt, GoldenInt]:
         return GoldenInt(self.d1, self.k), GoldenInt(0, self.d2)
 
+    def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
+        """The residue (x, y) of a + bL: subtract the row (d1, k) q times to
+        bring a into [0, d1), then reduce mod d2.  `quotient` inlines this."""
+        q = a // self.d1
+        return a - q * self.d1, (b - q * self.k) % self.d2
+
     def contains(self, x: GoldenInt) -> bool:
-        if x.a % self.d1:
-            return False
-        return (x.b - (x.a // self.d1) * self.k) % self.d2 == 0
+        return self.reduce_pair(x.a, x.b) == (0, 0)
 
     def is_unit_ideal(self) -> bool:
         return self.norm == 1
@@ -142,6 +150,9 @@ class PrimeFactor:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the twelve prime bases up to 37: deterministic only
+    below about 3.18 * 10^23 (Sorenson & Webster, "Strong pseudoprimes to
+    twelve prime bases", Math. Comp. 86 (2017)), probable-prime above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -218,72 +229,13 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
     for p in sorted(_factor_int(ideal.norm)):
         for pf in split_rational_prime(p):
             e = 0
-            power = pf.prime
+            power = pf.prime  # P^(e+1); once e > 0, exact is P^e
             while ideal_divides(power, ideal):
                 e += 1
-                power = ideal_mul(power, pf.prime)
+                exact, power = power, ideal_mul(power, pf.prime)
             if e:
                 out.append(PrimeFactor(pf.prime, pf.generator, e, pf.residue_degree, pf.ramified))
-                check = ideal_mul(check, ideal_pow(pf.prime, e))
+                check = ideal_mul(check, exact)
     if check != ideal:
         raise RuntimeError(f"factorization of {ideal} reconstructs {check}")
     return out
-
-
-@dataclass(frozen=True)
-class ResidueRing:
-    """The finite ring Z[L]/A with canonical representatives.
-
-    Representatives are exactly {x + y*L : 0 <= x < d1, 0 <= y < d2}.
-    """
-
-    modulus: IdealHNF
-
-    @property
-    def size(self) -> int:
-        return self.modulus.norm
-
-    def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
-        m = self.modulus
-        q = a // m.d1
-        return a - q * m.d1, (b - q * m.k) % m.d2
-
-    def reduce(self, x: GoldenInt) -> ResElt:
-        a, b = self.reduce_pair(x.a, x.b)
-        return ResElt(a, b, self)
-
-    def one(self) -> ResElt:
-        return self.reduce(GoldenInt(1, 0))
-
-    def elements(self):
-        for x in range(self.modulus.d1):
-            for y in range(self.modulus.d2):
-                yield ResElt(x, y, self)
-
-
-@dataclass(frozen=True)
-class ResElt:
-    x: int
-    y: int
-    ring: ResidueRing
-
-    def lift(self) -> GoldenInt:
-        return GoldenInt(self.x, self.y)
-
-    def __add__(self, other: ResElt) -> ResElt:
-        return self.ring.reduce(self.lift() + other.lift())
-
-    def __sub__(self, other: ResElt) -> ResElt:
-        return self.ring.reduce(self.lift() - other.lift())
-
-    def __neg__(self) -> ResElt:
-        return self.ring.reduce(-self.lift())
-
-    def __mul__(self, other: ResElt) -> ResElt:
-        return self.ring.reduce(self.lift() * other.lift())
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def __str__(self) -> str:
-        return f"{self.x}{self.y:+d}L"

@@ -15,6 +15,7 @@ from .golden import (
     divmod_pseudo,
     parse_element,
     power,
+    squeeze_whitespace,
     unit_log,
 )
 
@@ -181,7 +182,7 @@ def parabolic_conjugate(a: GoldenInt, c: GoldenInt, m: int) -> Mat2:
 
 def parse_matrix(text: str) -> Mat2:
     """Parse the literal `[[a,b],[c,d]]` with element-grammar entries."""
-    s = "".join(text.split())
+    s = squeeze_whitespace(text)
     if not (s.startswith("[[") and s.endswith("]]")):
         raise ValueError(f"bad matrix literal: {text!r}")
     rows = s[2:-2].split("],[")

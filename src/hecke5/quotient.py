@@ -13,8 +13,9 @@ Two engines, one per kind of question:
   use positive letters only).  It returns an insertion-ordered dict
   mapping each element to its BFS predecessor (the identity to None),
   which is at once the element set, the BFS order and the parent map.
-  Elements are keyed by the 8 reduced integer coordinates of the four
-  entries, making the enumeration deterministic and hashable.
+  Elements are keyed by the 8 integers of the four entries' reduced
+  pairs (the level is its own residue ring, see `IdealHNF.reduce_pair`),
+  making the enumeration deterministic and hashable.
   `build_quotient` is that closure under the images of S and T; coset
   words, the subgroup machinery and the verifiers use it.
 """
@@ -26,15 +27,8 @@ from dataclasses import dataclass
 from math import prod
 
 from .formula import sl2_factor
-from .golden import power
-from .ideals import (
-    IdealHNF,
-    ResElt,
-    ResidueRing,
-    factor_ideal,
-    ideal_divides,
-    lattice_hnf,
-)
+from .golden import GoldenInt, format_element, power
+from .ideals import IdealHNF, factor_ideal, ideal_divides, lattice_hnf
 from .matrices import Mat2, S, T
 
 Key = tuple[int, int, int, int, int, int, int, int]
@@ -74,52 +68,49 @@ def _key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
     return (*e11, *e12, *e21, *e22)
 
 
-def _mat_key(ring: ResidueRing, m: Mat2) -> Key:
-    out: list[int] = []
-    for e in m.entries():
-        out.extend(ring.reduce_pair(e.a, e.b))
-    return tuple(out)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class ResMat:
-    """A matrix over a residue ring, in canonical reduced coordinates."""
+    """A matrix over the residue ring of a level, keyed by the reduced
+    pairs of its entries in row-major order."""
 
-    ring: ResidueRing
+    level: IdealHNF
     key: Key
 
     @classmethod
-    def from_mat2(cls, ring: ResidueRing, m: Mat2) -> ResMat:
-        return cls(ring, _mat_key(ring, m))
+    def from_mat2(cls, level: IdealHNF, m: Mat2) -> ResMat:
+        key = tuple(x for e in m.entries() for x in level.reduce_pair(e.a, e.b))
+        return cls(level, key)  # type: ignore[arg-type]
 
     def __mul__(self, other: ResMat) -> ResMat:
-        m = self.ring.modulus
-        return ResMat(self.ring, _key_mul(self.key, other.key, m.d1, m.k, m.d2))
+        m = self.level
+        return ResMat(m, _key_mul(self.key, other.key, m.d1, m.k, m.d2))
 
     def __pow__(self, n: int) -> ResMat:
-        return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.ring))
+        return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
 
     def inverse(self) -> ResMat:
         # the adjugate, which is the inverse only when det is 1
-        if self.det() != self.ring.one():
-            raise ValueError(f"det {self.det()} is not 1: the adjugate is no inverse")
-        red = self.ring.reduce_pair
+        det = self.det()
+        if det != self.level.reduce_pair(1, 0):
+            raise ValueError(
+                f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
+            )
+        red = self.level.reduce_pair
         a, b, c, d, e, f, g, h = self.key
         key = (g, h, *red(-c, -d), *red(-e, -f), a, b)
-        return ResMat(self.ring, key)
+        return ResMat(self.level, key)
 
-    def entry(self, i: int, j: int) -> ResElt:
-        x, y = self.key[4 * i + 2 * j], self.key[4 * i + 2 * j + 1]
-        return ResElt(x, y, self.ring)
-
-    def det(self) -> ResElt:
-        return self.entry(0, 0) * self.entry(1, 1) - self.entry(0, 1) * self.entry(1, 0)
+    def det(self) -> tuple[int, int]:
+        """The reduced pair of the determinant."""
+        a, b, c, d, e, f, g, h = self.key
+        det = GoldenInt(a, b) * GoldenInt(g, h) - GoldenInt(c, d) * GoldenInt(e, f)
+        return self.level.reduce_pair(det.a, det.b)
 
     @classmethod
-    def identity(cls, ring: ResidueRing) -> ResMat:
+    def identity(cls, level: IdealHNF) -> ResMat:
         # zero is (0, 0) in every residue ring
-        one = ring.reduce_pair(1, 0)
-        return cls(ring, (*one, 0, 0, 0, 0, *one))
+        one = level.reduce_pair(1, 0)
+        return cls(level, (*one, 0, 0, 0, 0, *one))
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,6 @@ class QuotientGroup:
     """
 
     level: IdealHNF
-    ring: ResidueRing
     elements: tuple[Key, ...]
     predecessor: dict[Key, Key | None]
 
@@ -156,16 +146,16 @@ class QuotientGroup:
         return "".join(reversed(letters))
 
     def resmat(self, key: Key) -> ResMat:
-        return ResMat(self.ring, key)
+        return ResMat(self.level, key)
 
 
 def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     """BFS closure of {S, T} images modulo the given ideal."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    ring = ResidueRing(level)
-    predecessor = semigroup_closure(ring, [_mat_key(ring, S), _mat_key(ring, T)], cap)
-    return QuotientGroup(level, ring, tuple(predecessor), predecessor)
+    gen_keys = [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
+    predecessor = semigroup_closure(level, gen_keys, cap)
+    return QuotientGroup(level, tuple(predecessor), predecessor)
 
 
 def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
@@ -261,7 +251,6 @@ def coset_words(q: QuotientGroup) -> list[tuple[ResMat, str]]:
 class SubgroupHandle:
     group: QuotientGroup
     members: frozenset[Key]
-    description: str
 
     @property
     def order(self) -> int:
@@ -279,7 +268,7 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
     `H1` (additionally both diagonal entries 1)."""
     if which not in ("H0", "H1"):
         raise ValueError(f"unknown predicate {which!r}")
-    one = q.ring.reduce_pair(1, 0)
+    one = q.level.reduce_pair(1, 0)
     members = set()
     for key in q.elements:
         if (key[4], key[5]) != (0, 0):
@@ -287,11 +276,11 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
         if which == "H1" and ((key[0], key[1]) != one or (key[6], key[7]) != one):
             continue
         members.add(key)
-    return SubgroupHandle(q, frozenset(members), which)
+    return SubgroupHandle(q, frozenset(members))
 
 
 def semigroup_closure(
-    ring: ResidueRing, gen_keys: list[Key], cap: int | None = None
+    level: IdealHNF, gen_keys: list[Key], cap: int | None = None
 ) -> dict[Key, Key | None]:
     """Deterministic BFS closure of the identity under right-multiplication.
 
@@ -301,9 +290,8 @@ def semigroup_closure(
     reaches it.  In a finite group semigroup closure equals subgroup
     closure, so no inverses are needed.
     """
-    m = ring.modulus
-    d1, k, d2 = m.d1, m.k, m.d2
-    identity = ResMat.identity(ring).key
+    d1, k, d2 = level.d1, level.k, level.d2
+    identity = ResMat.identity(level).key
     predecessor: dict[Key, Key | None] = {identity: None}
     frontier = [identity]
     while frontier:
@@ -324,8 +312,8 @@ def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
     for g in gens:
         if g.key not in q.element_set:
             raise ValueError(f"generator {g.key} is not in the quotient")
-    members = frozenset(semigroup_closure(q.ring, [g.key for g in gens]))
-    return SubgroupHandle(q, members, f"<{len(gens)} generators>")
+    members = frozenset(semigroup_closure(q.level, [g.key for g in gens]))
+    return SubgroupHandle(q, members)
 
 
 def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
@@ -345,16 +333,16 @@ def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
     for p in powers:
         if p not in members:
             gens.append(p)
-            members = semigroup_closure(q.ring, gens)
+            members = semigroup_closure(q.level, gens)
             if len(members) == q.order:
                 break
-    return SubgroupHandle(q, frozenset(members), f"{k}-th powers")
+    return SubgroupHandle(q, frozenset(members))
 
 
 def is_normal(sub: SubgroupHandle) -> bool:
     """Conjugation-stability under the two group generators suffices."""
     q = sub.group
-    for gen in (ResMat.from_mat2(q.ring, S), ResMat.from_mat2(q.ring, T)):
+    for gen in (ResMat.from_mat2(q.level, S), ResMat.from_mat2(q.level, T)):
         inv = gen.inverse()
         for key in sub.members:
             if (gen * q.resmat(key) * inv).key not in sub.members:

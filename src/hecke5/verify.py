@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .golden import GoldenInt, lambda_power
-from .ideals import ResidueRing, ideal_from_generator
+from .ideals import IdealHNF, ideal_from_generator
 from .matrices import (
     IDENTITY,
     Mat2,
@@ -90,8 +90,8 @@ DET1_VARIANT = Mat2.from_ints([[(-1, 0), (0, 1)], [(0, -2), (1, 2)]])
 J = Mat2.from_ints([[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
 
 
-def _mod_equal(ring: ResidueRing, m: Mat2, target: Mat2) -> bool:
-    return ResMat.from_mat2(ring, m) == ResMat.from_mat2(ring, target)
+def _mod_equal(level: IdealHNF, m: Mat2, target: Mat2) -> bool:
+    return ResMat.from_mat2(level, m) == ResMat.from_mat2(level, target)
 
 
 def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
@@ -103,27 +103,27 @@ def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
     return a, b, c
 
 
-def _commute(ring: ResidueRing, keys) -> bool:
+def _commute(level: IdealHNF, keys) -> bool:
     """Whether the elements with these keys commute pairwise."""
     return all(
-        ResMat(ring, a) * ResMat(ring, b) == ResMat(ring, b) * ResMat(ring, a)
+        ResMat(level, a) * ResMat(level, b) == ResMat(level, b) * ResMat(level, a)
         for a, b in combinations(keys, 2)
     )
 
 
-def elementary_abelian(ring: ResidueRing, gen_keys, p: int) -> bool:
+def elementary_abelian(level: IdealHNF, gen_keys, p: int) -> bool:
     """Whether the elements with these keys generate an abelian group of
     exponent dividing p: they commute pairwise and each has p-th power I.
     No other element needs a look: in an abelian group (gh)^p = g^p h^p,
     and the generators are elements of the group themselves."""
-    identity = ResMat.identity(ring)
-    return _commute(ring, gen_keys) and all(ResMat(ring, g) ** p == identity for g in gen_keys)
+    identity = ResMat.identity(level)
+    return _commute(level, gen_keys) and all(ResMat(level, g) ** p == identity for g in gen_keys)
 
 
-def kernel_layer_generators(p: int, n: int) -> tuple[ResidueRing, list[tuple]]:
-    """The ring modulo p^(n+1) and the keys of the six unipotent matrices
-    at depth p^n: x_i, y_i and z_i for i = 0, 1."""
-    ring = ResidueRing(ideal_from_generator(p ** (n + 1)))
+def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[tuple]]:
+    """The level (p^(n+1)) and the keys of the six unipotent matrices at
+    depth p^n: x_i, y_i and z_i for i = 0, 1."""
+    level = ideal_from_generator(p ** (n + 1))
     pn = p**n
     xs, ys, zs = [], [], []
     for i in (0, 1):
@@ -138,7 +138,7 @@ def kernel_layer_generators(p: int, n: int) -> tuple[ResidueRing, list[tuple]]:
                 GoldenInt(1, 0) + pn * lambda_power(i + 1),
             )
         )
-    return ring, [ResMat.from_mat2(ring, g).key for g in xs + ys + zs]
+    return level, [ResMat.from_mat2(level, g).key for g in xs + ys + zs]
 
 
 def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
@@ -147,30 +147,28 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
     lower-triangular subgroup structure.  Raises CapExceededError once
     the group holds more than `cap` elements."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
-    ring, gen_keys = kernel_layer_generators(p, n)
-    group = semigroup_closure(ring, gen_keys, cap=cap)
+    level, gen_keys = kernel_layer_generators(p, n)
+    group = semigroup_closure(level, gen_keys, cap=cap)
     report.add("order", len(group), p**6)
-    report.add_bool("generators-commute", _commute(ring, gen_keys))
+    report.add_bool("generators-commute", _commute(level, gen_keys))
     report.add_bool(
-        "every-element-has-order-dividing-p", elementary_abelian(ring, gen_keys, p)
+        "every-element-has-order-dividing-p", elementary_abelian(level, gen_keys, p)
     )
-    m_group = semigroup_closure(ring, gen_keys[:4])
-    n_group = semigroup_closure(ring, gen_keys[4:])
+    m_group = semigroup_closure(level, gen_keys[:4])
+    n_group = semigroup_closure(level, gen_keys[4:])
     report.add("unipotent-part-order", len(m_group), p**4)
     report.add("diagonal-part-order", len(n_group), p**2)
     report.add("parts-intersection", len(m_group.keys() & n_group.keys()), 1)
     return report
 
 
-def _action_matrices() -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Conjugation actions of S, T and J on (r, s, t)-coordinates of the
-    elementary abelian kernel at level 5, as row matrices over F_5."""
-    return {
-        "S": ((0, 4, 0), (4, 0, 0), (0, 0, 4)),
-        "T": ((1, 1, 2), (0, 1, 0), (0, 1, 1)),
-        "J": ((0, 1, 0), (1, 0, 0), (0, 0, 4)),
-    }
-
+# conjugation actions of S, T and J on (r, s, t)-coordinates of the
+# elementary abelian kernel at level 5, as row matrices over F_5
+ACTION_MATRICES = {
+    "S": ((0, 4, 0), (4, 0, 0), (0, 0, 4)),
+    "T": ((1, 1, 2), (0, 1, 0), (0, 1, 1)),
+    "J": ((0, 1, 0), (1, 0, 0), (0, 0, 4)),
+}
 
 # the T-action with the sign of the s-exponent in the first row flipped
 # (i.e. r -> r s^-1 t^2 instead of r -> r s t^2); it differs from the
@@ -178,18 +176,18 @@ def _action_matrices() -> dict[str, tuple[tuple[int, ...], ...]]:
 T_ACTION_VARIANT = ((1, 4, 2), (0, 1, 0), (0, 1, 1))
 
 
-def _coords_mod5(ring: ResidueRing, g: Mat2) -> tuple[int, int, int]:
+def _coords_mod5(level: IdealHNF, g: Mat2) -> tuple[int, int, int]:
     """(i, j, k) with g = r^i s^j t^k inside the elementary abelian level
     quotient; entries of (g - I)/(L+2) are integers mod 5."""
+    pi = LAMBDA_PLUS_2
+    multiples = [level.reduce_pair(pi.a * d, pi.b * d) for d in range(5)]
     w = []
     for e, ident in zip(g.entries(), IDENTITY.entries()):
-        diff = ring.reduce(e - ident)
-        for d in range(5):
-            if ring.reduce(LAMBDA_PLUS_2 * d) == diff:
-                w.append(d)
-                break
-        else:
+        diff = e - ident
+        residue = level.reduce_pair(diff.a, diff.b)
+        if residue not in multiples:
             raise ValueError(f"entry {e} is not I + (L+2)*integer mod 5")
+        w.append(multiples.index(residue))
     w11, w12, w21, w22 = w
     # r, s, t have offset matrices 3*[[0,0],[1,0]], 3*[[0,1],[0,0]],
     # 3*[[-1,0],[0,1]]; invert with 3^-1 = 2 mod 5
@@ -203,7 +201,7 @@ def verify_conjugation_action() -> VerificationReport:
     """Cross-validate the (r, s, t) conjugation actions two ways, then
     show only the trivial and full subspaces are invariant."""
     report = VerificationReport("conjugation-action")
-    ring = ResidueRing(ideal_from_generator(5))
+    level = ideal_from_generator(5)
     a, b, c = _delta_matrices()
     r = (a * c) * (a * b)
     s = (a * c) * (a * b).inverse()
@@ -216,18 +214,17 @@ def verify_conjugation_action() -> VerificationReport:
     }
     for name, m in zip("rst", (r, s, t)):
         report.add_bool(
-            f"{name}-offset-mod-5", _mod_equal(ring, m, expected_offsets[name])
+            f"{name}-offset-mod-5", _mod_equal(level, m, expected_offsets[name])
         )
-    stated = _action_matrices()
     conjugators = {"S": S, "T": T, "J": J}
     derived = {}
     for gname, g in conjugators.items():
         rows = []
         for m in (r, s, t):
             conj = g * m * g.inverse()
-            rows.append(_coords_mod5(ring, conj))
+            rows.append(_coords_mod5(level, conj))
         derived[gname] = tuple(rows)
-        report.add(f"action-of-{gname}", derived[gname], stated[gname])
+        report.add(f"action-of-{gname}", derived[gname], ACTION_MATRICES[gname])
     report.add_bool(
         "T-action-differs-from-s-inverse-variant",
         derived["T"] != T_ACTION_VARIANT,
@@ -279,7 +276,7 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     q = build_quotient(ideal_from_generator(5), cap)
     report.add("quotient-order", q.order, 15000)
     a, b, c = _delta_matrices()
-    delta = [ResMat.from_mat2(q.ring, m) for m in (a, b, c)]
+    delta = [ResMat.from_mat2(q.level, m) for m in (a, b, c)]
     report.add_bool(
         "delta-in-quotient", all(d.key in q.element_set for d in delta)
     )
@@ -288,13 +285,13 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     report.add_bool("delta-subgroup-normal", is_normal(sub))
     report.add_bool(
         "delta-subgroup-elementary-abelian",
-        elementary_abelian(q.ring, [d.key for d in delta], 5),
+        elementary_abelian(q.level, [d.key for d in delta], 5),
     )
     report.add("quotient-by-delta", q.order // sub.order, 120)
     fifth = power_subgroup(q, 5)
     report.add("fifth-power-subgroup-index", fifth.index, 1)
-    s_img = ResMat.from_mat2(q.ring, S)
-    t5_img = ResMat.from_mat2(q.ring, T**5)
+    s_img = ResMat.from_mat2(q.level, S)
+    t5_img = ResMat.from_mat2(q.level, T**5)
     report.add_bool(
         "S-and-T5-in-fifth-powers",
         s_img.key in fifth.members and t5_img.key in fifth.members,
@@ -305,27 +302,27 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
 def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     """Regression suite over the individual matrix identities."""
     report = VerificationReport("identities")
-    ring2 = ResidueRing(ideal_from_generator(2))
-    ring4 = ResidueRing(ideal_from_generator(4))
-    ring5 = ResidueRing(ideal_from_generator(5))
-    ring8 = ResidueRing(ideal_from_generator(8))
-    ring9 = ResidueRing(ideal_from_generator(9))
-    ring25 = ResidueRing(ideal_from_generator(25))
-    ring_tau = ResidueRing(ideal_from_generator(LAMBDA_PLUS_2))
+    level2 = ideal_from_generator(2)
+    level4 = ideal_from_generator(4)
+    level5 = ideal_from_generator(5)
+    level8 = ideal_from_generator(8)
+    level9 = ideal_from_generator(9)
+    level25 = ideal_from_generator(25)
+    level_tau = ideal_from_generator(LAMBDA_PLUS_2)
 
     # the four level-(2) generators are members congruent to I mod (2)
     for i, m in enumerate(LEVEL2_GENERATORS):
         report.add_bool(f"level2-generator-{i}-member", is_member(m))
         report.add_bool(
-            f"level2-generator-{i}-trivial-mod-2", _mod_equal(ring2, m, IDENTITY)
+            f"level2-generator-{i}-trivial-mod-2", _mod_equal(level2, m, IDENTITY)
         )
 
     # their image mod (4) is elementary abelian of order 16
-    q4 = build_quotient(ideal_from_generator(4), cap)
-    imgs = [ResMat.from_mat2(q4.ring, m) for m in LEVEL2_GENERATORS]
+    q4 = build_quotient(level4, cap)
+    imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
     sub16 = subgroup_generated(q4, imgs)
     report.add("level2-generators-mod4-order", sub16.order, 16)
-    ident4 = ResMat.identity(q4.ring)
+    ident4 = ResMat.identity(level4)
     report.add_bool(
         "level2-generators-mod4-exponent-2",
         all(q4.resmat(g) * q4.resmat(g) == ident4 for g in sub16.members),
@@ -360,10 +357,10 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     # the level-5 parabolic conjugate is a translation mod 25
     p5 = parabolic_conjugate(2 * lambda_power(2), 5 * lambda_power(3), 5)
     target5 = Mat2(GoldenInt(1, 0), GoldenInt(10, 0), GoldenInt(0, 0), GoldenInt(1, 0))
-    report.add_bool("level5-parabolic-mod-25", _mod_equal(ring25, p5, target5))
+    report.add_bool("level5-parabolic-mod-25", _mod_equal(level25, p5, target5))
+    lhs = 20 * lambda_power(5)
     report.add_bool(
-        "20L^5-equals-60-mod-25",
-        ring25.reduce(20 * lambda_power(5)) == ring25.reduce(GoldenInt(60, 0)),
+        "20L^5-equals-60-mod-25", level25.reduce_pair(lhs.a, lhs.b) == level25.reduce_pair(60, 0)
     )
 
     # the basic level-(L+2) element: explicit entries, membership and
@@ -373,7 +370,7 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     report.add("tau-level-element-matrix", str(a_tau), str(stated_tau))
     report.add_bool("tau-level-element-member", is_member(a_tau))
     report.add_bool(
-        "tau-level-element-trivial-mod-tau", _mod_equal(ring_tau, a_tau, IDENTITY)
+        "tau-level-element-trivial-mod-tau", _mod_equal(level_tau, a_tau, IDENTITY)
     )
 
     # congruences of the three delta generators mod 5
@@ -385,15 +382,15 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
         "c": Mat2(GoldenInt(1, 0) + pi, pi * 4, GoldenInt(0, 0), GoldenInt(1, 0) + pi * 4),
     }
     for name, m in zip("abc", (a, b, c)):
-        report.add_bool(f"delta-{name}-mod5", _mod_equal(ring5, m, delta_targets[name]))
+        report.add_bool(f"delta-{name}-mod5", _mod_equal(level5, m, delta_targets[name]))
         report.add_bool(f"delta-{name}-member", is_member(m))
 
     # a triple product that is a translation mod 8 and trivial mod 4
     lower = Mat2(GoldenInt(1, 0), GoldenInt(0, 0), GoldenInt(0, -4), GoldenInt(1, 0))
     p8 = lower * translation(-4) * LEVEL2_GENERATORS[2] ** 2
     target8 = Mat2(GoldenInt(1, 0), GoldenInt(4, 0), GoldenInt(0, 0), GoldenInt(1, 0))
-    report.add_bool("triple-product-mod8", _mod_equal(ring8, p8, target8))
-    report.add_bool("triple-product-trivial-mod4", _mod_equal(ring4, p8, IDENTITY))
+    report.add_bool("triple-product-mod8", _mod_equal(level8, p8, target8))
+    report.add_bool("triple-product-trivial-mod4", _mod_equal(level4, p8, IDENTITY))
 
     # quotient of two samples: explicit entries, det 1, membership, and
     # its inverse cube a translation mod 9
@@ -404,23 +401,23 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     report.add_bool("sample-quotient-member", is_member(a9))
     e3 = a9 ** -3
     target_e3 = Mat2(GoldenInt(1, 0), GoldenInt(3, 0), GoldenInt(0, 0), GoldenInt(1, 0))
-    report.add_bool("sample-quotient-inverse-cube-mod9", _mod_equal(ring9, e3, target_e3))
+    report.add_bool("sample-quotient-inverse-cube-mod9", _mod_equal(level9, e3, target_e3))
 
     # adjusted level-p parabolic is a translation mod p^2
     for p in (7, 11):
-        ring_p2 = ResidueRing(ideal_from_generator(p * p))
+        level_p2 = ideal_from_generator(p * p)
         mp = translation(-20 * p) * parabolic_conjugate(
             2 * lambda_power(2), p * lambda_power(3), p
         )
         target = Mat2(GoldenInt(1, 0), GoldenInt(12 * p, 0), GoldenInt(0, 0), GoldenInt(1, 0))
-        report.add_bool(f"adjusted-parabolic-p{p}-mod-p^2", _mod_equal(ring_p2, mp, target))
+        report.add_bool(f"adjusted-parabolic-p{p}-mod-p^2", _mod_equal(level_p2, mp, target))
 
     # parabolic conjugates at level m are members trivial mod (m)
     for p in (3, 5, 7):
         x = parabolic_conjugate(2 * lambda_power(2), p * lambda_power(3), p)
-        ring_p = ResidueRing(ideal_from_generator(p))
+        level_p = ideal_from_generator(p)
         report.add_bool(f"parabolic-p{p}-member", is_member(x))
-        report.add_bool(f"parabolic-p{p}-trivial-mod-p", _mod_equal(ring_p, x, IDENTITY))
+        report.add_bool(f"parabolic-p{p}-trivial-mod-p", _mod_equal(level_p, x, IDENTITY))
     return report
 
 

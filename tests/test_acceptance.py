@@ -128,7 +128,7 @@ class TestCriterion4InhomogeneousIndices:
     def test_level_two_and_four(self, quotient_cache):
         assert index_g(ideal_from_generator(2)) == 10
         q4 = quotient_cache(4)
-        imgs = [ResMat.from_mat2(q4.ring, m) for m in LEVEL2_GENERATORS]
+        imgs = [ResMat.from_mat2(q4.level, m) for m in LEVEL2_GENERATORS]
         order_mod4 = subgroup_generated(q4, imgs).order
         assert order_mod4 == 16
         # [G(2):G(4)] = [G:G(4)] / [G:G(2)] also gives 16
@@ -266,7 +266,7 @@ class TestCriterion10CosetWords:
         assert len(pairs) == index_formula(_ideal(gen)).total
         seen = set()
         for mat, word in pairs:
-            assert ResMat.from_mat2(q.ring, eval_word(word)).key == mat.key
+            assert ResMat.from_mat2(q.level, eval_word(word)).key == mat.key
             assert mat.key not in seen
             seen.add(mat.key)
 

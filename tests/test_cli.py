@@ -64,6 +64,14 @@ class TestElementCommands:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    # whitespace between digits used to vanish: "2 3" read as 23 (norm
+    # 529) and the matrix entry "2 0L" as 20L (a member)
+    @pytest.mark.parametrize("argv", [["norm", "2 3"], ["member", "[[1,2 0L],[0,1]]"]])
+    def test_whitespace_between_digits_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: whitespace between digits") and len(err.splitlines()) == 1
 
 class TestMatrixCommands:
     def test_member_false(self, capsys):

@@ -229,7 +229,10 @@ class TestLiterals:
 
     # a term after the first needs its sign: these are not read as 3+2L,
     # 2L, 2+L or 3L (the values they used to give)
-    @pytest.mark.parametrize("bad", ["", "2+", "x", "1.5", "+", "2L3", "LL", "L2", "2LL"])
+    # nor are digits split by whitespace read as one number (23, 12L)
+    @pytest.mark.parametrize(
+        "bad", ["", "2+", "x", "1.5", "+", "2L3", "LL", "L2", "2LL", "2 3", "1 2L", "1-2\t0L"]
+    )
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_element(bad)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hecke5.golden import GoldenInt, LAMBDA, lambda_power
 from hecke5.ideals import (
     IdealHNF,
-    ResidueRing,
     TAU,
     factor_ideal,
     ideal_divides,
@@ -262,44 +261,64 @@ class TestFactorIdeal:
         )
 
 
+def residue(ideal: IdealHNF, x: GoldenInt) -> GoldenInt:
+    """The reduced pair of x mod the ideal, as an element."""
+    return GoldenInt(*ideal.reduce_pair(x.a, x.b))
+
+
 class TestResidueRing:
+    """The residue ring Z[L]/A, whose residues are the reduced pairs of
+    `IdealHNF.reduce_pair`."""
+
     def test_size_matches_enumeration(self):
-        for triple in [(1, 0, 1), (2, 0, 2), (1, 3, 5), (3, 0, 3), (4, 0, 4)]:
-            ring = ResidueRing(IdealHNF(*triple))
-            elems = list(ring.elements())
-            assert len(elems) == ring.size == len(set(elems))
+        # the reductions of a box of lifts fill exactly the d1 x d2 grid
+        for triple in [(1, 0, 1), (2, 0, 2), (1, 3, 5), (3, 0, 3), (4, 0, 4), (2, 6, 10)]:
+            ideal = IdealHNF(*triple)
+            reduced = {ideal.reduce_pair(a, b) for a in range(-12, 12) for b in range(-12, 12)}
+            grid = {(x, y) for x in range(ideal.d1) for y in range(ideal.d2)}
+            assert reduced == grid and len(grid) == ideal.norm
 
     def test_reduce_is_section(self):
-        ring = ResidueRing(IdealHNF(1, 3, 5))
-        for e in ring.elements():
-            assert ring.reduce(e.lift()) == e
+        for ideal in (IdealHNF(1, 3, 5), IdealHNF(2, 6, 10)):
+            for x in range(ideal.d1):
+                for y in range(ideal.d2):
+                    assert ideal.reduce_pair(x, y) == (x, y)
 
     def test_reduction_kernel_is_the_ideal(self):
-        ideal = IdealHNF(2, 6, 10)
-        ring = ResidueRing(ideal)
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                x = GoldenInt(a, b)
-                assert ring.reduce(x).is_zero() == ideal.contains(x)
+        # independent oracle: x lies in (g) exactly when g divides x
+        for g in (GoldenInt(4, 2), GoldenInt(9, 3), GoldenInt(4, 1), GoldenInt(6, 0)):
+            ideal = ideal_from_generator(g)
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    x = GoldenInt(a, b)
+                    assert (ideal.reduce_pair(a, b) == (0, 0)) == g.divides(x)
+                    assert ideal.contains(x) == g.divides(x)
 
     @given(
         st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50)),
         st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50)),
     )
     def test_ring_homomorphism(self, x, y):
-        ring = ResidueRing(ideal_from_generator(GoldenInt(4, 1)))
-        rx, ry = ring.reduce(x), ring.reduce(y)
-        assert rx + ry == ring.reduce(x + y)
-        assert rx * ry == ring.reduce(x * y)
-        assert rx - ry == ring.reduce(x - y)
-        assert -rx == ring.reduce(-x)
+        g = GoldenInt(4, 1)
+        ideal = ideal_from_generator(g)
+        rx, ry = residue(ideal, x), residue(ideal, y)
+        # a lift and its residue differ by a multiple of the generator
+        assert g.divides(x - rx)
+        # reducing before or after +, *, - and negation gives the same residue
+        assert residue(ideal, rx + ry) == residue(ideal, x + y)
+        assert residue(ideal, rx * ry) == residue(ideal, x * y)
+        assert residue(ideal, rx - ry) == residue(ideal, x - y)
+        assert residue(ideal, -rx) == residue(ideal, -x)
 
     def test_residue_field_of_split_prime(self):
-        ring = ResidueRing(IdealHNF(1, 3, 5))
-        nonzero = [e for e in ring.elements() if not e.is_zero()]
+        ideal = IdealHNF(1, 3, 5)
+        one = GoldenInt(*ideal.reduce_pair(1, 0))
         # every nonzero class invertible: x^(q-1) = 1 with q = 5
-        for e in nonzero:
-            acc = ring.one()
-            for _ in range(4):
-                acc = acc * e
-            assert acc == ring.one()
+        for x in range(ideal.d1):
+            for y in range(ideal.d2):
+                if (x, y) == (0, 0):
+                    continue
+                acc = one
+                for _ in range(4):
+                    acc = residue(ideal, acc * GoldenInt(x, y))
+                assert acc == one

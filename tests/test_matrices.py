@@ -235,7 +235,9 @@ class TestParseMatrix:
         m = parse_matrix("[[1, -1L], [0, 1]]")
         assert m == Mat2(ONE, -LAMBDA, ZERO, ONE)
 
-    @pytest.mark.parametrize("bad", ["", "[[1,2]]", "[[1,2],[3]]", "[1,2],[3,4]"])
+    @pytest.mark.parametrize(
+        "bad", ["", "[[1,2]]", "[[1,2],[3]]", "[1,2],[3,4]", "[[1,2 0L],[0,1]]"]
+    )
     def test_errors(self, bad):
         with pytest.raises(ValueError):
             parse_matrix(bad)

@@ -64,7 +64,7 @@ class TestBuildQuotient:
     def test_elements_unique_and_start_at_identity(self, quotient_cache):
         q = quotient_cache(3)
         assert len(set(q.elements)) == q.order
-        assert q.elements[0] == ResMat.identity(q.ring).key
+        assert q.elements[0] == ResMat.identity(q.level).key
 
     def test_deterministic(self, quotient_cache):
         q1 = quotient_cache(3)
@@ -100,14 +100,14 @@ class TestBuildQuotient:
 
     def test_all_elements_have_det_one(self, quotient_cache):
         q = quotient_cache(4)
-        one = q.ring.one()
+        one = q.level.reduce_pair(1, 0)
         assert all(q.resmat(k).det() == one for k in q.elements)
 
 
 class TestResMatInverse:
     def test_inverse(self, quotient_cache):
         q = quotient_cache(TAU)
-        ident = ResMat.identity(q.ring)
+        ident = ResMat.identity(q.level)
         for key in q.elements[:50]:
             m = q.resmat(key)
             assert m * m.inverse() == ident == m.inverse() * m
@@ -116,23 +116,24 @@ class TestResMatInverse:
         # SAMPLE_MATRICES[2] has det -L, which is not 1 mod 5
         proc = run_python_O(
             "-c",
-            "from hecke5.ideals import ResidueRing, ideal_from_generator\n"
+            "from hecke5.ideals import ideal_from_generator\n"
             "from hecke5.quotient import ResMat\n"
             "from hecke5.verify import SAMPLE_MATRICES\n"
-            "m = ResMat.from_mat2(ResidueRing(ideal_from_generator(5)), SAMPLE_MATRICES[2])\n"
+            "m = ResMat.from_mat2(ideal_from_generator(5), SAMPLE_MATRICES[2])\n"
             "try:\n"
             "    m.inverse()\n"
             "except ValueError as exc:\n"
             "    print('ValueError:', exc)\n",
         )
         assert proc.returncode == 0, proc
-        assert proc.stdout.startswith("ValueError:")
+        # -L is 0+4L mod 5, printed as an element literal
+        assert proc.stdout == "ValueError: det 0+4L is not 1: the adjugate is no inverse\n"
 
 
 class TestResMatPower:
     def test_matches_repeated_product(self, quotient_cache):
         q = quotient_cache(TAU)
-        ident = ResMat.identity(q.ring)
+        ident = ResMat.identity(q.level)
         for key in q.elements[:: len(q.elements) // 12]:
             m = q.resmat(key)
             for n in range(-7, 8):
@@ -226,7 +227,7 @@ class TestCosetWords:
         q = quotient_cache(2)
         for mat, word in coset_words(q):
             assert set(word) <= set("ST")
-            assert ResMat.from_mat2(q.ring, eval_word(word)).key == mat.key
+            assert ResMat.from_mat2(q.level, eval_word(word)).key == mat.key
 
     def test_one_word_per_element(self, quotient_cache):
         q = quotient_cache(TAU)
@@ -236,7 +237,7 @@ class TestCosetWords:
 
     def test_non_member_has_no_word(self, quotient_cache):
         q = quotient_cache(2)
-        stray = tuple(x + 1 for x in ResMat.from_mat2(q.ring, T).key)
+        stray = tuple(x + 1 for x in ResMat.from_mat2(q.level, T).key)
         with pytest.raises(KeyError):
             q.word_for(stray)
 
@@ -244,9 +245,9 @@ class TestCosetWords:
         q = quotient_cache(3)
         rng = random.Random(9)
         for _ in range(50):
-            m = ResMat.from_mat2(q.ring, eval_word(random_word(rng)))
+            m = ResMat.from_mat2(q.level, eval_word(random_word(rng)))
             word = q.word_for(m.key)
-            assert ResMat.from_mat2(q.ring, eval_word(word)).key == m.key
+            assert ResMat.from_mat2(q.level, eval_word(word)).key == m.key
 
 
 class TestSubgroups:
@@ -264,21 +265,21 @@ class TestSubgroups:
 
     def test_index_of_a_non_divisor_rejected(self, quotient_cache):
         q = quotient_cache(2)
-        handle = SubgroupHandle(q, frozenset(q.elements[:3]), "not a subgroup")
+        handle = SubgroupHandle(q, frozenset(q.elements[:3]))
         with pytest.raises(ValueError):
             handle.index
 
     def test_subgroup_generated_whole_group(self, quotient_cache):
         q = quotient_cache(2)
-        s = ResMat.from_mat2(q.ring, S)
-        t = ResMat.from_mat2(q.ring, T)
+        s = ResMat.from_mat2(q.level, S)
+        t = ResMat.from_mat2(q.level, T)
         sub = subgroup_generated(q, [s, t])
         assert sub.order == q.order
 
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
         q = quotient_cache(2)
-        bad = ResMat.from_mat2(q.ring, MINUS_IDENTITY * T)
-        stray = ResMat(q.ring, tuple(x + 1 for x in bad.key))
+        bad = ResMat.from_mat2(q.level, MINUS_IDENTITY * T)
+        stray = ResMat(q.level, tuple(x + 1 for x in bad.key))
         with pytest.raises(ValueError):
             subgroup_generated(q, [stray])
 

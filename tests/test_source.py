@@ -1,5 +1,9 @@
 import ast
+import types
 from pathlib import Path
+
+import hecke5
+import hecke5.cli  # noqa: F401  (bound as hecke5.cli, the `cli.main` span target)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hecke5"
 
@@ -14,3 +18,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_bench_span_targets_resolve():
+    # the benchmark's `spans.sites` skips a traced function the library no
+    # longer defines, so a refactor could drop per-layer metrics unnoticed;
+    # bench/spans.py is executed from its source, so nothing is written there
+    path = PACKAGE.parents[1] / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    missing = [
+        name
+        for name, module, attribute, _ in spans.TARGETS
+        if spans.resolve(hecke5, module, attribute) is None
+    ]
+    assert spans.TARGETS and missing == []

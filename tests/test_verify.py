@@ -1,7 +1,7 @@
 import pytest
 
 from hecke5.golden import GoldenInt, ONE
-from hecke5.ideals import ResidueRing, ideal_from_generator
+from hecke5.ideals import ideal_from_generator
 from hecke5.matrices import S, T, is_member
 from hecke5.quotient import CapExceededError, ResMat, semigroup_closure
 from hecke5.verify import (
@@ -88,22 +88,22 @@ class TestElementaryAbelian:
     def test_commuting_is_required(self):
         # S and T each square to I mod (2), but they generate a group of
         # order 10 whose other elements include some of order 5
-        ring = ResidueRing(ideal_from_generator(2))
-        keys = [ResMat.from_mat2(ring, m).key for m in (S, T)]
-        identity = ResMat.identity(ring)
-        group = semigroup_closure(ring, keys)
-        assert all(ResMat(ring, k) ** 2 == identity for k in keys)
+        level = ideal_from_generator(2)
+        keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
+        identity = ResMat.identity(level)
+        group = semigroup_closure(level, keys)
+        assert all(ResMat(level, k) ** 2 == identity for k in keys)
         assert len(group) == 10
-        assert any(ResMat(ring, g) ** 2 != identity for g in group)
-        assert not elementary_abelian(ring, keys, 2)
+        assert any(ResMat(level, g) ** 2 != identity for g in group)
+        assert not elementary_abelian(level, keys, 2)
 
     @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
     def test_agrees_with_a_scan_of_every_element(self, p, n):
-        ring, gen_keys = kernel_layer_generators(p, n)
-        identity = ResMat.identity(ring)
-        group = semigroup_closure(ring, gen_keys)
-        scan = all(ResMat(ring, g) ** p == identity for g in group)
-        assert elementary_abelian(ring, gen_keys, p) == scan
+        level, gen_keys = kernel_layer_generators(p, n)
+        identity = ResMat.identity(level)
+        group = semigroup_closure(level, gen_keys)
+        scan = all(ResMat(level, g) ** p == identity for g in group)
+        assert elementary_abelian(level, gen_keys, p) == scan
         assert scan and len(group) == p**6
 
 
