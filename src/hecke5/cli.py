@@ -4,17 +4,20 @@ Every command is a thin adapter over the library, declared once in
 `COMMANDS`; `--json` emits a single JSON document with a versioned
 `schema` field.  Exit codes: 0 success, 1 mathematical failure (a
 verification did not pass), 2 usage error (a malformed literal, a zero
-divisor, a level that is not an ideal, a `--cap` below 1, an `--out`
-that cannot be written), 3 a safeguard cap was hit (`--cap`, or an
-internal iteration cap); the error goes to stderr and, under `--json`, a
-`hecke5/v1/error` document with `error`, `cap` and `partial` goes to
-stdout.
+divisor, a level that is not an ideal or is given by both `--level` and
+`--hnf`, a `--cap` below 1, an `--out` that cannot be written), 3 a
+safeguard cap was hit (`--cap`, or an internal iteration cap); the error
+goes to stderr and, under `--json`, a `hecke5/v1/error` document with
+`error`, `cap` and `partial` goes to stdout.  A reader that closes stdout
+early (`hecke5 cosets ... | head`) cuts the output short quietly: no
+traceback, and the exit code the command would have had anyway.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -43,6 +46,8 @@ def positive_int(text: str) -> int:
 
 
 def _level_ideal(args) -> IdealHNF:
+    if args.hnf is not None and args.level is not None:
+        raise ValueError("give only one of --level or --hnf")
     if args.hnf:
         d1, k, d2 = (int(x) for x in args.hnf.split(","))
         return IdealHNF(d1, k, d2)
@@ -272,10 +277,16 @@ def main(argv: list[str] | None = None) -> int:
         command, text, status = "error", None, [3]
         cap, partial = getattr(exc, "cap", None), getattr(exc, "partial", None)
         payload = {"error": str(exc), "cap": cap, "partial": partial}
-    if getattr(args, "json", False):
-        print(json.dumps({"schema": f"hecke5/v1/{command}", **payload}, sort_keys=True))
-    elif text is not None:
-        print(text)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps({"schema": f"hecke5/v1/{command}", **payload}, sort_keys=True))
+        elif text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); send what is left to
+        # devnull so that the flush at interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status[0] if status else 0
 
 

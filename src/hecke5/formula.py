@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import IdealHNF, PrimeFactor, _is_prime, factor_ideal
+from .ideals import IdealHNF, _is_prime, factor_ideal
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,6 @@ class StepBound:
 
 @dataclass(frozen=True)
 class IndexReport:
-    level: IdealHNF
-    factors: tuple[tuple[PrimeFactor, int], ...]
     i_a: int
     j_b: int
     coprime_part_norm: int
@@ -57,7 +55,6 @@ def index_formula(level: IdealHNF) -> IndexReport:
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     i_a = j_b = coprime_norm = total = 1
-    factors = []
     for pf in factor_ideal(level):
         p, norm = pf.rational_prime, pf.prime.norm
         partial = index_factor(p, norm, pf.exponent)
@@ -67,9 +64,8 @@ def index_formula(level: IdealHNF) -> IndexReport:
             j_b = partial
         else:
             coprime_norm *= norm**pf.exponent
-        factors.append((pf, partial))
         total *= partial
-    return IndexReport(level, tuple(factors), i_a, j_b, coprime_norm, total)
+    return IndexReport(i_a, j_b, coprime_norm, total)
 
 
 def index_prime_power(p: int, n: int, tau_exponent: int = 0) -> int:

@@ -145,11 +145,11 @@ def _floor_quotient(w: GoldenInt, n: int) -> int:
 def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
     """Pseudo-Euclidean division a = (q*L)*b + r.
 
-    r is pinned to the half-open interval (-|b*L|/2, |b*L|/2] of the real
-    line.  The quotient a / (b*L) is first cleared to an integer
-    denominator, so the floor is computed exactly even when b*L has a tiny
-    real value with huge coordinates; the exact interval test on a small
-    window around the floor is the only arbiter.
+    r is pinned to the half-open interval (-|c|/2, |c|/2] of the real
+    line, c = b*L, so q is one exact rounding of a/c: ceil(a/c - 1/2) for
+    c > 0 and floor(a/c + 1/2) for c < 0.  The quotient a/c is first
+    cleared to an integer denominator n, a/c = w/n, so the rounding is one
+    exact floor even when c has a tiny real value with huge coordinates.
     """
     if not b:
         raise ZeroDivisionError("pseudo-division by zero")
@@ -158,14 +158,10 @@ def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
     w = a * c.conjugate()
     if n < 0:
         n, w = -n, -w
-    f = _floor_quotient(w, n)
-    abs_c = c.abs_real()
-    for q in (f, f + 1, f - 1, f + 2):
-        r = a - c * q
-        r2 = r + r
-        if (r2 + abs_c).sign() > 0 and (r2 - abs_c).sign() <= 0:
-            return q, r
-    raise AssertionError(f"no pseudo-quotient near {f} for {a} / {b}")
+    # s = -1: ceil(w/n - 1/2) = -floor((n - 2w) / 2n); s = 1: floor((n + 2w) / 2n)
+    s = -c.sign()
+    q = s * _floor_quotient(GoldenInt(n + 2 * s * w.a, 2 * s * w.b), 2 * n)
+    return q, a - c * q
 
 
 def gcd_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[GoldenInt, list[int]]:

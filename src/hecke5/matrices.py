@@ -103,19 +103,25 @@ def translation(q: int) -> Mat2:
 class ReductionResult:
     """Outcome of the pseudo-Euclidean reduction of a fraction a/b.
 
-    completion is a det-1 matrix of the group with
+    `completion`, read from the quotients, is a det-1 group element with
     completion * (unit.sign, 0)^T = (a*L^e, b*L^e)^T.
     """
 
     e: int
-    completion: Mat2
     unit: UnitDecomposition
     quotients: list[int] = field(default_factory=list)
 
+    @property
+    def completion(self) -> Mat2:
+        # each step is (a, b)^T = T^q * S^-1 * (b, -r)^T
+        out = IDENTITY
+        for q in self.quotients:
+            out = out * translation(q) * S_INV
+        return out
+
 
 def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
-    """Run the pseudo-Euclidean recursion on (a, b) and accumulate the
-    elementary matrices into a completion matrix.
+    """Run the pseudo-Euclidean recursion on (a, b) and keep its quotients.
 
     Requires gcd(a, b) to be a unit.  The reduced factor e is minus the
     L-exponent of the final remainder, so a*L^e / b*L^e is the reduced
@@ -123,18 +129,15 @@ def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
     """
     if not a and not b:
         raise ValueError("reduce_fraction(0, 0) is undefined")
-    completion = IDENTITY
     quotients: list[int] = []
     while b:
         q, r = divmod_pseudo(a, b)
         quotients.append(q)
-        # (a, b)^T = T^q * S^-1 * (b, -r)^T
-        completion = completion * translation(q) * S_INV
         a, b = b, -r
     if not a.is_unit():
         raise NotCoprimeError(f"gcd is {a}, not a unit")
     unit = unit_log(a)
-    return ReductionResult(-unit.exponent, completion, unit, quotients)
+    return ReductionResult(-unit.exponent, unit, quotients)
 
 
 def is_reduced(a: GoldenInt, b: GoldenInt) -> bool:
@@ -157,7 +160,8 @@ def complete_column(a: GoldenInt, c: GoldenInt) -> Mat2:
     rr = reduce_fraction(a, c)
     if rr.e != 0:
         raise NotReducedError(f"({a}, {c}) has reduced factor {rr.e} != 0")
-    x = rr.completion if rr.unit.sign == 1 else rr.completion * MINUS_IDENTITY
+    x = rr.completion
+    x = x if rr.unit.sign == 1 else -x
     if x.a11 != a or x.a21 != c:
         raise RuntimeError(f"completion {x} of ({a}, {c}) has another first column")
     return x

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .golden import GoldenInt, lambda_power
-from .ideals import IdealHNF, ideal_from_generator
+from .ideals import TAU, IdealHNF, ideal_from_generator
 from .matrices import (
     IDENTITY,
     Mat2,
@@ -65,8 +65,6 @@ class VerificationReport:
     def add_bool(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, ok, detail or str(ok), "True"))
 
-
-LAMBDA_PLUS_2 = GoldenInt(2, 1)
 
 # generator set of the principal congruence subgroup at level (2)
 LEVEL2_GENERATORS = (
@@ -179,7 +177,7 @@ T_ACTION_VARIANT = ((1, 4, 2), (0, 1, 0), (0, 1, 1))
 def _coords_mod5(level: IdealHNF, g: Mat2) -> tuple[int, int, int]:
     """(i, j, k) with g = r^i s^j t^k inside the elementary abelian level
     quotient; entries of (g - I)/(L+2) are integers mod 5."""
-    pi = LAMBDA_PLUS_2
+    pi = TAU
     multiples = [level.reduce_pair(pi.a * d, pi.b * d) for d in range(5)]
     w = []
     for e, ident in zip(g.entries(), IDENTITY.entries()):
@@ -206,7 +204,7 @@ def verify_conjugation_action() -> VerificationReport:
     r = (a * c) * (a * b)
     s = (a * c) * (a * b).inverse()
     t = b * c
-    pi = LAMBDA_PLUS_2
+    pi = TAU
     expected_offsets = {
         "r": Mat2(GoldenInt(1, 0), GoldenInt(0, 0), pi * 3, GoldenInt(1, 0)),
         "s": Mat2(GoldenInt(1, 0), pi * 3, GoldenInt(0, 0), GoldenInt(1, 0)),
@@ -308,7 +306,7 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     level8 = ideal_from_generator(8)
     level9 = ideal_from_generator(9)
     level25 = ideal_from_generator(25)
-    level_tau = ideal_from_generator(LAMBDA_PLUS_2)
+    level_tau = ideal_from_generator(TAU)
 
     # the four level-(2) generators are members congruent to I mod (2)
     for i, m in enumerate(LEVEL2_GENERATORS):
@@ -375,7 +373,7 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
 
     # congruences of the three delta generators mod 5
     a, b, c = _delta_matrices()
-    pi = LAMBDA_PLUS_2
+    pi = TAU
     delta_targets = {
         "a": Mat2(GoldenInt(1, 0) + pi * 4, GoldenInt(0, 0), pi * 4, GoldenInt(1, 0) + pi),
         "b": Mat2(GoldenInt(1, 0) + pi, pi, GoldenInt(0, 0), GoldenInt(1, 0) + pi * 4),

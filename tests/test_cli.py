@@ -1,12 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from hecke5.cli import main
 from hecke5.matrices import eval_word
 
-from conftest import run_python_O
+from conftest import run_python_O, src_env
 
 
 def run(capsys, *argv):
@@ -116,6 +118,13 @@ class TestLevelCommands:
     def test_missing_level_is_usage_error(self, capsys):
         code, _, err = run(capsys, "factor")
         assert code == 2
+
+    def test_level_and_hnf_together_is_usage_error(self, capsys):
+        # --level used to be ignored silently: this reported level [2,0,2]
+        code, out, err = run(capsys, "index", "--hnf", "2,0,2", "--level", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: give only one of --level or --hnf\n"
 
     def test_sl2order(self, capsys):
         code, out, _ = run(capsys, "sl2order", "--level", "3")
@@ -263,7 +272,17 @@ class TestNonIdealLevels:
 class TestUsageErrorsUnderPythonO:
     @pytest.mark.parametrize(
         "argv",
-        [["divmod", "1", "0"], ["norm", "2L3"], ["index", "--level", "7", "--cap", "0"]],
+        [
+            ["divmod", "1", "0"],
+            ["norm", "2L3"],
+            ["index", "--level", "7", "--cap", "0"],
+            ["factor", "--hnf", "1,2"],
+            ["factor", "--hnf", "0,0,1"],
+            ["factor", "--hnf", "1,5,3"],
+            ["factor", "--level", "0"],
+            ["index", "--level", "1"],
+            ["index", "--hnf", "2,0,2", "--level", "3"],
+        ],
     )
     def test_exit_two(self, argv):
         proc = run_optimized(*argv)
@@ -271,6 +290,24 @@ class TestUsageErrorsUnderPythonO:
         assert proc.stdout == ""
         assert "error: " in proc.stderr.splitlines()[-1]
         assert "Traceback" not in proc.stderr
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_quiet(self):
+        # like `hecke5 cosets --level 5 | head -1`: about 600 kB, far more
+        # than a pipe buffers, so the write fails once the reader is gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hecke5.cli", "cosets", "--level", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.endswith(b"]]\n")
+        assert err == b""
+        assert proc.returncode == 0
 
 
 class TestCosets:

@@ -26,6 +26,8 @@ from hecke5.golden import (
 coords = st.integers(-(10**6), 10**6)
 elements = st.builds(GoldenInt, coords, coords)
 nonzero = elements.filter(bool)
+big_coords = st.integers(-(2**64), 2**64)
+big_elements = st.builds(GoldenInt, big_coords, big_coords)
 
 
 def real_value(x: GoldenInt) -> mpmath.mpf:
@@ -143,6 +145,31 @@ class TestDivmodPseudo:
         for bad in (q - 1, q + 1):
             r2 = (a - LAMBDA * b * bad) * 2
             assert not ((r2 + abs_c).sign() > 0 and (r2 - abs_c).sign() <= 0)
+
+    # r = |bL|/2 exactly, for both signs of bL: the right endpoint is kept
+    @pytest.mark.parametrize(
+        "a,b,q",
+        [
+            (-LAMBDA, GoldenInt(2, 0), -1),
+            (LAMBDA, GoldenInt(-2, 0), 0),
+            (-LAMBDA, GoldenInt(-2, 0), 1),
+        ],
+    )
+    def test_half_boundary_both_signs(self, a, b, q):
+        assert divmod_pseudo(a, b) == oracle_divmod(a, b) == (q, LAMBDA)
+
+    @given(elements.filter(bool), st.integers(-50, 50))
+    def test_ties_round_to_the_right_endpoint(self, half_b, k):
+        # a = (k + 1/2) * bL puts a/(bL) exactly halfway between two integers
+        b = half_b * 2
+        a = LAMBDA * half_b * (2 * k + 1)
+        q, r = divmod_pseudo(a, b)
+        assert (q, r) == oracle_divmod(a, b)
+        assert r + r == (LAMBDA * b).abs_real()
+
+    @given(big_elements, big_elements.filter(bool))
+    def test_matches_oracle_at_64_bits(self, a, b):
+        assert divmod_pseudo(a, b) == oracle_divmod(a, b)
 
 
 class TestGcdPseudo:
