@@ -48,8 +48,11 @@ def positive_int(text: str) -> int:
 def _level_ideal(args) -> IdealHNF:
     if args.hnf is not None and args.level is not None:
         raise ValueError("give only one of --level or --hnf")
-    if args.hnf:
-        d1, k, d2 = (int(x) for x in args.hnf.split(","))
+    if args.hnf is not None:
+        try:
+            d1, k, d2 = (int(x) for x in args.hnf.split(","))
+        except ValueError:
+            raise ValueError(f"--hnf takes three integers d1,k,d2, not {args.hnf!r}") from None
         return IdealHNF(d1, k, d2)
     if not args.level:
         raise ValueError("one of --level or --hnf is required")
@@ -154,7 +157,7 @@ def cmd_cosets(args):
     q = build_quotient(ideal, args.cap)
     # a key is the four entries' reduced pairs (x, y), each printed x+yL
     entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]"
-    text = "\n".join(f"{word}\t{entries.format(*m.key)}" for m, word in coset_words(q))
+    text = "\n".join(f"{word}\t{entries.format(*key)}" for key, word in coset_words(q).items())
     if args.out == "-":
         return None, text
     with open(args.out, "w") as fh:

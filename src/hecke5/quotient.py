@@ -16,13 +16,12 @@ Two engines, one per kind of question:
   Elements are keyed by the 8 integers of the four entries' reduced
   pairs (the level is its own residue ring, see `IdealHNF.reduce_pair`),
   making the enumeration deterministic and hashable.
-  `build_quotient` is that closure under the images of S and T; coset
-  words, the subgroup machinery and the verifiers use it.
+  `build_quotient` is that closure under the images of S and T; the
+  subgroups, the verifiers and `coset_words` (one BFS-order pass) use it.
 """
 
 from __future__ import annotations
 
-from collections.abc import KeysView
 from dataclasses import dataclass
 from math import prod
 
@@ -119,7 +118,7 @@ class QuotientGroup:
 
     elements is in deterministic BFS order; predecessor is the closure's
     dict from each element to its BFS predecessor (None at the identity),
-    so predecessor chains spell a positive word evaluating to the element.
+    which is also the element set; `coset_words` spells its chains.
     """
 
     level: IdealHNF
@@ -129,21 +128,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def element_set(self) -> KeysView[Key]:
-        return self.predecessor.keys()
-
-    def word_for(self, key: Key) -> str:
-        # the letter taking a predecessor to its element: T keeps the first
-        # column (coordinates 0, 1, 4, 5); S never does, since it moves the
-        # second column there and a det-1 matrix has distinct columns
-        letters = []
-        while (pred := self.predecessor[key]) is not None:
-            same = pred[0] == key[0] and pred[1] == key[1] and pred[4] == key[4] and pred[5] == key[5]
-            letters.append("T" if same else "S")
-            key = pred
-        return "".join(reversed(letters))
 
     def resmat(self, key: Key) -> ResMat:
         return ResMat(self.level, key)
@@ -242,9 +226,20 @@ def index_g(level: IdealHNF, cap: int = DEFAULT_CAP, *, index: int | None = None
     return n if minus_i_in_level(level) else n // 2
 
 
-def coset_words(q: QuotientGroup) -> list[tuple[ResMat, str]]:
-    """One positive word per element, via BFS predecessor chains."""
-    return [(q.resmat(key), q.word_for(key)) for key in q.elements]
+def coset_words(q: QuotientGroup) -> dict[Key, str]:
+    """{element: positive word in S and T evaluating to it}, in BFS order:
+    each word is its predecessor's word, built earlier, plus one letter."""
+    words: dict[Key, str] = {}
+    for key, pred in q.predecessor.items():
+        if pred is None:
+            words[key] = ""
+            continue
+        # the letter taking a predecessor to its element: T keeps the first
+        # column (coordinates 0, 1, 4, 5); S never does, since it moves the
+        # second column there and a det-1 matrix has distinct columns
+        same = pred[0] == key[0] and pred[1] == key[1] and pred[4] == key[4] and pred[5] == key[5]
+        words[key] = words[pred] + ("T" if same else "S")
+    return words
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ def semigroup_closure(
 
 def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
     for g in gens:
-        if g.key not in q.element_set:
+        if g.key not in q.predecessor:
             raise ValueError(f"generator {g.key} is not in the quotient")
     members = frozenset(semigroup_closure(q.level, [g.key for g in gens]))
     return SubgroupHandle(q, members)
@@ -321,13 +316,7 @@ def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
     is closed under conjugation)."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    powers = []
-    seen_powers = set()
-    for key in q.elements:
-        p = (q.resmat(key) ** k).key
-        if p not in seen_powers:
-            seen_powers.add(p)
-            powers.append(p)
+    powers = dict.fromkeys((q.resmat(key) ** k).key for key in q.elements)
     members = {q.elements[0]}
     gens: list[Key] = []
     for p in powers:

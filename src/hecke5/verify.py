@@ -276,7 +276,7 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     a, b, c = _delta_matrices()
     delta = [ResMat.from_mat2(q.level, m) for m in (a, b, c)]
     report.add_bool(
-        "delta-in-quotient", all(d.key in q.element_set for d in delta)
+        "delta-in-quotient", all(d.key in q.predecessor for d in delta)
     )
     sub = subgroup_generated(q, delta)
     report.add("delta-subgroup-order", sub.order, 125)

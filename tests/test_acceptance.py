@@ -262,13 +262,11 @@ class TestCriterion10CosetWords:
     @pytest.mark.parametrize("gen", [2, 3, TAU, 4])
     def test_words_enumerate_cosets(self, quotient_cache, gen):
         q = quotient_cache(gen)
-        pairs = coset_words(q)
-        assert len(pairs) == index_formula(_ideal(gen)).total
-        seen = set()
-        for mat, word in pairs:
-            assert ResMat.from_mat2(q.level, eval_word(word)).key == mat.key
-            assert mat.key not in seen
-            seen.add(mat.key)
+        words = coset_words(q)
+        assert len(words) == index_formula(_ideal(gen)).total
+        # each word evaluates back to its own key; dict keys are distinct
+        evaluated = [ResMat.from_mat2(q.level, eval_word(w)).key for w in words.values()]
+        assert evaluated == list(words)
 
     def test_summary(self):
         print(

@@ -114,6 +114,7 @@ class TestLevelCommands:
         code, payload = run_json(capsys, "factor", "--hnf", "1,3,5")
         assert code == 0
         assert payload["factors"][0]["ramified"] is True
+        assert run_json(capsys, "factor", "--hnf", " 1, 3, 5") == (0, payload)
 
     def test_missing_level_is_usage_error(self, capsys):
         code, _, err = run(capsys, "factor")
@@ -125,6 +126,13 @@ class TestLevelCommands:
         assert code == 2
         assert out == ""
         assert err == "error: give only one of --level or --hnf\n"
+
+    @pytest.mark.parametrize("hnf", ["1,2", "a,b,c", "1,2,3,4", ""])
+    def test_malformed_hnf_names_the_flag(self, capsys, hnf):
+        code, out, err = run(capsys, "factor", "--hnf", hnf)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --hnf takes three integers d1,k,d2, not {hnf!r}\n"
 
     def test_sl2order(self, capsys):
         code, out, _ = run(capsys, "sl2order", "--level", "3")
@@ -374,6 +382,15 @@ class TestCosets:
         assert (
             hashlib.sha256(out.encode()).hexdigest()
             == "5450d1b2f3ca4bc81d0fcdd32c2f4963aa5666272915c14c9d1697444a93002d"
+        )
+
+    def test_output_pinned_at_five(self, capsys):
+        code, out, _ = run(capsys, "cosets", "--level", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 15000 and len(out) == 687703
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "9c93c97f052dc2d59079540def95eb3d95f2f2629a996012ef0dfda2d85c5ef0"
         )
 
 

@@ -95,8 +95,8 @@ class TestBuildQuotient:
         for _ in range(100):
             u = q.resmat(rng.choice(keys))
             v = q.resmat(rng.choice(keys))
-            assert (u * v).key in q.element_set
-            assert u.inverse().key in q.element_set
+            assert (u * v).key in q.predecessor
+            assert u.inverse().key in q.predecessor
 
     def test_all_elements_have_det_one(self, quotient_cache):
         q = quotient_cache(4)
@@ -225,29 +225,50 @@ class TestIndexHelpers:
 class TestCosetWords:
     def test_words_evaluate_back(self, quotient_cache):
         q = quotient_cache(2)
-        for mat, word in coset_words(q):
+        for key, word in coset_words(q).items():
             assert set(word) <= set("ST")
-            assert ResMat.from_mat2(q.level, eval_word(word)).key == mat.key
+            assert ResMat.from_mat2(q.level, eval_word(word)).key == key
 
     def test_one_word_per_element(self, quotient_cache):
         q = quotient_cache(TAU)
-        pairs = coset_words(q)
-        assert len(pairs) == q.order
-        assert len({m.key for m, _ in pairs}) == q.order
+        words = coset_words(q)
+        assert len(words) == q.order
+        assert list(words) == list(q.elements)
 
     def test_non_member_has_no_word(self, quotient_cache):
         q = quotient_cache(2)
         stray = tuple(x + 1 for x in ResMat.from_mat2(q.level, T).key)
         with pytest.raises(KeyError):
-            q.word_for(stray)
+            coset_words(q)[stray]
 
     def test_random_elements_hit_listed_words(self, quotient_cache):
         q = quotient_cache(3)
+        words = coset_words(q)
         rng = random.Random(9)
         for _ in range(50):
             m = ResMat.from_mat2(q.level, eval_word(random_word(rng)))
-            word = q.word_for(m.key)
+            word = words[m.key]
             assert ResMat.from_mat2(q.level, eval_word(word)).key == m.key
+
+    def test_same_words_as_the_predecessor_chain_walk(self, quotient_cache):
+        # the reference: walk each element's predecessors back to the
+        # identity, infer each letter (T keeps the first column), reverse
+        q = quotient_cache(5)
+        words = coset_words(q)
+
+        def chain_word(key):
+            letters = []
+            while (pred := q.predecessor[key]) is not None:
+                same = (pred[0], pred[1], pred[4], pred[5]) == (key[0], key[1], key[4], key[5])
+                letters.append("T" if same else "S")
+                key = pred
+            return "".join(reversed(letters))
+
+        assert q.order == 15000
+        assert words == {key: chain_word(key) for key in q.elements}
+        for key, pred in q.predecessor.items():
+            if pred is not None:
+                assert len(words[key]) == len(words[pred]) + 1
 
 
 class TestSubgroups:
