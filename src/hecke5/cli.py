@@ -16,6 +16,7 @@ traceback, and the exit code the command would have had anyway.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -265,9 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call, not at import:
+    `parse_args` makes a fresh namespace each time, so one parser serves
+    every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # argparse itself exits 2 on usage errors
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = args.command
     try:
         payload, text, *status = args.func(args)

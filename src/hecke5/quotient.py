@@ -18,12 +18,19 @@ Two engines, one per kind of question:
   making the enumeration deterministic and hashable.
   `build_quotient` is that closure under the images of S and T; the
   subgroups, the verifiers and `coset_words` (one BFS-order pass) use it.
+- Packed residues.  The closure walks packed ints, not keys (see
+  `_pack`), and multiplies by table lookups on packed rows.  The tables
+  are dicts filled on demand, one general row product per generator for
+  each row that occurs, so nothing is sized by N(A) and a cap error at a
+  level of norm 10^10 comes as fast as at (2).  Keys are decoded once at
+  the end, or not at all for callers that only count (`packed=True`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from .formula import sl2_factor
 from .golden import GoldenInt, format_element, power
@@ -42,29 +49,29 @@ class CapExceededError(RuntimeError):
         self.partial = partial
 
 
-def _key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
-    """Product of two residue matrices in flat-key form."""
-    # GoldenInt.__mul__'s product formula, inlined: this is the BFS hot loop
-    ua, ub, uc, ud, ue, uf, ug, uh = u
+Row = tuple[int, int, int, int]
+
+
+def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
+    """A row of two residues times a residue matrix, in flat-key form."""
+    # GoldenInt.__mul__'s product formula, inlined: ResMat products and the
+    # closure's table misses all come here
+    ra, rb, rc, rd = r
     va, vb, vc, vd, ve, vf, vg, vh = v
-    # entry 11 = u11*v11 + u12*v21
-    x = ua * va + ub * vb + uc * ve + ud * vf
-    y = ua * vb + ub * va + ub * vb + uc * vf + ud * ve + ud * vf
+    # entry 1 = r1*v11 + r2*v21, entry 2 = r1*v12 + r2*v22
+    x = ra * va + rb * vb + rc * ve + rd * vf
+    y = ra * vb + rb * va + rb * vb + rc * vf + rd * ve + rd * vf
     q = x // d1
-    e11 = (x - q * d1, (y - q * k) % d2)
-    x = ua * vc + ub * vd + uc * vg + ud * vh
-    y = ua * vd + ub * vc + ub * vd + uc * vh + ud * vg + ud * vh
+    x1, y1 = x - q * d1, (y - q * k) % d2
+    x = ra * vc + rb * vd + rc * vg + rd * vh
+    y = ra * vd + rb * vc + rb * vd + rc * vh + rd * vg + rd * vh
     q = x // d1
-    e12 = (x - q * d1, (y - q * k) % d2)
-    x = ue * va + uf * vb + ug * ve + uh * vf
-    y = ue * vb + uf * va + uf * vb + ug * vf + uh * ve + uh * vf
-    q = x // d1
-    e21 = (x - q * d1, (y - q * k) % d2)
-    x = ue * vc + uf * vd + ug * vg + uh * vh
-    y = ue * vd + uf * vc + uf * vd + ug * vh + uh * vg + uh * vh
-    q = x // d1
-    e22 = (x - q * d1, (y - q * k) % d2)
-    return (*e11, *e12, *e21, *e22)
+    return x1, y1, x - q * d1, (y - q * k) % d2
+
+
+def _key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
+    """Product of two residue matrices in flat-key form, row by row."""
+    return _row_mul(u[:4], v, d1, k, d2) + _row_mul(u[4:], v, d1, k, d2)
 
 
 @dataclass(frozen=True)
@@ -274,33 +281,90 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
     return SubgroupHandle(q, frozenset(members))
 
 
+def _pack(level: IdealHNF, key: Key) -> int:
+    """The packed form of a key: the residue (x, y) of each entry is
+    numbered x*d2 + y in [0, N), N = N(level), and the four entries are
+    the base-N digits of one int, row-major.  Distinct keys pack apart."""
+    n, d2 = level.norm, level.d2
+    packed = 0
+    for i in range(0, 8, 2):
+        packed = packed * n + key[i] * d2 + key[i + 1]
+    return packed
+
+
 def semigroup_closure(
-    level: IdealHNF, gen_keys: list[Key], cap: int | None = None
-) -> dict[Key, Key | None]:
+    level: IdealHNF, gen_keys: list[Key], cap: int | None = None, *, packed: bool = False
+) -> dict:
     """Deterministic BFS closure of the identity under right-multiplication.
 
     Returns an insertion-ordered dict from each element, in BFS order, to
     its predecessor (None at the identity); each element was first reached
     from its predecessor by the first generator, in `gen_keys` order, that
     reaches it.  In a finite group semigroup closure equals subgroup
-    closure, so no inverses are needed.
+    closure, so no inverses are needed.  Elements and predecessors are
+    keys, or with `packed` the ints of `_pack`, which suffice to count and
+    intersect and take a fraction of the memory.
+
+    The walk itself runs on packed ints.  A packed element is top * N^2 +
+    bottom for its two packed rows, and the rows of u*g are the rows of u
+    times g, so one table from a packed row to its products with all the
+    generators turns each expansion into two lookups and one `map`.  The
+    table is kept twice, scaled by N^2 for a top row (`high`) and as is
+    for a bottom row (`low`).  It is filled on a miss, one general row
+    product per generator for each distinct row met, so it holds at most
+    two rows per element and never an entry per residue of the level.
     """
     d1, k, d2 = level.d1, level.k, level.d2
-    identity = ResMat.identity(level).key
-    predecessor: dict[Key, Key | None] = {identity: None}
+    n = level.norm
+    n2 = n * n
+    # packed row -> its reduced pairs; -> its products, times N^2 or as is
+    rows: dict[int, Row] = {}
+    high: dict[int, tuple[int, ...]] = {}
+    low: dict[int, tuple[int, ...]] = {}
+
+    def expand(row: int) -> None:
+        a, b = divmod(row, n)
+        rows[row] = r = (*divmod(a, d2), *divmod(b, d2))
+        products = []
+        for g in gen_keys:
+            x1, y1, x2, y2 = _row_mul(r, g, d1, k, d2)
+            products.append((x1 * d2 + y1) * n + x2 * d2 + y2)
+        low[row] = tuple(products)
+        high[row] = tuple(p * n2 for p in products)
+
+    identity = _pack(level, ResMat.identity(level).key)
+    predecessor: dict[int, int | None] = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for u in frontier:
-            for g in gen_keys:
-                w = _key_mul(u, g, d1, k, d2)
+            top, bottom = divmod(u, n2)
+            try:
+                successors = map(add, high[top], low[bottom])
+            except KeyError:
+                for row in (top, bottom):
+                    if row not in rows:
+                        expand(row)
+                successors = map(add, high[top], low[bottom])
+            for w in successors:
                 if w not in predecessor:
                     predecessor[w] = u
                     nxt.append(w)
                     if cap is not None and len(predecessor) > cap:
                         raise CapExceededError(cap, len(predecessor))
         frontier = nxt
-    return predecessor
+    if packed:
+        return predecessor
+    # every element was expanded, so `rows` decodes both its rows; the
+    # predecessor comes earlier in BFS order, so its value here has already
+    # been replaced by its key, and that one tuple is shared
+    keys: dict[Key, Key | None] = {}
+    for w, u in predecessor.items():
+        top, bottom = divmod(w, n2)
+        key = rows[top] + rows[bottom]
+        keys[key] = None if u is None else predecessor[u]
+        predecessor[w] = key
+    return keys
 
 
 def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:

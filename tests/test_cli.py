@@ -221,6 +221,13 @@ class TestCapErrors:
         assert code == 3
         assert err.startswith("error: quotient exceeded cap 119")
 
+    @pytest.mark.parametrize("level", ["1009", "100003"])
+    def test_cosets_cap_at_a_large_level(self, capsys, level):
+        # N(100003) = 10^10: a table sized by the level could not be built
+        code, out, err = run(capsys, "cosets", "--level", level, "--cap", "10")
+        assert (code, out) == (3, "")
+        assert err == "error: quotient exceeded cap 10 (partial count 11)\n"
+
     def test_verify_kernel_layers_json(self, capsys):
         code, out, err = run(capsys, "verify", "kernel-layers", "--cap", "1000", "--json")
         assert code == 3
@@ -417,3 +424,34 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+class TestParserBuiltOnce:
+    def test_import_builds_no_parser(self):
+        code = "import hecke5.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_one_parser_serves_different_commands(self, capsys, monkeypatch):
+        import hecke5.cli as cli
+
+        build_parser, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        try:
+            code, payload = run_json(capsys, "index", "--level", "3", "--enumerate")
+            assert (code, payload["schema"], payload["index_h"]) == (0, "hecke5/v1/index", 120)
+            assert run(capsys, "norm", "2+1L") == (0, "5\n", "")
+            # no option value of an earlier call carries over: text, not JSON
+            code, out, _ = run(capsys, "index", "--level", "2", "--enumerate")
+            assert code == 0 and not out.startswith("{")
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]

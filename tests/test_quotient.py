@@ -10,8 +10,10 @@ from hecke5.ideals import IdealHNF, ideal_from_generator, ideal_mul
 from hecke5.matrices import IDENTITY, MINUS_IDENTITY, S, T, eval_word
 from hecke5.quotient import (
     CapExceededError,
+    Key,
     QuotientGroup,
     ResMat,
+    _pack,
     SubgroupHandle,
     build_quotient,
     coset_words,
@@ -22,10 +24,13 @@ from hecke5.quotient import (
     minus_i_in_level,
     orbit_stabilizer,
     power_subgroup,
+    semigroup_closure,
     sl2_order,
     subgroup_from_predicate,
     subgroup_generated,
 )
+
+from hecke5.verify import _delta_matrices, kernel_layer_generators
 
 from conftest import random_word, run_python_O
 from test_acceptance import BASE_LEVELS
@@ -344,3 +349,100 @@ class TestPowerSubgroup:
     def test_bad_exponent(self, quotient_cache):
         with pytest.raises(ValueError):
             power_subgroup(quotient_cache(2), 0)
+
+
+def key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
+    """The closure's product before packing: all four entries at once."""
+    ua, ub, uc, ud, ue, uf, ug, uh = u
+    va, vb, vc, vd, ve, vf, vg, vh = v
+    entries = []
+    for x, y in (
+        (ua * va + ub * vb + uc * ve + ud * vf,
+         ua * vb + ub * va + ub * vb + uc * vf + ud * ve + ud * vf),
+        (ua * vc + ub * vd + uc * vg + ud * vh,
+         ua * vd + ub * vc + ub * vd + uc * vh + ud * vg + ud * vh),
+        (ue * va + uf * vb + ug * ve + uh * vf,
+         ue * vb + uf * va + uf * vb + ug * vf + uh * ve + uh * vf),
+        (ue * vc + uf * vd + ug * vg + uh * vh,
+         ue * vd + uf * vc + uf * vd + ug * vh + uh * vg + uh * vh),
+    ):
+        q = x // d1
+        entries += [x - q * d1, (y - q * k) % d2]
+    return tuple(entries)
+
+
+def key_mul_closure(level: IdealHNF, gen_keys: list[Key]) -> dict[Key, Key | None]:
+    """The closure as it was before packing: a BFS on keys, each product a
+    general `key_mul`; the reference for the packed walk."""
+    identity = ResMat.identity(level).key
+    predecessor: dict[Key, Key | None] = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gen_keys:
+                w = key_mul(u, g, level.d1, level.k, level.d2)
+                if w not in predecessor:
+                    predecessor[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    return predecessor
+
+
+def st_case(level: IdealHNF) -> tuple[IdealHNF, list[Key]]:
+    return level, [ResMat.from_mat2(level, m).key for m in (S, T)]
+
+
+def delta_case() -> tuple[IdealHNF, list[Key]]:
+    level = ideal_from_generator(5)
+    return level, [ResMat.from_mat2(level, m).key for m in _delta_matrices()]
+
+
+CLOSURE_CASES = {
+    # S and T; [1,3,5] is (2+L), [1,4,11] is (3+L) and [2,6,10] is
+    # (2)(2+L): rows (d1, k) with k != 0, whose reduction carries
+    "S,T mod (2)": lambda: st_case(IdealHNF(2, 0, 2)),
+    "S,T mod (5)": lambda: st_case(IdealHNF(5, 0, 5)),
+    "S,T mod [1,3,5]": lambda: st_case(IdealHNF(1, 3, 5)),
+    "S,T mod [1,4,11]": lambda: st_case(IdealHNF(1, 4, 11)),
+    "S,T mod [2,6,10]": lambda: st_case(IdealHNF(2, 6, 10)),
+    "kernel layer (2,1)": lambda: kernel_layer_generators(2, 1),
+    "kernel layer (2,2)": lambda: kernel_layer_generators(2, 2),
+    "kernel layer (3,1)": lambda: kernel_layer_generators(3, 1),
+    "kernel layer (5,1)": lambda: kernel_layer_generators(5, 1),
+    "delta generators mod (5)": delta_case,
+}
+
+
+class TestPackedClosure:
+    @pytest.mark.parametrize("case", CLOSURE_CASES)
+    def test_matches_key_mul_bfs(self, case):
+        level, gen_keys = CLOSURE_CASES[case]()
+        expected = key_mul_closure(level, gen_keys)
+        got = semigroup_closure(level, gen_keys)
+        # dict equality ignores order, so compare the item sequences
+        assert list(got.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("case", CLOSURE_CASES)
+    def test_packed_result_packs_the_keys(self, case):
+        level, gen_keys = CLOSURE_CASES[case]()
+        expected = [
+            (_pack(level, key), None if pred is None else _pack(level, pred))
+            for key, pred in key_mul_closure(level, gen_keys).items()
+        ]
+        assert list(semigroup_closure(level, gen_keys, packed=True).items()) == expected
+
+    def test_predecessors_are_the_element_keys(self):
+        # each key is decoded once: a predecessor is the same tuple object
+        # as its own entry's key, not an equal copy
+        level, gen_keys = st_case(IdealHNF(1, 4, 11))
+        closure = semigroup_closure(level, gen_keys)
+        keys = {id(key) for key in closure}
+        assert all(pred is None or id(pred) in keys for pred in closure.values())
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_cap_at_a_level_of_norm_ten_to_the_ten(self, packed):
+        level, gen_keys = st_case(ideal_from_generator(100003))
+        with pytest.raises(CapExceededError) as exc:
+            semigroup_closure(level, gen_keys, cap=10, packed=packed)
+        assert (exc.value.cap, exc.value.partial) == (10, 11)
