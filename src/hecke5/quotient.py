@@ -16,8 +16,10 @@ Two engines, one per kind of question:
   Elements are keyed by the 8 integers of the four entries' reduced
   pairs (the level is its own residue ring, see `IdealHNF.reduce_pair`),
   making the enumeration deterministic and hashable.
-  `build_quotient` is that closure under the images of S and T; the
-  subgroups, the verifiers and `coset_words` (one BFS-order pass) use it.
+  `build_quotient` is that closure under the images of S and T, kept
+  with its level as a `QuotientGroup`; the subgroups, the verifiers and
+  `coset_words` (one BFS-order pass) use it, and `power_subgroup` powers
+  elements in BFS order only until their span is the whole group.
 - Packed residues.  The closure walks packed ints, not keys (see
   `_pack`), and multiplies by table lookups on packed rows.  The tables
   are dicts filled on demand, one general row product per generator for
@@ -69,11 +71,6 @@ def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
     return x1, y1, x - q * d1, (y - q * k) % d2
 
 
-def _key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
-    """Product of two residue matrices in flat-key form, row by row."""
-    return _row_mul(u[:4], v, d1, k, d2) + _row_mul(u[4:], v, d1, k, d2)
-
-
 @dataclass(frozen=True)
 class ResMat:
     """A matrix over the residue ring of a level, keyed by the reduced
@@ -88,8 +85,8 @@ class ResMat:
         return cls(level, key)  # type: ignore[arg-type]
 
     def __mul__(self, other: ResMat) -> ResMat:
-        m = self.level
-        return ResMat(m, _key_mul(self.key, other.key, m.d1, m.k, m.d2))
+        m, u, v = self.level, self.key, other.key
+        return ResMat(m, _row_mul(u[:4], v, m.d1, m.k, m.d2) + _row_mul(u[4:], v, m.d1, m.k, m.d2))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -123,21 +120,22 @@ class ResMat:
 class QuotientGroup:
     """Fully enumerated image of the Hecke group modulo an ideal.
 
-    elements is in deterministic BFS order; predecessor is the closure's
-    dict from each element to its BFS predecessor (None at the identity),
-    which is also the element set; `coset_words` spells its chains.
+    Two fields: the level, and predecessor, the closure's dict from each
+    element key in BFS order to its BFS predecessor (None at the identity).
+    `elements` (a new tuple per call) and `order` are read from that dict,
+    and `coset_words` spells its chains.
     """
 
     level: IdealHNF
-    elements: tuple[Key, ...]
     predecessor: dict[Key, Key | None]
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple[Key, ...]:
+        return tuple(self.predecessor)
 
-    def resmat(self, key: Key) -> ResMat:
-        return ResMat(self.level, key)
+    @property
+    def order(self) -> int:
+        return len(self.predecessor)
 
 
 def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
@@ -145,8 +143,7 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     gen_keys = [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
-    predecessor = semigroup_closure(level, gen_keys, cap)
-    return QuotientGroup(level, tuple(predecessor), predecessor)
+    return QuotientGroup(level, semigroup_closure(level, gen_keys, cap))
 
 
 def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
@@ -272,7 +269,7 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
         raise ValueError(f"unknown predicate {which!r}")
     one = q.level.reduce_pair(1, 0)
     members = set()
-    for key in q.elements:
+    for key in q.predecessor:
         if (key[4], key[5]) != (0, 0):
             continue
         if which == "H1" and ((key[0], key[1]) != one or (key[6], key[7]) != one):
@@ -377,13 +374,15 @@ def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
 
 def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
     """Subgroup generated by all k-th powers (normal: the generating set
-    is closed under conjugation)."""
+    is closed under conjugation).  Elements are powered in BFS order; a
+    power outside the span joins the generators and the span is closed
+    again, and the walk stops once the span is the whole group."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    powers = dict.fromkeys((q.resmat(key) ** k).key for key in q.elements)
-    members = {q.elements[0]}
+    members = {ResMat.identity(q.level).key}
     gens: list[Key] = []
-    for p in powers:
+    for key in q.predecessor:
+        p = (ResMat(q.level, key) ** k).key
         if p not in members:
             gens.append(p)
             members = semigroup_closure(q.level, gens)
@@ -398,6 +397,6 @@ def is_normal(sub: SubgroupHandle) -> bool:
     for gen in (ResMat.from_mat2(q.level, S), ResMat.from_mat2(q.level, T)):
         inv = gen.inverse()
         for key in sub.members:
-            if (gen * q.resmat(key) * inv).key not in sub.members:
+            if (gen * ResMat(q.level, key) * inv).key not in sub.members:
                 return False
     return True

@@ -325,7 +325,7 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     ident4 = ResMat.identity(level4)
     report.add_bool(
         "level2-generators-mod4-exponent-2",
-        all(q4.resmat(g) * q4.resmat(g) == ident4 for g in sub16.members),
+        all(ResMat(level4, g) * ResMat(level4, g) == ident4 for g in sub16.members),
     )
 
     # sample matrices: three are members; the third has det -L and its

@@ -75,6 +75,32 @@ class TestElementCommands:
         assert out == ""
         assert err.startswith("error: whitespace between digits") and len(err.splitlines()) == 1
 
+    # argparse reads an argument that starts with "-" as an option, so a
+    # negative literal follows "--" (a positional) or "=" (an option value)
+    def test_negative_literal_after_double_dash(self, capsys):
+        assert run(capsys, "norm", "--", "-4L-2") == (0, "4\n", "")
+
+    def test_negative_level_after_equals(self, capsys):
+        assert run_json(capsys, "index", "--level=-2-L") == run_json(
+            capsys, "index", "--level", "2+L"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm", "-4L-2"], "the following arguments are required: element"),
+            (["index", "--level", "-2-L"], "argument --level: expected one argument"),
+        ],
+    )
+    def test_bare_negative_literal_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(message)
+
+
 class TestMatrixCommands:
     def test_member_false(self, capsys):
         code, out, _ = run(capsys, "member", "[[1,1],[0,1]]")

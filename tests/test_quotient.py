@@ -98,15 +98,15 @@ class TestBuildQuotient:
         rng = random.Random(1)
         keys = list(q.elements)
         for _ in range(100):
-            u = q.resmat(rng.choice(keys))
-            v = q.resmat(rng.choice(keys))
+            u = ResMat(q.level, rng.choice(keys))
+            v = ResMat(q.level, rng.choice(keys))
             assert (u * v).key in q.predecessor
             assert u.inverse().key in q.predecessor
 
     def test_all_elements_have_det_one(self, quotient_cache):
         q = quotient_cache(4)
         one = q.level.reduce_pair(1, 0)
-        assert all(q.resmat(k).det() == one for k in q.elements)
+        assert all(ResMat(q.level, k).det() == one for k in q.elements)
 
 
 class TestResMatInverse:
@@ -114,7 +114,7 @@ class TestResMatInverse:
         q = quotient_cache(TAU)
         ident = ResMat.identity(q.level)
         for key in q.elements[:50]:
-            m = q.resmat(key)
+            m = ResMat(q.level, key)
             assert m * m.inverse() == ident == m.inverse() * m
 
     def test_det_not_one_rejected_under_python_O(self):
@@ -140,7 +140,7 @@ class TestResMatPower:
         q = quotient_cache(TAU)
         ident = ResMat.identity(q.level)
         for key in q.elements[:: len(q.elements) // 12]:
-            m = q.resmat(key)
+            m = ResMat(q.level, key)
             for n in range(-7, 8):
                 product = ident
                 for _ in range(abs(n)):
@@ -313,7 +313,7 @@ class TestSubgroups:
         q = quotient_cache(TAU)
         rng = random.Random(4)
         for _ in range(10):
-            gens = [q.resmat(rng.choice(q.elements)) for _ in range(2)]
+            gens = [ResMat(q.level, rng.choice(q.elements)) for _ in range(2)]
             sub = subgroup_generated(q, gens)
             assert q.order % sub.order == 0
 
@@ -332,14 +332,14 @@ class TestPowerSubgroup:
         for k in (2, 3, 5):
             fast = power_subgroup(q, k)
             # oracle: repeatedly multiply the set of k-th powers until stable
-            gens = {(q.resmat(key) ** k).key for key in q.elements}
+            gens = {(ResMat(q.level, key) ** k).key for key in q.elements}
             members = set(gens) | {q.elements[0]}
             changed = True
             while changed:
                 changed = False
                 for a in list(members):
                     for g in gens:
-                        w = (q.resmat(a) * q.resmat(g)).key
+                        w = (ResMat(q.level, a) * ResMat(q.level, g)).key
                         if w not in members:
                             members.add(w)
                             changed = True
@@ -349,6 +349,48 @@ class TestPowerSubgroup:
     def test_bad_exponent(self, quotient_cache):
         with pytest.raises(ValueError):
             power_subgroup(quotient_cache(2), 0)
+
+    @pytest.mark.parametrize(
+        "gen, k",
+        [(4, 2), (5, 5), (GoldenInt(3, 1), 5), (TAU, 2), (TAU, 3), (TAU, 5)],
+    )
+    def test_same_members_as_a_table_of_every_power(self, quotient_cache, gen, k):
+        q = quotient_cache(gen)
+        # the reference: tabulate every element's k-th power in BFS order,
+        # then grow the span from that table
+        powers = dict.fromkeys((ResMat(q.level, key) ** k).key for key in q.elements)
+        members = {q.elements[0]}
+        gens: list[Key] = []
+        for p in powers:
+            if p not in members:
+                gens.append(p)
+                members = semigroup_closure(q.level, gens)
+                if len(members) == q.order:
+                    break
+        assert power_subgroup(q, k).members == frozenset(members)
+
+    @pytest.mark.parametrize("gen, k, index, calls", [(5, 5, 1, None), (4, 2, 2, 320)])
+    def test_powers_stop_once_they_span_the_group(
+        self, quotient_cache, monkeypatch, gen, k, index, calls
+    ):
+        q = quotient_cache(gen)
+        count = 0
+        pow_ = ResMat.__pow__
+
+        def counted(self, n):
+            nonlocal count
+            count += 1
+            return pow_(self, n)
+
+        monkeypatch.setattr(ResMat, "__pow__", counted)
+        assert power_subgroup(q, k).index == index
+        if calls is None:
+            # at (5) the fifth powers of the first few elements in BFS
+            # order already span all 15,000
+            assert count <= 20
+        else:
+            # index 2: the span never fills, so every element is powered
+            assert count == calls == q.order
 
 
 def key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:

@@ -1,4 +1,5 @@
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -33,3 +34,23 @@ def test_bench_span_targets_resolve():
         if spans.resolve(hecke5, module, attribute) is None
     ]
     assert spans.TARGETS and missing == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every import is relative
+    # (within hecke5) or names a standard-library module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
