@@ -55,7 +55,7 @@ from .quotient import (
     subgroup_from_predicate,
     subgroup_generated,
 )
-from .formula import IndexReport, index_bound_step, index_formula, index_prime_power
+from .formula import IndexReport, index_formula
 from .verify import (
     VerificationReport,
     verify_all,

@@ -3,9 +3,10 @@
 Every command is a thin adapter over the library, declared once in
 `COMMANDS`; `--json` emits a single JSON document with a versioned
 `schema` field.  Exit codes: 0 success, 1 mathematical failure (a
-verification did not pass), 2 usage error (a malformed literal, a zero
-divisor, a level that is not an ideal or is given by both `--level` and
-`--hnf`, a `--cap` below 1, an `--out` that cannot be written), 3 a
+verification did not pass), 2 usage error (a malformed literal, an
+integer of over `golden.MAX_LITERAL_DIGITS` digits, a zero divisor, a
+level that is not an ideal or is given by both `--level` and `--hnf`, a
+`--cap` below 1, an `--out` that cannot be written), 3 a
 safeguard cap was hit (`--cap`, or an internal iteration cap); the error
 goes to stderr and, under `--json`, a `hecke5/v1/error` document with
 `error`, `cap` and `partial` goes to stdout.  A reader that closes stdout
@@ -24,12 +25,20 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .formula import index_formula
-from .golden import IterationCapError, divmod_pseudo, format_element, gcd_pseudo, parse_element
+from .golden import (
+    IterationCapError,
+    check_literal_digits,
+    divmod_pseudo,
+    format_element,
+    gcd_pseudo,
+    parse_element,
+)
 from .ideals import IdealHNF, factor_ideal, ideal_from_generator
 from .matrices import complete_column, is_member, parse_matrix, reduce_fraction
 from .quotient import (
     DEFAULT_CAP,
     CapExceededError,
+    ResMat,
     build_quotient,
     coset_words,
     index_g,
@@ -50,8 +59,11 @@ def _level_ideal(args) -> IdealHNF:
     if args.hnf is not None and args.level is not None:
         raise ValueError("give only one of --level or --hnf")
     if args.hnf is not None:
+        parts = args.hnf.split(",")
+        for part in parts:
+            check_literal_digits(part)
         try:
-            d1, k, d2 = (int(x) for x in args.hnf.split(","))
+            d1, k, d2 = (int(x) for x in parts)
         except ValueError:
             raise ValueError(f"--hnf takes three integers d1,k,d2, not {args.hnf!r}") from None
         return IdealHNF(d1, k, d2)
@@ -156,9 +168,12 @@ def cmd_index(args):
 def cmd_cosets(args):
     ideal = _level_ideal(args)
     q = build_quotient(ideal, args.cap)
-    # a key is the four entries' reduced pairs (x, y), each printed x+yL
+    # the four entries' reduced pairs (x, y), each printed x+yL
     entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]"
-    text = "\n".join(f"{word}\t{entries.format(*key)}" for key, word in coset_words(q).items())
+    text = "\n".join(
+        f"{word}\t{entries.format(*ResMat(q.level, key).residues())}"
+        for key, word in coset_words(q).items()
+    )
     if args.out == "-":
         return None, text
     with open(args.out, "w") as fh:

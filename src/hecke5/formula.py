@@ -16,13 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import IdealHNF, _is_prime, factor_ideal
-
-
-@dataclass(frozen=True)
-class StepBound:
-    exact: int
-    bound: int
+from .ideals import IdealHNF, factor_ideal
 
 
 @dataclass(frozen=True)
@@ -66,39 +60,3 @@ def index_formula(level: IdealHNF) -> IndexReport:
             coprime_norm *= norm**pf.exponent
         total *= partial
     return IndexReport(i_a, j_b, coprime_norm, total)
-
-
-def index_prime_power(p: int, n: int, tau_exponent: int = 0) -> int:
-    """Index at a prime-power-norm level.
-
-    For inert p or p = 5 the level is p^n (read as tau^n when p = 5).
-    For split p = +-1 mod 5 the level is p^n * tau^tau_exponent with tau
-    one of the two primes above p; tau_exponent must be 0 otherwise.
-    """
-    if n < 0 or tau_exponent < 0 or (n == 0 and tau_exponent == 0):
-        raise ValueError("need a positive prime-power level")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not a rational prime")
-    if p == 5:
-        if tau_exponent:
-            raise ValueError("pass the tau-power as n for p = 5")
-        return index_factor(5, 5, n)
-    if p % 5 in (1, 4):
-        # p^n tau^s = tau^(n+s) sigma^n
-        return index_factor(p, p, n + tau_exponent) * index_factor(p, p, n)
-    if tau_exponent:
-        raise ValueError(f"{p} is inert; no split part")
-    return index_factor(p, p * p, n)
-
-
-def index_bound_step(pi: IdealHNF, n: int) -> StepBound:
-    """Exact index step from level pi^n to pi^(n+1) for a prime ideal,
-    together with the generic N(pi)^3 upper bound."""
-    if n < 1:
-        raise ValueError("tower step needs n >= 1")
-    factors = factor_ideal(pi)
-    if len(factors) != 1 or factors[0].exponent != 1:
-        raise ValueError(f"{pi} is not a prime ideal")
-    p, norm = factors[0].rational_prime, pi.norm
-    exact = index_factor(p, norm, n + 1) // index_factor(p, norm, n)
-    return StepBound(exact, norm**3)

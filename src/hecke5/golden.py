@@ -228,6 +228,20 @@ def lambda_power(k: int) -> GoldenInt:
     return power(LAMBDA if k >= 0 else LAMBDA_INV, abs(k), ONE)
 
 
+MAX_LITERAL_DIGITS = 700
+
+
+def check_literal_digits(text: str) -> None:
+    """Refuse an integer literal of more than MAX_LITERAL_DIGITS digits
+    with a ValueError that names the bound.  Within it every answer
+    prints: the largest, an index, has at most about six times the digits
+    of its level's coordinates, below Python's 4300-digit limit on
+    converting an int to a string."""
+    n = sum(c.isdigit() for c in text)
+    if n > MAX_LITERAL_DIGITS:
+        raise ValueError(f"{n}-digit integer literal: the bound is {MAX_LITERAL_DIGITS} digits")
+
+
 def parse_element(text: str) -> GoldenInt:
     """Parse the literal grammar: a sum of terms, each an integer or an
     optional integer followed by `L` (lambda); every term after the first
@@ -235,7 +249,8 @@ def parse_element(text: str) -> GoldenInt:
 
     Examples: `3+2L`, `-4L-2`, `0`, `L`.  Whitespace around signs, terms
     and `L` is insignificant.  `2L3`, `LL`, `L2` and `2 3` are errors, not
-    products, sums or one number.
+    products, sums or one number, and so is an integer of more than
+    MAX_LITERAL_DIGITS digits.
     """
     s = squeeze_whitespace(text)
     if not s:
@@ -254,6 +269,7 @@ def parse_element(text: str) -> GoldenInt:
         while j < len(s) and s[j].isdigit():
             j += 1
         digits = s[i:j]
+        check_literal_digits(digits)
         i = j
         if i < len(s) and s[i] in "Ll":
             b += sign * (int(digits) if digits else 1)

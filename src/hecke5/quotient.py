@@ -13,19 +13,23 @@ Two engines, one per kind of question:
   use positive letters only).  It returns an insertion-ordered dict
   mapping each element to its BFS predecessor (the identity to None),
   which is at once the element set, the BFS order and the parent map.
-  Elements are keyed by the 8 integers of the four entries' reduced
-  pairs (the level is its own residue ring, see `IdealHNF.reduce_pair`),
-  making the enumeration deterministic and hashable.
   `build_quotient` is that closure under the images of S and T, kept
   with its level as a `QuotientGroup`; the subgroups, the verifiers and
   `coset_words` (one BFS-order pass) use it, and `power_subgroup` powers
   elements in BFS order only until their span is the whole group.
-- Packed residues.  The closure walks packed ints, not keys (see
-  `_pack`), and multiplies by table lookups on packed rows.  The tables
-  are dicts filled on demand, one general row product per generator for
-  each row that occurs, so nothing is sized by N(A) and a cap error at a
-  level of norm 10^10 comes as fast as at (2).  Keys are decoded once at
-  the end, or not at all for callers that only count (`packed=True`).
+
+An element has one form everywhere, its packed int (`_pack`): the
+residue (x, y) of an entry (the level is its own residue ring, see
+`IdealHNF.reduce_pair`) is the digit x*d2 + y in [0, N), N = N(A), and
+the four entries are the base-N digits of one int, row-major.  It is
+`ResMat.key`, the closure's keys and values, and a subgroup's members,
+which makes the enumeration deterministic, hashable and small.  Only
+this module reads the digits: `ResMat` decodes its operands for its
+arithmetic, and `ResMat.residues` gives the eight residue integers to
+a caller that prints them.  The closure multiplies by table lookups on
+packed rows, tables filled on demand, one general row product per
+generator for each row that occurs, so nothing is sized by N(A) and a
+cap error at a level of norm 10^10 comes as fast as at (2).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .golden import GoldenInt, format_element, power
 from .ideals import IdealHNF, factor_ideal, ideal_divides, lattice_hnf
 from .matrices import Mat2, S, T
 
+# the reduced pairs of the four entries, row-major: an element decoded
 Key = tuple[int, int, int, int, int, int, int, int]
 
 DEFAULT_CAP = 5_000_000
@@ -55,7 +60,7 @@ Row = tuple[int, int, int, int]
 
 
 def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
-    """A row of two residues times a residue matrix, in flat-key form."""
+    """A row of two residues times a residue matrix, both decoded."""
     # GoldenInt.__mul__'s product formula, inlined: ResMat products and the
     # closure's table misses all come here
     ra, rb, rc, rd = r
@@ -71,22 +76,46 @@ def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
     return x1, y1, x - q * d1, (y - q * k) % d2
 
 
+def _pack(level: IdealHNF, key: Key) -> int:
+    """The packed form of an element: the residue (x, y) of each entry is
+    the digit x*d2 + y in [0, N), N = N(level), and the four entries are
+    the base-N digits of one int, row-major.  Distinct keys pack apart."""
+    n, d2 = level.norm, level.d2
+    packed = 0
+    for i in range(0, 8, 2):
+        packed = packed * n + key[i] * d2 + key[i + 1]
+    return packed
+
+
+def _unpack(level: IdealHNF, packed: int) -> Key:
+    """The reduced pairs of a packed element's entries; inverts `_pack`."""
+    n, d2 = level.norm, level.d2
+    top, bottom = divmod(packed, n * n)
+    a, b = divmod(top, n)
+    c, d = divmod(bottom, n)
+    return (*divmod(a, d2), *divmod(b, d2), *divmod(c, d2), *divmod(d, d2))
+
+
 @dataclass(frozen=True)
 class ResMat:
-    """A matrix over the residue ring of a level, keyed by the reduced
-    pairs of its entries in row-major order."""
+    """A matrix over the residue ring of a level, keyed by its packed int."""
 
     level: IdealHNF
-    key: Key
+    key: int
 
     @classmethod
     def from_mat2(cls, level: IdealHNF, m: Mat2) -> ResMat:
         key = tuple(x for e in m.entries() for x in level.reduce_pair(e.a, e.b))
-        return cls(level, key)  # type: ignore[arg-type]
+        return cls(level, _pack(level, key))  # type: ignore[arg-type]
+
+    def residues(self) -> Key:
+        """The reduced pairs (x, y), x + yL, of the four entries, row-major."""
+        return _unpack(self.level, self.key)
 
     def __mul__(self, other: ResMat) -> ResMat:
-        m, u, v = self.level, self.key, other.key
-        return ResMat(m, _row_mul(u[:4], v, m.d1, m.k, m.d2) + _row_mul(u[4:], v, m.d1, m.k, m.d2))
+        m, u, v = self.level, self.residues(), other.residues()
+        rows = _row_mul(u[:4], v, m.d1, m.k, m.d2) + _row_mul(u[4:], v, m.d1, m.k, m.d2)
+        return ResMat(m, _pack(m, rows))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -99,13 +128,13 @@ class ResMat:
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
         red = self.level.reduce_pair
-        a, b, c, d, e, f, g, h = self.key
+        a, b, c, d, e, f, g, h = self.residues()
         key = (g, h, *red(-c, -d), *red(-e, -f), a, b)
-        return ResMat(self.level, key)
+        return ResMat(self.level, _pack(self.level, key))
 
     def det(self) -> tuple[int, int]:
         """The reduced pair of the determinant."""
-        a, b, c, d, e, f, g, h = self.key
+        a, b, c, d, e, f, g, h = self.residues()
         det = GoldenInt(a, b) * GoldenInt(g, h) - GoldenInt(c, d) * GoldenInt(e, f)
         return self.level.reduce_pair(det.a, det.b)
 
@@ -113,7 +142,7 @@ class ResMat:
     def identity(cls, level: IdealHNF) -> ResMat:
         # zero is (0, 0) in every residue ring
         one = level.reduce_pair(1, 0)
-        return cls(level, (*one, 0, 0, 0, 0, *one))
+        return cls(level, _pack(level, (*one, 0, 0, 0, 0, *one)))
 
 
 @dataclass(frozen=True)
@@ -121,16 +150,17 @@ class QuotientGroup:
     """Fully enumerated image of the Hecke group modulo an ideal.
 
     Two fields: the level, and predecessor, the closure's dict from each
-    element key in BFS order to its BFS predecessor (None at the identity).
-    `elements` (a new tuple per call) and `order` are read from that dict,
-    and `coset_words` spells its chains.
+    element in BFS order to its BFS predecessor (None at the identity),
+    both packed ints (`ResMat.key`).  `elements` (a new tuple per call)
+    and `order` are read from that dict, and `coset_words` spells its
+    chains.
     """
 
     level: IdealHNF
-    predecessor: dict[Key, Key | None]
+    predecessor: dict[int, int | None]
 
     @property
-    def elements(self) -> tuple[Key, ...]:
+    def elements(self) -> tuple[int, ...]:
         return tuple(self.predecessor)
 
     @property
@@ -230,18 +260,22 @@ def index_g(level: IdealHNF, cap: int = DEFAULT_CAP, *, index: int | None = None
     return n if minus_i_in_level(level) else n // 2
 
 
-def coset_words(q: QuotientGroup) -> dict[Key, str]:
+def coset_words(q: QuotientGroup) -> dict[int, str]:
     """{element: positive word in S and T evaluating to it}, in BFS order:
     each word is its predecessor's word, built earlier, plus one letter."""
-    words: dict[Key, str] = {}
+    n = q.level.norm
+    n2 = n * n
+    words: dict[int, str] = {}
     for key, pred in q.predecessor.items():
         if pred is None:
             words[key] = ""
             continue
         # the letter taking a predecessor to its element: T keeps the first
-        # column (coordinates 0, 1, 4, 5); S never does, since it moves the
-        # second column there and a det-1 matrix has distinct columns
-        same = pred[0] == key[0] and pred[1] == key[1] and pred[4] == key[4] and pred[5] == key[5]
+        # column, the high digit of each packed row; S never does, since it
+        # moves the second column there and a det-1 matrix has distinct columns
+        top, bottom = divmod(key, n2)
+        pred_top, pred_bottom = divmod(pred, n2)
+        same = top // n == pred_top // n and bottom // n == pred_bottom // n
         words[key] = words[pred] + ("T" if same else "S")
     return words
 
@@ -249,7 +283,7 @@ def coset_words(q: QuotientGroup) -> dict[Key, str]:
 @dataclass(frozen=True)
 class SubgroupHandle:
     group: QuotientGroup
-    members: frozenset[Key]
+    members: frozenset[int]
 
     @property
     def order(self) -> int:
@@ -267,69 +301,58 @@ def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
     `H1` (additionally both diagonal entries 1)."""
     if which not in ("H0", "H1"):
         raise ValueError(f"unknown predicate {which!r}")
-    one = q.level.reduce_pair(1, 0)
-    members = set()
-    for key in q.predecessor:
-        if (key[4], key[5]) != (0, 0):
-            continue
-        if which == "H1" and ((key[0], key[1]) != one or (key[6], key[7]) != one):
-            continue
-        members.add(key)
+    n = q.level.norm
+    n2 = n * n
+    # the digit of 1, the identity's lowest; a packed bottom row below N
+    # has lower-left digit 0
+    one = ResMat.identity(q.level).key % n
+    members = [key for key in q.predecessor if key % n2 < n]
+    if which == "H1":
+        members = [key for key in members if key % n2 == one and key // (n2 * n) == one]
     return SubgroupHandle(q, frozenset(members))
 
 
-def _pack(level: IdealHNF, key: Key) -> int:
-    """The packed form of a key: the residue (x, y) of each entry is
-    numbered x*d2 + y in [0, N), N = N(level), and the four entries are
-    the base-N digits of one int, row-major.  Distinct keys pack apart."""
-    n, d2 = level.norm, level.d2
-    packed = 0
-    for i in range(0, 8, 2):
-        packed = packed * n + key[i] * d2 + key[i + 1]
-    return packed
-
-
 def semigroup_closure(
-    level: IdealHNF, gen_keys: list[Key], cap: int | None = None, *, packed: bool = False
-) -> dict:
+    level: IdealHNF, gen_keys: list[int], cap: int | None = None
+) -> dict[int, int | None]:
     """Deterministic BFS closure of the identity under right-multiplication.
 
     Returns an insertion-ordered dict from each element, in BFS order, to
     its predecessor (None at the identity); each element was first reached
     from its predecessor by the first generator, in `gen_keys` order, that
     reaches it.  In a finite group semigroup closure equals subgroup
-    closure, so no inverses are needed.  Elements and predecessors are
-    keys, or with `packed` the ints of `_pack`, which suffice to count and
-    intersect and take a fraction of the memory.
+    closure, so no inverses are needed.  Generators, elements and
+    predecessors are packed ints (`ResMat.key`).  Raises CapExceededError
+    once more than `cap` elements are found.
 
-    The walk itself runs on packed ints.  A packed element is top * N^2 +
-    bottom for its two packed rows, and the rows of u*g are the rows of u
-    times g, so one table from a packed row to its products with all the
-    generators turns each expansion into two lookups and one `map`.  The
-    table is kept twice, scaled by N^2 for a top row (`high`) and as is
-    for a bottom row (`low`).  It is filled on a miss, one general row
-    product per generator for each distinct row met, so it holds at most
-    two rows per element and never an entry per residue of the level.
+    A packed element is top * N^2 + bottom for its two packed rows, and
+    the rows of u*g are the rows of u times g, so one table from a packed
+    row to its products with all the generators turns each expansion into
+    two lookups and one `map`.  The table is kept twice, scaled by N^2
+    for a top row (`high`) and as is for a bottom row (`low`).  It is
+    filled on a miss, one general row product per generator for each
+    distinct row met, so it holds at most two rows per element and never
+    an entry per residue of the level.
     """
     d1, k, d2 = level.d1, level.k, level.d2
     n = level.norm
     n2 = n * n
-    # packed row -> its reduced pairs; -> its products, times N^2 or as is
-    rows: dict[int, Row] = {}
+    gens = [_unpack(level, g) for g in gen_keys]
+    # packed row -> its products with the generators, times N^2 or as is
     high: dict[int, tuple[int, ...]] = {}
     low: dict[int, tuple[int, ...]] = {}
 
     def expand(row: int) -> None:
-        a, b = divmod(row, n)
-        rows[row] = r = (*divmod(a, d2), *divmod(b, d2))
+        # a packed row is an element whose top row is zero
+        r = _unpack(level, row)[4:]
         products = []
-        for g in gen_keys:
+        for g in gens:
             x1, y1, x2, y2 = _row_mul(r, g, d1, k, d2)
             products.append((x1 * d2 + y1) * n + x2 * d2 + y2)
         low[row] = tuple(products)
         high[row] = tuple(p * n2 for p in products)
 
-    identity = _pack(level, ResMat.identity(level).key)
+    identity = ResMat.identity(level).key
     predecessor: dict[int, int | None] = {identity: None}
     frontier = [identity]
     while frontier:
@@ -340,7 +363,7 @@ def semigroup_closure(
                 successors = map(add, high[top], low[bottom])
             except KeyError:
                 for row in (top, bottom):
-                    if row not in rows:
+                    if row not in low:
                         expand(row)
                 successors = map(add, high[top], low[bottom])
             for w in successors:
@@ -350,24 +373,13 @@ def semigroup_closure(
                     if cap is not None and len(predecessor) > cap:
                         raise CapExceededError(cap, len(predecessor))
         frontier = nxt
-    if packed:
-        return predecessor
-    # every element was expanded, so `rows` decodes both its rows; the
-    # predecessor comes earlier in BFS order, so its value here has already
-    # been replaced by its key, and that one tuple is shared
-    keys: dict[Key, Key | None] = {}
-    for w, u in predecessor.items():
-        top, bottom = divmod(w, n2)
-        key = rows[top] + rows[bottom]
-        keys[key] = None if u is None else predecessor[u]
-        predecessor[w] = key
-    return keys
+    return predecessor
 
 
 def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
     for g in gens:
         if g.key not in q.predecessor:
-            raise ValueError(f"generator {g.key} is not in the quotient")
+            raise ValueError(f"generator {g.residues()} is not in the quotient")
     members = frozenset(semigroup_closure(q.level, [g.key for g in gens]))
     return SubgroupHandle(q, members)
 
@@ -380,7 +392,7 @@ def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
     if k < 1:
         raise ValueError("power must be >= 1")
     members = {ResMat.identity(q.level).key}
-    gens: list[Key] = []
+    gens: list[int] = []
     for key in q.predecessor:
         p = (ResMat(q.level, key) ** k).key
         if p not in members:

@@ -118,7 +118,7 @@ def elementary_abelian(level: IdealHNF, gen_keys, p: int) -> bool:
     return _commute(level, gen_keys) and all(ResMat(level, g) ** p == identity for g in gen_keys)
 
 
-def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[tuple]]:
+def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[int]]:
     """The level (p^(n+1)) and the keys of the six unipotent matrices at
     depth p^n: x_i, y_i and z_i for i = 0, 1."""
     level = ideal_from_generator(p ** (n + 1))
@@ -146,16 +146,14 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
     the group holds more than `cap` elements."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     level, gen_keys = kernel_layer_generators(p, n)
-    # packed: only sizes and an intersection are read, and keys of all
-    # p^6 elements would take several times the memory
-    group = semigroup_closure(level, gen_keys, cap=cap, packed=True)
+    group = semigroup_closure(level, gen_keys, cap=cap)
     report.add("order", len(group), p**6)
     report.add_bool("generators-commute", _commute(level, gen_keys))
     report.add_bool(
         "every-element-has-order-dividing-p", elementary_abelian(level, gen_keys, p)
     )
-    m_group = semigroup_closure(level, gen_keys[:4], packed=True)
-    n_group = semigroup_closure(level, gen_keys[4:], packed=True)
+    m_group = semigroup_closure(level, gen_keys[:4])
+    n_group = semigroup_closure(level, gen_keys[4:])
     report.add("unipotent-part-order", len(m_group), p**4)
     report.add("diagonal-part-order", len(n_group), p**2)
     report.add("parts-intersection", len(m_group.keys() & n_group.keys()), 1)

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hecke5.cli import main
+from hecke5.cli import COMMANDS, main
+from hecke5.golden import MAX_LITERAL_DIGITS
 from hecke5.matrices import eval_word
+from hecke5.verify import VERIFIERS
 
 from conftest import run_python_O, src_env
 
@@ -99,6 +105,42 @@ class TestElementCommands:
         assert exc.value.code == 2
         assert captured.out == ""
         assert captured.err.rstrip().endswith(message)
+
+
+class TestLiteralBound:
+    """An integer literal has at most MAX_LITERAL_DIGITS digits, so that
+    every answer prints: Python converts no int of over 4300 digits to a
+    string."""
+
+    def test_index_at_the_bound_prints(self, capsys):
+        # 10^699, a literal of 700 digits: (2)^699 (5)^699, where (5) is
+        # tau^2; I_e = 5 * 2^(6(e-1)) above 2 and 24 * 5^(3e-2) at tau^e
+        ten = "1" + "0" * (MAX_LITERAL_DIGITS - 1)
+        code, out, err = run(capsys, "index", "--formula", "--level", ten)
+        index = 5 * 2 ** (6 * 698) * 24 * 5 ** (3 * 1398 - 2)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"index (formula)     = {index}"
+        assert len(str(index)) == 4193
+
+    def test_norm_at_the_bound_prints(self, capsys):
+        nines = "9" * MAX_LITERAL_DIGITS
+        assert run(capsys, "norm", nines) == (0, f"{int(nines) ** 2}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (["norm", "1" + "0" * MAX_LITERAL_DIGITS], 701),
+            (["norm", "9" * 3000], 3000),
+            (["index", "--formula", "--level", "1" + "0" * MAX_LITERAL_DIGITS], 701),
+            (["member", f"[[1,{'1' * (MAX_LITERAL_DIGITS + 1)}L],[0,1]]"], 701),
+            (["factor", "--hnf", f"1,0,{'1' * (MAX_LITERAL_DIGITS + 1)}"], 701),
+        ],
+        ids=["norm", "norm-3000-digits", "index", "member", "hnf"],
+    )
+    def test_longer_is_usage_error_naming_the_bound(self, capsys, argv, digits):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {digits}-digit integer literal: the bound is 700 digits\n"
 
 
 class TestMatrixCommands:
@@ -481,3 +523,82 @@ class TestParserBuiltOnce:
         finally:
             cli._parser.cache_clear()
         assert built == [1]
+
+
+# the CLI fuzz: random literals up to 10^40, well formed or not, for the
+# commands that take no level; levels of norm at most 10^4, malformed HNF
+# triples and `--cap 1000` for the rest, so that factoring stays fast
+big = st.integers(-(10**40), 10**40)
+literals = st.one_of(
+    st.builds("{}{:+d}L".format, big, big),
+    big.map(str),
+    st.text("0123456789+-L ", max_size=8),
+)
+matrices = st.one_of(
+    st.builds("[[{},{}],[{},{}]]".format, literals, literals, literals, literals),
+    st.text("[],0123456789+-L", max_size=16),
+)
+levels = st.one_of(
+    st.tuples(st.integers(-100, 100), st.integers(-100, 100))
+    .filter(lambda ab: abs(ab[0] ** 2 + ab[0] * ab[1] - ab[1] ** 2) <= 10**4)
+    .map(lambda ab: [f"--level={ab[0]}{ab[1]:+d}L"]),
+    st.one_of(
+        st.lists(st.integers(-5, 100), min_size=3, max_size=3).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        st.text(",0123456789-a", max_size=10),
+    ).map(lambda t: [f"--hnf={t}"]),
+)
+json_flag = st.sampled_from([[], ["--json"]])
+CAP = ["--cap", "1000"]
+
+
+def positionals(command, arity, values=literals):
+    # "--" ends the options, so that a literal may start with "-"
+    return st.builds(
+        lambda flag, xs: [command, *flag, "--", *xs],
+        json_flag,
+        st.lists(values, min_size=arity, max_size=arity),
+    )
+
+
+INVOCATIONS = {
+    "norm": positionals("norm", 1),
+    "divmod": positionals("divmod", 2),
+    "gcd": positionals("gcd", 2),
+    "efactor": positionals("efactor", 2),
+    "member": positionals("member", 1, matrices),
+    "complete": positionals("complete", 2),
+    "factor": st.builds(lambda lv, flag: ["factor", *lv, *flag], levels, json_flag),
+    "sl2order": st.builds(lambda lv, flag: ["sl2order", *lv, *flag], levels, json_flag),
+    "index": st.builds(
+        lambda lv, mode, flag: ["index", *lv, *mode, *CAP, *flag],
+        levels,
+        st.sampled_from([[], ["--formula"], ["--enumerate"], ["--both"]]),
+        json_flag,
+    ),
+    "cosets": levels.map(lambda lv: ["cosets", *lv, *CAP]),
+    "verify": st.builds(
+        lambda target, flag: ["verify", target, *CAP, *flag],
+        st.sampled_from(["all", *VERIFIERS]),
+        json_flag,
+    ),
+}
+
+
+def test_fuzz_covers_every_command():
+    assert INVOCATIONS.keys() == COMMANDS.keys()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*INVOCATIONS.values()))
+def test_fuzz_no_traceback_and_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

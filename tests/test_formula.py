@@ -4,13 +4,10 @@ import pytest
 import sympy
 
 from hecke5.golden import GoldenInt
-from hecke5.formula import (
-    index_bound_step,
-    index_formula,
-    index_prime_power,
-)
+from hecke5.formula import index_factor, index_formula
 from hecke5.ideals import (
     IdealHNF,
+    factor_ideal,
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
@@ -88,52 +85,47 @@ class TestIndexFormula:
 
 
 class TestIndexPrimePower:
+    """`index_factor`, the paper's table of the index at a prime power P^e,
+    read as index_factor(rational prime, N(P), e)."""
+
     def test_inert_two_tower(self):
-        assert index_prime_power(2, 1) == 10
-        assert index_prime_power(2, 2) == 320
-        assert index_prime_power(2, 3) == 20480
+        assert [index_factor(2, 4, e) for e in (1, 2, 3)] == [10, 320, 20480]
 
     def test_inert_three_tower(self):
-        assert index_prime_power(3, 1) == 120
-        assert index_prime_power(3, 2) == 87480
+        assert [index_factor(3, 9, e) for e in (1, 2)] == [120, 87480]
 
     def test_ramified_five(self):
-        assert index_prime_power(5, 1) == 120
-        assert index_prime_power(5, 2) == 15000
+        assert [index_factor(5, 5, e) for e in (1, 2)] == [120, 15000]
 
     def test_generic_inert(self):
-        assert index_prime_power(7, 1) == 117600
+        assert index_factor(7, 49, 1) == 117600
 
     def test_split_prime(self):
-        # level = one degree-1 prime above 11
-        assert index_prime_power(11, 0, tau_exponent=1) == 1320
-        # level = (11), both primes above it
-        assert index_prime_power(11, 1) == 1742400
-        assert index_prime_power(11, 1) == index_prime_power(11, 0, 1) ** 2
+        # one degree-1 prime above 11, and (11), both primes above it
+        tau11 = split_rational_prime(11)[0].prime
+        assert index_factor(11, 11, 1) == index_formula(tau11).total == 1320
+        assert index_formula(ideal_from_generator(11)).total == 1320**2 == 1742400
 
     def test_consistent_with_formula(self):
         for p, n in [(2, 2), (3, 1), (7, 1), (13, 1)]:
-            assert (
-                index_prime_power(p, n)
-                == index_formula(ideal_from_generator(p**n)).total
-            )
+            assert index_factor(p, p * p, n) == index_formula(ideal_from_generator(p**n)).total
         tau11 = split_rational_prime(11)[0].prime
-        assert index_prime_power(11, 0, 1) == index_formula(tau11).total
+        assert index_factor(11, 11, 1) == index_formula(tau11).total
 
     def test_every_prime_power_level_up_to_norm_2000(self):
-        # index_prime_power(p, n, s) is the index at tau^(n+s) sigma^n for the
-        # two primes above a split p, and so also at sigma^(n+s) tau^n
+        # the level tau^a sigma^b for the two primes above a split p has
+        # index index_factor(p, p, a) * index_factor(p, p, b)
         levels = set()
         for n in range(1, 5):
             level = ideal_pow(TAU_IDEAL, n)
-            assert index_prime_power(5, n) == index_formula(level).total, level
+            assert index_factor(5, 5, n) == index_formula(level).total, level
             levels.add(level)
         for p in sympy.primerange(2, 2001):
             if p % 5 in (2, 3):
                 n = 1
                 while p ** (2 * n) <= 2000:
                     level = ideal_from_generator(p**n)
-                    assert index_prime_power(p, n) == index_formula(level).total, level
+                    assert index_factor(p, p * p, n) == index_formula(level).total, level
                     levels.add(level)
                     n += 1
             elif p != 5:
@@ -142,7 +134,7 @@ class TestIndexPrimePower:
                     for b in range(a + 1):
                         if p ** (a + b) > 2000:
                             break
-                        expected = index_prime_power(p, b, a - b)
+                        expected = index_factor(p, p, a) * index_factor(p, p, b)
                         for x, y in ((tau, sigma), (sigma, tau)):
                             level = ideal_mul(ideal_pow(x, a), ideal_pow(y, b))
                             assert expected == index_formula(level).total, level
@@ -156,70 +148,39 @@ class TestIndexPrimePower:
         }
         assert len(levels) == 329
 
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            index_prime_power(2, 0)
-        with pytest.raises(ValueError):
-            index_prime_power(2, 1, tau_exponent=1)
-        with pytest.raises(ValueError):
-            index_prime_power(7, 1, tau_exponent=1)
-        with pytest.raises(ValueError):
-            index_prime_power(5, 1, tau_exponent=1)
-        for not_prime in (4, 1, 9, -3):
-            with pytest.raises(ValueError):
-                index_prime_power(not_prime, 1)
+
+def step(p: int, norm: int, n: int) -> int:
+    """The index step from P^n to P^(n+1), read from `index_factor`."""
+    exact, rest = divmod(index_factor(p, norm, n + 1), index_factor(p, norm, n))
+    assert rest == 0
+    return exact
 
 
 class TestIndexBoundStep:
+    """Each step up a prime-power tower is at most N(P)^3, the order of the
+    kernel layer, and equals it except from (2) to (4)."""
+
     def test_two_exceptional_first_step(self):
-        two = ideal_from_generator(2)
-        s1 = index_bound_step(two, 1)
-        assert (s1.exact, s1.bound) == (32, 64)
-        s2 = index_bound_step(two, 2)
-        assert (s2.exact, s2.bound) == (64, 64)
+        assert (step(2, 4, 1), step(2, 4, 2)) == (32, 64)
 
     def test_ramified(self):
-        s = index_bound_step(TAU_IDEAL, 1)
-        assert (s.exact, s.bound) == (125, 125)
+        assert step(5, 5, 1) == 125
 
     def test_inert(self):
-        s = index_bound_step(ideal_from_generator(7), 1)
-        assert (s.exact, s.bound) == (7**6, 7**6)
+        assert step(7, 49, 1) == 7**6
 
     def test_split_degree_one(self):
-        tau11 = split_rational_prime(11)[0].prime
-        s = index_bound_step(tau11, 1)
-        assert (s.exact, s.bound) == (11**3, 11**3)
+        assert step(11, 11, 1) == 11**3
 
     def test_steps_assemble_the_tower(self):
         # index at pi^(n+1) = index at pi^n times the step, for several pi
-        for pi_gen, reps in [(2, 3), (3, 2), (7, 2), (GoldenInt(3, 1), 3)]:
+        for pi_gen, reps in [(2, 3), (3, 2), (7, 2), (GoldenInt(3, 1), 3), (TAU, 3)]:
             pi = ideal_from_generator(pi_gen)
+            (pf,) = factor_ideal(pi)
             level = pi
             for n in range(1, reps + 1):
                 nxt = ideal_mul(level, pi)
-                step = index_bound_step(pi, n)
-                assert (
-                    index_formula(nxt).total
-                    == index_formula(level).total * step.exact
-                )
-                assert step.exact <= step.bound
+                exact = step(pf.rational_prime, pi.norm, n)
+                assert index_formula(nxt).total == index_formula(level).total * exact
+                assert exact <= pi.norm**3
                 level = nxt
-        level = TAU_IDEAL
-        for n in range(1, 4):
-            nxt = ideal_mul(level, TAU_IDEAL)
-            assert (
-                index_formula(nxt).total
-                == index_formula(level).total * index_bound_step(TAU_IDEAL, n).exact
-            )
-            level = nxt
-
-    def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            index_bound_step(ideal_from_generator(4), 1)
-        with pytest.raises(ValueError):
-            index_bound_step(ideal_from_generator(6), 1)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            index_bound_step(ideal_from_generator(2), 0)

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
@@ -14,6 +16,7 @@ from hecke5.quotient import (
     QuotientGroup,
     ResMat,
     _pack,
+    _unpack,
     SubgroupHandle,
     build_quotient,
     coset_words,
@@ -77,7 +80,9 @@ class TestBuildQuotient:
         assert q1.elements == q2.elements
 
     def test_bfs_order_pinned(self, quotient_cache):
-        elements = tuple(quotient_cache(5).elements)
+        q = quotient_cache(5)
+        # the digest of the elements as 8-tuples of residues, in BFS order
+        elements = tuple(ResMat(q.level, key).residues() for key in q.elements)
         assert (
             hashlib.sha256(repr(elements).encode()).hexdigest()
             == "2c5f1c5395ca59f22be72fd0b1fdaf56d4d1ab93d56174009467d31c593da1e5"
@@ -242,7 +247,8 @@ class TestCosetWords:
 
     def test_non_member_has_no_word(self, quotient_cache):
         q = quotient_cache(2)
-        stray = tuple(x + 1 for x in ResMat.from_mat2(q.level, T).key)
+        # a fifth base-N digit: no element packs to it
+        stray = ResMat.from_mat2(q.level, T).key + q.level.norm**4
         with pytest.raises(KeyError):
             coset_words(q)[stray]
 
@@ -264,7 +270,8 @@ class TestCosetWords:
         def chain_word(key):
             letters = []
             while (pred := q.predecessor[key]) is not None:
-                same = (pred[0], pred[1], pred[4], pred[5]) == (key[0], key[1], key[4], key[5])
+                u, w = ResMat(q.level, pred).residues(), ResMat(q.level, key).residues()
+                same = (u[0], u[1], u[4], u[5]) == (w[0], w[1], w[4], w[5])
                 letters.append("T" if same else "S")
                 key = pred
             return "".join(reversed(letters))
@@ -305,7 +312,8 @@ class TestSubgroups:
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
         q = quotient_cache(2)
         bad = ResMat.from_mat2(q.level, MINUS_IDENTITY * T)
-        stray = ResMat(q.level, tuple(x + 1 for x in bad.key))
+        # a fifth base-N digit: no element packs to it
+        stray = ResMat(q.level, bad.key + q.level.norm**4)
         with pytest.raises(ValueError):
             subgroup_generated(q, [stray])
 
@@ -360,7 +368,7 @@ class TestPowerSubgroup:
         # then grow the span from that table
         powers = dict.fromkeys((ResMat(q.level, key) ** k).key for key in q.elements)
         members = {q.elements[0]}
-        gens: list[Key] = []
+        gens: list[int] = []
         for p in powers:
             if p not in members:
                 gens.append(p)
@@ -413,16 +421,17 @@ def key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
     return tuple(entries)
 
 
-def key_mul_closure(level: IdealHNF, gen_keys: list[Key]) -> dict[Key, Key | None]:
-    """The closure as it was before packing: a BFS on keys, each product a
-    general `key_mul`; the reference for the packed walk."""
-    identity = ResMat.identity(level).key
+def key_mul_closure(level: IdealHNF, gen_keys: list[int]) -> dict[Key, Key | None]:
+    """The closure as it was before packing: a BFS on 8-tuples of residues,
+    each product a general `key_mul`; the reference for the packed walk."""
+    gens = [ResMat(level, g).residues() for g in gen_keys]
+    identity = ResMat.identity(level).residues()
     predecessor: dict[Key, Key | None] = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for u in frontier:
-            for g in gen_keys:
+            for g in gens:
                 w = key_mul(u, g, level.d1, level.k, level.d2)
                 if w not in predecessor:
                     predecessor[w] = u
@@ -431,11 +440,11 @@ def key_mul_closure(level: IdealHNF, gen_keys: list[Key]) -> dict[Key, Key | Non
     return predecessor
 
 
-def st_case(level: IdealHNF) -> tuple[IdealHNF, list[Key]]:
+def st_case(level: IdealHNF) -> tuple[IdealHNF, list[int]]:
     return level, [ResMat.from_mat2(level, m).key for m in (S, T)]
 
 
-def delta_case() -> tuple[IdealHNF, list[Key]]:
+def delta_case() -> tuple[IdealHNF, list[int]]:
     level = ideal_from_generator(5)
     return level, [ResMat.from_mat2(level, m).key for m in _delta_matrices()]
 
@@ -457,13 +466,41 @@ CLOSURE_CASES = {
 
 
 class TestPackedClosure:
+    @pytest.mark.parametrize(
+        "level",
+        # (2), (5), (9), the two primes above 11 ((3+L) is [1,4,11]) and
+        # (2)(2+L), whose reduction carries
+        [
+            IdealHNF(2, 0, 2),
+            IdealHNF(5, 0, 5),
+            IdealHNF(9, 0, 9),
+            IdealHNF(1, 4, 11),
+            IdealHNF(1, 8, 11),
+            IdealHNF(2, 6, 10),
+        ],
+        ids=str,
+    )
+    @given(data=st.data())
+    def test_pack_and_decode_invert_each_other(self, level, data):
+        residues = tuple(
+            data.draw(st.integers(0, d - 1)) for _ in range(4) for d in (level.d1, level.d2)
+        )
+        packed = _pack(level, residues)
+        assert 0 <= packed < level.norm**4
+        assert ResMat(level, packed).residues() == residues
+        number = data.draw(st.integers(0, level.norm**4 - 1))
+        assert _pack(level, ResMat(level, number).residues()) == number
+
     @pytest.mark.parametrize("case", CLOSURE_CASES)
     def test_matches_key_mul_bfs(self, case):
         level, gen_keys = CLOSURE_CASES[case]()
         expected = key_mul_closure(level, gen_keys)
-        got = semigroup_closure(level, gen_keys)
+        got = [
+            (_unpack(level, w), None if u is None else _unpack(level, u))
+            for w, u in semigroup_closure(level, gen_keys).items()
+        ]
         # dict equality ignores order, so compare the item sequences
-        assert list(got.items()) == list(expected.items())
+        assert got == list(expected.items())
 
     @pytest.mark.parametrize("case", CLOSURE_CASES)
     def test_packed_result_packs_the_keys(self, case):
@@ -472,19 +509,10 @@ class TestPackedClosure:
             (_pack(level, key), None if pred is None else _pack(level, pred))
             for key, pred in key_mul_closure(level, gen_keys).items()
         ]
-        assert list(semigroup_closure(level, gen_keys, packed=True).items()) == expected
+        assert list(semigroup_closure(level, gen_keys).items()) == expected
 
-    def test_predecessors_are_the_element_keys(self):
-        # each key is decoded once: a predecessor is the same tuple object
-        # as its own entry's key, not an equal copy
-        level, gen_keys = st_case(IdealHNF(1, 4, 11))
-        closure = semigroup_closure(level, gen_keys)
-        keys = {id(key) for key in closure}
-        assert all(pred is None or id(pred) in keys for pred in closure.values())
-
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_cap_at_a_level_of_norm_ten_to_the_ten(self, packed):
+    def test_cap_at_a_level_of_norm_ten_to_the_ten(self):
         level, gen_keys = st_case(ideal_from_generator(100003))
         with pytest.raises(CapExceededError) as exc:
-            semigroup_closure(level, gen_keys, cap=10, packed=packed)
+            semigroup_closure(level, gen_keys, cap=10)
         assert (exc.value.cap, exc.value.partial) == (10, 11)
