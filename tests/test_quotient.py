@@ -511,8 +511,12 @@ class TestPackedClosure:
         ]
         assert list(semigroup_closure(level, gen_keys).items()) == expected
 
-    def test_cap_at_a_level_of_norm_ten_to_the_ten(self):
+    # the cap fires on the first element past it, whatever the generator order
+    @pytest.mark.parametrize("reverse_gens", [False, True])
+    def test_cap_at_a_level_of_norm_ten_to_the_ten(self, reverse_gens):
         level, gen_keys = st_case(ideal_from_generator(100003))
+        if reverse_gens:
+            gen_keys = gen_keys[::-1]
         with pytest.raises(CapExceededError) as exc:
             semigroup_closure(level, gen_keys, cap=10)
         assert (exc.value.cap, exc.value.partial) == (10, 11)
