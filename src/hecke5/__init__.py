@@ -47,7 +47,6 @@ from .quotient import (
     coset_words,
     index_g,
     index_h,
-    is_surjective,
     minus_i_in_level,
     orbit_stabilizer,
     power_subgroup,

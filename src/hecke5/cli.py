@@ -3,10 +3,10 @@
 Every command is a thin adapter over the library, declared once in
 `COMMANDS`; `--json` emits a single JSON document with a versioned
 `schema` field.  Exit codes: 0 success, 1 mathematical failure (a
-verification did not pass), 2 usage error (a malformed literal, an
-integer of over `golden.MAX_LITERAL_DIGITS` digits, a zero divisor, a
-level that is not an ideal or is given by both `--level` and `--hnf`, a
-`--cap` below 1, an `--out` that cannot be written), 3 a
+verification did not pass), 2 usage error (a malformed literal, a
+number that `golden.parse_int` refuses, a zero divisor, a level that is
+not an ideal or is given by both `--level` and `--hnf`, a `--cap` below
+1, an `--out` that cannot be written), 3 a
 safeguard cap was hit (`--cap`, or an internal iteration cap); the error
 goes to stderr and, under `--json`, a `hecke5/v1/error` document with
 `error`, `cap` and `partial` goes to stdout.  A reader that closes stdout
@@ -27,11 +27,12 @@ from typing import Callable, NamedTuple
 from .formula import index_formula
 from .golden import (
     IterationCapError,
-    check_literal_digits,
+    NotAnIntegerError,
     divmod_pseudo,
     format_element,
     gcd_pseudo,
     parse_element,
+    parse_int,
 )
 from .ideals import IdealHNF, factor_ideal, ideal_from_generator
 from .matrices import complete_column, is_member, parse_matrix, reduce_fraction
@@ -49,7 +50,7 @@ from . import verify as verify_mod
 
 def positive_int(text: str) -> int:
     """argparse type of `--cap`; argparse turns the ValueError into exit 2."""
-    n = int(text)
+    n = parse_int(text)
     if n < 1:
         raise ValueError(text)
     return n
@@ -59,13 +60,14 @@ def _level_ideal(args) -> IdealHNF:
     if args.hnf is not None and args.level is not None:
         raise ValueError("give only one of --level or --hnf")
     if args.hnf is not None:
+        usage = f"--hnf takes three integers d1,k,d2, not {args.hnf!r}"
         parts = args.hnf.split(",")
-        for part in parts:
-            check_literal_digits(part)
-        try:
-            d1, k, d2 = (int(x) for x in parts)
-        except ValueError:
-            raise ValueError(f"--hnf takes three integers d1,k,d2, not {args.hnf!r}") from None
+        if len(parts) != 3:
+            raise ValueError(usage)
+        try:  # parse_int's bound and whitespace errors pass through
+            d1, k, d2 = map(parse_int, parts)
+        except NotAnIntegerError:
+            raise ValueError(usage) from None
         return IdealHNF(d1, k, d2)
     if not args.level:
         raise ValueError("one of --level or --hnf is required")
@@ -153,7 +155,7 @@ def cmd_index(args):
         payload["index_h"] = n
         payload["orbit"] = orbit
         payload["stabilizer"] = stabilizer
-        payload["index_g"] = index_g(ideal, index=n)
+        payload["index_g"] = index_g(ideal, n)
         payload["surjective"] = n == payload["sl2_order"]
         lines.append(f"index (enumerated)  = {n}")
         lines.append(f"index in G (mod +-I) = {payload['index_g']}")

@@ -229,17 +229,25 @@ def lambda_power(k: int) -> GoldenInt:
 
 
 MAX_LITERAL_DIGITS = 700
+DIGITS = "0123456789"
 
 
-def check_literal_digits(text: str) -> None:
-    """Refuse an integer literal of more than MAX_LITERAL_DIGITS digits
-    with a ValueError that names the bound.  Within it every answer
-    prints: the largest, an index, has at most about six times the digits
-    of its level's coordinates, below Python's 4300-digit limit on
-    converting an int to a string."""
-    n = sum(c.isdigit() for c in text)
-    if n > MAX_LITERAL_DIGITS:
-        raise ValueError(f"{n}-digit integer literal: the bound is {MAX_LITERAL_DIGITS} digits")
+class NotAnIntegerError(ValueError):
+    """Text that is not an integer under `parse_int`'s grammar."""
+
+
+def parse_int(text: str) -> int:
+    """The one integer grammar: an optional sign and 1 to MAX_LITERAL_DIGITS
+    ASCII digits, whitespace as in `squeeze_whitespace`.  The bound keeps
+    every answer printable: an index has at most about six times its
+    level's digits, below Python's 4300-digit limit on str(int)."""
+    s = squeeze_whitespace(text)
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not digits or digits.strip(DIGITS):  # what strip leaves is no digit
+        raise NotAnIntegerError(f"not an integer: {text!r}")
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"{len(digits)}-digit integer literal: the bound is {MAX_LITERAL_DIGITS} digits")
+    return int(s)
 
 
 def parse_element(text: str) -> GoldenInt:
@@ -249,8 +257,8 @@ def parse_element(text: str) -> GoldenInt:
 
     Examples: `3+2L`, `-4L-2`, `0`, `L`.  Whitespace around signs, terms
     and `L` is insignificant.  `2L3`, `LL`, `L2` and `2 3` are errors, not
-    products, sums or one number, and so is an integer of more than
-    MAX_LITERAL_DIGITS digits.
+    products, sums or one number, and so is an integer that `parse_int`
+    refuses.
     """
     s = squeeze_whitespace(text)
     if not s:
@@ -265,17 +273,14 @@ def parse_element(text: str) -> GoldenInt:
             i += 1
         elif seen_term:
             raise ValueError(f"expected '+' or '-' at position {i}: {text!r}")
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        digits = s[i:j]
-        check_literal_digits(digits)
+        j = len(s) - len(s[i:].lstrip(DIGITS))  # the end of the digits at i
+        n = parse_int(s[i:j]) if j > i else None
         i = j
         if i < len(s) and s[i] in "Ll":
-            b += sign * (int(digits) if digits else 1)
+            b += sign * (1 if n is None else n)
             i += 1
-        elif digits:
-            a += sign * int(digits)
+        elif n is not None:
+            a += sign * n
         else:
             raise ValueError(f"bad element literal at position {i}: {text!r}")
         seen_term = True
@@ -287,7 +292,7 @@ def squeeze_whitespace(text: str) -> str:
     is a ValueError: removing it would join two numbers into one."""
     tokens = text.split()
     for left, right in zip(tokens, tokens[1:]):
-        if left[-1].isdigit() and right[0].isdigit():
+        if left[-1] in DIGITS and right[0] in DIGITS:
             raise ValueError(f"whitespace between digits: {text!r}")
     return "".join(tokens)
 

@@ -226,7 +226,7 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
         return []
     out = []
     check = IdealHNF(1, 0, 1)
-    for p in sorted(_factor_int(ideal.norm)):
+    for p in sorted(_factor_int(ideal.d2)):  # d1 | d2: the norm's primes
         for pf in split_rational_prime(p):
             e = 0
             power = pf.prime  # P^(e+1); once e > 0, exact is P^e

@@ -5,8 +5,8 @@ Two engines, one per kind of question:
 - Counting.  The order of the image (the index [H : H(A)]) comes from
   orbit-stabilizer: `orbit_stabilizer` walks the orbit of the column e1
   and spans the stabilizer of e1 by Schreier generators, storing one
-  column per orbit point and no group elements.  `index_h`, `index_g`
-  and `is_surjective` use it.
+  column per orbit point and no group elements.  `index_h` is its
+  product, and `index_g` halves that unless -I = I mod A.
 - Elements and words.  `semigroup_closure` is the one breadth-first
   closure: from the identity under right-multiplication by the given
   generators (a finite group, so semigroup closure suffices and words
@@ -243,21 +243,14 @@ def sl2_order(level: IdealHNF) -> int:
     return prod(sl2_factor(pf.prime.norm, pf.exponent) for pf in factor_ideal(level))
 
 
-def is_surjective(level: IdealHNF, cap: int = DEFAULT_CAP) -> bool:
-    """Whether reduction mod the level maps onto SL2 of the residue ring."""
-    return index_h(level, cap) == sl2_order(level)
-
-
 def minus_i_in_level(level: IdealHNF) -> bool:
     """-I = I mod A exactly when A divides (2), whose HNF is [2,0,2]."""
     return ideal_divides(level, IdealHNF(2, 0, 2))
 
 
-def index_g(level: IdealHNF, cap: int = DEFAULT_CAP, *, index: int | None = None) -> int:
-    """Index of the level in the inhomogeneous (mod +-I) group.  `index`
-    is [H : H(level)] when the caller has already counted it."""
-    n = index_h(level, cap) if index is None else index
-    return n if minus_i_in_level(level) else n // 2
+def index_g(level: IdealHNF, index: int) -> int:
+    """The level's index in the group mod +-I, from `index` = [H : H(level)]."""
+    return index if minus_i_in_level(level) else index // 2
 
 
 def coset_words(q: QuotientGroup) -> dict[int, str]:

@@ -31,6 +31,7 @@ from hecke5.quotient import (
     ResMat,
     coset_words,
     index_g,
+    index_h,
     sl2_order,
     subgroup_generated,
 )
@@ -126,13 +127,15 @@ class TestCriterion3Surjectivity:
 
 class TestCriterion4InhomogeneousIndices:
     def test_level_two_and_four(self, quotient_cache):
-        assert index_g(ideal_from_generator(2)) == 10
+        two, four = ideal_from_generator(2), ideal_from_generator(4)
+        g2, g4 = index_g(two, index_h(two)), index_g(four, index_h(four))
+        assert g2 == 10
         q4 = quotient_cache(4)
         imgs = [ResMat.from_mat2(q4.level, m) for m in LEVEL2_GENERATORS]
         order_mod4 = subgroup_generated(q4, imgs).order
         assert order_mod4 == 16
         # [G(2):G(4)] = [G:G(4)] / [G:G(2)] also gives 16
-        assert index_g(ideal_from_generator(4)) // index_g(ideal_from_generator(2)) == 16
+        assert g4 // g2 == 16
         print("PASS criterion 4: [G:G(2)] = 10 and [G(2):G(4)] = 16")
 
 

@@ -18,7 +18,11 @@ from conftest import run_python_O, src_env
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of `main`; argparse's own exit counts."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -141,6 +145,58 @@ class TestLiteralBound:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {digits}-digit integer literal: the bound is 700 digits\n"
+
+
+# every reader of an integer from outside, as the argv that hands it the
+# numeral t; `index --formula` enumerates nothing, so any cap is enough
+READERS = {
+    "norm": lambda t: ["norm", t],
+    "member": lambda t: ["member", f"[[1,{t}],[0,1]]"],
+    "level": lambda t: ["factor", "--level", t],
+    "hnf": lambda t: ["factor", "--hnf", f"{t},0,{t}"],
+    "cap": lambda t: ["index", "--formula", "--level", "2", "--cap", t],
+}
+
+
+class TestIntegerGrammar:
+    """One integer grammar, `golden.parse_int`, at every reader: an
+    optional sign and ASCII digits.  Python's int also reads `1_0` and
+    other scripts' digits; `1²` passes str.isdigit but not int."""
+
+    @pytest.mark.parametrize("numeral", ["1_0", "٣", "1²", "0x10", "1e3"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_not_an_integer_is_usage_error(self, capsys, reader, numeral):
+        argv = READERS[reader](numeral)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid literal for int()" not in err
+        if reader == "cap":
+            # argparse puts its usage lines before its one error line
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"hecke5 index: error: argument --cap: invalid positive_int value: '{numeral}'"
+            ]
+        elif reader == "hnf":
+            assert err == f"error: --hnf takes three integers d1,k,d2, not {argv[-1]!r}\n"
+        else:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("numeral", ["+2", " 2 "])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_sign_and_surrounding_spaces_are_accepted(self, capsys, reader, numeral):
+        plain = run(capsys, *READERS[reader]("2"))
+        assert plain[0] == 0
+        assert run(capsys, *READERS[reader](numeral)) == plain
+
+    def test_hnf_whitespace_between_digits(self, capsys):
+        # a space inside a number gets the literals' message, not the flag's
+        code, out, err = run(capsys, "factor", "--hnf", "1 2,0,2")
+        assert (code, out, err) == (2, "", "error: whitespace between digits: '1 2'\n")
+
+    def test_cap_over_the_bound_is_usage_error(self, capsys):
+        cap = "1" + "0" * MAX_LITERAL_DIGITS
+        code, out, err = run(capsys, *READERS["cap"](cap))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"argument --cap: invalid positive_int value: '{cap}'")
 
 
 class TestMatrixCommands:

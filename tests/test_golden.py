@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -10,6 +11,7 @@ from hecke5.golden import (
     GoldenInt,
     IterationCapError,
     LAMBDA,
+    MAX_LITERAL_DIGITS,
     NotAUnitError,
     ONE,
     ZERO,
@@ -19,6 +21,7 @@ from hecke5.golden import (
     gcd_pseudo,
     lambda_power,
     parse_element,
+    parse_int,
     power,
     unit_log,
 )
@@ -267,6 +270,40 @@ class TestLiterals:
     @given(elements)
     def test_roundtrip(self, x):
         assert parse_element(format_element(x)) == x
+
+
+# the characters Python's int reads as digits but parse_int does not:
+# `_` and every non-ASCII character for which str.isdigit is true
+FOREIGN_DIGITS = ["_"] + [
+    c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isdigit()
+]
+
+
+class TestParseInt:
+    @given(
+        st.text(" ", max_size=2),
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=MAX_LITERAL_DIGITS),
+        st.text(" ", max_size=2),
+    )
+    def test_equals_int_on_ascii_numerals(self, left, sign, digits, right):
+        text = left + sign + digits + right
+        assert parse_int(text) == int(text)
+
+    @given(st.text(), st.sampled_from(FOREIGN_DIGITS), st.text())
+    def test_refuses_underscores_and_foreign_digits(self, left, c, right):
+        with pytest.raises(ValueError):
+            parse_int(left + c + right)
+
+    @pytest.mark.parametrize("bad", ["", "+", "-", "+-1", "1_0", "0x10", "1e3", "1.0", "٣", "1²"])
+    def test_errors(self, bad):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+
+    def test_bound(self):
+        assert parse_int("-" + "9" * MAX_LITERAL_DIGITS) == -(10**MAX_LITERAL_DIGITS - 1)
+        with pytest.raises(ValueError, match="701-digit integer literal: the bound is 700 digits"):
+            parse_int("1" * (MAX_LITERAL_DIGITS + 1))
 
 
 def test_gcd_terminates_on_stress_samples():

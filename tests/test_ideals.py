@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -246,6 +247,16 @@ class TestFactorIdeal:
 
     def test_unit_ideal_empty(self):
         assert factor_ideal(IdealHNF(1, 0, 1)) == []
+
+    def test_rational_prime_level_trial_divides_d2(self):
+        # (1000000007), 2 mod 5, is inert: its norm is p^2, but the trial
+        # division runs on d2 = p, so only up to sqrt(p)
+        start = time.perf_counter()
+        factors = factor_ideal(ideal_from_generator(1000000007))
+        assert time.perf_counter() - start < 10
+        assert [(f.rational_prime, f.exponent, f.residue_degree) for f in factors] == [
+            (1000000007, 1, 2)
+        ]
 
     @given(nonzero_elements)
     @settings(max_examples=60, deadline=None)

@@ -23,7 +23,6 @@ from hecke5.quotient import (
     index_g,
     index_h,
     is_normal,
-    is_surjective,
     minus_i_in_level,
     orbit_stabilizer,
     power_subgroup,
@@ -208,8 +207,9 @@ class TestIndexHelpers:
         assert index_h(six) == quotient_cache(2).order * quotient_cache(3).order == 1200
 
     def test_index_g(self):
-        assert index_g(ideal_from_generator(2)) == 10
-        assert index_g(ideal_from_generator(4)) == 160
+        two, four = ideal_from_generator(2), ideal_from_generator(4)
+        assert index_g(two, index_h(two)) == 10
+        assert index_g(four, index_h(four)) == 160
 
     def test_minus_i(self):
         assert minus_i_in_level(ideal_from_generator(2))
@@ -227,9 +227,11 @@ class TestIndexHelpers:
             sl2_order(IdealHNF(1, 0, 1))
 
     def test_surjectivity(self):
-        assert is_surjective(ideal_from_generator(GoldenInt(3, 1)))  # norm 11
-        assert not is_surjective(ideal_from_generator(2))
-        assert not is_surjective(ideal_from_generator(3))
+        # reduction maps onto SL2 exactly when the counted index is |SL2|
+        # of the residue ring; 3+L has norm 11
+        for gen, onto in [(GoldenInt(3, 1), True), (2, False), (3, False)]:
+            level = ideal_from_generator(gen)
+            assert (index_h(level) == sl2_order(level)) is onto, gen
 
 
 class TestCosetWords:

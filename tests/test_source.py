@@ -54,3 +54,31 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_one_integer_grammar():
+    # every number read from outside goes through golden.parse_int: the
+    # builtin int is called, or handed to a caller such as argparse's
+    # `type=`, only inside it, and str.isdigit (true for any script's
+    # digits and for superscripts) nowhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parse_int = {
+            id(node)
+            for f in tree.body
+            if path.name == "golden.py" and getattr(f, "name", None) == "parse_int"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "isdigit":
+                found.append(f"{path.name}:{node.lineno} .isdigit()")
+            if id(node) in parse_int or getattr(func, "id", None) in ("isinstance", "issubclass"):
+                continue
+            values = [func, *node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(v, ast.Name) and v.id == "int" for v in values):
+                found.append(f"{path.name}:{node.lineno} int")
+    assert found == []
