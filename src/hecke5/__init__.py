@@ -23,6 +23,7 @@ from .ideals import (
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
+    ideals_up_to,
     lattice_hnf,
     split_rational_prime,
 )

@@ -49,8 +49,17 @@ from .quotient import (
 from . import verify as verify_mod
 
 def positive_int(text: str) -> int:
-    """argparse type of `--cap`; argparse turns the ValueError into exit 2."""
-    n = parse_int(text)
+    """argparse type of `--cap`; argparse turns the ValueError into exit 2.
+
+    argparse reports a ValueError only as `invalid positive_int value`, so
+    `parse_int`'s other reasons (the digit bound, whitespace between
+    digits) go out as ArgumentTypeError, whose message argparse prints."""
+    try:
+        n = parse_int(text)
+    except NotAnIntegerError:
+        raise
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if n < 1:
         raise ValueError(text)
     return n

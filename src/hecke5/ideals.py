@@ -130,6 +130,24 @@ def ideal_pow(x: IdealHNF, n: int) -> IdealHNF:
     return out
 
 
+def ideals_up_to(norm: int) -> list[IdealHNF]:
+    """Every ideal of norm 2 to `norm`, ordered by (norm, d1, k).
+
+    An ideal's HNF is d1 times that of a primitive ideal (1, j, m): L *
+    (0, d2) = (d2, d2) lies in the lattice only when d1 | d2 and d1 | k.
+    And (1, j, m) is an ideal exactly when L * (1 + jL) = j + (1 + j)L
+    lies in it, that is, when j^2 - j - 1 = 0 mod m.  So the scan is over
+    d1, m and j < m, and `IdealHNF` checks each triple it keeps.
+    """
+    out = []
+    for d1 in range(1, math.isqrt(norm) + 1):
+        for m in range(1, norm // (d1 * d1) + 1):
+            out.extend(
+                IdealHNF(d1, j * d1, d1 * m) for j in range(m) if (j * j - j - 1) % m == 0
+            )
+    return sorted((x for x in out if x.norm >= 2), key=lambda x: (x.norm, x.d1, x.k))
+
+
 def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:
     """True iff y is contained in x as a lattice (i.e. x | y)."""
     return all(x.contains(e) for e in y.basis())

@@ -3,10 +3,13 @@
 Two engines, one per kind of question:
 
 - Counting.  The order of the image (the index [H : H(A)]) comes from
-  orbit-stabilizer: `orbit_stabilizer` walks the orbit of the column e1
-  and spans the stabilizer of e1 by Schreier generators, storing one
-  column per orbit point and no group elements.  `index_h` is its
-  product, and `index_g` halves that unless -I = I mod A.
+  `orbit_stabilizer`, a three-level stabilizer chain: the orbit of the
+  line <e1> in P^1(O/A), then the units U' that the line's stabilizer
+  puts on e1, then the translations K that fix e1.  Each of its orbits
+  has about N(A) points, where the orbit of the column e1 itself has
+  about N(A)^2, and it keeps one transversal matrix per line and one
+  lift per unit.  `index_h` is the product of its two counts, and
+  `index_g` halves that unless -I = I mod A.
 - Elements and words.  `semigroup_closure` is the one breadth-first
   closure: from the identity under right-multiplication by the given
   generators (a finite group, so semigroup closure suffices and words
@@ -26,7 +29,9 @@ the four entries are the base-N digits of one int, row-major.  It is
 which makes the enumeration deterministic, hashable and small.  Only
 this module reads the digits: `ResMat` decodes its operands for its
 arithmetic, and `ResMat.residues` gives the eight residue integers to
-a caller that prints them.  The closure multiplies by table lookups on
+a caller that prints them.  (The chain does arithmetic on every
+transversal matrix it keeps, so it keeps them decoded, as `Key`
+tuples, and none leaves it.)  The closure multiplies by table lookups on
 packed rows, tables filled on demand, one general row product per
 generator for each row that occurs, so nothing is sized by N(A) and a
 cap error at a level of norm 10^10 comes as fast as at (2).
@@ -37,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import add
+from typing import Callable
 
 from .formula import sl2_factor
 from .golden import GoldenInt, format_element, power
-from .ideals import IdealHNF, factor_ideal, ideal_divides, lattice_hnf
+from .ideals import IdealHNF, factor_ideal, ideal_divides, ideal_pow, lattice_hnf
 from .matrices import Mat2, S, T
 
 # the reduced pairs of the four entries, row-major: an element decoded
@@ -57,6 +63,7 @@ class CapExceededError(RuntimeError):
 
 
 Row = tuple[int, int, int, int]
+Pair = tuple[int, int]  # one residue (x, y), x + yL
 
 
 def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
@@ -176,62 +183,219 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     return QuotientGroup(level, semigroup_closure(level, gen_keys, cap))
 
 
-def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(|orbit of e1|, |stabilizer of e1|) for the image of the group mod
-    the level acting on columns; their product is the image's order.
+def _residue_ops(m: IdealHNF):
+    """Arithmetic of O/m on residues (x, y) = x + yL, L^2 = L + 1, with
+    `reduce_pair` inlined: reduction, the product xy, and xy - zw."""
+    d1, k, d2 = m.d1, m.k, m.d2
 
-    Each orbit point v = (a, c) keeps only the second column (q, s) of a
-    transversal element t_v with first column v.  A non-tree edge v -> w
-    under g in {S, T} gives the Schreier generator t_w^-1 g t_v, which
-    fixes e1 and so is [[1, b], [0, 1]].  These b together with the level
-    span a lattice of Z^2 (not always an ideal: at (2) it is Z*2 + Z*L),
-    and the stabilizer, a group of translations, has order
-    N(level) / det of that lattice.  Raises CapExceededError once the
-    orbit holds more than `cap` points.
-    """
-    if level.norm < 2:
-        raise ValueError("level must be a proper ideal (norm >= 2)")
-    d1, k, d2 = level.d1, level.k, level.d2
-
-    def red(x: int, y: int) -> tuple[int, int]:
+    def red(x: int, y: int) -> Pair:
         q = x // d1
         return x - q * d1, (y - q * k) % d2
 
-    # points and columns are flat (x, y, x', y') pairs of residues x + yL
+    def mul(x: Pair, y: Pair) -> Pair:
+        x0, x1 = x
+        y0, y1 = y
+        s = x0 * y0 + x1 * y1
+        q = s // d1
+        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - q * k) % d2
+
+    def cross(x: Pair, y: Pair, z: Pair, w: Pair) -> Pair:
+        x0, x1 = x
+        y0, y1 = y
+        z0, z1 = z
+        w0, w1 = w
+        s = x0 * y0 + x1 * y1 - z0 * w0 - z1 * w1
+        q = s // d1
+        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - z0 * w1 - z1 * w0 - z1 * w1 - q * k) % d2
+
+    return red, mul, cross
+
+
+def _line_form(prime: IdealHNF, e: int) -> Callable[[Pair, Pair], int]:
+    """The canonical form in P^1(O/P^e) of the line through a unimodular
+    column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
+    else (1, c/a).  The inverse of a unit x is x^(|(O/P^e)*| - 1), and
+    each residue's inverse is computed once."""
+    power_ideal = ideal_pow(prime, e)
+    n, d2 = power_ideal.norm, power_ideal.d2
+    red, mul, _ = _residue_ops(power_ideal)
     one = red(1, 0)
-    e1 = (*one, 0, 0)
-    column = {e1: (0, 0, *one)}
-    queue = [e1]
-    bs: set[tuple[int, int]] = set()
-    for v in queue:
-        ax, ay, cx, cy = v
-        qx, qy, sx, sy = column[v]
-        # S (a, c) = (c, -a); T (a, c) = (a + L c, c), with L (x + yL) = y + (x + y)L
-        for w, col in (
-            ((cx, cy, *red(-ax, -ay)), (sx, sy, *red(-qx, -qy))),
-            ((*red(ax + cy, ay + cx + cy), cx, cy), (*red(qx + sy, qy + sx + sy), sx, sy)),
+    exponent = prime.norm ** (e - 1) * (prime.norm - 1) - 1
+    inverses: dict[Pair, Pair | None] = {}
+
+    def inverse(x: Pair) -> Pair | None:
+        # None when x lies in P, that is, is no unit
+        if x not in inverses:
+            inv = None
+            if prime.reduce_pair(*x) != (0, 0):
+                inv, base, left = one, x, exponent
+                while left:
+                    if left & 1:
+                        inv = mul(inv, base)
+                    base, left = mul(base, base), left >> 1
+            inverses[x] = inv
+        return inverses[x]
+
+    def line_form(a: Pair, c: Pair) -> int:
+        a, c = red(*a), red(*c)
+        inv = inverse(c)
+        if inv is not None:
+            x, y = mul(a, inv)
+            return x * d2 + y
+        x, y = mul(c, inverse(a))  # type: ignore[arg-type]
+        return n + x * d2 + y
+
+    return line_form
+
+
+class _LineStabilizer:
+    """G0, the stabilizer of the line <e1> mod a level, given by its
+    generators [[u, b], [0, u^-1]] one at a time (`add`): U', the group
+    of the u, with one lift [[u, b], [0, u^-1]] in G0 per u, kept as
+    `lifts[u] = (b, u^-1)`, and K, the translations [[1, x], [0, 1]] of
+    G0, kept as a lattice of Z^2 spanned with the level.
+
+    A generator whose u lies outside U' so far joins `chosen`, and U' is
+    extended by walking each new edge once; every other generator, and
+    every edge that meets a point already reached (a collision), is
+    sifted through the lift of its u to a translation.  Conjugation by
+    [[u, b], [0, u^-1]] scales a translation by u^2, so `translations`
+    closes K under multiplication by u^2 for each chosen u.
+    """
+
+    def __init__(self, level: IdealHNF, cap: int):
+        self.level, self.cap = level, cap
+        self.red, self.mul, self.cross = _residue_ops(level)
+        one = self.red(1, 0)
+        self.lifts: dict[Pair, tuple[Pair, Pair]] = {one: ((0, 0), one)}
+        self.chosen: list[tuple[Pair, Pair, Pair]] = []
+        self.lattice = (level.d1, level.k, level.d2)  # K's HNF triple
+
+    def span(self, x: Pair) -> None:
+        f1, fk, f2 = self.lattice
+        q = x[0] // f1
+        if x[0] - q * f1 or (x[1] - q * fk) % f2:
+            self.lattice = lattice_hnf([(f1, fk), (0, f2), x])
+
+    def sift(self, u: Pair, b: Pair) -> None:
+        # lift(u)^-1 [[u, b], [0, u^-1]] = [[1, u^-1 (b - b_lift)], [0, 1]]
+        lift_b, u_inv = self.lifts[u]
+        self.span(self.mul(u_inv, self.red(b[0] - lift_b[0], b[1] - lift_b[1])))
+
+    def add(self, u: Pair, b: Pair, u_inv: Pair, lines: int) -> None:
+        """Add a generator; raise CapExceededError once `lines` times
+        |U'| exceeds the cap."""
+        lifts = self.lifts
+        if u in lifts:
+            self.sift(u, b)
+            return
+        mul, cross, red = self.mul, self.cross, self.red
+        chosen = self.chosen
+        chosen.append((u, b, u_inv))
+        # the new generator on every old point, every generator on every
+        # new point: each edge is walked once, from its point's final lift
+        pending = [(p, chosen[-1:]) for p in lifts]
+        for p, gens in pending:
+            p_b, p_inv = lifts[p]
+            for g_u, g_b, g_inv in gens:
+                # lift(p) g = [[p g_u, p g_b + p_b g_inv], [0, p_inv g_inv]]
+                q, q_b = mul(p, g_u), cross(p, g_b, p_b, red(-g_inv[0], -g_inv[1]))
+                if q in lifts:
+                    self.sift(q, q_b)
+                    continue
+                lifts[q] = (q_b, mul(p_inv, g_inv))
+                pending.append((q, chosen))
+                if lines * len(lifts) > self.cap:
+                    raise CapExceededError(self.cap, self.cap + 1, "orbit")
+
+    def translations(self) -> int:
+        """|K|, once every generator is added."""
+        squares = [self.mul(u, u) for u, _, _ in self.chosen]
+        grown = True
+        while grown:
+            before = self.lattice
+            for sq in squares:
+                f1, fk, f2 = self.lattice
+                self.span(self.mul((f1, fk), sq))
+                self.span(self.mul((0, f2), sq))
+            grown = self.lattice != before
+        return self.level.norm // (self.lattice[0] * self.lattice[2])
+
+
+def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
+    """(|orbit of e1|, |stabilizer of e1|) for the image G of the group
+    mod the level acting on columns; their product is the image's order.
+
+    Counted through a stabilizer chain with base the line <e1> in
+    P^1(O/A), then e1 (Sims 1970; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.1 and 4.4), so every orbit it
+    walks has about N(A) points, not N(A)^2:
+
+    - Lines.  The orbit of <e1> under S and T, each line with one
+      transversal matrix t whose first column lies on it.  A line is
+      keyed by its local canonical forms over the P^e || A
+      (`_line_form`).  A repeated line w = g v gives the Schreier
+      generator t_w^-1 g t_v = [[u, b], [0, u^-1]] of G0, the
+      stabilizer of <e1>.
+    - U' and K (`_LineStabilizer`).  The u of G0 form a group of units
+      U', the orbit of e1 under G0, and K, the stabilizer of e1, is the
+      group of translations [[1, x], [0, 1]] in G0.  K is a lattice of
+      Z^2 with the level (`lattice_hnf`), not always an ideal: at (2)
+      it is Z*2 + Z*L.  |K| = N(A) / det.
+
+    The orbit of e1 has lines * |U'| points, and `cap` bounds that count:
+    CapExceededError(cap, cap + 1) is raised once the lines walked, or
+    the lines so far times |U'| so far, exceed it.  Its `partial`, cap +
+    1, means "more than cap points".  The line keys rest on
+    `factor_ideal`, as the closed formula does, but `factor_ideal`
+    raises unless its factors multiply back to the level, so a wrong
+    factorization cannot make the count and the formula agree silently.
+    """
+    if level.norm < 2:
+        raise ValueError("level must be a proper ideal (norm >= 2)")
+    red, _, cross = _residue_ops(level)
+    forms = [_line_form(pf.prime, pf.exponent) for pf in factor_ideal(level)]
+    radix = 2 * level.norm
+
+    def line_key(a: Pair, c: Pair) -> int:
+        key = 0
+        for form in forms:
+            key = key * radix + form(a, c)
+        return key
+
+    stabilizer = _LineStabilizer(level, cap)
+    one = red(1, 0)
+    identity: Key = (*one, 0, 0, 0, 0, *one)
+    transversal = {line_key(one, (0, 0)): identity}  # line key -> t
+    queue = [identity]
+    for ax, ay, bx, by, cx, cy, dx, dy in queue:
+        # S t = [[-c, -d], [a, b]]; T t = [[a + Lc, b + Ld], [c, d]],
+        # with L (x + yL) = y + (x + y)L
+        for m in (
+            (*red(-cx, -cy), *red(-dx, -dy), ax, ay, bx, by),
+            (*red(ax + cy, ay + cx + cy), *red(bx + dy, by + dx + dy), cx, cy, dx, dy),
         ):
-            known = column.get(w)
-            if known is None:
-                column[w] = col
-                queue.append(w)
+            m11, m12, m21, m22 = m[0:2], m[2:4], m[4:6], m[6:8]
+            key = line_key(m11, m21)
+            tw = transversal.get(key)
+            if tw is None:
+                transversal[key] = m
+                queue.append(m)
                 if len(queue) > cap:
-                    raise CapExceededError(cap, len(queue), "orbit")
-            elif known != col:
-                # b = s_w q' - q_w s' for (q_w, s_w) = known and (q', s') = col,
-                # with GoldenInt.__mul__'s product formula inlined for speed
-                wqx, wqy, wsx, wsy = known
-                px, py, rx, ry = col
-                bs.add(red(
-                    wsx * px + wsy * py - wqx * rx - wqy * ry,
-                    wsx * py + wsy * px + wsy * py - wqx * ry - wqy * rx - wqy * ry,
-                ))
-    f1, _, f2 = lattice_hnf([(d1, k), (0, d2), *bs])
-    return len(queue), level.norm // (f1 * f2)
+                    raise CapExceededError(cap, cap + 1, "orbit")
+                continue
+            # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 m = [[u, b], [0, u^-1]]
+            aw, bw, cw, dw = tw[0:2], tw[2:4], tw[4:6], tw[6:8]
+            u, b, u_inv = cross(dw, m11, bw, m21), cross(dw, m12, bw, m22), cross(aw, m22, cw, m12)
+            stabilizer.add(u, b, u_inv, len(queue))
+    units = len(stabilizer.lifts)
+    if len(queue) * units > cap:
+        raise CapExceededError(cap, cap + 1, "orbit")
+    return len(queue) * units, stabilizer.translations()
 
 
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
-    """[H : H(level)], counted by orbit-stabilizer; `cap` bounds orbit points."""
+    """[H : H(level)], counted by `orbit_stabilizer`; `cap` bounds orbit points."""
     orbit, stabilizer = orbit_stabilizer(level, cap)
     return orbit * stabilizer
 

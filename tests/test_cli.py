@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +197,15 @@ class TestIntegerGrammar:
         cap = "1" + "0" * MAX_LITERAL_DIGITS
         code, out, err = run(capsys, *READERS["cap"](cap))
         assert (code, out) == (2, "")
-        assert err.splitlines()[-1].endswith(f"argument --cap: invalid positive_int value: '{cap}'")
+        assert err.splitlines()[-1].endswith(
+            f"argument --cap: {MAX_LITERAL_DIGITS + 1}-digit integer literal: "
+            f"the bound is {MAX_LITERAL_DIGITS} digits"
+        )
+
+    def test_cap_whitespace_between_digits(self, capsys):
+        code, out, err = run(capsys, *READERS["cap"]("1 2"))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("argument --cap: whitespace between digits: '1 2'")
 
 
 class TestMatrixCommands:
@@ -339,6 +348,22 @@ class TestCapErrors:
         assert payload["cap"] == 100
         assert payload["partial"] == 101
         assert "exceeded cap 100" in payload["error"]
+
+    def test_cap_at_a_level_of_norm_ten_to_the_ten(self, capsys):
+        # (100003) is inert, of norm about 10^10: the line walk passes the
+        # cap after 11 lines, long before an orbit of about 10^20 columns
+        start = time.perf_counter()
+        code, out, err = run(capsys, "index", "--enumerate", "--level", "100003", "--cap", "10")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", "error: orbit exceeded cap 10 (partial count 11)\n")
+
+    def test_orbit_of_a_hundred_million_columns(self, capsys):
+        # (101) has norm 10,201: the orbit of e1 has 104,040,000 points,
+        # counted without walking them
+        code, payload = run_json(capsys, "index", "--level", "101", "--cap", "200000000")
+        assert code == 0
+        assert payload["agrees"] is True
+        assert (payload["orbit"], payload["stabilizer"]) == (104040000, 10201)
 
     def test_cosets_cap_bounds_elements(self, capsys):
         code, _, err = run(capsys, "cosets", "--level", "3", "--cap", "119")

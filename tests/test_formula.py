@@ -11,11 +11,10 @@ from hecke5.ideals import (
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
+    ideals_up_to,
     split_rational_prime,
 )
 from hecke5.quotient import index_h, sl2_order
-
-from test_quotient import principal_levels
 
 TAU = GoldenInt(2, 1)
 TAU_IDEAL = IdealHNF(1, 3, 5)
@@ -143,7 +142,7 @@ class TestIndexPrimePower:
         # among them the mixed tau^2 sigma above 11
         assert levels == {
             level
-            for level in principal_levels(2, 2000)
+            for level in ideals_up_to(2000)
             if len(sympy.factorint(level.norm)) == 1
         }
         assert len(levels) == 329

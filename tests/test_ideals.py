@@ -17,6 +17,7 @@ from hecke5.ideals import (
     ideal_from_generator,
     ideal_mul,
     ideal_pow,
+    ideals_up_to,
     lattice_hnf,
     split_rational_prime,
 )
@@ -270,6 +271,28 @@ class TestFactorIdeal:
         assert ideal.norm == 1 or all(
             f.prime.norm > 1 for f in factors
         )
+
+
+class TestIdealsUpTo:
+    def test_every_triple_that_is_an_ideal(self):
+        # every HNF triple of norm 2..150, k < d2 unrestricted: the ones
+        # IdealHNF accepts, in (norm, d1, k) order
+        expected = []
+        for d1 in range(1, 151):
+            for d2 in range(1, 150 // d1 + 1):
+                for k in range(d2):
+                    if d1 * d2 >= 2:
+                        try:
+                            expected.append(IdealHNF(d1, k, d2))
+                        except ValueError:
+                            pass
+        expected.sort(key=lambda x: (x.norm, x.d1, x.k))
+        assert ideals_up_to(150) == expected
+
+    def test_below_the_first_ideal(self):
+        # no ideal has norm 2 or 3: 2 and 3 are inert
+        assert ideals_up_to(1) == ideals_up_to(3) == []
+        assert ideals_up_to(4) == [IdealHNF(2, 0, 2)]
 
 
 def residue(ideal: IdealHNF, x: GoldenInt) -> GoldenInt:

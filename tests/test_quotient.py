@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 
 import pytest
@@ -8,13 +7,15 @@ from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
-from hecke5.ideals import IdealHNF, ideal_from_generator, ideal_mul
+from hecke5.ideals import IdealHNF, ideal_from_generator, ideal_mul, ideals_up_to, lattice_hnf
 from hecke5.matrices import IDENTITY, MINUS_IDENTITY, S, T, eval_word
 from hecke5.quotient import (
+    DEFAULT_CAP,
     CapExceededError,
     Key,
     QuotientGroup,
     ResMat,
+    _LineStabilizer,
     _pack,
     _unpack,
     SubgroupHandle,
@@ -38,19 +39,6 @@ from conftest import random_word, run_python_O
 from test_acceptance import BASE_LEVELS
 
 TAU = GoldenInt(2, 1)
-
-
-def principal_levels(lo: int, hi: int) -> list[IdealHNF]:
-    """Every level of norm in [lo, hi], once each (Z[L] is a PID, and a box
-    of side about sqrt(hi) holds a generator of each)."""
-    bound = math.isqrt(hi) + 2
-    levels = {
-        ideal_from_generator(g)
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, bound + 1)
-        if lo <= (g := GoldenInt(a, b)).norm() <= hi
-    }
-    return sorted(levels, key=lambda x: (x.norm, x.d1, x.k))
 
 
 class TestBuildQuotient:
@@ -152,6 +140,100 @@ class TestResMatPower:
                 assert m**n == product, (key, n)
 
 
+def column_walk(level: IdealHNF) -> tuple[int, int]:
+    """(|orbit of e1|, |stabilizer of e1|) as `orbit_stabilizer` counted
+    them before the stabilizer chain: walk the orbit of the column e1,
+    about N(A)^2 points, keeping one transversal second column per point,
+    and span the translations of its Schreier generators; the reference
+    for the chain."""
+    d1, k, d2 = level.d1, level.k, level.d2
+
+    def red(x: int, y: int) -> tuple[int, int]:
+        q = x // d1
+        return x - q * d1, (y - q * k) % d2
+
+    one = red(1, 0)
+    e1 = (*one, 0, 0)
+    column = {e1: (0, 0, *one)}
+    queue = [e1]
+    bs = set()
+    for v in queue:
+        ax, ay, cx, cy = v
+        qx, qy, sx, sy = column[v]
+        # S (a, c) = (c, -a); T (a, c) = (a + L c, c), with L (x + yL) = y + (x + y)L
+        for w, col in (
+            ((cx, cy, *red(-ax, -ay)), (sx, sy, *red(-qx, -qy))),
+            ((*red(ax + cy, ay + cx + cy), cx, cy), (*red(qx + sy, qy + sx + sy), sx, sy)),
+        ):
+            known = column.get(w)
+            if known is None:
+                column[w] = col
+                queue.append(w)
+            elif known != col:
+                # b = s_w q' - q_w s' for (q_w, s_w) = known and (q', s') = col
+                wqx, wqy, wsx, wsy = known
+                px, py, rx, ry = col
+                bs.add(red(
+                    wsx * px + wsy * py - wqx * rx - wqy * ry,
+                    wsx * py + wsy * px + wsy * py - wqx * ry - wqy * rx - wqy * ry,
+                ))
+    f1, _, f2 = lattice_hnf([(d1, k), (0, d2), *bs])
+    return len(queue), level.norm // (f1 * f2)
+
+
+class TestLineStabilizer:
+    """The chain's lower levels on random generators [[u, b], [0, u^-1]]:
+    |U'| |K| is the order of the group they generate, by the closure, and
+    U' is the set of its upper-left entries.  The images of S and T at
+    the levels of norm <= 1000 get the right count without the
+    collisions of the U' walk or the u^2 closure of K; these do not."""
+
+    @pytest.mark.parametrize(
+        "level",
+        [IdealHNF(*hnf) for hnf in ((4, 0, 4), (7, 0, 7), (1, 3, 5), (2, 6, 10), (9, 0, 9))],
+    )
+    def test_units_times_translations_is_the_group_order(self, level):
+        residues = [(x, y) for x in range(level.d1) for y in range(level.d2)]
+        one = level.reduce_pair(1, 0)
+
+        def mul(x, y):
+            p = GoldenInt(*x) * GoldenInt(*y)
+            return level.reduce_pair(p.a, p.b)
+
+        inverse = {u: v for u in residues for v in residues if mul(u, v) == one}
+        rng = random.Random(str(level))
+        for _ in range(30):
+            # a diagonal generator (b = 0) adds no translation of its own:
+            # with one, K can come from commutators alone
+            gens = [
+                (u, rng.choice([(0, 0), rng.choice(residues)]), inverse[u])
+                for u in rng.sample(sorted(inverse), rng.randint(1, 3))
+            ]
+            stabilizer = _LineStabilizer(level, DEFAULT_CAP)
+            for u, b, u_inv in gens:
+                stabilizer.add(u, b, u_inv, 1)
+            keys = [_pack(level, (*u, *b, 0, 0, *u_inv)) for u, b, u_inv in gens]
+            group = semigroup_closure(level, keys)
+            assert len(stabilizer.lifts) * stabilizer.translations() == len(group), gens
+            assert set(stabilizer.lifts) == {_unpack(level, key)[:2] for key in group}, gens
+
+    def test_translations_are_closed_under_squares(self):
+        # diag(L, L^-1), L^-1 = L - 1, and the translation by 1 mod (7):
+        # K is spanned by the L^2j, all of Z[L]/(7) = F_49, not just F_7
+        level = IdealHNF(7, 0, 7)
+        stabilizer = _LineStabilizer(level, DEFAULT_CAP)
+        stabilizer.add((1, 0), (1, 0), (1, 0), 1)
+        stabilizer.add((0, 1), (0, 0), (6, 1), 1)
+        assert stabilizer.translations() == 49
+
+    def test_a_power_of_one_generator_is_a_translation(self):
+        # [[-1, 1], [0, -1]] squares to the translation by -2: order 14 mod (7)
+        level = IdealHNF(7, 0, 7)
+        stabilizer = _LineStabilizer(level, DEFAULT_CAP)
+        stabilizer.add((6, 0), (1, 0), (6, 0), 1)
+        assert (len(stabilizer.lifts), stabilizer.translations()) == (2, 7)
+
+
 class TestOrbitStabilizer:
     def test_matches_enumeration(self, quotient_cache):
         # the acceptance gate builds all of these, so the cache is warm
@@ -162,7 +244,7 @@ class TestOrbitStabilizer:
             assert orbit * stabilizer == quotient_cache(gen).order, level
 
     def test_matches_formula_up_to_norm_100(self):
-        levels = principal_levels(2, 100)
+        levels = ideals_up_to(100)
         assert len(levels) == 43
         for level in levels:
             orbit, stabilizer = orbit_stabilizer(level)
@@ -170,10 +252,36 @@ class TestOrbitStabilizer:
 
     @pytest.mark.extended
     def test_matches_formula_norms_101_to_200(self):
-        levels = principal_levels(101, 200)
+        levels = [level for level in ideals_up_to(200) if level.norm > 100]
         assert len(levels) == 42
         for level in levels:
             assert index_h(level) == index_formula(level).total, level
+
+    def test_matches_formula_on_every_ideal_up_to_norm_400(self):
+        levels = ideals_up_to(400)
+        assert len(levels) == 171
+        for level in levels:
+            assert index_h(level) == index_formula(level).total, level
+
+    @pytest.mark.extended
+    def test_matches_formula_on_every_ideal_up_to_norm_1000(self):
+        levels = ideals_up_to(1000)
+        assert len(levels) == 430
+        for level in levels:
+            assert index_h(level) == index_formula(level).total, level
+
+    def test_same_pair_as_the_column_walk_up_to_norm_100(self):
+        levels = ideals_up_to(100)
+        assert len(levels) == 43
+        for level in levels:
+            assert orbit_stabilizer(level) == column_walk(level), level
+
+    @pytest.mark.extended
+    def test_same_pair_as_the_column_walk_norms_101_to_200(self):
+        levels = [level for level in ideals_up_to(200) if level.norm > 100]
+        assert len(levels) == 42
+        for level in levels:
+            assert orbit_stabilizer(level) == column_walk(level), level
 
     @pytest.mark.extended
     @pytest.mark.parametrize("gen,order", [(13, 4826640), (19, 46785600)])

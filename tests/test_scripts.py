@@ -1,6 +1,9 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from hecke5.ideals import ideals_up_to
 
 from conftest import src_env
 
@@ -23,3 +26,13 @@ def test_index_survey_runs_and_counts_agree_with_formula():
     assert counted and len(counted) == len(table)
     for row in counted:
         assert row["formula"] == row["counted"], row
+
+
+def test_ideals_up_to_lists_the_survey_levels():
+    # the survey searches a box of generators; ideals_up_to scans HNF triples
+    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    levels = [ideal for ideal, _ in survey.candidate_levels(400)]
+    assert len(levels) == 171
+    assert ideals_up_to(400) == levels
