@@ -244,7 +244,7 @@ COMMANDS = {
         "index of the principal congruence subgroup",
         cmd_index,
         level=True,
-        cap="orbit points (columns) the count may visit",
+        cap="points in the orbit of e1 the count may reach",
     ),
     "cosets": Command(
         "coset representative words for a level",

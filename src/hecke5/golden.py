@@ -7,7 +7,9 @@ corrected exactly.
 
 `power` is the one exponentiation routine (left-to-right binary
 square-and-multiply): `lambda_power` here and the `**` of the matrix
-types in `matrices` and `quotient` are each one call to it.
+types in `matrices` and `quotient` are each one call to it.  Modular
+powers of plain integers, the inverse pow(x, -1, n) too, use the
+builtin `pow` (`ideals._is_prime`, `quotient._line_form`).
 """
 
 from __future__ import annotations

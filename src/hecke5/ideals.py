@@ -43,7 +43,8 @@ class IdealHNF:
 
     def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
         """The residue (x, y) of a + bL: subtract the row (d1, k) q times to
-        bring a into [0, d1), then reduce mod d2.  `quotient` inlines this."""
+        bring a into [0, d1), then reduce mod d2.  `quotient._residue_ops`
+        is the one inlined copy."""
         q = a // self.d1
         return a - q * self.d1, (b - q * self.k) % self.d2
 

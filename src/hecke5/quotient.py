@@ -35,12 +35,15 @@ tuples, and none leaves it.)  The closure multiplies by table lookups on
 packed rows, tables filled on demand, one general row product per
 generator for each row that occurs, so nothing is sized by N(A) and a
 cap error at a level of norm 10^10 comes as fast as at (2).
+
+Residues are multiplied in one place, `_residue_ops`; `ResMat`, the
+closure's row tables and the chain all use it, and no `GoldenInt`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from operator import add
 from typing import Callable
 
@@ -62,25 +65,7 @@ class CapExceededError(RuntimeError):
         self.partial = partial
 
 
-Row = tuple[int, int, int, int]
 Pair = tuple[int, int]  # one residue (x, y), x + yL
-
-
-def _row_mul(r: Row, v: Key, d1: int, k: int, d2: int) -> Row:
-    """A row of two residues times a residue matrix, both decoded."""
-    # GoldenInt.__mul__'s product formula, inlined: ResMat products and the
-    # closure's table misses all come here
-    ra, rb, rc, rd = r
-    va, vb, vc, vd, ve, vf, vg, vh = v
-    # entry 1 = r1*v11 + r2*v21, entry 2 = r1*v12 + r2*v22
-    x = ra * va + rb * vb + rc * ve + rd * vf
-    y = ra * vb + rb * va + rb * vb + rc * vf + rd * ve + rd * vf
-    q = x // d1
-    x1, y1 = x - q * d1, (y - q * k) % d2
-    x = ra * vc + rb * vd + rc * vg + rd * vh
-    y = ra * vd + rb * vc + rb * vd + rc * vh + rd * vg + rd * vh
-    q = x // d1
-    return x1, y1, x - q * d1, (y - q * k) % d2
 
 
 def _pack(level: IdealHNF, key: Key) -> int:
@@ -121,8 +106,14 @@ class ResMat:
 
     def __mul__(self, other: ResMat) -> ResMat:
         m, u, v = self.level, self.residues(), other.residues()
-        rows = _row_mul(u[:4], v, m.d1, m.k, m.d2) + _row_mul(u[4:], v, m.d1, m.k, m.d2)
-        return ResMat(m, _pack(m, rows))
+        dot = _residue_ops(m)[2]
+        # each entry is a row of u, at u[i : i + 4], dot a column of v
+        entries = [
+            dot(u[i : i + 2], v[j : j + 2], u[i + 2 : i + 4], v[j + 4 : j + 6])
+            for i in (0, 4)
+            for j in (0, 2)
+        ]
+        return ResMat(m, _pack(m, tuple(x for e in entries for x in e)))  # type: ignore[arg-type]
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -141,9 +132,9 @@ class ResMat:
 
     def det(self) -> tuple[int, int]:
         """The reduced pair of the determinant."""
+        red, _, dot = _residue_ops(self.level)
         a, b, c, d, e, f, g, h = self.residues()
-        det = GoldenInt(a, b) * GoldenInt(g, h) - GoldenInt(c, d) * GoldenInt(e, f)
-        return self.level.reduce_pair(det.a, det.b)
+        return dot((a, b), (g, h), red(-c, -d), (e, f))
 
     @classmethod
     def identity(cls, level: IdealHNF) -> ResMat:
@@ -184,8 +175,11 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
 
 
 def _residue_ops(m: IdealHNF):
-    """Arithmetic of O/m on residues (x, y) = x + yL, L^2 = L + 1, with
-    `reduce_pair` inlined: reduction, the product xy, and xy - zw."""
+    """The one arithmetic of O/m in this module, on residues (x, y) =
+    x + yL with L^2 = L + 1 and `reduce_pair` inlined: `red(x, y)`, the
+    residue of x + yL; `mul(x, y)`, the product xy; and `dot(x, y, z, w)`,
+    xy + zw, an entry of a matrix product.  The operands are any integer
+    pairs; the results are reduced."""
     d1, k, d2 = m.d1, m.k, m.d2
 
     def red(x: int, y: int) -> Pair:
@@ -199,51 +193,43 @@ def _residue_ops(m: IdealHNF):
         q = s // d1
         return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - q * k) % d2
 
-    def cross(x: Pair, y: Pair, z: Pair, w: Pair) -> Pair:
+    def dot(x: Pair, y: Pair, z: Pair, w: Pair) -> Pair:
         x0, x1 = x
         y0, y1 = y
         z0, z1 = z
         w0, w1 = w
-        s = x0 * y0 + x1 * y1 - z0 * w0 - z1 * w1
+        s = x0 * y0 + x1 * y1 + z0 * w0 + z1 * w1
         q = s // d1
-        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - z0 * w1 - z1 * w0 - z1 * w1 - q * k) % d2
+        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 + z0 * w1 + z1 * w0 + z1 * w1 - q * k) % d2
 
-    return red, mul, cross
+    return red, mul, dot
 
 
 def _line_form(prime: IdealHNF, e: int) -> Callable[[Pair, Pair], int]:
     """The canonical form in P^1(O/P^e) of the line through a unimodular
     column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
-    else (1, c/a).  The inverse of a unit x is x^(|(O/P^e)*| - 1), and
-    each residue's inverse is computed once."""
+    else (1, c/a).  P^e divides (N(P^e)) and y conj(y) = N(y), so x / y =
+    x conj(y) N(y)^-1, N(y) inverted mod N(P^e) by the builtin `pow`.  A
+    residue y reduced mod P^e is a unit exactly when gcd(N(y), N(P^e)) =
+    1: at a split P it is zL, of norm -z^2; else P is its own conjugate."""
     power_ideal = ideal_pow(prime, e)
     n, d2 = power_ideal.norm, power_ideal.d2
     red, mul, _ = _residue_ops(power_ideal)
-    one = red(1, 0)
-    exponent = prime.norm ** (e - 1) * (prime.norm - 1) - 1
-    inverses: dict[Pair, Pair | None] = {}
 
-    def inverse(x: Pair) -> Pair | None:
-        # None when x lies in P, that is, is no unit
-        if x not in inverses:
-            inv = None
-            if prime.reduce_pair(*x) != (0, 0):
-                inv, base, left = one, x, exponent
-                while left:
-                    if left & 1:
-                        inv = mul(inv, base)
-                    base, left = mul(base, base), left >> 1
-            inverses[x] = inv
-        return inverses[x]
+    def ratio(x: Pair, y: Pair) -> int | None:
+        # the digit x*d2 + y of x / y, or None when y is no unit
+        y0, y1 = y
+        norm = y0 * y0 + y0 * y1 - y1 * y1
+        if gcd(norm, n) != 1:
+            return None
+        s = pow(norm, -1, n)
+        x0, x1 = mul(x, ((y0 + y1) * s, -y1 * s))
+        return x0 * d2 + x1
 
     def line_form(a: Pair, c: Pair) -> int:
-        a, c = red(*a), red(*c)
-        inv = inverse(c)
-        if inv is not None:
-            x, y = mul(a, inv)
-            return x * d2 + y
-        x, y = mul(c, inverse(a))  # type: ignore[arg-type]
-        return n + x * d2 + y
+        # the norm tells a unit only of a divisor reduced mod P^e; mul reduces x
+        r = ratio(a, red(*c))
+        return n + ratio(c, red(*a)) if r is None else r  # type: ignore[operator]
 
     return line_form
 
@@ -265,7 +251,7 @@ class _LineStabilizer:
 
     def __init__(self, level: IdealHNF, cap: int):
         self.level, self.cap = level, cap
-        self.red, self.mul, self.cross = _residue_ops(level)
+        self.red, self.mul, self.dot = _residue_ops(level)
         one = self.red(1, 0)
         self.lifts: dict[Pair, tuple[Pair, Pair]] = {one: ((0, 0), one)}
         self.chosen: list[tuple[Pair, Pair, Pair]] = []
@@ -289,7 +275,7 @@ class _LineStabilizer:
         if u in lifts:
             self.sift(u, b)
             return
-        mul, cross, red = self.mul, self.cross, self.red
+        mul, dot = self.mul, self.dot
         chosen = self.chosen
         chosen.append((u, b, u_inv))
         # the new generator on every old point, every generator on every
@@ -299,7 +285,7 @@ class _LineStabilizer:
             p_b, p_inv = lifts[p]
             for g_u, g_b, g_inv in gens:
                 # lift(p) g = [[p g_u, p g_b + p_b g_inv], [0, p_inv g_inv]]
-                q, q_b = mul(p, g_u), cross(p, g_b, p_b, red(-g_inv[0], -g_inv[1]))
+                q, q_b = mul(p, g_u), dot(p, g_b, p_b, g_inv)
                 if q in lifts:
                     self.sift(q, q_b)
                     continue
@@ -353,7 +339,7 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
     """
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    red, _, cross = _residue_ops(level)
+    red, _, dot = _residue_ops(level)
     forms = [_line_form(pf.prime, pf.exponent) for pf in factor_ideal(level)]
     radix = 2 * level.norm
 
@@ -385,8 +371,8 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
                     raise CapExceededError(cap, cap + 1, "orbit")
                 continue
             # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 m = [[u, b], [0, u^-1]]
-            aw, bw, cw, dw = tw[0:2], tw[2:4], tw[4:6], tw[6:8]
-            u, b, u_inv = cross(dw, m11, bw, m21), cross(dw, m12, bw, m22), cross(aw, m22, cw, m12)
+            aw, nbw, ncw, dw = tw[0:2], red(-tw[2], -tw[3]), red(-tw[4], -tw[5]), tw[6:8]
+            u, b, u_inv = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22), dot(aw, m22, ncw, m12)
             stabilizer.add(u, b, u_inv, len(queue))
     units = len(stabilizer.lifts)
     if len(queue) * units > cap:
@@ -478,7 +464,7 @@ def semigroup_closure(
     its predecessor (None at the identity); each element was first reached
     from its predecessor by the first generator, in `gen_keys` order, that
     reaches it.  In a finite group semigroup closure equals subgroup
-    closure, so no inverses are needed.  Generators, elements and
+    closure, so no inverse is needed.  Generators, elements and
     predecessors are packed ints (`ResMat.key`).  Raises CapExceededError
     once more than `cap` elements are found.
 
@@ -491,20 +477,22 @@ def semigroup_closure(
     distinct row met, so it holds at most two rows per element and never
     an entry per residue of the level.
     """
-    d1, k, d2 = level.d1, level.k, level.d2
-    n = level.norm
+    dot = _residue_ops(level)[2]
+    n, d2 = level.norm, level.d2
     n2 = n * n
-    gens = [_unpack(level, g) for g in gen_keys]
+    gens = [(g[0:2], g[2:4], g[4:6], g[6:8]) for g in (_unpack(level, g) for g in gen_keys)]
     # packed row -> its products with the generators, times N^2 or as is
     high: dict[int, tuple[int, ...]] = {}
     low: dict[int, tuple[int, ...]] = {}
 
     def expand(row: int) -> None:
-        # a packed row is an element whose top row is zero
-        r = _unpack(level, row)[4:]
+        # a packed row is two base-N digits, each residue x*d2 + y
+        first, second = divmod(row, n)
+        r1, r2 = divmod(first, d2), divmod(second, d2)
         products = []
-        for g in gens:
-            x1, y1, x2, y2 = _row_mul(r, g, d1, k, d2)
+        for g11, g12, g21, g22 in gens:
+            x1, y1 = dot(r1, g11, r2, g21)
+            x2, y2 = dot(r1, g12, r2, g22)
             products.append((x1 * d2 + y1) * n + x2 * d2 + y2)
         low[row] = tuple(products)
         high[row] = tuple(p * n2 for p in products)

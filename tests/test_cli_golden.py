@@ -273,7 +273,7 @@ ARGUMENTS = {
                 "cap",
                 5000000,
                 None,
-                "most orbit points (columns) the count may visit; exit 3 beyond it",
+                "most points in the orbit of e1 the count may reach; exit 3 beyond it",
             ),
             JSON,
             (["--enumerate"], "mode", "both", None, None),

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
-from hecke5.ideals import IdealHNF, ideal_from_generator, ideal_mul, ideals_up_to, lattice_hnf
+from hecke5.ideals import (
+    IdealHNF,
+    ideal_from_generator,
+    ideal_mul,
+    ideal_pow,
+    ideals_up_to,
+    lattice_hnf,
+    split_rational_prime,
+)
 from hecke5.matrices import IDENTITY, MINUS_IDENTITY, S, T, eval_word
 from hecke5.quotient import (
     DEFAULT_CAP,
@@ -16,7 +24,9 @@ from hecke5.quotient import (
     QuotientGroup,
     ResMat,
     _LineStabilizer,
+    _line_form,
     _pack,
+    _residue_ops,
     _unpack,
     SubgroupHandle,
     build_quotient,
@@ -140,6 +150,30 @@ class TestResMatPower:
                 assert m**n == product, (key, n)
 
 
+def golden_entries(m: ResMat) -> list[GoldenInt]:
+    r = m.residues()
+    return [GoldenInt(r[i], r[i + 1]) for i in range(0, 8, 2)]
+
+
+class TestResMatArithmetic:
+    """The product and determinant against `GoldenInt` arithmetic reduced
+    entrywise, on elements of the group and on arbitrary matrices."""
+
+    @pytest.mark.parametrize("gen", [4, 9, GoldenInt(3, 1)], ids=str)
+    @given(data=st.data())
+    def test_product_and_det_match_golden_arithmetic(self, quotient_cache, gen, data):
+        q = quotient_cache(gen)
+        level = q.level
+        matrix = st.one_of(st.sampled_from(q.elements), st.integers(0, level.norm**4 - 1))
+        x, y = (ResMat(level, data.draw(matrix)) for _ in range(2))
+        (a, b, c, d), (e, f, g, h) = golden_entries(x), golden_entries(y)
+        product = [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
+        expected = tuple(r for p in product for r in level.reduce_pair(p.a, p.b))
+        assert (x * y).residues() == expected
+        det = a * d - b * c
+        assert x.det() == level.reduce_pair(det.a, det.b)
+
+
 def column_walk(level: IdealHNF) -> tuple[int, int]:
     """(|orbit of e1|, |stabilizer of e1|) as `orbit_stabilizer` counted
     them before the stabilizer chain: walk the orbit of the column e1,
@@ -179,6 +213,71 @@ def column_walk(level: IdealHNF) -> tuple[int, int]:
                 ))
     f1, _, f2 = lattice_hnf([(d1, k), (0, d2), *bs])
     return len(queue), level.norm // (f1 * f2)
+
+
+class TestResidueOps:
+    """`red`, `mul` and `dot` on any integer pairs equal `reduce_pair` of
+    the same expression computed in `GoldenInt`."""
+
+    @given(
+        level=st.sampled_from(ideals_up_to(200)),
+        pairs=st.lists(st.tuples(st.integers(), st.integers()), min_size=4, max_size=4),
+    )
+    def test_match_golden_arithmetic(self, level, pairs):
+        red, mul, dot = _residue_ops(level)
+        x, y, z, w = pairs
+        gx, gy, gz, gw = (GoldenInt(*p) for p in pairs)
+
+        def reduced(g):
+            return level.reduce_pair(g.a, g.b)
+
+        assert red(*x) == reduced(gx)
+        assert mul(x, y) == reduced(gx * gy)
+        assert dot(x, y, z, w) == reduced(gx * gy + gz * gw)
+
+
+# Every prime power P^e of norm <= 64: the inert (2)^e and (3), (7), the
+# ramified (2+L)^e and both primes above each split p <= 61
+LINE_FORM_CASES = [
+    *((IdealHNF(2, 0, 2), e) for e in (1, 2, 3)),
+    (IdealHNF(3, 0, 3), 1),
+    (IdealHNF(7, 0, 7), 1),
+    *((ideal_from_generator(GoldenInt(2, 1)), e) for e in (1, 2)),
+    *((pf.prime, 1) for p in (11, 19, 29, 31, 41, 59, 61) for pf in split_rational_prime(p)),
+]
+
+
+class TestLineForm:
+    @pytest.mark.parametrize(
+        "prime,e", LINE_FORM_CASES, ids=[f"{prime}^{e}" for prime, e in LINE_FORM_CASES]
+    )
+    def test_one_value_per_line(self, prime, e):
+        # on the unimodular columns (a, c), each value of the form is taken
+        # on exactly one line {(ua, uc) : u a unit}, and there are
+        # N(P^e) (1 + 1/N(P)) lines; the units are the residues outside P
+        power_ideal = ideal_pow(prime, e)
+        n, d1, k = power_ideal.norm, power_ideal.d1, power_ideal.k
+        residues = [(x, y) for x in range(d1) for y in range(power_ideal.d2)]
+        units = {r for r in residues if not prime.contains(GoldenInt(*r))}
+
+        def mul(u, x):
+            p = GoldenInt(*u) * GoldenInt(*x)
+            return power_ideal.reduce_pair(p.a, p.b)
+
+        form = _line_form(prime, e)
+        lines: dict[int, set] = {}
+        for a in residues:
+            for c in residues:
+                if a in units or c in units:
+                    # the chain passes residues mod the level, not mod P^e:
+                    # shift a and c by (d1, k), the first basis row of P^e
+                    value = form((a[0] + d1, a[1] + k), (c[0] + d1, c[1] + k))
+                    lines.setdefault(value, set()).add((a, c))
+        assert all(0 <= value < 2 * n for value in lines)
+        for columns in lines.values():
+            a, c = min(columns)
+            assert columns == {(mul(u, a), mul(u, c)) for u in units}
+        assert len(lines) == n + n // prime.norm
 
 
 class TestLineStabilizer:

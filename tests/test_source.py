@@ -82,3 +82,16 @@ def test_one_integer_grammar():
             if any(isinstance(v, ast.Name) and v.id == "int" for v in values):
                 found.append(f"{path.name}:{node.lineno} int")
     assert found == []
+
+
+def test_one_square_and_multiply():
+    # golden.power is the one hand-written exponentiation; a modular power
+    # or inverse of an integer goes to the builtin pow, so no bit is ever
+    # shifted out of an exponent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift)
+    ]
+    assert found == []
