@@ -34,7 +34,7 @@ from .golden import (
     parse_element,
     parse_int,
 )
-from .ideals import IdealHNF, factor_ideal, ideal_from_generator
+from .ideals import IdealHNF, ideal_from_generator
 from .matrices import complete_column, is_member, parse_matrix, reduce_fraction
 from .quotient import (
     DEFAULT_CAP,
@@ -135,7 +135,7 @@ def cmd_factor(args):
             "degree": pf.residue_degree,
             "ramified": pf.ramified,
         }
-        for pf in factor_ideal(ideal)
+        for pf in ideal.factors
     ]
     text = " * ".join(f"({f['generator']})^{f['exponent']}" for f in factors) or "(1)"
     return {"norm": ideal.norm, "factors": factors}, text

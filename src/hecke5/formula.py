@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import IdealHNF, factor_ideal
+from .ideals import IdealHNF
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def index_formula(level: IdealHNF) -> IndexReport:
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     i_a = j_b = coprime_norm = total = 1
-    for pf in factor_ideal(level):
+    for pf in level.factors:
         p, norm = pf.rational_prime, pf.prime.norm
         partial = index_factor(p, norm, pf.exponent)
         if p == 2:

@@ -13,8 +13,8 @@ An ideal A is also its own residue ring Z[L]/A: a residue is the pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .golden import GoldenInt, gcd_pseudo
 
@@ -53,6 +53,11 @@ class IdealHNF:
 
     def is_unit_ideal(self) -> bool:
         return self.norm == 1
+
+    @cached_property
+    def factors(self) -> tuple[PrimeFactor, ...]:
+        """The P^e || self as `factor_ideal` lists them, factored on first read."""
+        return tuple(factor_ideal(self))
 
     def __str__(self) -> str:
         return f"[{self.d1},{self.k},{self.d2}]"
@@ -156,16 +161,15 @@ def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:
 
 @dataclass(frozen=True)
 class PrimeFactor:
+    """P = (generator) above p = `rational_prime`.  `exponent` is that of P
+    in (p) from `split_rational_prime`, in the level from `factor_ideal`."""
+
     prime: IdealHNF
     generator: GoldenInt
     exponent: int
     residue_degree: int
     ramified: bool
-
-    @property
-    def rational_prime(self) -> int:
-        root = math.isqrt(self.prime.norm)
-        return root if root * root == self.prime.norm else self.prime.norm
+    rational_prime: int
 
 
 def _is_prime(n: int) -> bool:
@@ -210,7 +214,6 @@ def _factor_int(n: int) -> dict[int, int]:
 TAU = GoldenInt(2, 1)  # the ramified prime above 5
 
 
-@lru_cache(maxsize=None)
 def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
     """Factor the ideal (p) for a rational prime p.
 
@@ -221,7 +224,7 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     if p == 5:
-        return (PrimeFactor(ideal_from_generator(TAU), TAU, 2, 1, True),)
+        return (PrimeFactor(ideal_from_generator(TAU), TAU, 2, 1, True, p),)
     if p % 5 in (1, 4):
         factors = []
         for t in range(p):
@@ -230,19 +233,17 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
                 prime = ideal_from_generator(g)
                 if prime.norm != p:
                     raise RuntimeError(f"gcd({p}, L - {t}) = {g} has norm {prime.norm}, not {p}")
-                factors.append(PrimeFactor(prime, g, 1, 1, False))
+                factors.append(PrimeFactor(prime, g, 1, 1, False, p))
         if len(factors) != 2 or factors[0].prime == factors[1].prime:
             raise RuntimeError(f"{p} split into {[str(f.prime) for f in factors]}, not two primes")
         factors.sort(key=lambda f: (f.prime.d1, f.prime.k, f.prime.d2))
         return tuple(factors)
     gp = GoldenInt(p, 0)
-    return (PrimeFactor(ideal_from_generator(gp), gp, 1, 2, False),)
+    return (PrimeFactor(ideal_from_generator(gp), gp, 1, 2, False, p),)
 
 
 def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
     """Complete prime factorization; the product reconstructs the ideal."""
-    if ideal.is_unit_ideal():
-        return []
     out = []
     check = IdealHNF(1, 0, 1)
     for p in sorted(_factor_int(ideal.d2)):  # d1 | d2: the norm's primes
@@ -253,7 +254,7 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
                 e += 1
                 exact, power = power, ideal_mul(power, pf.prime)
             if e:
-                out.append(PrimeFactor(pf.prime, pf.generator, e, pf.residue_degree, pf.ramified))
+                out.append(replace(pf, exponent=e))
                 check = ideal_mul(check, exact)
     if check != ideal:
         raise RuntimeError(f"factorization of {ideal} reconstructs {check}")

@@ -49,7 +49,7 @@ from typing import Callable
 
 from .formula import sl2_factor
 from .golden import GoldenInt, format_element, power
-from .ideals import IdealHNF, factor_ideal, ideal_divides, ideal_pow, lattice_hnf
+from .ideals import IdealHNF, ideal_divides, ideal_pow, lattice_hnf
 from .matrices import Mat2, S, T
 
 # the reduced pairs of the four entries, row-major: an element decoded
@@ -332,15 +332,14 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
     The orbit of e1 has lines * |U'| points, and `cap` bounds that count:
     CapExceededError(cap, cap + 1) is raised once the lines walked, or
     the lines so far times |U'| so far, exceed it.  Its `partial`, cap +
-    1, means "more than cap points".  The line keys rest on
-    `factor_ideal`, as the closed formula does, but `factor_ideal`
-    raises unless its factors multiply back to the level, so a wrong
-    factorization cannot make the count and the formula agree silently.
+    1, means "more than cap points".  The line keys rest on `level.factors`,
+    as the formula does, and `factor_ideal` raises unless they multiply back
+    to the level: a wrong factorization cannot make the two agree silently.
     """
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     red, _, dot = _residue_ops(level)
-    forms = [_line_form(pf.prime, pf.exponent) for pf in factor_ideal(level)]
+    forms = [_line_form(pf.prime, pf.exponent) for pf in level.factors]
     radix = 2 * level.norm
 
     def line_key(a: Pair, c: Pair) -> int:
@@ -390,7 +389,7 @@ def sl2_order(level: IdealHNF) -> int:
     """|SL(2, Z[L]/A)|: the product of the SL2 factors of the P^e || A."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    return prod(sl2_factor(pf.prime.norm, pf.exponent) for pf in factor_ideal(level))
+    return prod(sl2_factor(pf.prime.norm, pf.exponent) for pf in level.factors)
 
 
 def minus_i_in_level(level: IdealHNF) -> bool:

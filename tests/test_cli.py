@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke5 import ideals
 from hecke5.cli import COMMANDS, main
 from hecke5.golden import MAX_LITERAL_DIGITS
 from hecke5.matrices import eval_word
@@ -289,6 +290,27 @@ class TestLevelCommands:
         assert payload["index_h"] == 10
         assert payload["surjective"] is False
         assert payload["index_g"] == 10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("index", "--both"), ("index", "--formula"), ("index", "--enumerate"), ("factor",), ("sl2order",)],
+    )
+    def test_level_factored_once(self, capsys, monkeypatch, argv):
+        # every hecke5 binding of factor_ideal is wrapped, so a reader that
+        # imports it by name and factors the level again is counted too
+        factor_ideal, calls = ideals.factor_ideal, []
+
+        def counting_factor_ideal(ideal):
+            calls.append(ideal)
+            return factor_ideal(ideal)
+
+        for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "hecke5"]:
+            for name, value in list(vars(module).items()):
+                if value is factor_ideal:
+                    monkeypatch.setattr(module, name, counting_factor_ideal)
+        code, _ = run_json(capsys, *argv, "--level", "6")
+        assert code == 0
+        assert calls == [ideals.ideal_from_generator(6)]
 
     def test_index_deterministic(self, capsys):
         _, out1, _ = run(capsys, "index", "--level", "4", "--json")

@@ -217,13 +217,14 @@ class TestSplitting:
         factors = split_rational_prime(p)
         assert len(factors) == 2
         for f in factors:
-            assert f.generator.norm() == p
+            assert f.generator.norm() == p and f.rational_prime == p
             assert ideal_divides(f.prime, ideal_from_generator(p))
 
     @pytest.mark.parametrize("p", [2, 3, 7, 13, 17, 23])
     def test_inert_primes_mod_five(self, p):
         (pf,) = split_rational_prime(p)
         assert pf.prime.norm == p * p and pf.residue_degree == 2
+        assert pf.rational_prime == p
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -248,6 +249,19 @@ class TestFactorIdeal:
 
     def test_unit_ideal_empty(self):
         assert factor_ideal(IdealHNF(1, 0, 1)) == []
+        assert IdealHNF(1, 0, 1).factors == ()
+
+    @pytest.mark.parametrize("g", [6, 5, 11, 1000, GoldenInt(7, 3)])
+    def test_factors_kept_per_object(self, g):
+        level = ideal_from_generator(g)
+        factors = level.factors
+        assert isinstance(factors, tuple) and list(factors) == factor_ideal(level)
+        assert level.factors is factors
+        # an equal level built apart compares and hashes alike, and
+        # factors itself
+        twin = IdealHNF(level.d1, level.k, level.d2)
+        assert twin == level and hash(twin) == hash(level) and twin is not level
+        assert twin.factors == factors and twin.factors is not factors
 
     def test_rational_prime_level_trial_divides_d2(self):
         # (1000000007), 2 mod 5, is inert: its norm is p^2, but the trial

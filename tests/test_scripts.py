@@ -1,9 +1,10 @@
-import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-from hecke5.ideals import ideals_up_to
+from hecke5.golden import GoldenInt
+from hecke5.ideals import ideal_from_generator, ideals_up_to
 
 from conftest import src_env
 
@@ -29,10 +30,14 @@ def test_index_survey_runs_and_counts_agree_with_formula():
 
 
 def test_ideals_up_to_lists_the_survey_levels():
-    # the survey searches a box of generators; ideals_up_to scans HNF triples
-    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-    levels = [ideal for ideal, _ in survey.candidate_levels(400)]
+    # the survey lists ideals_up_to, which scans HNF triples; the reference
+    # is the principal ideals of every generator in a box, deduplicated
+    bound = math.isqrt(400) + 2
+    levels = {
+        ideal_from_generator(GoldenInt(a, b))
+        for a in range(-bound, bound + 1)
+        for b in range(-bound, bound + 1)
+        if 2 <= GoldenInt(a, b).norm() <= 400
+    }
     assert len(levels) == 171
-    assert ideals_up_to(400) == levels
+    assert ideals_up_to(400) == sorted(levels, key=lambda x: (x.norm, x.d1, x.k))

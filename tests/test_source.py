@@ -95,3 +95,28 @@ def test_one_square_and_multiply():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift)
     ]
     assert found == []
+
+
+def test_no_process_wide_cache():
+    # a cache on a module-level function outlives every level it saw; a
+    # level keeps its own factorization (IdealHNF.factors).  The one
+    # exception, cli._parser, caches the argument parser and no result
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parser = {
+            id(node)
+            for f in tree.body
+            if path.name == "cli.py" and getattr(f, "name", None) == "_parser"
+            for decorator in f.decorator_list
+            for node in ast.walk(decorator)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif id(node) not in parser:
+                names = [getattr(node, "attr", None) or getattr(node, "id", None)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("cache", "lru_cache")]
+    assert found == []
