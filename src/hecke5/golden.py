@@ -2,8 +2,9 @@
 
 Elements are stored as integer pairs (a, b) meaning a + b*L.  All
 comparisons against the real embedding are decided by exact integer sign
-tests; floating point is only ever used as a first guess that is then
-corrected exactly.
+tests, and no floating point is used anywhere: an estimate (the truncated
+sqrt(5) of `_floor_quotient`, the bit-length guess of `unit_log`) is an
+integer that exact sign tests then correct.
 
 `power` is the one exponentiation routine (left-to-right binary
 square-and-multiply): `lambda_power` here and the `**` of the matrix
@@ -187,22 +188,36 @@ def gcd_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[GoldenInt, list[int]]:
 
 
 def unit_log(x: GoldenInt) -> UnitDecomposition:
-    """Write a unit as sign * L**k; errors if norm(x) != 1."""
+    """Write a unit as sign * L**k; errors if norm(x) != 1.
+
+    y = sign * x = L^k has |y.b| = F(|k|), the Fibonacci number nearest
+    L^|k| / sqrt 5, so its bit length B is |k| log2 L - 1.16 + d with
+    0 <= d < 1.  The integer guess g = B * 144042009 // 10**8, with
+    1/log2 L = 1.440420090..., then has |k| - 2 <= g <= |k| for every B
+    below 8 * 10**8 (the small |k|, where F(|k|) is not yet that close,
+    checked one by one), and k has the sign of y - 1.  Dividing out
+    L^(+-g) once leaves at most two exact sign-test steps; the cap on that
+    walk turns a bad guess into a diagnosable error.
+    """
     if x.norm() != 1:
         raise NotAUnitError(f"{x} has norm {x.norm()}, not a unit")
     sign = x.sign()
     y = x if sign > 0 else -x
-    k = 0
-    cap = 16 + 2 * max(abs(v).bit_length() for v in (x.a, x.b))
+    bits = abs(y.b).bit_length()
+    k = compare_real(y, ONE) * (bits * 144042009 // 10**8)
+    y = y * lambda_power(-k)
+    cap = 2 + bits // 10**9
+    steps = 0
     while y != ONE:
-        if abs(k) > cap:
-            raise IterationCapError("unit_log failed to reach 1")
+        if steps == cap:
+            raise IterationCapError(f"unit_log walked {cap} steps from its guess without reaching 1")
         if compare_real(y, ONE) > 0:
             y = y * LAMBDA_INV
             k += 1
         else:
             y = y * LAMBDA
             k -= 1
+        steps += 1
     return UnitDecomposition(sign, k)
 
 

@@ -51,9 +51,6 @@ class IdealHNF:
     def contains(self, x: GoldenInt) -> bool:
         return self.reduce_pair(x.a, x.b) == (0, 0)
 
-    def is_unit_ideal(self) -> bool:
-        return self.norm == 1
-
     @cached_property
     def factors(self) -> tuple[PrimeFactor, ...]:
         """The P^e || self as `factor_ideal` lists them, factored on first read."""
@@ -162,7 +159,8 @@ def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:
 @dataclass(frozen=True)
 class PrimeFactor:
     """P = (generator) above p = `rational_prime`.  `exponent` is that of P
-    in (p) from `split_rational_prime`, in the level from `factor_ideal`."""
+    in (p) from `split_rational_prime`, in the level from `factor_ideal`,
+    and `power` is P^exponent."""
 
     prime: IdealHNF
     generator: GoldenInt
@@ -170,6 +168,7 @@ class PrimeFactor:
     residue_degree: int
     ramified: bool
     rational_prime: int
+    power: IdealHNF
 
 
 def _is_prime(n: int) -> bool:
@@ -224,7 +223,7 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     if p == 5:
-        return (PrimeFactor(ideal_from_generator(TAU), TAU, 2, 1, True, p),)
+        return (PrimeFactor(ideal_from_generator(TAU), TAU, 2, 1, True, p, ideal_from_generator(p)),)
     if p % 5 in (1, 4):
         factors = []
         for t in range(p):
@@ -233,13 +232,14 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
                 prime = ideal_from_generator(g)
                 if prime.norm != p:
                     raise RuntimeError(f"gcd({p}, L - {t}) = {g} has norm {prime.norm}, not {p}")
-                factors.append(PrimeFactor(prime, g, 1, 1, False, p))
+                factors.append(PrimeFactor(prime, g, 1, 1, False, p, prime))
         if len(factors) != 2 or factors[0].prime == factors[1].prime:
             raise RuntimeError(f"{p} split into {[str(f.prime) for f in factors]}, not two primes")
         factors.sort(key=lambda f: (f.prime.d1, f.prime.k, f.prime.d2))
         return tuple(factors)
     gp = GoldenInt(p, 0)
-    return (PrimeFactor(ideal_from_generator(gp), gp, 1, 2, False, p),)
+    prime = ideal_from_generator(gp)
+    return (PrimeFactor(prime, gp, 1, 2, False, p, prime),)
 
 
 def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
@@ -254,7 +254,7 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
                 e += 1
                 exact, power = power, ideal_mul(power, pf.prime)
             if e:
-                out.append(replace(pf, exponent=e))
+                out.append(replace(pf, exponent=e, power=exact))
                 check = ideal_mul(check, exact)
     if check != ideal:
         raise RuntimeError(f"factorization of {ideal} reconstructs {check}")

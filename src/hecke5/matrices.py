@@ -4,6 +4,7 @@ the membership test, column completion and parabolic conjugates."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .golden import (
@@ -77,21 +78,40 @@ IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 S = Mat2(ZERO, ONE, -ONE, ZERO)
 T = Mat2(ONE, LAMBDA, ZERO, ONE)
 S_INV = Mat2(ZERO, -ONE, ONE, ZERO)
-T_INV = Mat2(ONE, -LAMBDA, ZERO, ONE)
 MINUS_IDENTITY = -IDENTITY
 
-_LETTERS = {"S": S, "s": S_INV, "T": T, "t": T_INV}
+# a letter as the step (q, r) of `_column_product`: T^q, then S^r
+_STEPS = {"S": (0, 1), "s": (0, -1), "T": (1, 0), "t": (-1, 0)}
+
+
+def _column_product(steps: Iterable[tuple[int, int]]) -> Mat2:
+    """The left-to-right product of T^q S^r over the steps (q, r), r in
+    {-1, 0, 1}, kept as its two columns: eight ints, x + yL per entry.
+
+    A right factor T^q adds qL times the first column to the second, with
+    L(x + yL) = y + (x + y)L; S swaps the columns and negates the new
+    first, S^-1 negates the new second.
+    """
+    a, b, c, d = 1, 0, 0, 0  # first column (a + bL, c + dL)
+    e, f, g, h = 0, 0, 1, 0  # second column (e + fL, g + hL)
+    for q, r in steps:
+        if q:
+            e, f, g, h = e + q * b, f + q * (a + b), g + q * d, h + q * (c + d)
+        if r == 1:
+            a, b, c, d, e, f, g, h = -e, -f, -g, -h, a, b, c, d
+        elif r == -1:
+            a, b, c, d, e, f, g, h = e, f, g, h, -a, -b, -c, -d
+    return Mat2(GoldenInt(a, b), GoldenInt(e, f), GoldenInt(c, d), GoldenInt(g, h))
 
 
 def eval_word(word: str) -> Mat2:
-    """Left-to-right product over the alphabet S, s (=S^-1), T, t (=T^-1)."""
-    out = IDENTITY
-    for letter in word:
-        try:
-            out = out * _LETTERS[letter]
-        except KeyError:
-            raise ValueError(f"bad word letter {letter!r}") from None
-    return out
+    """Left-to-right product over the alphabet S, s (=S^-1), T, t (=T^-1),
+    one column step per letter."""
+    try:
+        steps = [_STEPS[letter] for letter in word]
+    except KeyError as err:
+        raise ValueError(f"bad word letter {err.args[0]!r}") from None
+    return _column_product(steps)
 
 
 def translation(q: int) -> Mat2:
@@ -114,10 +134,7 @@ class ReductionResult:
     @property
     def completion(self) -> Mat2:
         # each step is (a, b)^T = T^q * S^-1 * (b, -r)^T
-        out = IDENTITY
-        for q in self.quotients:
-            out = out * translation(q) * S_INV
-        return out
+        return _column_product((q, -1) for q in self.quotients)
 
 
 def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:

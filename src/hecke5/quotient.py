@@ -49,7 +49,7 @@ from typing import Callable
 
 from .formula import sl2_factor
 from .golden import GoldenInt, format_element, power
-from .ideals import IdealHNF, ideal_divides, ideal_pow, lattice_hnf
+from .ideals import IdealHNF, ideal_divides, lattice_hnf
 from .matrices import Mat2, S, T
 
 # the reduced pairs of the four entries, row-major: an element decoded
@@ -205,14 +205,14 @@ def _residue_ops(m: IdealHNF):
     return red, mul, dot
 
 
-def _line_form(prime: IdealHNF, e: int) -> Callable[[Pair, Pair], int]:
+def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     """The canonical form in P^1(O/P^e) of the line through a unimodular
     column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
     else (1, c/a).  P^e divides (N(P^e)) and y conj(y) = N(y), so x / y =
     x conj(y) N(y)^-1, N(y) inverted mod N(P^e) by the builtin `pow`.  A
     residue y reduced mod P^e is a unit exactly when gcd(N(y), N(P^e)) =
-    1: at a split P it is zL, of norm -z^2; else P is its own conjugate."""
-    power_ideal = ideal_pow(prime, e)
+    1: at a split P it is zL, of norm -z^2; else P is its own conjugate.
+    `power_ideal` is P^e, as `PrimeFactor.power` keeps it."""
     n, d2 = power_ideal.norm, power_ideal.d2
     red, mul, _ = _residue_ops(power_ideal)
 
@@ -339,7 +339,7 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
     red, _, dot = _residue_ops(level)
-    forms = [_line_form(pf.prime, pf.exponent) for pf in level.factors]
+    forms = [_line_form(pf.power) for pf in level.factors]
     radix = 2 * level.norm
 
     def line_key(a: Pair, c: Pair) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke5 import golden
 from hecke5.golden import (
     GoldenInt,
     IterationCapError,
@@ -218,10 +219,33 @@ class TestUnitLog:
         with pytest.raises(NotAUnitError):
             unit_log(GoldenInt(2, 0))
 
-    @given(st.integers(-30, 30), st.sampled_from([-1, 1]))
+    @given(st.integers(-5000, 5000), st.sampled_from([-1, 1]))
     def test_roundtrip(self, k, sign):
         d = unit_log(lambda_power(k) * sign)
         assert (d.sign, d.exponent) == (sign, k)
+
+    def test_roundtrip_where_fibonacci_gains_a_bit(self):
+        # the guess reads the bit length of |y.b| = F(|k|): each n where F(n)
+        # gains a bit, and the n just before it, are the two ends of the
+        # guess's error, and the walk's cap of two steps checks that error.
+        # L^n = F(n-1) + F(n) L and L^-n = (-1)^n (F(n+1) - F(n) L); k and
+        # the unit alternate sign
+        fib = [0, 1]
+        while len(fib) <= 5001:
+            fib.append(fib[-1] + fib[-2])
+        edges = [n for n in range(1, 5001) if fib[n].bit_length() > fib[n - 1].bit_length()]
+        for n in sorted({*edges, *(n - 1 for n in edges)}):
+            k, sign = (n, 1) if n % 2 else (-n, (-1) ** (n // 2))
+            x = GoldenInt(fib[n - 1], fib[n]) if k > 0 else GoldenInt(fib[n + 1], -fib[n]) * (-1) ** n
+            d = unit_log(x * sign)
+            assert (d.sign, d.exponent) == (sign, k)
+
+    def test_walk_is_capped(self, monkeypatch):
+        # a guess that divides nothing out leaves a walk of |k| steps
+        x = lambda_power(10)
+        monkeypatch.setattr(golden, "lambda_power", lambda k: ONE)
+        with pytest.raises(IterationCapError, match="walked 2 steps"):
+            unit_log(x)
 
 
 class TestLambdaPower:

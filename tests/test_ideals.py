@@ -63,10 +63,6 @@ class TestIdealHNF:
         assert a.contains(GoldenInt(1, 3))
         assert not a.contains(GoldenInt(1, 0))
 
-    def test_unit_ideal(self):
-        assert IdealHNF(1, 0, 1).is_unit_ideal()
-        assert not IdealHNF(2, 0, 2).is_unit_ideal()
-
     def test_lattice_that_is_not_an_ideal_rejected(self):
         # Z*1 + Z*2L: L * 1 = L is not in it
         with pytest.raises(ValueError, match="not an ideal"):
@@ -233,6 +229,14 @@ class TestSplitting:
     def test_deterministic_order(self):
         assert split_rational_prime(11) == split_rational_prime(11)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 11, 19])
+    def test_power_is_prime_to_exponent(self, p):
+        check = IdealHNF(1, 0, 1)
+        for f in split_rational_prime(p):
+            assert f.power == ideal_pow(f.prime, f.exponent)
+            check = ideal_mul(check, f.power)
+        assert check == ideal_from_generator(p)
+
 
 class TestFactorIdeal:
     def test_six(self):
@@ -280,7 +284,8 @@ class TestFactorIdeal:
         factors = factor_ideal(ideal)
         check = IdealHNF(1, 0, 1)
         for f in factors:
-            check = ideal_mul(check, ideal_pow(f.prime, f.exponent))
+            assert f.power == ideal_pow(f.prime, f.exponent)
+            check = ideal_mul(check, f.power)
         assert check == ideal
         assert ideal.norm == 1 or all(
             f.prime.norm > 1 for f in factors

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,21 @@ class TestWordRelations:
         with pytest.raises(ValueError):
             eval_word("SxT")
 
+    @given(st.text(alphabet="SsTt", max_size=300))
+    @settings(max_examples=200)
+    def test_matches_generic_product(self, w):
+        # the reference: the left fold of the generic Mat2 product
+        letters = {"S": S, "s": S.inverse(), "T": T, "t": T.inverse()}
+        product = IDENTITY
+        for letter in w:
+            product = product * letters[letter]
+        assert eval_word(w) == product
+
+    @given(words, st.characters().filter(lambda c: c not in "SsTt"), st.text())
+    def test_bad_letter_named(self, left, bad, right):
+        with pytest.raises(ValueError, match=f"^bad word letter {re.escape(repr(bad))}$"):
+            eval_word(left + bad + right)
+
     @given(words)
     def test_word_inverse(self, w):
         rev = "".join({"S": "s", "s": "S", "T": "t", "t": "T"}[c] for c in reversed(w))
@@ -140,6 +156,16 @@ class TestReduceFraction:
             assert col.a11 == a * scale
             assert col.a21 == b * scale
 
+    def test_completion_matches_generic_product(self):
+        # the reference: T^q * S^-1 per quotient as generic Mat2 products
+        rng = random.Random(13)
+        for _ in range(100):
+            rr = reduce_fraction(*eval_word(random_word(rng, 80)).entries()[::2])
+            product = IDENTITY
+            for q in rr.quotients:
+                product = product * translation(q) * S.inverse()
+            assert rr.completion == product
+
     def test_shift_by_unit_power(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -182,6 +208,20 @@ class TestMembership:
         rng = random.Random(20240818)
         for _ in range(200):
             assert is_member(eval_word(random_word(rng)))
+
+    def test_membership_workload_mix(self):
+        # the benchmark's membership ops: words of 4-40 blocks T^+-q S^+-1
+        # (q <= 6), every second one moved out of the group by
+        # diag(L^k, L^-k), 1 <= |k| <= 64
+        rng = random.Random(20261018)
+        for j in range(300):
+            word = "".join(
+                rng.choice("Tt") * rng.randint(1, 6) + rng.choice("Ss")
+                for _ in range(rng.randint(4, 40))
+            )
+            k = 0 if j % 2 == 0 else rng.choice((-1, 1)) * rng.randint(1, 64)
+            m = Mat2(lambda_power(k), ZERO, ZERO, lambda_power(-k)) * eval_word(word)
+            assert is_member(m) is (k == 0), (word, k)
 
 
 class TestCompleteColumn:

@@ -264,7 +264,7 @@ class TestLineForm:
             p = GoldenInt(*u) * GoldenInt(*x)
             return power_ideal.reduce_pair(p.a, p.b)
 
-        form = _line_form(prime, e)
+        form = _line_form(power_ideal)
         lines: dict[int, set] = {}
         for a in residues:
             for c in residues:

@@ -120,3 +120,19 @@ def test_no_process_wide_cache():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("cache", "lru_cache")]
     assert found == []
+
+
+def test_no_float_arithmetic():
+    # every answer stays exact: no float literal, no true division and no
+    # float(...) call anywhere in the package; an estimate is an integer
+    # that exact sign tests correct (golden._floor_quotient, unit_log)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno} /")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                found.append(f"{path.name}:{node.lineno} float()")
+    assert found == []
