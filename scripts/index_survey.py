@@ -5,7 +5,9 @@ Every level of norm 2 to --max-norm (`ideals.ideals_up_to`) gets a row,
 labelled by its HNF [d1,k,d2]: the closed formula, the orbit-stabilizer
 count and the ambient SL2 order side by side, flagging where reduction
 fails to be surjective.  Levels whose formula index exceeds
---max-enumerate are reported from the formula alone.
+--max-enumerate are reported from the formula alone.  Both options read
+integers as `hecke5 --cap` does (`cli.positive_int`), and a reader that
+closes stdout early (`| head`) ends the survey quietly.
 
 Example:
     python3 scripts/index_survey.py --max-norm 60 --max-enumerate 200000
@@ -14,8 +16,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
+from hecke5.cli import positive_int
 from hecke5.formula import index_formula
 from hecke5.ideals import ideals_up_to
 from hecke5.quotient import index_h, sl2_order
@@ -49,11 +54,17 @@ def run(max_norm: int, max_enumerate: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-norm", type=int, default=50)
-    parser.add_argument("--max-enumerate", type=int, default=500_000,
+    parser.add_argument("--max-norm", type=positive_int, default=50)
+    parser.add_argument("--max-enumerate", type=positive_int, default=500_000,
                         help="skip counting when the formula index exceeds this")
     args = parser.parse_args()
-    run(args.max_norm, args.max_enumerate)
+    try:
+        run(args.max_norm, args.max_enumerate)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in `cli.main`: what is left goes to devnull, so that the flush
+        # at interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

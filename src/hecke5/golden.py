@@ -1,10 +1,11 @@
 """Exact arithmetic in Z[L] where L = (1 + sqrt 5)/2, so L^2 = L + 1.
 
-Elements are stored as integer pairs (a, b) meaning a + b*L.  All
-comparisons against the real embedding are decided by exact integer sign
-tests, and no floating point is used anywhere: an estimate (the truncated
-sqrt(5) of `_floor_quotient`, the bit-length guess of `unit_log`) is an
-integer that exact sign tests then correct.
+Elements are stored as integer pairs (a, b) meaning a + b*L.  Every
+question about the real embedding is decided in one place, the exact
+floor(y*sqrt5) of `_floor_sqrt5`; `GoldenInt.sign` and the rounding of
+`divmod_pseudo` both read it.  No floating point is used anywhere: the one
+estimate, the bit-length guess of `unit_log`, is an integer that exact
+sign tests then correct.
 
 `power` is the one exponentiation routine (left-to-right binary
 square-and-multiply): `lambda_power` here and the `**` of the matrix
@@ -69,20 +70,12 @@ class GoldenInt:
     def sign(self) -> int:
         """Exact sign of the real value a + b*(1+sqrt5)/2.
 
-        Doubling gives (2a+b) + b*sqrt5; when the two parts disagree in
-        sign the answer comes from comparing (2a+b)^2 with 5 b^2.
+        Doubled it is 2a + b + b*sqrt5, irrational unless b = 0, so it is
+        positive exactly when its floor is >= 0.
         """
-        u = 2 * self.a + self.b
-        v = self.b
-        if v == 0:
-            return (u > 0) - (u < 0)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if (u > 0) == (v > 0):
-            return 1 if u > 0 else -1
-        # mixed signs; u^2 = 5 v^2 would force u = v = 0
-        big = u * u > 5 * v * v
-        return (1 if big else -1) * (1 if u > 0 else -1)
+        if not self:
+            return 0
+        return 1 if 2 * self.a + self.b + _floor_sqrt5(self.b) >= 0 else -1
 
     def abs_real(self) -> GoldenInt:
         return self if self.sign() >= 0 else -self
@@ -128,21 +121,12 @@ def exact_div(x: GoldenInt, y: GoldenInt) -> GoldenInt | None:
     return GoldenInt(z.a // n, z.b // n)
 
 
-def _floor_quotient(w: GoldenInt, n: int) -> int:
-    """Exact floor of the real value of w / n for a positive integer n.
-
-    A truncated sqrt(5) proposes the floor; the exact sign test then walks
-    it into place (at most a step or two given the precision margin).
-    """
-    prec = abs(w.b).bit_length() + 16
-    s5 = math.isqrt(5 << (2 * prec))
-    f = ((2 * w.a + w.b) * (1 << prec) + w.b * s5) // (2 * n << prec)
-    n_elt = GoldenInt(n, 0)
-    while (w - n_elt * f).sign() < 0:
-        f -= 1
-    while (w - n_elt * (f + 1)).sign() >= 0:
-        f += 1
-    return f
+def _floor_sqrt5(y: int) -> int:
+    """floor(y * sqrt5), exactly.  For y != 0, 5y^2 is never a square, so
+    y*sqrt5 is irrational: its floor is isqrt(5y^2) for y > 0 and
+    -isqrt(5y^2) - 1 for y < 0."""
+    root = math.isqrt(5 * y * y)
+    return root if y >= 0 else -root - 1
 
 
 def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
@@ -152,7 +136,8 @@ def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
     line, c = b*L, so q is one exact rounding of a/c: ceil(a/c - 1/2) for
     c > 0 and floor(a/c + 1/2) for c < 0.  The quotient a/c is first
     cleared to an integer denominator n, a/c = w/n, so the rounding is one
-    exact floor even when c has a tiny real value with huge coordinates.
+    exact floor even when c has a tiny real value with huge coordinates:
+    for an integer m > 0, floor(v/m) = floor(floor(v)/m).
     """
     if not b:
         raise ZeroDivisionError("pseudo-division by zero")
@@ -161,9 +146,11 @@ def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
     w = a * c.conjugate()
     if n < 0:
         n, w = -n, -w
-    # s = -1: ceil(w/n - 1/2) = -floor((n - 2w) / 2n); s = 1: floor((n + 2w) / 2n)
+    # s = -1: ceil(w/n - 1/2) = -floor((n - 2w) / 2n); s = 1: floor((n + 2w) / 2n),
+    # where n + 2sw = x + yL = (2x + y + y*sqrt5) / 2
     s = -c.sign()
-    q = s * _floor_quotient(GoldenInt(n + 2 * s * w.a, 2 * s * w.b), 2 * n)
+    x, y = n + 2 * s * w.a, 2 * s * w.b
+    q = s * ((2 * x + y + _floor_sqrt5(y)) // (4 * n))
     return q, a - c * q
 
 

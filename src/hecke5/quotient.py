@@ -59,10 +59,12 @@ DEFAULT_CAP = 5_000_000
 
 
 class CapExceededError(RuntimeError):
-    def __init__(self, cap: int, partial: int, what: str = "quotient"):
-        super().__init__(f"{what} exceeded cap {cap} (partial count {partial})")
-        self.cap = cap
-        self.partial = partial
+    """A count passed `cap`; raised at its first excess, so `partial`, the
+    count so far, is cap + 1: "more than cap"."""
+
+    def __init__(self, cap: int, what: str = "quotient"):
+        self.cap, self.partial = cap, cap + 1
+        super().__init__(f"{what} exceeded cap {cap} (partial count {self.partial})")
 
 
 Pair = tuple[int, int]  # one residue (x, y), x + yL
@@ -292,7 +294,7 @@ class _LineStabilizer:
                 lifts[q] = (q_b, mul(p_inv, g_inv))
                 pending.append((q, chosen))
                 if lines * len(lifts) > self.cap:
-                    raise CapExceededError(self.cap, self.cap + 1, "orbit")
+                    raise CapExceededError(self.cap, "orbit")
 
     def translations(self) -> int:
         """|K|, once every generator is added."""
@@ -330,11 +332,11 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
       it is Z*2 + Z*L.  |K| = N(A) / det.
 
     The orbit of e1 has lines * |U'| points, and `cap` bounds that count:
-    CapExceededError(cap, cap + 1) is raised once the lines walked, or
-    the lines so far times |U'| so far, exceed it.  Its `partial`, cap +
-    1, means "more than cap points".  The line keys rest on `level.factors`,
-    as the formula does, and `factor_ideal` raises unless they multiply back
-    to the level: a wrong factorization cannot make the two agree silently.
+    CapExceededError(cap) is raised as soon as the lines so far times |U'|
+    so far exceed it, checked whenever either grows.  The line keys rest
+    on `level.factors`, as the formula does, and `factor_ideal` raises
+    unless they multiply back to the level: a wrong factorization cannot
+    make the two agree silently.
     """
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
@@ -366,17 +368,14 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
             if tw is None:
                 transversal[key] = m
                 queue.append(m)
-                if len(queue) > cap:
-                    raise CapExceededError(cap, cap + 1, "orbit")
+                if len(queue) * len(stabilizer.lifts) > cap:
+                    raise CapExceededError(cap, "orbit")
                 continue
             # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 m = [[u, b], [0, u^-1]]
             aw, nbw, ncw, dw = tw[0:2], red(-tw[2], -tw[3]), red(-tw[4], -tw[5]), tw[6:8]
             u, b, u_inv = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22), dot(aw, m22, ncw, m12)
             stabilizer.add(u, b, u_inv, len(queue))
-    units = len(stabilizer.lifts)
-    if len(queue) * units > cap:
-        raise CapExceededError(cap, cap + 1, "orbit")
-    return len(queue) * units, stabilizer.translations()
+    return len(queue) * len(stabilizer.lifts), stabilizer.translations()
 
 
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
@@ -515,7 +514,7 @@ def semigroup_closure(
                     predecessor[w] = u
                     nxt.append(w)
                     if cap is not None and len(predecessor) > cap:
-                        raise CapExceededError(cap, len(predecessor))
+                        raise CapExceededError(cap)
         frontier = nxt
     return predecessor
 

@@ -59,6 +59,45 @@ def oracle_divmod(a: GoldenInt, b: GoldenInt):
     return hits[0]
 
 
+# The sign and the floor of a quotient as `golden` once decided them, kept
+# as the reference of `_floor_sqrt5`: a four-way case analysis, and a floor
+# proposed from sqrt5 truncated to bits + 16 bits, then walked into place
+# by sign tests.
+def reference_sign(x: GoldenInt) -> int:
+    u, v = 2 * x.a + x.b, x.b
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if (u > 0) == (v > 0):
+        return 1 if u > 0 else -1
+    big = u * u > 5 * v * v
+    return (1 if big else -1) * (1 if u > 0 else -1)
+
+
+def reference_floor_quotient(w: GoldenInt, n: int) -> int:
+    prec = abs(w.b).bit_length() + 16
+    s5 = math.isqrt(5 << (2 * prec))
+    f = ((2 * w.a + w.b) * (1 << prec) + w.b * s5) // (2 * n << prec)
+    n_elt = GoldenInt(n, 0)
+    while reference_sign(w - n_elt * f) < 0:
+        f -= 1
+    while reference_sign(w - n_elt * (f + 1)) >= 0:
+        f += 1
+    return f
+
+
+def reference_divmod(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
+    c = LAMBDA * b
+    n = c.a * c.a + c.a * c.b - c.b * c.b
+    w = a * c.conjugate()
+    if n < 0:
+        n, w = -n, -w
+    s = -reference_sign(c)
+    q = s * reference_floor_quotient(GoldenInt(n + 2 * s * w.a, 2 * s * w.b), 2 * n)
+    return q, a - c * q
+
+
 class TestMul:
     def test_lambda_squared(self):
         assert LAMBDA * LAMBDA == GoldenInt(1, 1)
@@ -174,6 +213,77 @@ class TestDivmodPseudo:
     @given(big_elements, big_elements.filter(bool))
     def test_matches_oracle_at_64_bits(self, a, b):
         assert divmod_pseudo(a, b) == oracle_divmod(a, b)
+
+
+huge = st.integers(-(2**3000), 2**3000)
+literal = st.integers(-(10**MAX_LITERAL_DIGITS - 1), 10**MAX_LITERAL_DIGITS - 1)
+edge = st.sampled_from([0, 1, -1, 2, -2])
+
+
+def near_ties():
+    # +-L^k + d: mixed-sign coordinates of up to about 3000 bits whose real
+    # value is within 1 of d, the hardest case for a truncated sqrt5
+    return [
+        lambda_power(k) * s + GoldenInt(d, 0)
+        for k in range(-4300, 4301, 43)
+        for s in (1, -1)
+        for d in (-1, 0, 1)
+    ]
+
+
+class TestExactFloor:
+    @pytest.mark.parametrize("y,floor", [(0, 0), (1, 2), (-1, -3), (2, 4), (-2, -5), (9, 20), (-9, -21)])
+    def test_floor_sqrt5_examples(self, y, floor):
+        assert golden._floor_sqrt5(y) == floor
+
+    @given(st.one_of(huge, edge))
+    def test_floor_sqrt5_brackets(self, y):
+        # r <= y sqrt5 < r + 1, squared: for y >= 0, r^2 <= 5y^2 < (r+1)^2;
+        # for y < 0, (r+1)^2 < 5y^2 < r^2 with r + 1 <= 0
+        r = golden._floor_sqrt5(y)
+        if y >= 0:
+            assert 0 <= r and r * r <= 5 * y * y < (r + 1) ** 2
+        else:
+            assert r + 1 <= 0 and (r + 1) ** 2 < 5 * y * y < r * r
+
+    @given(st.builds(GoldenInt, st.one_of(huge, edge), st.one_of(huge, edge)))
+    @settings(max_examples=500)
+    def test_sign_matches_reference(self, x):
+        assert x.sign() == reference_sign(x)
+
+    @pytest.mark.parametrize(
+        "x,sign",
+        [(ZERO, 0), (ONE, 1), (-ONE, -1), (GoldenInt(2**3000, 0), 1), (GoldenInt(-(2**3000), 0), -1),
+         (LAMBDA, 1), (-LAMBDA, -1), (GoldenInt(0, 2**3000), 1), (GoldenInt(0, -(2**3000)), -1)],
+    )
+    def test_sign_edges(self, x, sign):
+        assert x.sign() == reference_sign(x) == sign
+
+    def test_sign_near_ties(self):
+        for x in near_ties():
+            assert x.sign() == reference_sign(x), x
+
+    @given(st.builds(GoldenInt, st.one_of(huge, edge), st.one_of(huge, edge)),
+           st.builds(GoldenInt, st.one_of(huge, edge), st.one_of(huge, edge)).filter(bool))
+    @settings(max_examples=300)
+    def test_divmod_matches_reference(self, a, b):
+        assert divmod_pseudo(a, b) == reference_divmod(a, b)
+
+    @given(st.builds(GoldenInt, literal, literal), st.builds(GoldenInt, literal, literal).filter(bool))
+    @settings(max_examples=300)
+    def test_divmod_matches_reference_at_the_literal_bound(self, a, b):
+        assert divmod_pseudo(a, b) == reference_divmod(a, b)
+
+    def test_divmod_near_ties(self):
+        # a/(bL) exactly an integer or a half (w.b = 0 inside the rounding),
+        # and divisors with a tiny real value and huge coordinates
+        xs = [x for x in near_ties() if x]
+        cases = [(ZERO, b) for b in xs[:20]]
+        cases += [(LAMBDA * b * k, b) for b in xs[::40] for k in (-3, 0, 5)]
+        cases += [(LAMBDA * b * (2 * k + 1), b * 2) for b in xs[::40] for k in (-2, 1)]
+        cases += list(zip(xs[::7], xs[3::11]))
+        for a, b in cases:
+            assert divmod_pseudo(a, b) == reference_divmod(a, b), (a, b)
 
 
 class TestGcdPseudo:

@@ -406,6 +406,26 @@ class TestOrbitStabilizer:
         assert exc.value.partial == 2400
         assert str(exc.value).startswith("orbit exceeded cap 2399")
 
+    def test_cap_fires_before_the_walk_ends(self, monkeypatch):
+        # at [1,8,11], lines * |U'| passes 40 when a line is added, not when
+        # U' grows: the error comes before every line has been walked
+        level = IdealHNF(1, 8, 11)
+        calls = []
+        add = _LineStabilizer.add
+
+        def counted(self, *args):
+            calls.append(args)
+            return add(self, *args)
+
+        monkeypatch.setattr(_LineStabilizer, "add", counted)
+        orbit_stabilizer(level)
+        full_walk = len(calls)
+        calls.clear()
+        with pytest.raises(CapExceededError) as exc:
+            orbit_stabilizer(level, cap=40)
+        assert str(exc.value) == "orbit exceeded cap 40 (partial count 41)"
+        assert len(calls) < full_walk
+
 
 class TestIndexHelpers:
     def test_index_multiplicative_for_coprime_levels(self, quotient_cache):

@@ -124,8 +124,8 @@ def test_no_process_wide_cache():
 
 def test_no_float_arithmetic():
     # every answer stays exact: no float literal, no true division and no
-    # float(...) call anywhere in the package; an estimate is an integer
-    # that exact sign tests correct (golden._floor_quotient, unit_log)
+    # float(...) call anywhere in the package; the one estimate, the guess
+    # of golden.unit_log, is an integer that exact sign tests correct
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -136,3 +136,25 @@ def test_no_float_arithmetic():
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
                 found.append(f"{path.name}:{node.lineno} float()")
     assert found == []
+
+
+def test_one_root_of_five():
+    # golden decides sqrt5 in one place: math.isqrt is called in golden.py
+    # only inside _floor_sqrt5, the exact floor(y*sqrt5) that the sign and
+    # the pseudo-division's rounding both read
+    path = PACKAGE / "golden.py"
+    tree = ast.parse(path.read_text(), str(path))
+    helper = {
+        id(node)
+        for f in tree.body
+        if getattr(f, "name", None) == "_floor_sqrt5"
+        for node in ast.walk(f)
+    }
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in helper
+        and "isqrt" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert helper and found == []
