@@ -22,7 +22,6 @@ from .ideals import (
     ideal_divides,
     ideal_from_generator,
     ideal_mul,
-    ideal_pow,
     ideals_up_to,
     lattice_hnf,
     split_rational_prime,
@@ -35,7 +34,6 @@ from .matrices import (
     complete_column,
     eval_word,
     is_member,
-    is_reduced,
     parabolic_conjugate,
     parse_matrix,
     reduce_fraction,
@@ -43,16 +41,13 @@ from .matrices import (
 from .quotient import (
     QuotientGroup,
     ResMat,
-    SubgroupHandle,
     build_quotient,
     coset_words,
     index_g,
     index_h,
-    minus_i_in_level,
     orbit_stabilizer,
     power_subgroup,
     sl2_order,
-    subgroup_from_predicate,
     subgroup_generated,
 )
 from .formula import IndexReport, index_formula

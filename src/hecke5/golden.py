@@ -64,9 +64,6 @@ class GoldenInt:
         """Absolute norm |a^2 + a*b - b^2|."""
         return abs(self.a * self.a + self.a * self.b - self.b * self.b)
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def sign(self) -> int:
         """Exact sign of the real value a + b*(1+sqrt5)/2.
 
@@ -76,9 +73,6 @@ class GoldenInt:
         if not self:
             return 0
         return 1 if 2 * self.a + self.b + _floor_sqrt5(self.b) >= 0 else -1
-
-    def abs_real(self) -> GoldenInt:
-        return self if self.sign() >= 0 else -self
 
     def divides(self, other: GoldenInt) -> bool:
         """Exact divisibility test in Z[L]."""

@@ -126,13 +126,6 @@ def ideal_mul(x: IdealHNF, y: IdealHNF) -> IdealHNF:
     return out
 
 
-def ideal_pow(x: IdealHNF, n: int) -> IdealHNF:
-    out = IdealHNF(1, 0, 1)
-    for _ in range(n):
-        out = ideal_mul(out, x)
-    return out
-
-
 def ideals_up_to(norm: int) -> list[IdealHNF]:
     """Every ideal of norm 2 to `norm`, ordered by (norm, d1, k).
 

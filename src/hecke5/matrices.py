@@ -78,7 +78,6 @@ IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 S = Mat2(ZERO, ONE, -ONE, ZERO)
 T = Mat2(ONE, LAMBDA, ZERO, ONE)
 S_INV = Mat2(ZERO, -ONE, ONE, ZERO)
-MINUS_IDENTITY = -IDENTITY
 
 # a letter as the step (q, r) of `_column_product`: T^q, then S^r
 _STEPS = {"S": (0, 1), "s": (0, -1), "T": (1, 0), "t": (-1, 0)}
@@ -151,23 +150,20 @@ def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
         q, r = divmod_pseudo(a, b)
         quotients.append(q)
         a, b = b, -r
-    if not a.is_unit():
+    if a.norm() != 1:
         raise NotCoprimeError(f"gcd is {a}, not a unit")
     unit = unit_log(a)
     return ReductionResult(-unit.exponent, unit, quotients)
 
 
-def is_reduced(a: GoldenInt, b: GoldenInt) -> bool:
-    """True iff (a, b)^T already occurs as a column of a group element."""
-    return reduce_fraction(a, b).e == 0
-
-
 def is_member(m: Mat2) -> bool:
-    """Membership in the Hecke group: det 1 and both columns reduced."""
+    """Membership in the Hecke group: det 1 and both columns reduced, that
+    is, each column (a, b)^T has reduced factor 0, so it already occurs as
+    a column of a group element."""
     if m.det() != ONE:
         return False
     try:
-        return is_reduced(m.a11, m.a21) and is_reduced(m.a12, m.a22)
+        return reduce_fraction(m.a11, m.a21).e == 0 and reduce_fraction(m.a12, m.a22).e == 0
     except NotCoprimeError:
         return False
 

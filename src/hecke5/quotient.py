@@ -17,15 +17,17 @@ Two engines, one per kind of question:
   mapping each element to its BFS predecessor (the identity to None),
   which is at once the element set, the BFS order and the parent map.
   `build_quotient` is that closure under the images of S and T, kept
-  with its level as a `QuotientGroup`; the subgroups, the verifiers and
-  `coset_words` (one BFS-order pass) use it, and `power_subgroup` powers
-  elements in BFS order only until their span is the whole group.
+  with its level as a `QuotientGroup`, which the verifiers and
+  `coset_words` (one BFS-order pass) read.  A subgroup is a closure
+  too: `subgroup_generated` returns its generators' closure dict, and
+  `power_subgroup` that of the powers it needed, powering elements in
+  BFS order only until their span is the whole group.
 
 An element has one form everywhere, its packed int (`_pack`): the
 residue (x, y) of an entry (the level is its own residue ring, see
 `IdealHNF.reduce_pair`) is the digit x*d2 + y in [0, N), N = N(A), and
 the four entries are the base-N digits of one int, row-major.  It is
-`ResMat.key`, the closure's keys and values, and a subgroup's members,
+`ResMat.key` and every closure's keys and values, a subgroup's too,
 which makes the enumeration deterministic, hashable and small.  Only
 this module reads the digits: `ResMat` decodes its operands for its
 arithmetic, and `ResMat.residues` gives the eight residue integers to
@@ -42,6 +44,7 @@ closure's row tables and the chain all use it, and no `GoldenInt`.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import add
@@ -151,17 +154,12 @@ class QuotientGroup:
 
     Two fields: the level, and predecessor, the closure's dict from each
     element in BFS order to its BFS predecessor (None at the identity),
-    both packed ints (`ResMat.key`).  `elements` (a new tuple per call)
-    and `order` are read from that dict, and `coset_words` spells its
-    chains.
+    both packed ints (`ResMat.key`).  `order` is read from that dict, and
+    `coset_words` spells its chains.
     """
 
     level: IdealHNF
     predecessor: dict[int, int | None]
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self.predecessor)
 
     @property
     def order(self) -> int:
@@ -391,14 +389,11 @@ def sl2_order(level: IdealHNF) -> int:
     return prod(sl2_factor(pf.prime.norm, pf.exponent) for pf in level.factors)
 
 
-def minus_i_in_level(level: IdealHNF) -> bool:
-    """-I = I mod A exactly when A divides (2), whose HNF is [2,0,2]."""
-    return ideal_divides(level, IdealHNF(2, 0, 2))
-
-
 def index_g(level: IdealHNF, index: int) -> int:
-    """The level's index in the group mod +-I, from `index` = [H : H(level)]."""
-    return index if minus_i_in_level(level) else index // 2
+    """The level's index in the group mod +-I, from `index` = [H : H(level)]:
+    halved unless -I = I mod A, which holds exactly when A divides (2),
+    whose HNF is [2,0,2]."""
+    return index if ideal_divides(level, IdealHNF(2, 0, 2)) else index // 2
 
 
 def coset_words(q: QuotientGroup) -> dict[int, str]:
@@ -419,38 +414,6 @@ def coset_words(q: QuotientGroup) -> dict[int, str]:
         same = top // n == pred_top // n and bottom // n == pred_bottom // n
         words[key] = words[pred] + ("T" if same else "S")
     return words
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    group: QuotientGroup
-    members: frozenset[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    @property
-    def index(self) -> int:
-        if self.group.order % self.order:
-            raise ValueError(f"{self.order} does not divide the group order {self.group.order}")
-        return self.group.order // self.order
-
-
-def subgroup_from_predicate(q: QuotientGroup, which: str) -> SubgroupHandle:
-    """The congruence-condition subgroups: `H0` (lower-left entry 0) or
-    `H1` (additionally both diagonal entries 1)."""
-    if which not in ("H0", "H1"):
-        raise ValueError(f"unknown predicate {which!r}")
-    n = q.level.norm
-    n2 = n * n
-    # the digit of 1, the identity's lowest; a packed bottom row below N
-    # has lower-left digit 0
-    one = ResMat.identity(q.level).key % n
-    members = [key for key in q.predecessor if key % n2 < n]
-    if which == "H1":
-        members = [key for key in members if key % n2 == one and key // (n2 * n) == one]
-    return SubgroupHandle(q, frozenset(members))
 
 
 def semigroup_closure(
@@ -519,22 +482,23 @@ def semigroup_closure(
     return predecessor
 
 
-def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> SubgroupHandle:
+def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> dict[int, int | None]:
+    """The subgroup the generators span, as their `semigroup_closure`."""
     for g in gens:
         if g.key not in q.predecessor:
             raise ValueError(f"generator {g.residues()} is not in the quotient")
-    members = frozenset(semigroup_closure(q.level, [g.key for g in gens]))
-    return SubgroupHandle(q, members)
+    return semigroup_closure(q.level, [g.key for g in gens])
 
 
-def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
+def power_subgroup(q: QuotientGroup, k: int) -> dict[int, int | None]:
     """Subgroup generated by all k-th powers (normal: the generating set
-    is closed under conjugation).  Elements are powered in BFS order; a
-    power outside the span joins the generators and the span is closed
-    again, and the walk stops once the span is the whole group."""
+    is closed under conjugation), as the closure of the powers it needed.
+    Elements are powered in BFS order; a power outside the span joins the
+    generators and the span is closed again, and the walk stops once the
+    span is the whole group."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    members = {ResMat.identity(q.level).key}
+    members: dict[int, int | None] = {ResMat.identity(q.level).key: None}
     gens: list[int] = []
     for key in q.predecessor:
         p = (ResMat(q.level, key) ** k).key
@@ -543,15 +507,15 @@ def power_subgroup(q: QuotientGroup, k: int) -> SubgroupHandle:
             members = semigroup_closure(q.level, gens)
             if len(members) == q.order:
                 break
-    return SubgroupHandle(q, frozenset(members))
+    return members
 
 
-def is_normal(sub: SubgroupHandle) -> bool:
-    """Conjugation-stability under the two group generators suffices."""
-    q = sub.group
-    for gen in (ResMat.from_mat2(q.level, S), ResMat.from_mat2(q.level, T)):
+def is_normal(level: IdealHNF, members: Collection[int]) -> bool:
+    """Whether the subgroup with these members (packed ints) is normal in
+    the image: conjugation-stability under S and T suffices."""
+    for gen in (ResMat.from_mat2(level, S), ResMat.from_mat2(level, T)):
         inv = gen.inverse()
-        for key in sub.members:
-            if (gen * ResMat(q.level, key) * inv).key not in sub.members:
+        for key in members:
+            if (gen * ResMat(level, key) * inv).key not in members:
                 return False
     return True

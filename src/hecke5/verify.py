@@ -9,6 +9,7 @@ failing check carries a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from .golden import GoldenInt, lambda_power
@@ -279,20 +280,22 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
         "delta-in-quotient", all(d.key in q.predecessor for d in delta)
     )
     sub = subgroup_generated(q, delta)
-    report.add("delta-subgroup-order", sub.order, 125)
-    report.add_bool("delta-subgroup-normal", is_normal(sub))
+    report.add("delta-subgroup-order", len(sub), 125)
+    report.add_bool("delta-subgroup-normal", is_normal(q.level, sub))
     report.add_bool(
         "delta-subgroup-elementary-abelian",
         elementary_abelian(q.level, [d.key for d in delta], 5),
     )
-    report.add("quotient-by-delta", q.order // sub.order, 120)
+    # an index is exact: a subgroup order that does not divide the group
+    # order fails the check with its fraction as the witness
+    report.add("quotient-by-delta", Fraction(q.order, len(sub)), 120)
     fifth = power_subgroup(q, 5)
-    report.add("fifth-power-subgroup-index", fifth.index, 1)
+    report.add("fifth-power-subgroup-index", Fraction(q.order, len(fifth)), 1)
     s_img = ResMat.from_mat2(q.level, S)
     t5_img = ResMat.from_mat2(q.level, T**5)
     report.add_bool(
         "S-and-T5-in-fifth-powers",
-        s_img.key in fifth.members and t5_img.key in fifth.members,
+        s_img.key in fifth and t5_img.key in fifth,
     )
     return report
 
@@ -319,11 +322,11 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     q4 = build_quotient(level4, cap)
     imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
     sub16 = subgroup_generated(q4, imgs)
-    report.add("level2-generators-mod4-order", sub16.order, 16)
+    report.add("level2-generators-mod4-order", len(sub16), 16)
     ident4 = ResMat.identity(level4)
     report.add_bool(
         "level2-generators-mod4-exponent-2",
-        all(ResMat(level4, g) * ResMat(level4, g) == ident4 for g in sub16.members),
+        all(ResMat(level4, g) * ResMat(level4, g) == ident4 for g in sub16),
     )
 
     # sample matrices: three are members; the third has det -L and its

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,6 @@ from hecke5.ideals import (
     ideal_divides,
     ideal_from_generator,
     ideal_mul,
-    ideal_pow,
     ideals_up_to,
     lattice_hnf,
     split_rational_prime,
@@ -167,11 +167,6 @@ class TestIdealArithmetic:
         lhs = ideal_mul(ideal_from_generator(g), ideal_from_generator(h))
         assert lhs == ideal_from_generator(g * h)
 
-    def test_pow(self):
-        tau = ideal_from_generator(TAU)
-        assert ideal_pow(tau, 2) == ideal_from_generator(5)
-        assert ideal_pow(tau, 0) == IdealHNF(1, 0, 1)
-
     def test_divides(self):
         two = ideal_from_generator(2)
         four = ideal_from_generator(4)
@@ -233,7 +228,7 @@ class TestSplitting:
     def test_power_is_prime_to_exponent(self, p):
         check = IdealHNF(1, 0, 1)
         for f in split_rational_prime(p):
-            assert f.power == ideal_pow(f.prime, f.exponent)
+            assert f.power == reduce(ideal_mul, [f.prime] * f.exponent)
             check = ideal_mul(check, f.power)
         assert check == ideal_from_generator(p)
 
@@ -284,7 +279,7 @@ class TestFactorIdeal:
         factors = factor_ideal(ideal)
         check = IdealHNF(1, 0, 1)
         for f in factors:
-            assert f.power == ideal_pow(f.prime, f.exponent)
+            assert f.power == reduce(ideal_mul, [f.prime] * f.exponent)
             check = ideal_mul(check, f.power)
         assert check == ideal
         assert ideal.norm == 1 or all(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -11,12 +12,11 @@ from hecke5.ideals import (
     IdealHNF,
     ideal_from_generator,
     ideal_mul,
-    ideal_pow,
     ideals_up_to,
     lattice_hnf,
     split_rational_prime,
 )
-from hecke5.matrices import IDENTITY, MINUS_IDENTITY, S, T, eval_word
+from hecke5.matrices import IDENTITY, S, T, eval_word
 from hecke5.quotient import (
     DEFAULT_CAP,
     CapExceededError,
@@ -28,18 +28,15 @@ from hecke5.quotient import (
     _pack,
     _residue_ops,
     _unpack,
-    SubgroupHandle,
     build_quotient,
     coset_words,
     index_g,
     index_h,
     is_normal,
-    minus_i_in_level,
     orbit_stabilizer,
     power_subgroup,
     semigroup_closure,
     sl2_order,
-    subgroup_from_predicate,
     subgroup_generated,
 )
 
@@ -68,18 +65,18 @@ class TestBuildQuotient:
 
     def test_elements_unique_and_start_at_identity(self, quotient_cache):
         q = quotient_cache(3)
-        assert len(set(q.elements)) == q.order
-        assert q.elements[0] == ResMat.identity(q.level).key
+        assert len(set(q.predecessor)) == q.order
+        assert next(iter(q.predecessor)) == ResMat.identity(q.level).key
 
     def test_deterministic(self, quotient_cache):
         q1 = quotient_cache(3)
         q2 = build_quotient(ideal_from_generator(3))
-        assert q1.elements == q2.elements
+        assert list(q1.predecessor) == list(q2.predecessor)
 
     def test_bfs_order_pinned(self, quotient_cache):
         q = quotient_cache(5)
         # the digest of the elements as 8-tuples of residues, in BFS order
-        elements = tuple(ResMat(q.level, key).residues() for key in q.elements)
+        elements = tuple(ResMat(q.level, key).residues() for key in q.predecessor)
         assert (
             hashlib.sha256(repr(elements).encode()).hexdigest()
             == "2c5f1c5395ca59f22be72fd0b1fdaf56d4d1ab93d56174009467d31c593da1e5"
@@ -98,7 +95,7 @@ class TestBuildQuotient:
     def test_closure_under_product(self, quotient_cache):
         q = quotient_cache(TAU)
         rng = random.Random(1)
-        keys = list(q.elements)
+        keys = list(q.predecessor)
         for _ in range(100):
             u = ResMat(q.level, rng.choice(keys))
             v = ResMat(q.level, rng.choice(keys))
@@ -108,14 +105,14 @@ class TestBuildQuotient:
     def test_all_elements_have_det_one(self, quotient_cache):
         q = quotient_cache(4)
         one = q.level.reduce_pair(1, 0)
-        assert all(ResMat(q.level, k).det() == one for k in q.elements)
+        assert all(ResMat(q.level, k).det() == one for k in q.predecessor)
 
 
 class TestResMatInverse:
     def test_inverse(self, quotient_cache):
         q = quotient_cache(TAU)
         ident = ResMat.identity(q.level)
-        for key in q.elements[:50]:
+        for key in list(q.predecessor)[:50]:
             m = ResMat(q.level, key)
             assert m * m.inverse() == ident == m.inverse() * m
 
@@ -141,7 +138,7 @@ class TestResMatPower:
     def test_matches_repeated_product(self, quotient_cache):
         q = quotient_cache(TAU)
         ident = ResMat.identity(q.level)
-        for key in q.elements[:: len(q.elements) // 12]:
+        for key in list(q.predecessor)[:: q.order // 12]:
             m = ResMat(q.level, key)
             for n in range(-7, 8):
                 product = ident
@@ -164,7 +161,7 @@ class TestResMatArithmetic:
     def test_product_and_det_match_golden_arithmetic(self, quotient_cache, gen, data):
         q = quotient_cache(gen)
         level = q.level
-        matrix = st.one_of(st.sampled_from(q.elements), st.integers(0, level.norm**4 - 1))
+        matrix = st.one_of(st.sampled_from(list(q.predecessor)), st.integers(0, level.norm**4 - 1))
         x, y = (ResMat(level, data.draw(matrix)) for _ in range(2))
         (a, b, c, d), (e, f, g, h) = golden_entries(x), golden_entries(y)
         product = [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
@@ -255,7 +252,7 @@ class TestLineForm:
         # on the unimodular columns (a, c), each value of the form is taken
         # on exactly one line {(ua, uc) : u a unit}, and there are
         # N(P^e) (1 + 1/N(P)) lines; the units are the residues outside P
-        power_ideal = ideal_pow(prime, e)
+        power_ideal = reduce(ideal_mul, [prime] * e)
         n, d1, k = power_ideal.norm, power_ideal.d1, power_ideal.k
         residues = [(x, y) for x in range(d1) for y in range(power_ideal.d2)]
         units = {r for r in residues if not prime.contains(GoldenInt(*r))}
@@ -439,9 +436,10 @@ class TestIndexHelpers:
         assert index_g(four, index_h(four)) == 160
 
     def test_minus_i(self):
-        assert minus_i_in_level(ideal_from_generator(2))
-        assert not minus_i_in_level(ideal_from_generator(4))
-        assert not minus_i_in_level(ideal_from_generator(3))
+        # -I = I mod (2) only: the index is halved everywhere else
+        assert index_g(ideal_from_generator(2), 10) == 10
+        assert index_g(ideal_from_generator(4), 320) == 160
+        assert index_g(ideal_from_generator(3), 120) == 60
 
     def test_sl2_order_small(self):
         # |SL(2, F_4)| = 60, |SL(2, F_5)| = 120, |SL(2, F_9)| = 720
@@ -472,7 +470,7 @@ class TestCosetWords:
         q = quotient_cache(TAU)
         words = coset_words(q)
         assert len(words) == q.order
-        assert list(words) == list(q.elements)
+        assert list(words) == list(q.predecessor)
 
     def test_non_member_has_no_word(self, quotient_cache):
         q = quotient_cache(2)
@@ -506,10 +504,25 @@ class TestCosetWords:
             return "".join(reversed(letters))
 
         assert q.order == 15000
-        assert words == {key: chain_word(key) for key in q.elements}
+        assert words == {key: chain_word(key) for key in q.predecessor}
         for key, pred in q.predecessor.items():
             if pred is not None:
                 assert len(words[key]) == len(words[pred]) + 1
+
+
+def subgroup_from_predicate(q: QuotientGroup, which: str) -> set[int]:
+    """The members of a congruence-condition subgroup, read off the packed
+    digits of the quotient's elements: `H0` (lower-left entry 0) or `H1`
+    (additionally both diagonal entries 1); the reference for the chain."""
+    n = q.level.norm
+    n2 = n * n
+    # the digit of 1, the identity's lowest; a packed bottom row below N
+    # has lower-left digit 0
+    one = ResMat.identity(q.level).key % n
+    members = {key for key in q.predecessor if key % n2 < n}
+    if which == "H1":
+        members = {key for key in members if key % n2 == one and key // (n2 * n) == one}
+    return members
 
 
 class TestSubgroups:
@@ -517,30 +530,30 @@ class TestSubgroups:
         q = quotient_cache(GoldenInt(3, 1))
         h0 = subgroup_from_predicate(q, "H0")
         h1 = subgroup_from_predicate(q, "H1")
-        assert h0.index == 12
-        assert h1.members <= h0.members
-        assert not is_normal(h0)
+        assert q.order == 12 * len(h0)
+        assert h1 <= h0
+        assert not is_normal(q.level, h0)
 
-    def test_unknown_predicate(self, quotient_cache):
-        with pytest.raises(ValueError):
-            subgroup_from_predicate(quotient_cache(2), "H2")
-
-    def test_index_of_a_non_divisor_rejected(self, quotient_cache):
-        q = quotient_cache(2)
-        handle = SubgroupHandle(q, frozenset(q.elements[:3]))
-        with pytest.raises(ValueError):
-            handle.index
+    @pytest.mark.parametrize("level", ideals_up_to(40), ids=str)
+    def test_h1_is_the_stabilizer_of_e1(self, quotient_cache, level):
+        # H1 = {[[1, b], [0, 1]]} fixes the column e1, so the predicate
+        # counts the chain's stabilizer, and orbit times stabilizer is the
+        # order of the closure
+        q = quotient_cache(level)
+        orbit, stabilizer = orbit_stabilizer(level)
+        assert len(subgroup_from_predicate(q, "H1")) == stabilizer
+        assert q.order == orbit * stabilizer
 
     def test_subgroup_generated_whole_group(self, quotient_cache):
         q = quotient_cache(2)
         s = ResMat.from_mat2(q.level, S)
         t = ResMat.from_mat2(q.level, T)
         sub = subgroup_generated(q, [s, t])
-        assert sub.order == q.order
+        assert sub == q.predecessor
 
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
         q = quotient_cache(2)
-        bad = ResMat.from_mat2(q.level, MINUS_IDENTITY * T)
+        bad = ResMat.from_mat2(q.level, -IDENTITY * T)
         # a fifth base-N digit: no element packs to it
         stray = ResMat(q.level, bad.key + q.level.norm**4)
         with pytest.raises(ValueError):
@@ -548,29 +561,30 @@ class TestSubgroups:
 
     def test_order_divides_group_order(self, quotient_cache):
         q = quotient_cache(TAU)
+        keys = list(q.predecessor)
         rng = random.Random(4)
         for _ in range(10):
-            gens = [ResMat(q.level, rng.choice(q.elements)) for _ in range(2)]
+            gens = [ResMat(q.level, rng.choice(keys)) for _ in range(2)]
             sub = subgroup_generated(q, gens)
-            assert q.order % sub.order == 0
+            assert q.order % len(sub) == 0
 
 
 class TestPowerSubgroup:
     def test_first_powers_give_whole_group(self, quotient_cache):
         q = quotient_cache(2)
-        assert power_subgroup(q, 1).order == q.order
+        assert len(power_subgroup(q, 1)) == q.order
 
     def test_fifth_powers_mod_two(self, quotient_cache):
         q = quotient_cache(2)
-        assert power_subgroup(q, 5).index == 1
+        assert len(power_subgroup(q, 5)) == q.order
 
     def test_against_naive_closure_oracle(self, quotient_cache):
         q = quotient_cache(TAU)
         for k in (2, 3, 5):
             fast = power_subgroup(q, k)
             # oracle: repeatedly multiply the set of k-th powers until stable
-            gens = {(ResMat(q.level, key) ** k).key for key in q.elements}
-            members = set(gens) | {q.elements[0]}
+            gens = {(ResMat(q.level, key) ** k).key for key in q.predecessor}
+            members = set(gens) | {ResMat.identity(q.level).key}
             changed = True
             while changed:
                 changed = False
@@ -580,8 +594,8 @@ class TestPowerSubgroup:
                         if w not in members:
                             members.add(w)
                             changed = True
-            assert fast.members == frozenset(members)
-            assert is_normal(fast)
+            assert fast.keys() == members
+            assert is_normal(q.level, fast)
 
     def test_bad_exponent(self, quotient_cache):
         with pytest.raises(ValueError):
@@ -595,8 +609,8 @@ class TestPowerSubgroup:
         q = quotient_cache(gen)
         # the reference: tabulate every element's k-th power in BFS order,
         # then grow the span from that table
-        powers = dict.fromkeys((ResMat(q.level, key) ** k).key for key in q.elements)
-        members = {q.elements[0]}
+        powers = dict.fromkeys((ResMat(q.level, key) ** k).key for key in q.predecessor)
+        members = {ResMat.identity(q.level).key}
         gens: list[int] = []
         for p in powers:
             if p not in members:
@@ -604,7 +618,7 @@ class TestPowerSubgroup:
                 members = semigroup_closure(q.level, gens)
                 if len(members) == q.order:
                     break
-        assert power_subgroup(q, k).members == frozenset(members)
+        assert power_subgroup(q, k).keys() == set(members)
 
     @pytest.mark.parametrize("gen, k, index, calls", [(5, 5, 1, None), (4, 2, 2, 320)])
     def test_powers_stop_once_they_span_the_group(
@@ -620,7 +634,7 @@ class TestPowerSubgroup:
             return pow_(self, n)
 
         monkeypatch.setattr(ResMat, "__pow__", counted)
-        assert power_subgroup(q, k).index == index
+        assert q.order == index * len(power_subgroup(q, k))
         if calls is None:
             # at (5) the fifth powers of the first few elements in BFS
             # order already span all 15,000

@@ -1,6 +1,7 @@
 import ast
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import hecke5
@@ -158,3 +159,57 @@ def test_one_root_of_five():
         and "isqrt" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
     assert helper and found == []
+
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    # how often a tree reads or writes each name, as a variable or an
+    # attribute; imports, strings and docstrings do not count
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_name_has_a_caller():
+    # a module-level function, class or constant of the package is used by
+    # the package outside its own definition, by a script or by the
+    # benchmark; the exports of __init__.py do not count as a use, so a
+    # name that only tests read has no place in the package.  bench/ is
+    # read from its source (span targets as test_bench_span_targets_resolve
+    # reads them), so nothing is written there
+    root = PACKAGE.parents[1]
+    outside: Counter[str] = Counter()
+    for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        outside += _references(ast.parse(path.read_text(), str(path)))
+    path = root / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    outside.update(part for _, _, attribute, _ in spans.TARGETS for part in attribute.split("."))
+
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    inside = sum((_references(tree) for tree in trees.values()), Counter())
+    found = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            found += [
+                f"{filename}:{node.lineno} {name}"
+                for name in names
+                if not (name.startswith("__") and name.endswith("__"))
+                and inside[name] == own[name]
+                and not outside[name]
+            ]
+    assert found == []

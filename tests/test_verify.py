@@ -1,5 +1,7 @@
 import pytest
 
+from hecke5 import cli
+from hecke5 import verify as verify_mod
 from hecke5.golden import GoldenInt, ONE
 from hecke5.ideals import ideal_from_generator
 from hecke5.matrices import S, T, is_member
@@ -133,6 +135,29 @@ class TestLevel5Structure:
         assert by_name["delta-subgroup-order"].computed == "125"
         assert by_name["quotient-by-delta"].computed == "120"
         assert by_name["fifth-power-subgroup-index"].computed == "1"
+
+    def test_an_index_that_is_no_integer_fails_the_check(self, monkeypatch, capsys):
+        # a fifth-power subgroup one member short: 14,999 does not divide
+        # 15,000, so the index is a fraction, which fails its check as the
+        # witness, and the CLI reports a failed verification, not a usage error
+        power_subgroup = verify_mod.power_subgroup
+
+        def one_short(q, k):
+            members = power_subgroup(q, k)
+            members.popitem()
+            return members
+
+        monkeypatch.setattr(verify_mod, "power_subgroup", one_short)
+        witness = verify_level5_structure().witness()
+        assert witness is not None
+        assert (witness.name, witness.computed, witness.expected) == (
+            "fifth-power-subgroup-index",
+            "15000/14999",
+            "1",
+        )
+        assert cli.main(["verify", "level5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL fifth-power-subgroup-index: computed 15000/14999, expected 1" in out
 
 
 class TestIdentities:
