@@ -2,14 +2,19 @@
 
 Two engines, one per kind of question:
 
-- Counting.  The order of the image (the index [H : H(A)]) comes from
-  `orbit_stabilizer`, a three-level stabilizer chain: the orbit of the
-  line <e1> in P^1(O/A), then the units U' that the line's stabilizer
-  puts on e1, then the translations K that fix e1.  Each of its orbits
-  has about N(A) points, where the orbit of the column e1 itself has
-  about N(A)^2, and it keeps one transversal matrix per line and one
-  lift per unit.  `index_h` is the product of its two counts, and
-  `index_g` halves that unless -I = I mod A.
+- Counting.  The order of any subgroup given by packed generators
+  comes from `orbit_stabilizer`, a three-level stabilizer chain: the
+  orbit of the line <e1> in P^1(O/A), then the units U' that the
+  line's stabilizer puts on e1, then the translations K that fix e1.
+  Each of its orbits has about N(A) points, where the orbit of the
+  column e1 itself has about N(A)^2, and it keeps one transversal
+  matrix per line and one lift per unit; it never lists the group's
+  elements.  Its cap bounds the orbit of e1, lines times |U'|.  By
+  default the generators are the images of S and T
+  (`_hecke_generators`, which `build_quotient` closes under too), so
+  the order is the index [H : H(A)]: `index_h` is the product of the
+  two counts, and `index_g` halves that unless -I = I mod A.  The
+  kernel-layer verifier counts its p^6 elements this way.
 - Elements and words.  `semigroup_closure` is the one breadth-first
   closure: from the identity under right-multiplication by the given
   generators (a finite group, so semigroup closure suffices and words
@@ -32,8 +37,8 @@ which makes the enumeration deterministic, hashable and small.  Only
 this module reads the digits: `ResMat` decodes its operands for its
 arithmetic, and `ResMat.residues` gives the eight residue integers to
 a caller that prints them.  (The chain does arithmetic on every
-transversal matrix it keeps, so it keeps them decoded, as `Key`
-tuples, and none leaves it.)  The closure multiplies by table lookups on
+transversal matrix it keeps, so it keeps them decoded, as their four
+residues, and none leaves it.)  The closure multiplies by table lookups on
 packed rows, tables filled on demand, one general row product per
 generator for each row that occurs, so nothing is sized by N(A) and a
 cap error at a level of norm 10^10 comes as fast as at (2).
@@ -170,8 +175,12 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
     """BFS closure of {S, T} images modulo the given ideal."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    gen_keys = [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
-    return QuotientGroup(level, semigroup_closure(level, gen_keys, cap))
+    return QuotientGroup(level, semigroup_closure(level, _hecke_generators(level), cap))
+
+
+def _hecke_generators(level: IdealHNF) -> list[int]:
+    """The packed images of S and T mod the level, in that order."""
+    return [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
 
 
 def _residue_ops(m: IdealHNF):
@@ -268,9 +277,9 @@ class _LineStabilizer:
         lift_b, u_inv = self.lifts[u]
         self.span(self.mul(u_inv, self.red(b[0] - lift_b[0], b[1] - lift_b[1])))
 
-    def add(self, u: Pair, b: Pair, u_inv: Pair, lines: int) -> None:
+    def add(self, u: Pair, b: Pair, u_inv: Pair | None, lines: int) -> None:
         """Add a generator; raise CapExceededError once `lines` times
-        |U'| exceeds the cap."""
+        |U'| exceeds the cap.  `u_inv` is read only when u is new to U'."""
         lifts = self.lifts
         if u in lifts:
             self.sift(u, b)
@@ -308,37 +317,54 @@ class _LineStabilizer:
         return self.level.norm // (self.lattice[0] * self.lattice[2])
 
 
-def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(|orbit of e1|, |stabilizer of e1|) for the image G of the group
-    mod the level acting on columns; their product is the image's order.
+def orbit_stabilizer(
+    level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None
+) -> tuple[int, int]:
+    """(|orbit of e1|, |stabilizer of e1|) for the group G that the packed
+    generators `gen_keys` span mod the level, acting on columns; their
+    product is |G|.  `None` means the images of S and T, so G is the
+    image of the Hecke group and the product is its index.
 
     Counted through a stabilizer chain with base the line <e1> in
     P^1(O/A), then e1 (Sims 1970; Holt, Eick & O'Brien, Handbook of
     Computational Group Theory, 2005, 4.1 and 4.4), so every orbit it
-    walks has about N(A) points, not N(A)^2:
+    walks has about N(A) points, not N(A)^2, whatever G is:
 
-    - Lines.  The orbit of <e1> under S and T, each line with one
-      transversal matrix t whose first column lies on it.  A line is
-      keyed by its local canonical forms over the P^e || A
-      (`_line_form`).  A repeated line w = g v gives the Schreier
-      generator t_w^-1 g t_v = [[u, b], [0, u^-1]] of G0, the
-      stabilizer of <e1>.
+    - Lines.  The orbit of <e1> under the generators g, each line with
+      one transversal matrix t whose first column lies on it: the line
+      of g t_v is reached from the line v, with g t_v as its transversal
+      if it is new.  A line is keyed by its local canonical forms over
+      the P^e || A (`_line_form`).  A repeated line w = g v gives the
+      Schreier generator t_w^-1 g t_v = [[u, b], [0, u^-1]] of G0, the
+      stabilizer of <e1>: the upper-triangular elements of G.
     - U' and K (`_LineStabilizer`).  The u of G0 form a group of units
       U', the orbit of e1 under G0, and K, the stabilizer of e1, is the
-      group of translations [[1, x], [0, 1]] in G0.  K is a lattice of
-      Z^2 with the level (`lattice_hnf`), not always an ideal: at (2)
-      it is Z*2 + Z*L.  |K| = N(A) / det.
+      group of translations [[1, x], [0, 1]] in G0, so |G0| = |U'| |K|.
+      K is a lattice of Z^2 with the level (`lattice_hnf`), not always
+      an ideal: for the Hecke group at (2) it is Z*2 + Z*L.
+      |K| = N(A) / det.
 
     The orbit of e1 has lines * |U'| points, and `cap` bounds that count:
     CapExceededError(cap) is raised as soon as the lines so far times |U'|
-    so far exceed it, checked whenever either grows.  The line keys rest
-    on `level.factors`, as the formula does, and `factor_ideal` raises
-    unless they multiply back to the level: a wrong factorization cannot
-    make the two agree silently.
+    so far exceed it, checked whenever either grows.  Neither G nor K is
+    listed, so a group far larger than the cap can be counted.  A
+    generator whose determinant is not 1 is a ValueError.  The line keys
+    rest on `level.factors`, as the formula does, and `factor_ideal`
+    raises unless they multiply back to the level: a wrong factorization
+    cannot make the two agree silently.
     """
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
+    if gen_keys is None:
+        gen_keys = _hecke_generators(level)
     red, _, dot = _residue_ops(level)
+    one = red(1, 0)
+    gens = []  # each generator as its four entries, row-major
+    for g in gen_keys:
+        e = _unpack(level, g)
+        if ResMat(level, g).det() != one:
+            raise ValueError(f"generator {e} has a determinant other than 1")
+        gens.append((e[0:2], e[2:4], e[4:6], e[6:8]))
     forms = [_line_form(pf.power) for pf in level.factors]
     radix = 2 * level.norm
 
@@ -349,31 +375,31 @@ def orbit_stabilizer(level: IdealHNF, cap: int = DEFAULT_CAP) -> tuple[int, int]
         return key
 
     stabilizer = _LineStabilizer(level, cap)
-    one = red(1, 0)
-    identity: Key = (*one, 0, 0, 0, 0, *one)
-    transversal = {line_key(one, (0, 0)): identity}  # line key -> t
+    lifts = stabilizer.lifts
+    identity = (one, (0, 0), (0, 0), one)
+    transversal = {line_key(one, (0, 0)): identity}  # line key -> t, as its four entries
     queue = [identity]
-    for ax, ay, bx, by, cx, cy, dx, dy in queue:
-        # S t = [[-c, -d], [a, b]]; T t = [[a + Lc, b + Ld], [c, d]],
-        # with L (x + yL) = y + (x + y)L
-        for m in (
-            (*red(-cx, -cy), *red(-dx, -dy), ax, ay, bx, by),
-            (*red(ax + cy, ay + cx + cy), *red(bx + dy, by + dx + dy), cx, cy, dx, dy),
-        ):
-            m11, m12, m21, m22 = m[0:2], m[2:4], m[4:6], m[6:8]
+    for t11, t12, t21, t22 in queue:
+        for g11, g12, g21, g22 in gens:
+            # g t, whose first column's line is the one g reaches from t's
+            m11, m21 = dot(g11, t11, g12, t21), dot(g21, t11, g22, t21)
             key = line_key(m11, m21)
+            m12, m22 = dot(g11, t12, g12, t22), dot(g21, t12, g22, t22)
             tw = transversal.get(key)
             if tw is None:
-                transversal[key] = m
+                transversal[key] = m = (m11, m12, m21, m22)
                 queue.append(m)
-                if len(queue) * len(stabilizer.lifts) > cap:
+                if len(queue) * len(lifts) > cap:
                     raise CapExceededError(cap, "orbit")
                 continue
-            # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 m = [[u, b], [0, u^-1]]
-            aw, nbw, ncw, dw = tw[0:2], red(-tw[2], -tw[3]), red(-tw[4], -tw[5]), tw[6:8]
-            u, b, u_inv = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22), dot(aw, m22, ncw, m12)
+            # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 g t = [[u, b], [0, u^-1]];
+            # u^-1 is read only when u is new to U'
+            aw, bw, cw, dw = tw
+            nbw = red(-bw[0], -bw[1])
+            u, b = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22)
+            u_inv = None if u in lifts else dot(aw, m22, red(-cw[0], -cw[1]), m12)
             stabilizer.add(u, b, u_inv, len(queue))
-    return len(queue) * len(stabilizer.lifts), stabilizer.translations()
+    return len(queue) * len(lifts), stabilizer.translations()
 
 
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:

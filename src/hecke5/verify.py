@@ -29,6 +29,7 @@ from .quotient import (
     ResMat,
     build_quotient,
     is_normal,
+    orbit_stabilizer,
     power_subgroup,
     semigroup_closure,
     subgroup_generated,
@@ -143,18 +144,25 @@ def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[int]]:
 def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """The six unipotent matrices at depth p^n generate, modulo p^(n+1),
     an elementary abelian group of order p^6 with the expected upper- and
-    lower-triangular subgroup structure.  Raises CapExceededError once
-    the group holds more than `cap` elements."""
+    lower-triangular subgroup structure.
+
+    Two parts are listed by `semigroup_closure`: M, spanned by the first
+    four generators (p^4 elements), and N, by the last two (p^2).  The
+    order of the whole group is counted by the stabilizer chain
+    (`orbit_stabilizer` on all six generators), which walks about p^4
+    points and never lists the p^6 elements.  `cap` bounds each part's
+    elements and the chain's orbit points: CapExceededError is raised
+    once either passes it, the parts first."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     level, gen_keys = kernel_layer_generators(p, n)
-    group = semigroup_closure(level, gen_keys, cap=cap)
-    report.add("order", len(group), p**6)
+    m_group = semigroup_closure(level, gen_keys[:4], cap)
+    n_group = semigroup_closure(level, gen_keys[4:], cap)
+    orbit, stabilizer = orbit_stabilizer(level, cap, gen_keys)
+    report.add("order", orbit * stabilizer, p**6)
     report.add_bool("generators-commute", _commute(level, gen_keys))
     report.add_bool(
         "every-element-has-order-dividing-p", elementary_abelian(level, gen_keys, p)
     )
-    m_group = semigroup_closure(level, gen_keys[:4])
-    n_group = semigroup_closure(level, gen_keys[4:])
     report.add("unipotent-part-order", len(m_group), p**4)
     report.add("diagonal-part-order", len(n_group), p**2)
     report.add("parts-intersection", len(m_group.keys() & n_group.keys()), 1)
@@ -233,7 +241,8 @@ def verify_conjugation_action() -> VerificationReport:
     vectors = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
     subspaces = {frozenset([(0, 0, 0)]), frozenset(vectors)}
     for v in vectors:
-        if v == (0, 0, 0):
+        # one v per line and per plane: its first nonzero coordinate is 1
+        if next((x for x in v if x), 0) != 1:
             continue
         line = frozenset(tuple(c * x % 5 for x in v) for c in range(5))
         subspaces.add(line)

@@ -3,7 +3,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
@@ -422,6 +422,57 @@ class TestOrbitStabilizer:
             orbit_stabilizer(level, cap=40)
         assert str(exc.value) == "orbit exceeded cap 40 (partial count 41)"
         assert len(calls) < full_walk
+
+
+class TestChainOnAnyGenerators:
+    """`orbit_stabilizer` with `gen_keys` counts the group any packed
+    generators span: orbit * stabilizer is the size of their closure."""
+
+    @staticmethod
+    def elementary_product(level, steps):
+        # [[1, x], [0, 1]] (upper) or [[1, 0], [x, 1]] (lower), x the
+        # residue with digit d, multiplied left to right
+        one = level.reduce_pair(1, 0)
+        product = ResMat.identity(level)
+        for upper, d in steps:
+            x = divmod(d % level.norm, level.d2)
+            entries = (*one, *x, 0, 0, *one) if upper else (*one, 0, 0, *x, *one)
+            product = product * ResMat(level, _pack(level, entries))
+        return product.key
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(40)),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_the_closure_on_elementary_products(self, level, generators):
+        keys = [self.elementary_product(level, steps) for steps in generators]
+        orbit, stabilizer = orbit_stabilizer(level, gen_keys=keys)
+        assert orbit * stabilizer == len(semigroup_closure(level, keys))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)])
+    def test_matches_the_closure_on_the_kernel_layers(self, p, n):
+        level, keys = kernel_layer_generators(p, n)
+        orbit, stabilizer = orbit_stabilizer(level, gen_keys=keys)
+        assert orbit * stabilizer == len(semigroup_closure(level, keys)) == p**6
+
+    def test_no_generators_span_the_identity(self):
+        assert orbit_stabilizer(ideal_from_generator(7), gen_keys=[]) == (1, 1)
+
+    def test_the_images_of_s_and_t_are_the_default(self):
+        level = ideal_from_generator(7)
+        keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
+        assert orbit_stabilizer(level, gen_keys=keys) == orbit_stabilizer(level)
+
+    def test_a_generator_of_determinant_other_than_one_is_rejected(self):
+        level = ideal_from_generator(7)
+        doubled = _pack(level, (2, 0, 0, 0, 0, 0, 1, 0))
+        with pytest.raises(ValueError, match="determinant"):
+            orbit_stabilizer(level, gen_keys=[doubled])
 
 
 class TestIndexHelpers:

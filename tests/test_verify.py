@@ -85,6 +85,26 @@ class TestKernelLayer:
             verify_kernel_layer(7, 1, cap=1000)
         assert (exc.value.cap, exc.value.partial) == (1000, 1001)
 
+    def test_cap_bounds_each_part(self):
+        # the larger part, M, has p^4 = 2401 elements; the chain's orbit
+        # of e1 has as many points, and the p^6 elements are never listed
+        assert verify_kernel_layer(7, 1, cap=2401).passed
+        with pytest.raises(CapExceededError) as exc:
+            verify_kernel_layer(7, 1, cap=2400)
+        assert (exc.value.cap, exc.value.partial) == (2400, 2401)
+
+    def test_lists_no_more_than_the_larger_part(self, monkeypatch):
+        sizes = []
+
+        def recorded(*args, **kwargs):
+            group = semigroup_closure(*args, **kwargs)
+            sizes.append(len(group))
+            return group
+
+        monkeypatch.setattr(verify_mod, "semigroup_closure", recorded)
+        assert verify_kernel_layer(7, 1).passed
+        assert sizes and max(sizes) <= 2401
+
 
 class TestElementaryAbelian:
     def test_commuting_is_required(self):
