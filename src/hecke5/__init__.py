@@ -39,13 +39,13 @@ from .matrices import (
     reduce_fraction,
 )
 from .quotient import (
+    Chain,
     QuotientGroup,
     ResMat,
     build_quotient,
     coset_words,
     index_g,
     index_h,
-    orbit_stabilizer,
     power_subgroup,
     sl2_order,
     subgroup_generated,

@@ -39,11 +39,11 @@ from .matrices import complete_column, is_member, parse_matrix, reduce_fraction
 from .quotient import (
     DEFAULT_CAP,
     CapExceededError,
+    Chain,
     ResMat,
     build_quotient,
     coset_words,
     index_g,
-    orbit_stabilizer,
     sl2_order,
 )
 from . import verify as verify_mod
@@ -159,11 +159,11 @@ def cmd_index(args):
         payload["coprime_part_norm"] = rep.coprime_part_norm
         lines.append(f"index (formula)     = {rep.total}")
     if args.mode in ("enumerate", "both"):
-        orbit, stabilizer = orbit_stabilizer(ideal, args.cap)
-        n = orbit * stabilizer
+        chain = Chain(ideal, args.cap)
+        n = chain.order
         payload["index_h"] = n
-        payload["orbit"] = orbit
-        payload["stabilizer"] = stabilizer
+        payload["orbit"] = chain.orbit
+        payload["stabilizer"] = chain.stabilizer
         payload["index_g"] = index_g(ideal, n)
         payload["surjective"] = n == payload["sl2_order"]
         lines.append(f"index (enumerated)  = {n}")
@@ -256,7 +256,7 @@ COMMANDS = {
     "verify": Command(
         "machine-verify the supporting computations",
         cmd_verify,
-        cap="elements any one group enumeration may hold",
+        cap="elements of a listing, or orbit points of a chain's count",
     ),
 }
 

@@ -2,10 +2,10 @@
 
 Elements are stored as integer pairs (a, b) meaning a + b*L.  Every
 question about the real embedding is decided in one place, the exact
-floor(y*sqrt5) of `_floor_sqrt5`; `GoldenInt.sign` and the rounding of
-`divmod_pseudo` both read it.  No floating point is used anywhere: the one
-estimate, the bit-length guess of `unit_log`, is an integer that exact
-sign tests then correct.
+floor(y*sqrt5) of `_floor_sqrt5`; `GoldenInt.sign` (when a and b differ
+in sign) and the rounding of `divmod_pseudo` both read it.  No floating
+point is used anywhere: the one estimate, the bit-length guess of
+`unit_log`, is an integer that exact sign tests then correct.
 
 `power` is the one exponentiation routine (left-to-right binary
 square-and-multiply): `lambda_power` here and the `**` of the matrix
@@ -65,13 +65,14 @@ class GoldenInt:
         return abs(self.a * self.a + self.a * self.b - self.b * self.b)
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*(1+sqrt5)/2.
-
-        Doubled it is 2a + b + b*sqrt5, irrational unless b = 0, so it is
-        positive exactly when its floor is >= 0.
+        """Exact sign of the real value a + b*(1+sqrt5)/2: that of a and b
+        when they agree.  Else, doubled, it is 2a + b + b*sqrt5, irrational
+        unless b = 0, so it is positive exactly when its floor is >= 0.
         """
         if not self:
             return 0
+        if (self.a >= 0) == (self.b >= 0):
+            return 1 if self.b >= 0 else -1
         return 1 if 2 * self.a + self.b + _floor_sqrt5(self.b) >= 0 else -1
 
     def divides(self, other: GoldenInt) -> bool:

@@ -2,43 +2,38 @@
 
 Two engines, one per kind of question:
 
-- Counting.  The order of any subgroup given by packed generators
-  comes from `orbit_stabilizer`, a three-level stabilizer chain: the
-  orbit of the line <e1> in P^1(O/A), then the units U' that the
-  line's stabilizer puts on e1, then the translations K that fix e1.
-  Each of its orbits has about N(A) points, where the orbit of the
-  column e1 itself has about N(A)^2, and it keeps one transversal
-  matrix per line and one lift per unit; it never lists the group's
-  elements.  Its cap bounds the orbit of e1, lines times |U'|.  By
-  default the generators are the images of S and T
-  (`_hecke_generators`, which `build_quotient` closes under too), so
-  the order is the index [H : H(A)]: `index_h` is the product of the
-  two counts, and `index_g` halves that unless -I = I mod A.  The
-  kernel-layer verifier counts its p^6 elements this way.
-- Elements and words.  `semigroup_closure` is the one breadth-first
-  closure: from the identity under right-multiplication by the given
-  generators (a finite group, so semigroup closure suffices and words
-  use positive letters only).  It returns an insertion-ordered dict
-  mapping each element to its BFS predecessor (the identity to None),
-  which is at once the element set, the BFS order and the parent map.
-  `build_quotient` is that closure under the images of S and T, kept
-  with its level as a `QuotientGroup`, which the verifiers and
-  `coset_words` (one BFS-order pass) read.  A subgroup is a closure
-  too: `subgroup_generated` returns its generators' closure dict, and
-  `power_subgroup` that of the powers it needed, powering elements in
-  BFS order only until their span is the whole group.
+- Subgroups.  A subgroup given by packed generators is a `Chain`, a
+  three-level stabilizer chain: the orbit of the line <e1> in
+  P^1(O/A), then the units U' that the line's stabilizer puts on e1,
+  then the translations K that fix e1.  Each of its orbits has about
+  N(A) points, where the orbit of the column e1 itself has about
+  N(A)^2; it never lists the group, yet answers its order (the cap
+  bounds the orbit of e1, lines times |U'|), membership by a sift, and
+  each element once when iterated.  By default the generators are the
+  images of S and T (`_hecke_generators`), so the order is the index
+  [H : H(A)] (`index_h`; `index_g` halves it unless -I = I mod A).
+  `subgroup_generated`, `power_subgroup` and `is_normal` work on chains.
+- Elements and words, the only use of `semigroup_closure`, the one
+  breadth-first closure: from the identity under right-multiplication
+  by the given generators (a finite group, so semigroup closure
+  suffices and words use positive letters only).  It returns an
+  insertion-ordered dict mapping each element to its BFS predecessor
+  (the identity to None), at once the element set, the BFS order and
+  the parent map.  `build_quotient` is that closure under the images
+  of S and T, kept with its level as a `QuotientGroup`, which
+  `coset_words` reads in one BFS-order pass.
 
 An element has one form everywhere, its packed int (`_pack`): the
 residue (x, y) of an entry (the level is its own residue ring, see
 `IdealHNF.reduce_pair`) is the digit x*d2 + y in [0, N), N = N(A), and
 the four entries are the base-N digits of one int, row-major.  It is
-`ResMat.key` and every closure's keys and values, a subgroup's too,
-which makes the enumeration deterministic, hashable and small.  Only
-this module reads the digits: `ResMat` decodes its operands for its
-arithmetic, and `ResMat.residues` gives the eight residue integers to
-a caller that prints them.  (The chain does arithmetic on every
-transversal matrix it keeps, so it keeps them decoded, as their four
-residues, and none leaves it.)  The closure multiplies by table lookups on
+`ResMat.key`, every closure's keys and values, and what a chain takes,
+sifts and yields, which makes the enumeration deterministic, hashable
+and small.  Only this module reads the digits: `ResMat` decodes its
+operands for its arithmetic, and `ResMat.residues` gives the eight
+residue integers to a caller that prints them.  (The chain keeps its
+transversal matrices decoded, as their four residues, and packs only
+the elements it yields.)  The closure multiplies by table lookups on
 packed rows, tables filled on demand, one general row product per
 generator for each row that occurs, so nothing is sized by N(A) and a
 cap error at a level of norm 10^10 comes as fast as at (2).
@@ -49,7 +44,7 @@ closure's row tables and the chain all use it, and no `GoldenInt`.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import add
@@ -159,8 +154,8 @@ class QuotientGroup:
 
     Two fields: the level, and predecessor, the closure's dict from each
     element in BFS order to its BFS predecessor (None at the identity),
-    both packed ints (`ResMat.key`).  `order` is read from that dict, and
-    `coset_words` spells its chains.
+    both packed ints (`ResMat.key`).  `order` and `in` are read from that
+    dict, and `coset_words` spells its chains.
     """
 
     level: IdealHNF
@@ -169,6 +164,9 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.predecessor)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self.predecessor
 
 
 def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
@@ -251,9 +249,9 @@ class _LineStabilizer:
     G0, kept as a lattice of Z^2 spanned with the level.
 
     A generator whose u lies outside U' so far joins `chosen`, and U' is
-    extended by walking each new edge once; every other generator, and
-    every edge that meets a point already reached (a collision), is
-    sifted through the lift of its u to a translation.  Conjugation by
+    extended by walking each new edge once; every other generator
+    (`sift`), and every edge that meets a point already reached (a
+    collision), is sifted through the lift of its u to a translation.  Conjugation by
     [[u, b], [0, u^-1]] scales a translation by u^2, so `translations`
     closes K under multiplication by u^2 for each chosen u.
     """
@@ -266,25 +264,26 @@ class _LineStabilizer:
         self.chosen: list[tuple[Pair, Pair, Pair]] = []
         self.lattice = (level.d1, level.k, level.d2)  # K's HNF triple
 
-    def span(self, x: Pair) -> None:
+    def in_lattice(self, x: Pair) -> bool:
         f1, fk, f2 = self.lattice
-        q = x[0] // f1
-        if x[0] - q * f1 or (x[1] - q * fk) % f2:
-            self.lattice = lattice_hnf([(f1, fk), (0, f2), x])
+        return x[0] % f1 == 0 and (x[1] - x[0] // f1 * fk) % f2 == 0
 
-    def sift(self, u: Pair, b: Pair) -> None:
+    def span(self, x: Pair) -> None:
+        if not self.in_lattice(x):
+            self.lattice = lattice_hnf([self.lattice[:2], (0, self.lattice[2]), x])
+
+    def translation(self, u: Pair, b: Pair) -> Pair:
         # lift(u)^-1 [[u, b], [0, u^-1]] = [[1, u^-1 (b - b_lift)], [0, 1]]
         lift_b, u_inv = self.lifts[u]
-        self.span(self.mul(u_inv, self.red(b[0] - lift_b[0], b[1] - lift_b[1])))
+        return self.mul(u_inv, self.red(b[0] - lift_b[0], b[1] - lift_b[1]))
 
-    def add(self, u: Pair, b: Pair, u_inv: Pair | None, lines: int) -> None:
-        """Add a generator; raise CapExceededError once `lines` times
-        |U'| exceeds the cap.  `u_inv` is read only when u is new to U'."""
-        lifts = self.lifts
-        if u in lifts:
-            self.sift(u, b)
-            return
-        mul, dot = self.mul, self.dot
+    def sift(self, u: Pair, b: Pair) -> None:
+        self.span(self.translation(u, b))
+
+    def add(self, u: Pair, b: Pair, u_inv: Pair, lines: int) -> None:
+        """Add a generator whose u is new to U' (`sift` takes the others);
+        raise CapExceededError once `lines` times |U'| exceeds the cap."""
+        lifts, mul, dot = self.lifts, self.mul, self.dot
         chosen = self.chosen
         chosen.append((u, b, u_inv))
         # the new generator on every old point, every generator on every
@@ -317,18 +316,14 @@ class _LineStabilizer:
         return self.level.norm // (self.lattice[0] * self.lattice[2])
 
 
-def orbit_stabilizer(
-    level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None
-) -> tuple[int, int]:
-    """(|orbit of e1|, |stabilizer of e1|) for the group G that the packed
-    generators `gen_keys` span mod the level, acting on columns; their
-    product is |G|.  `None` means the images of S and T, so G is the
-    image of the Hecke group and the product is its index.
-
-    Counted through a stabilizer chain with base the line <e1> in
-    P^1(O/A), then e1 (Sims 1970; Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, 4.1 and 4.4), so every orbit it
-    walks has about N(A) points, not N(A)^2, whatever G is:
+class Chain:
+    """The group G that the packed generators `gen_keys` span mod the
+    level, acting on columns, as a stabilizer chain with base the line
+    <e1> in P^1(O/A), then e1 (Sims 1970; Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, 2005, 4.1 and 4.4).  `None` means the
+    images of S and T, so G is the image of the Hecke group and its
+    order is the index.  Every orbit walked has about N(A) points, not
+    N(A)^2, whatever G is:
 
     - Lines.  The orbit of <e1> under the generators g, each line with
       one transversal matrix t whose first column lies on it: the line
@@ -344,68 +339,104 @@ def orbit_stabilizer(
       an ideal: for the Hecke group at (2) it is Z*2 + Z*L.
       |K| = N(A) / det.
 
-    The orbit of e1 has lines * |U'| points, and `cap` bounds that count:
-    CapExceededError(cap) is raised as soon as the lines so far times |U'|
-    so far exceed it, checked whenever either grows.  Neither G nor K is
-    listed, so a group far larger than the cap can be counted.  A
-    generator whose determinant is not 1 is a ValueError.  The line keys
+    `orbit` is lines * |U'|, `stabilizer` |K|, and `order` |G|.  `cap`
+    bounds the orbit points, CapExceededError(cap, "orbit") as soon as
+    lines times |U'| so far exceed it, so a group far larger than the
+    cap can be counted.  A generator of determinant other than 1 is a
+    ValueError.  The line keys
     rest on `level.factors`, as the formula does, and `factor_ideal`
     raises unless they multiply back to the level: a wrong factorization
     cannot make the two agree silently.
     """
-    if level.norm < 2:
-        raise ValueError("level must be a proper ideal (norm >= 2)")
-    if gen_keys is None:
-        gen_keys = _hecke_generators(level)
-    red, _, dot = _residue_ops(level)
-    one = red(1, 0)
-    gens = []  # each generator as its four entries, row-major
-    for g in gen_keys:
-        e = _unpack(level, g)
-        if ResMat(level, g).det() != one:
-            raise ValueError(f"generator {e} has a determinant other than 1")
-        gens.append((e[0:2], e[2:4], e[4:6], e[6:8]))
-    forms = [_line_form(pf.power) for pf in level.factors]
-    radix = 2 * level.norm
 
-    def line_key(a: Pair, c: Pair) -> int:
-        key = 0
-        for form in forms:
-            key = key * radix + form(a, c)
-        return key
+    def __init__(self, level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None):
+        if level.norm < 2:
+            raise ValueError("level must be a proper ideal (norm >= 2)")
+        if gen_keys is None:
+            gen_keys = _hecke_generators(level)
+        self.level, self.gen_keys = level, gen_keys
+        self.ops = red, mul, dot = _residue_ops(level)
+        self.one = one = red(1, 0)
+        gens = []  # each generator as its four entries, row-major
+        for g in gen_keys:
+            e = _unpack(level, g)
+            if ResMat(level, g).det() != one:
+                raise ValueError(f"generator {e} has a determinant other than 1")
+            gens.append((e[0:2], e[2:4], e[4:6], e[6:8]))
+        forms = [_line_form(pf.power) for pf in level.factors]
+        radix = 2 * level.norm
 
-    stabilizer = _LineStabilizer(level, cap)
-    lifts = stabilizer.lifts
-    identity = (one, (0, 0), (0, 0), one)
-    transversal = {line_key(one, (0, 0)): identity}  # line key -> t, as its four entries
-    queue = [identity]
-    for t11, t12, t21, t22 in queue:
-        for g11, g12, g21, g22 in gens:
-            # g t, whose first column's line is the one g reaches from t's
-            m11, m21 = dot(g11, t11, g12, t21), dot(g21, t11, g22, t21)
-            key = line_key(m11, m21)
-            m12, m22 = dot(g11, t12, g12, t22), dot(g21, t12, g22, t22)
-            tw = transversal.get(key)
-            if tw is None:
-                transversal[key] = m = (m11, m12, m21, m22)
-                queue.append(m)
-                if len(queue) * len(lifts) > cap:
-                    raise CapExceededError(cap, "orbit")
-                continue
-            # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 g t = [[u, b], [0, u^-1]];
-            # u^-1 is read only when u is new to U'
-            aw, bw, cw, dw = tw
-            nbw = red(-bw[0], -bw[1])
-            u, b = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22)
-            u_inv = None if u in lifts else dot(aw, m22, red(-cw[0], -cw[1]), m12)
-            stabilizer.add(u, b, u_inv, len(queue))
-    return len(queue) * len(lifts), stabilizer.translations()
+        def line_key(a: Pair, c: Pair) -> int:
+            key = 0
+            for form in forms:
+                key = key * radix + form(a, c)
+            return key
+
+        self.line_key = line_key
+        self.units = stabilizer = _LineStabilizer(level, cap)
+        lifts = stabilizer.lifts
+        identity = (one, (0, 0), (0, 0), one)
+        self.transversal = transversal = {line_key(one, (0, 0)): identity}  # line key -> t
+        queue = [identity]
+        for t11, t12, t21, t22 in queue:
+            for g11, g12, g21, g22 in gens:
+                # g t, whose first column's line is the one g reaches from t's
+                m11, m21 = dot(g11, t11, g12, t21), dot(g21, t11, g22, t21)
+                key = line_key(m11, m21)
+                m12, m22 = dot(g11, t12, g12, t22), dot(g21, t12, g22, t22)
+                tw = transversal.get(key)
+                if tw is None:
+                    transversal[key] = m = (m11, m12, m21, m22)
+                    queue.append(m)
+                    if len(queue) * len(lifts) > cap:
+                        raise CapExceededError(cap, "orbit")
+                    continue
+                # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 g t = [[u, b], [0, u^-1]]
+                aw, bw, cw, dw = tw
+                nbw = red(-bw[0], -bw[1])
+                u, b = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22)
+                if u in lifts:
+                    stabilizer.sift(u, b)
+                else:
+                    stabilizer.add(u, b, dot(aw, m22, red(-cw[0], -cw[1]), m12), len(queue))
+        self.orbit = len(queue) * len(lifts)
+        self.stabilizer = stabilizer.translations()
+        self.order = self.orbit * self.stabilizer
+
+    def __contains__(self, key: int) -> bool:
+        """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
+        [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
+        level, units, (red, _, dot) = self.level, self.units, self.ops
+        if not 0 <= key < level.norm**4 or ResMat(level, key).det() != self.one:
+            return False
+        e = _unpack(level, key)
+        g11, g12, g21, g22 = e[0:2], e[2:4], e[4:6], e[6:8]
+        t = self.transversal.get(self.line_key(g11, g21))
+        if t is None:
+            return False
+        nbt = red(-t[1][0], -t[1][1])
+        u, b = dot(t[3], g11, nbt, g21), dot(t[3], g12, nbt, g22)
+        return u in units.lifts and units.in_lattice(units.translation(u, b))
+
+    def __iter__(self) -> Iterator[int]:
+        """Each element once, packed, as t lift(u) [[1, x], [0, 1]], the
+        lines varying fastest, then the units, then the translations."""
+        level, (red, mul, dot) = self.level, self.ops
+        f1, fk, f2 = self.units.lattice
+        # K mod the level: x = i (f1, fk) + j (0, f2), i < d1 / f1, j < d2 / f2
+        ij = [(i, j) for i in range(level.d1 // f1) for j in range(level.d2 // f2)]
+        for x in (red(i * f1, i * fk + j * f2) for i, j in ij):
+            for u, (lift_b, u_inv) in self.units.lifts.items():
+                # lift(u) [[1, x], [0, 1]] = [[u, u x + b_u], [0, u^-1]]
+                b = dot(u, x, lift_b, self.one)
+                for t11, t12, t21, t22 in self.transversal.values():
+                    top = (*mul(t11, u), *dot(t11, b, t12, u_inv))
+                    yield _pack(level, (*top, *mul(t21, u), *dot(t21, b, t22, u_inv)))
 
 
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
-    """[H : H(level)], counted by `orbit_stabilizer`; `cap` bounds orbit points."""
-    orbit, stabilizer = orbit_stabilizer(level, cap)
-    return orbit * stabilizer
+    """[H : H(level)], counted by a `Chain`; `cap` bounds orbit points."""
+    return Chain(level, cap).order
 
 
 def sl2_order(level: IdealHNF) -> int:
@@ -508,40 +539,34 @@ def semigroup_closure(
     return predecessor
 
 
-def subgroup_generated(q: QuotientGroup, gens: list[ResMat]) -> dict[int, int | None]:
-    """The subgroup the generators span, as their `semigroup_closure`."""
+def subgroup_generated(q: QuotientGroup | Chain, gens: list[ResMat]) -> Chain:
+    """The chain of the generators, each of which must be in `q`."""
     for g in gens:
-        if g.key not in q.predecessor:
+        if g.key not in q:
             raise ValueError(f"generator {g.residues()} is not in the quotient")
-    return semigroup_closure(q.level, [g.key for g in gens])
+    return Chain(q.level, gen_keys=[g.key for g in gens])
 
 
-def power_subgroup(q: QuotientGroup, k: int) -> dict[int, int | None]:
+def power_subgroup(group: Chain, k: int) -> Chain:
     """Subgroup generated by all k-th powers (normal: the generating set
-    is closed under conjugation), as the closure of the powers it needed.
-    Elements are powered in BFS order; a power outside the span joins the
-    generators and the span is closed again, and the walk stops once the
-    span is the whole group."""
+    is closed under conjugation), as the chain of the powers it needed:
+    a power of an element of `group` that does not sift into the span
+    joins its generators, until the span's order is the group's."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    members: dict[int, int | None] = {ResMat.identity(q.level).key: None}
-    gens: list[int] = []
-    for key in q.predecessor:
-        p = (ResMat(q.level, key) ** k).key
-        if p not in members:
-            gens.append(p)
-            members = semigroup_closure(q.level, gens)
-            if len(members) == q.order:
+    span = Chain(group.level, gen_keys=[])
+    for key in group:
+        p = (ResMat(group.level, key) ** k).key
+        if p not in span:
+            span = Chain(group.level, gen_keys=[*span.gen_keys, p])
+            if span.order == group.order:
                 break
-    return members
+    return span
 
 
-def is_normal(level: IdealHNF, members: Collection[int]) -> bool:
-    """Whether the subgroup with these members (packed ints) is normal in
-    the image: conjugation-stability under S and T suffices."""
-    for gen in (ResMat.from_mat2(level, S), ResMat.from_mat2(level, T)):
-        inv = gen.inverse()
-        for key in members:
-            if (gen * ResMat(level, key) * inv).key not in members:
-                return False
-    return True
+def is_normal(sub: Chain) -> bool:
+    """Whether the subgroup is normal in the image of the Hecke group:
+    the S- and T-conjugates of its generators sift into it."""
+    level = sub.level
+    conjugators = [(g, g.inverse()) for g in (ResMat(level, k) for k in _hecke_generators(level))]
+    return all((g * ResMat(level, k) * inv).key in sub for g, inv in conjugators for k in sub.gen_keys)

@@ -26,10 +26,10 @@ from .matrices import (
 )
 from .quotient import (
     DEFAULT_CAP,
+    Chain,
     ResMat,
     build_quotient,
     is_normal,
-    orbit_stabilizer,
     power_subgroup,
     semigroup_closure,
     subgroup_generated,
@@ -149,16 +149,15 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
     Two parts are listed by `semigroup_closure`: M, spanned by the first
     four generators (p^4 elements), and N, by the last two (p^2).  The
     order of the whole group is counted by the stabilizer chain
-    (`orbit_stabilizer` on all six generators), which walks about p^4
-    points and never lists the p^6 elements.  `cap` bounds each part's
+    (`Chain` on all six generators), which walks about p^4 points and
+    never lists the p^6 elements.  `cap` bounds each part's
     elements and the chain's orbit points: CapExceededError is raised
     once either passes it, the parts first."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     level, gen_keys = kernel_layer_generators(p, n)
     m_group = semigroup_closure(level, gen_keys[:4], cap)
     n_group = semigroup_closure(level, gen_keys[4:], cap)
-    orbit, stabilizer = orbit_stabilizer(level, cap, gen_keys)
-    report.add("order", orbit * stabilizer, p**6)
+    report.add("order", Chain(level, cap, gen_keys).order, p**6)
     report.add_bool("generators-commute", _commute(level, gen_keys))
     report.add_bool(
         "every-element-has-order-dividing-p", elementary_abelian(level, gen_keys, p)
@@ -279,29 +278,27 @@ def verify_conjugation_action() -> VerificationReport:
 
 def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     """Sizes and structure of the level-5 quotient and its fifth-power
-    subgroup, the finite facts behind the non-congruence argument."""
+    subgroup, the finite facts behind the non-congruence argument, read
+    from stabilizer chains (`Chain`): no group is listed, and `cap`
+    bounds the quotient's orbit of e1, 600 points."""
     report = VerificationReport("level5-structure")
-    q = build_quotient(ideal_from_generator(5), cap)
-    report.add("quotient-order", q.order, 15000)
-    a, b, c = _delta_matrices()
-    delta = [ResMat.from_mat2(q.level, m) for m in (a, b, c)]
-    report.add_bool(
-        "delta-in-quotient", all(d.key in q.predecessor for d in delta)
-    )
-    sub = subgroup_generated(q, delta)
-    report.add("delta-subgroup-order", len(sub), 125)
-    report.add_bool("delta-subgroup-normal", is_normal(q.level, sub))
-    report.add_bool(
-        "delta-subgroup-elementary-abelian",
-        elementary_abelian(q.level, [d.key for d in delta], 5),
-    )
+    level = ideal_from_generator(5)
+    group = Chain(level, cap)
+    report.add("quotient-order", group.order, 15000)
+    delta = [ResMat.from_mat2(level, m) for m in _delta_matrices()]
+    report.add_bool("delta-in-quotient", all(d.key in group for d in delta))
+    sub = subgroup_generated(group, delta)
+    report.add("delta-subgroup-order", sub.order, 125)
+    report.add_bool("delta-subgroup-normal", is_normal(sub))
+    keys = [d.key for d in delta]
+    report.add_bool("delta-subgroup-elementary-abelian", elementary_abelian(level, keys, 5))
     # an index is exact: a subgroup order that does not divide the group
     # order fails the check with its fraction as the witness
-    report.add("quotient-by-delta", Fraction(q.order, len(sub)), 120)
-    fifth = power_subgroup(q, 5)
-    report.add("fifth-power-subgroup-index", Fraction(q.order, len(fifth)), 1)
-    s_img = ResMat.from_mat2(q.level, S)
-    t5_img = ResMat.from_mat2(q.level, T**5)
+    report.add("quotient-by-delta", Fraction(group.order, sub.order), 120)
+    fifth = power_subgroup(group, 5)
+    report.add("fifth-power-subgroup-index", Fraction(group.order, fifth.order), 1)
+    s_img = ResMat.from_mat2(level, S)
+    t5_img = ResMat.from_mat2(level, T**5)
     report.add_bool(
         "S-and-T5-in-fifth-powers",
         s_img.key in fifth and t5_img.key in fifth,
@@ -327,16 +324,13 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
             f"level2-generator-{i}-trivial-mod-2", _mod_equal(level2, m, IDENTITY)
         )
 
-    # their image mod (4) is elementary abelian of order 16
+    # their image mod (4) is elementary abelian of order 16; the quotient
+    # is listed, so a cap below its 320 elements stops the run here
     q4 = build_quotient(level4, cap)
     imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
-    sub16 = subgroup_generated(q4, imgs)
-    report.add("level2-generators-mod4-order", len(sub16), 16)
-    ident4 = ResMat.identity(level4)
-    report.add_bool(
-        "level2-generators-mod4-exponent-2",
-        all(ResMat(level4, g) * ResMat(level4, g) == ident4 for g in sub16),
-    )
+    report.add("level2-generators-mod4-order", subgroup_generated(q4, imgs).order, 16)
+    keys = [g.key for g in imgs]
+    report.add_bool("level2-generators-mod4-exponent-2", elementary_abelian(level4, keys, 2))
 
     # sample matrices: three are members; the third has det -L and its
     # unit-corrected det-1 variant is a member

@@ -129,7 +129,7 @@ class TestCriterion4InhomogeneousIndices:
         assert g2 == 10
         q4 = quotient_cache(4)
         imgs = [ResMat.from_mat2(q4.level, m) for m in LEVEL2_GENERATORS]
-        order_mod4 = len(subgroup_generated(q4, imgs))
+        order_mod4 = subgroup_generated(q4, imgs).order
         assert order_mod4 == 16
         # [G(2):G(4)] = [G:G(4)] / [G:G(2)] also gives 16
         assert g4 // g2 == 16

@@ -407,6 +407,15 @@ class TestCapErrors:
         assert payload["schema"] == "hecke5/v1/error"
         assert (payload["cap"], payload["partial"]) == (1000, 1001)
 
+    def test_verify_level5_cap_bounds_the_orbit(self, capsys):
+        # level5 lists no group: the cap bounds the quotient's orbit of e1,
+        # 600 points, not its 15,000 elements
+        code, out, err = run(capsys, "verify", "level5", "--cap", "599")
+        assert (code, out) == (3, "")
+        assert err == "error: orbit exceeded cap 599 (partial count 600)\n"
+        code, out, _ = run(capsys, "verify", "level5", "--cap", "600")
+        assert (code, out) == (0, "[PASS] level5-structure\n")
+
     def test_verify_identities(self, capsys):
         # the identities build the 320-element quotient mod (4)
         code, _, err = run(capsys, "verify", "identities", "--cap", "100")

@@ -305,7 +305,7 @@ ARGUMENTS = {
                 "cap",
                 5000000,
                 None,
-                "most elements any one group enumeration may hold; exit 3 beyond it",
+                "most elements of a listing, or orbit points of a chain's count; exit 3 beyond it",
             ),
             JSON,
         ],

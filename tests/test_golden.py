@@ -268,6 +268,14 @@ class TestExactFloor:
         for x in near_ties():
             assert x.sign() == reference_sign(x), x
 
+    @given(st.builds(GoldenInt, st.one_of(literal, edge), st.one_of(literal, edge)).filter(bool))
+    @settings(max_examples=500)
+    def test_same_sign_shortcut_matches_the_floor_path(self, x):
+        # the early return for a and b of one sign against the one root, on
+        # coordinates of up to 700 digits (2325 bits), the literal bound
+        floor = 2 * x.a + x.b + golden._floor_sqrt5(x.b)
+        assert x.sign() == (1 if floor >= 0 else -1)
+
     @given(st.builds(GoldenInt, st.one_of(huge, edge), st.one_of(huge, edge)),
            st.builds(GoldenInt, st.one_of(huge, edge), st.one_of(huge, edge)).filter(bool))
     @settings(max_examples=300)

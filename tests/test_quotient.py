@@ -16,10 +16,12 @@ from hecke5.ideals import (
     lattice_hnf,
     split_rational_prime,
 )
+from hecke5 import quotient as quotient_mod
 from hecke5.matrices import IDENTITY, S, T, eval_word
 from hecke5.quotient import (
     DEFAULT_CAP,
     CapExceededError,
+    Chain,
     Key,
     QuotientGroup,
     ResMat,
@@ -33,7 +35,6 @@ from hecke5.quotient import (
     index_g,
     index_h,
     is_normal,
-    orbit_stabilizer,
     power_subgroup,
     semigroup_closure,
     sl2_order,
@@ -46,6 +47,16 @@ from conftest import random_word, run_python_O
 from test_acceptance import BASE_LEVELS
 
 TAU = GoldenInt(2, 1)
+
+
+def chain_counts(
+    level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None
+) -> tuple[int, int]:
+    """(|orbit of e1|, |stabilizer of e1|) as the level's `Chain` counts
+    them; their product is its order."""
+    chain = Chain(level, cap, gen_keys)
+    assert chain.order == chain.orbit * chain.stabilizer
+    return chain.orbit, chain.stabilizer
 
 
 class TestBuildQuotient:
@@ -172,8 +183,8 @@ class TestResMatArithmetic:
 
 
 def column_walk(level: IdealHNF) -> tuple[int, int]:
-    """(|orbit of e1|, |stabilizer of e1|) as `orbit_stabilizer` counted
-    them before the stabilizer chain: walk the orbit of the column e1,
+    """(|orbit of e1|, |stabilizer of e1|) as the count was made before
+    the stabilizer chain: walk the orbit of the column e1,
     about N(A)^2 points, keeping one transversal second column per point,
     and span the translations of its Schreier generators; the reference
     for the chain."""
@@ -336,14 +347,14 @@ class TestOrbitStabilizer:
         gens = [gen for gen, _ in BASE_LEVELS] + [6, 10, 14]
         for gen in gens:
             level = gen if isinstance(gen, IdealHNF) else ideal_from_generator(gen)
-            orbit, stabilizer = orbit_stabilizer(level)
+            orbit, stabilizer = chain_counts(level)
             assert orbit * stabilizer == quotient_cache(gen).order, level
 
     def test_matches_formula_up_to_norm_100(self):
         levels = ideals_up_to(100)
         assert len(levels) == 43
         for level in levels:
-            orbit, stabilizer = orbit_stabilizer(level)
+            orbit, stabilizer = chain_counts(level)
             assert orbit * stabilizer == index_formula(level).total, level
 
     @pytest.mark.extended
@@ -370,14 +381,14 @@ class TestOrbitStabilizer:
         levels = ideals_up_to(100)
         assert len(levels) == 43
         for level in levels:
-            assert orbit_stabilizer(level) == column_walk(level), level
+            assert chain_counts(level) == column_walk(level), level
 
     @pytest.mark.extended
     def test_same_pair_as_the_column_walk_norms_101_to_200(self):
         levels = [level for level in ideals_up_to(200) if level.norm > 100]
         assert len(levels) == 42
         for level in levels:
-            assert orbit_stabilizer(level) == column_walk(level), level
+            assert chain_counts(level) == column_walk(level), level
 
     @pytest.mark.extended
     @pytest.mark.parametrize("gen,order", [(13, 4826640), (19, 46785600)])
@@ -387,46 +398,52 @@ class TestOrbitStabilizer:
     def test_orbit_and_stabilizer_at_two(self):
         # mod (2) the image has order 10: 5 of the 15 nonzero columns of F_4^2,
         # and the translations by Z*2 + Z*L mod (2), a lattice of index 2
-        assert orbit_stabilizer(ideal_from_generator(2)) == (5, 2)
-        assert orbit_stabilizer(ideal_from_generator(7)) == (2400, 49)
+        assert chain_counts(ideal_from_generator(2)) == (5, 2)
+        assert chain_counts(ideal_from_generator(7)) == (2400, 49)
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
-            orbit_stabilizer(IdealHNF(1, 0, 1))
+            chain_counts(IdealHNF(1, 0, 1))
 
     def test_cap_counts_orbit_points(self):
         level = ideal_from_generator(7)
-        assert orbit_stabilizer(level, cap=2400) == (2400, 49)
+        assert chain_counts(level, cap=2400) == (2400, 49)
         with pytest.raises(CapExceededError) as exc:
-            orbit_stabilizer(level, cap=2399)
+            chain_counts(level, cap=2399)
         assert exc.value.cap == 2399
         assert exc.value.partial == 2400
         assert str(exc.value).startswith("orbit exceeded cap 2399")
 
     def test_cap_fires_before_the_walk_ends(self, monkeypatch):
         # at [1,8,11], lines * |U'| passes 40 when a line is added, not when
-        # U' grows: the error comes before every line has been walked
+        # U' grows: the error comes before every line has been walked.  A
+        # line walked is one call of the line form ([1,8,11] is prime)
         level = IdealHNF(1, 8, 11)
         calls = []
-        add = _LineStabilizer.add
+        line_form = quotient_mod._line_form
 
-        def counted(self, *args):
-            calls.append(args)
-            return add(self, *args)
+        def counted_form(power_ideal):
+            form = line_form(power_ideal)
 
-        monkeypatch.setattr(_LineStabilizer, "add", counted)
-        orbit_stabilizer(level)
+            def counted(a, c):
+                calls.append((a, c))
+                return form(a, c)
+
+            return counted
+
+        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
+        chain_counts(level)
         full_walk = len(calls)
         calls.clear()
         with pytest.raises(CapExceededError) as exc:
-            orbit_stabilizer(level, cap=40)
+            chain_counts(level, cap=40)
         assert str(exc.value) == "orbit exceeded cap 40 (partial count 41)"
         assert len(calls) < full_walk
 
 
 class TestChainOnAnyGenerators:
-    """`orbit_stabilizer` with `gen_keys` counts the group any packed
-    generators span: orbit * stabilizer is the size of their closure."""
+    """`Chain` with `gen_keys` counts the group any packed generators
+    span: orbit * stabilizer is the size of their closure."""
 
     @staticmethod
     def elementary_product(level, steps):
@@ -451,28 +468,76 @@ class TestChainOnAnyGenerators:
     )
     def test_matches_the_closure_on_elementary_products(self, level, generators):
         keys = [self.elementary_product(level, steps) for steps in generators]
-        orbit, stabilizer = orbit_stabilizer(level, gen_keys=keys)
+        orbit, stabilizer = chain_counts(level, gen_keys=keys)
         assert orbit * stabilizer == len(semigroup_closure(level, keys))
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)])
     def test_matches_the_closure_on_the_kernel_layers(self, p, n):
         level, keys = kernel_layer_generators(p, n)
-        orbit, stabilizer = orbit_stabilizer(level, gen_keys=keys)
+        orbit, stabilizer = chain_counts(level, gen_keys=keys)
         assert orbit * stabilizer == len(semigroup_closure(level, keys)) == p**6
 
     def test_no_generators_span_the_identity(self):
-        assert orbit_stabilizer(ideal_from_generator(7), gen_keys=[]) == (1, 1)
+        assert chain_counts(ideal_from_generator(7), gen_keys=[]) == (1, 1)
 
     def test_the_images_of_s_and_t_are_the_default(self):
         level = ideal_from_generator(7)
         keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
-        assert orbit_stabilizer(level, gen_keys=keys) == orbit_stabilizer(level)
+        assert chain_counts(level, gen_keys=keys) == chain_counts(level)
 
     def test_a_generator_of_determinant_other_than_one_is_rejected(self):
         level = ideal_from_generator(7)
         doubled = _pack(level, (2, 0, 0, 0, 0, 0, 1, 0))
         with pytest.raises(ValueError, match="determinant"):
-            orbit_stabilizer(level, gen_keys=[doubled])
+            chain_counts(level, gen_keys=[doubled])
+
+
+class TestChainSift:
+    """`in` on a chain is the sift; iterating it lists the group.  Both
+    against the closure of the same generators."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(60)),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_sift_matches_closure_membership(self, level, generators, seed):
+        rng = random.Random(seed)
+        product = TestChainOnAnyGenerators.elementary_product
+        keys = [product(level, steps) for steps in generators]
+        chain = Chain(level, gen_keys=keys)
+        closure = semigroup_closure(level, keys)
+        n4 = level.norm**4
+        members = rng.sample(sorted(closure), min(len(closure), 40))
+        # determinant 1, in the subgroup or not
+        others = [
+            product(level, [(rng.random() < 0.5, rng.randrange(10**6)) for _ in range(4)])
+            for _ in range(40)
+        ]
+        # almost all of determinant other than 1
+        anything = [rng.randrange(n4) for _ in range(40)]
+        for key in members + others + anything:
+            assert (key in chain) == (key in closure), key
+        assert all(key in chain for key in members)
+        # a member times diag(1, 2): its line, u and b pass through the
+        # sift's lookups, and only the determinant 2 keeps it out
+        one = level.reduce_pair(1, 0)
+        scale = ResMat(level, _pack(level, (*one, 0, 0, 0, 0, *level.reduce_pair(2, 0))))
+        assert not any((ResMat(level, key) * scale).key in chain for key in members)
+        assert not any(key in chain for key in (-1, -n4, n4, n4 + rng.randrange(n4)))
+        assert sorted(chain) == sorted(closure)
+
+    @pytest.mark.parametrize("level", ideals_up_to(40), ids=str)
+    def test_iteration_lists_each_element_once(self, quotient_cache, level):
+        q = quotient_cache(level)
+        elements = list(Chain(level))
+        assert len(elements) == len(set(elements)) == q.order
+        assert set(elements) == q.predecessor.keys()
 
 
 class TestIndexHelpers:
@@ -583,7 +648,10 @@ class TestSubgroups:
         h1 = subgroup_from_predicate(q, "H1")
         assert q.order == 12 * len(h0)
         assert h1 <= h0
-        assert not is_normal(q.level, h0)
+        # H0 as the chain of all its members
+        chain = Chain(q.level, gen_keys=sorted(h0))
+        assert chain.order == len(h0) and all(key in chain for key in h0)
+        assert not is_normal(chain)
 
     @pytest.mark.parametrize("level", ideals_up_to(40), ids=str)
     def test_h1_is_the_stabilizer_of_e1(self, quotient_cache, level):
@@ -591,7 +659,7 @@ class TestSubgroups:
         # counts the chain's stabilizer, and orbit times stabilizer is the
         # order of the closure
         q = quotient_cache(level)
-        orbit, stabilizer = orbit_stabilizer(level)
+        orbit, stabilizer = chain_counts(level)
         assert len(subgroup_from_predicate(q, "H1")) == stabilizer
         assert q.order == orbit * stabilizer
 
@@ -600,7 +668,7 @@ class TestSubgroups:
         s = ResMat.from_mat2(q.level, S)
         t = ResMat.from_mat2(q.level, T)
         sub = subgroup_generated(q, [s, t])
-        assert sub == q.predecessor
+        assert sub.order == q.order and all(key in sub for key in q.predecessor)
 
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
         q = quotient_cache(2)
@@ -617,22 +685,22 @@ class TestSubgroups:
         for _ in range(10):
             gens = [ResMat(q.level, rng.choice(keys)) for _ in range(2)]
             sub = subgroup_generated(q, gens)
-            assert q.order % len(sub) == 0
+            assert q.order % sub.order == 0
 
 
 class TestPowerSubgroup:
     def test_first_powers_give_whole_group(self, quotient_cache):
         q = quotient_cache(2)
-        assert len(power_subgroup(q, 1)) == q.order
+        assert power_subgroup(Chain(q.level), 1).order == q.order
 
     def test_fifth_powers_mod_two(self, quotient_cache):
         q = quotient_cache(2)
-        assert len(power_subgroup(q, 5)) == q.order
+        assert power_subgroup(Chain(q.level), 5).order == q.order
 
     def test_against_naive_closure_oracle(self, quotient_cache):
         q = quotient_cache(TAU)
         for k in (2, 3, 5):
-            fast = power_subgroup(q, k)
+            fast = power_subgroup(Chain(q.level), k)
             # oracle: repeatedly multiply the set of k-th powers until stable
             gens = {(ResMat(q.level, key) ** k).key for key in q.predecessor}
             members = set(gens) | {ResMat.identity(q.level).key}
@@ -645,12 +713,12 @@ class TestPowerSubgroup:
                         if w not in members:
                             members.add(w)
                             changed = True
-            assert fast.keys() == members
-            assert is_normal(q.level, fast)
+            assert fast.order == len(members) and all(key in fast for key in members)
+            assert is_normal(fast)
 
     def test_bad_exponent(self, quotient_cache):
         with pytest.raises(ValueError):
-            power_subgroup(quotient_cache(2), 0)
+            power_subgroup(Chain(ideal_from_generator(2)), 0)
 
     @pytest.mark.parametrize(
         "gen, k",
@@ -669,7 +737,8 @@ class TestPowerSubgroup:
                 members = semigroup_closure(q.level, gens)
                 if len(members) == q.order:
                     break
-        assert power_subgroup(q, k).keys() == set(members)
+        span = power_subgroup(Chain(q.level), k)
+        assert span.order == len(members) and all(key in span for key in members)
 
     @pytest.mark.parametrize("gen, k, index, calls", [(5, 5, 1, None), (4, 2, 2, 320)])
     def test_powers_stop_once_they_span_the_group(
@@ -684,11 +753,12 @@ class TestPowerSubgroup:
             count += 1
             return pow_(self, n)
 
+        group = Chain(q.level)
         monkeypatch.setattr(ResMat, "__pow__", counted)
-        assert q.order == index * len(power_subgroup(q, k))
+        assert q.order == index * power_subgroup(group, k).order
         if calls is None:
-            # at (5) the fifth powers of the first few elements in BFS
-            # order already span all 15,000
+            # at (5) the fifth powers of the first few elements in the
+            # chain's order already span all 15,000
             assert count <= 20
         else:
             # index 2: the span never fills, so every element is powered

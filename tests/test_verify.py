@@ -1,6 +1,7 @@
 import pytest
 
 from hecke5 import cli
+from hecke5 import quotient as quotient_mod
 from hecke5 import verify as verify_mod
 from hecke5.golden import GoldenInt, ONE
 from hecke5.ideals import ideal_from_generator
@@ -157,15 +158,15 @@ class TestLevel5Structure:
         assert by_name["fifth-power-subgroup-index"].computed == "1"
 
     def test_an_index_that_is_no_integer_fails_the_check(self, monkeypatch, capsys):
-        # a fifth-power subgroup one member short: 14,999 does not divide
-        # 15,000, so the index is a fraction, which fails its check as the
-        # witness, and the CLI reports a failed verification, not a usage error
+        # a fifth-power span of order 14,999: it does not divide 15,000,
+        # so the index is a fraction, which fails its check as the witness,
+        # and the CLI reports a failed verification, not a usage error
         power_subgroup = verify_mod.power_subgroup
 
-        def one_short(q, k):
-            members = power_subgroup(q, k)
-            members.popitem()
-            return members
+        def one_short(group, k):
+            span = power_subgroup(group, k)
+            span.order -= 1
+            return span
 
         monkeypatch.setattr(verify_mod, "power_subgroup", one_short)
         witness = verify_level5_structure().witness()
@@ -178,6 +179,18 @@ class TestLevel5Structure:
         assert cli.main(["verify", "level5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL fifth-power-subgroup-index: computed 15000/14999, expected 1" in out
+
+    def test_lists_no_group(self, monkeypatch):
+        # every order, index and membership comes from a chain
+        def listing(*args, **kwargs):
+            raise AssertionError("verify level5 listed a group")
+
+        for module in (quotient_mod, verify_mod):
+            monkeypatch.setattr(module, "semigroup_closure", listing)
+            monkeypatch.setattr(module, "build_quotient", listing)
+        report = verify_level5_structure()
+        assert report.passed, report.witness()
+        assert len(report.checks) == 8
 
 
 class TestIdentities:
