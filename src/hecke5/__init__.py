@@ -51,13 +51,5 @@ from .quotient import (
     subgroup_generated,
 )
 from .formula import IndexReport, index_formula
-from .verify import (
-    VerificationReport,
-    verify_all,
-    verify_conjugation_action,
-    verify_identities,
-    verify_kernel_layer,
-    verify_level5_structure,
-)
 
 __version__ = "0.1.0"

@@ -32,13 +32,15 @@ sifts and yields, which makes the enumeration deterministic, hashable
 and small.  Only this module reads the digits: `ResMat` decodes its
 operands for its arithmetic, and `ResMat.residues` gives the eight
 residue integers to a caller that prints them.  (The chain keeps its
-transversal matrices decoded, as their four residues, and packs only
-the elements it yields.)  The closure multiplies by table lookups on
-packed rows, tables filled on demand, one general row product per
-generator for each row that occurs, so nothing is sized by N(A) and a
-cap error at a level of norm 10^10 comes as fast as at (2).
+transversal matrices decoded, as flat 8-tuples of their residues like
+`_unpack` returns, multiplies them with one fused 2x2 product, and
+packs only the elements it yields.)  The closure multiplies by table
+lookups on packed rows, tables filled on demand, one general row
+product per generator for each row that occurs, so nothing is sized by
+N(A) and a cap error at a level of norm 10^10 comes as fast as at (2).
 
-Residues are multiplied in one place, `_residue_ops`; `ResMat`, the
+Residues are multiplied in one place, `_residue_ops`, whose fused
+`matmul` and `adj` work on whole decoded matrices; `ResMat`, the
 closure's row tables and the chain all use it, and no `GoldenInt`.
 """
 
@@ -110,15 +112,8 @@ class ResMat:
         return _unpack(self.level, self.key)
 
     def __mul__(self, other: ResMat) -> ResMat:
-        m, u, v = self.level, self.residues(), other.residues()
-        dot = _residue_ops(m)[2]
-        # each entry is a row of u, at u[i : i + 4], dot a column of v
-        entries = [
-            dot(u[i : i + 2], v[j : j + 2], u[i + 2 : i + 4], v[j + 4 : j + 6])
-            for i in (0, 4)
-            for j in (0, 2)
-        ]
-        return ResMat(m, _pack(m, tuple(x for e in entries for x in e)))  # type: ignore[arg-type]
+        matmul = _residue_ops(self.level)[3]
+        return ResMat(self.level, _pack(self.level, matmul(self.residues(), other.residues())))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -130,14 +125,12 @@ class ResMat:
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
-        red = self.level.reduce_pair
-        a, b, c, d, e, f, g, h = self.residues()
-        key = (g, h, *red(-c, -d), *red(-e, -f), a, b)
-        return ResMat(self.level, _pack(self.level, key))
+        adj = _residue_ops(self.level)[4]
+        return ResMat(self.level, _pack(self.level, adj(self.residues())))
 
     def det(self) -> tuple[int, int]:
         """The reduced pair of the determinant."""
-        red, _, dot = _residue_ops(self.level)
+        red, _, dot, *_ = _residue_ops(self.level)
         a, b, c, d, e, f, g, h = self.residues()
         return dot((a, b), (g, h), red(-c, -d), (e, f))
 
@@ -184,9 +177,12 @@ def _hecke_generators(level: IdealHNF) -> list[int]:
 def _residue_ops(m: IdealHNF):
     """The one arithmetic of O/m in this module, on residues (x, y) =
     x + yL with L^2 = L + 1 and `reduce_pair` inlined: `red(x, y)`, the
-    residue of x + yL; `mul(x, y)`, the product xy; and `dot(x, y, z, w)`,
-    xy + zw, an entry of a matrix product.  The operands are any integer
-    pairs; the results are reduced."""
+    residue of x + yL; `mul(x, y)`, the product xy; `dot(x, y, z, w)`,
+    xy + zw, an entry of a matrix product; and on matrices as flat
+    8-tuples of their entries' pairs, row-major (`Key`), `matmul(x, y)`,
+    the product xy, and `adj(x)`, the adjugate [[d, -b], [-c, a]] of
+    x = [[a, b], [c, d]], its inverse when det x = 1.  The operands are
+    any integers; the results are reduced."""
     d1, k, d2 = m.d1, m.k, m.d2
 
     def red(x: int, y: int) -> Pair:
@@ -209,7 +205,43 @@ def _residue_ops(m: IdealHNF):
         q = s // d1
         return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 + z0 * w1 + z1 * w0 + z1 * w1 - q * k) % d2
 
-    return red, mul, dot
+    def matmul(x: Key, y: Key) -> Key:
+        # [[p, q], [r, s]] [[t, u], [v, w]], each entry a dot of pairs with
+        # (x0 + x1 L)(y0 + y1 L) = x0 y0 + x1 y1 + (x0 y1 + x1 (y0 + y1)) L
+        p0, p1, q0, q1, r0, r1, s0, s1 = x
+        t0, t1, u0, u1, v0, v1, w0, w1 = y
+        ts, us, vs, ws = t0 + t1, u0 + u1, v0 + v1, w0 + w1
+        a = p0 * t0 + p1 * t1 + q0 * v0 + q1 * v1
+        b = p0 * u0 + p1 * u1 + q0 * w0 + q1 * w1
+        c = r0 * t0 + r1 * t1 + s0 * v0 + s1 * v1
+        d = r0 * u0 + r1 * u1 + s0 * w0 + s1 * w1
+        qa, qb, qc, qd = a // d1, b // d1, c // d1, d // d1
+        return (
+            a - qa * d1,
+            (p0 * t1 + p1 * ts + q0 * v1 + q1 * vs - qa * k) % d2,
+            b - qb * d1,
+            (p0 * u1 + p1 * us + q0 * w1 + q1 * ws - qb * k) % d2,
+            c - qc * d1,
+            (r0 * t1 + r1 * ts + s0 * v1 + s1 * vs - qc * k) % d2,
+            d - qd * d1,
+            (r0 * u1 + r1 * us + s0 * w1 + s1 * ws - qd * k) % d2,
+        )
+
+    def adj(x: Key) -> Key:
+        p0, p1, q0, q1, r0, r1, s0, s1 = x
+        qp, qq, qr, qs = p0 // d1, -q0 // d1, -r0 // d1, s0 // d1
+        return (
+            s0 - qs * d1,
+            (s1 - qs * k) % d2,
+            -q0 - qq * d1,
+            (-q1 - qq * k) % d2,
+            -r0 - qr * d1,
+            (-r1 - qr * k) % d2,
+            p0 - qp * d1,
+            (p1 - qp * k) % d2,
+        )
+
+    return red, mul, dot, matmul, adj
 
 
 def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
@@ -221,7 +253,7 @@ def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     1: at a split P it is zL, of norm -z^2; else P is its own conjugate.
     `power_ideal` is P^e, as `PrimeFactor.power` keeps it."""
     n, d2 = power_ideal.norm, power_ideal.d2
-    red, mul, _ = _residue_ops(power_ideal)
+    red, mul, *_ = _residue_ops(power_ideal)
 
     def ratio(x: Pair, y: Pair) -> int | None:
         # the digit x*d2 + y of x / y, or None when y is no unit
@@ -258,7 +290,7 @@ class _LineStabilizer:
 
     def __init__(self, level: IdealHNF, cap: int):
         self.level, self.cap = level, cap
-        self.red, self.mul, self.dot = _residue_ops(level)
+        self.red, self.mul, self.dot, *_ = _residue_ops(level)
         one = self.red(1, 0)
         self.lifts: dict[Pair, tuple[Pair, Pair]] = {one: ((0, 0), one)}
         self.chosen: list[tuple[Pair, Pair, Pair]] = []
@@ -273,9 +305,10 @@ class _LineStabilizer:
             self.lattice = lattice_hnf([self.lattice[:2], (0, self.lattice[2]), x])
 
     def translation(self, u: Pair, b: Pair) -> Pair:
-        # lift(u)^-1 [[u, b], [0, u^-1]] = [[1, u^-1 (b - b_lift)], [0, 1]]
+        # lift(u)^-1 [[u, b], [0, u^-1]] = [[1, u^-1 (b - b_lift)], [0, 1]];
+        # mul takes the difference unreduced
         lift_b, u_inv = self.lifts[u]
-        return self.mul(u_inv, self.red(b[0] - lift_b[0], b[1] - lift_b[1]))
+        return self.mul(u_inv, (b[0] - lift_b[0], b[1] - lift_b[1]))
 
     def sift(self, u: Pair, b: Pair) -> None:
         self.span(self.translation(u, b))
@@ -331,7 +364,12 @@ class Chain:
       if it is new.  A line is keyed by its local canonical forms over
       the P^e || A (`_line_form`).  A repeated line w = g v gives the
       Schreier generator t_w^-1 g t_v = [[u, b], [0, u^-1]] of G0, the
-      stabilizer of <e1>: the upper-triangular elements of G.
+      stabilizer of <e1>: the upper-triangular elements of G.  One
+      fused product, adj(t_w) (g t_v), gives u, b and u^-1 together.
+      The walk skips the edge back: if g^2 = +-I and g first reached w
+      from v, then t_w = g t_v, so g t_w = +-t_v and the Schreier
+      generator of the edge from w by g is +-I, the same for every such
+      w; the first such edge per g is walked, the rest add nothing.
     - U' and K (`_LineStabilizer`).  The u of G0 form a group of units
       U', the orbit of e1 under G0, and K, the stabilizer of e1, is the
       group of translations [[1, x], [0, 1]] in G0, so |G0| = |U'| |K|.
@@ -355,14 +393,14 @@ class Chain:
         if gen_keys is None:
             gen_keys = _hecke_generators(level)
         self.level, self.gen_keys = level, gen_keys
-        self.ops = red, mul, dot = _residue_ops(level)
+        red, _, _, matmul, adj = self.ops = _residue_ops(level)
         self.one = one = red(1, 0)
-        gens = []  # each generator as its four entries, row-major
+        gens = []  # each generator decoded, a flat 8-tuple
         for g in gen_keys:
             e = _unpack(level, g)
             if ResMat(level, g).det() != one:
                 raise ValueError(f"generator {e} has a determinant other than 1")
-            gens.append((e[0:2], e[2:4], e[4:6], e[6:8]))
+            gens.append(e)
         forms = [_line_form(pf.power) for pf in level.factors]
         radix = 2 * level.norm
 
@@ -375,30 +413,39 @@ class Chain:
         self.line_key = line_key
         self.units = stabilizer = _LineStabilizer(level, cap)
         lifts = stabilizer.lifts
-        identity = (one, (0, 0), (0, 0), one)
+        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
+        minus = (*minus_one, 0, 0, 0, 0, *minus_one)
+        # each g with g^2 = +-I, by its place in gens -> whether an edge
+        # back along it has been walked (see the class docstring)
+        walked_back = {i: False for i, g in enumerate(gens) if matmul(g, g) in (identity, minus)}
         self.transversal = transversal = {line_key(one, (0, 0)): identity}  # line key -> t
         queue = [identity]
-        for t11, t12, t21, t22 in queue:
-            for g11, g12, g21, g22 in gens:
+        via = [-1]  # the generator that first reached each line of the queue
+        get, sift = transversal.get, stabilizer.sift
+        for t, came in zip(queue, via):
+            for i, g in enumerate(gens):
+                if i == came and i in walked_back:
+                    if walked_back[i]:
+                        continue
+                    walked_back[i] = True
                 # g t, whose first column's line is the one g reaches from t's
-                m11, m21 = dot(g11, t11, g12, t21), dot(g21, t11, g22, t21)
-                key = line_key(m11, m21)
-                m12, m22 = dot(g11, t12, g12, t22), dot(g21, t12, g22, t22)
-                tw = transversal.get(key)
+                m = matmul(g, t)
+                key = line_key(m[0:2], m[4:6])
+                tw = get(key)
                 if tw is None:
-                    transversal[key] = m = (m11, m12, m21, m22)
+                    transversal[key] = m
                     queue.append(m)
+                    via.append(i)
                     if len(queue) * len(lifts) > cap:
                         raise CapExceededError(cap, "orbit")
                     continue
-                # t_w^-1 = [[d_w, -b_w], [-c_w, a_w]], and t_w^-1 g t = [[u, b], [0, u^-1]]
-                aw, bw, cw, dw = tw
-                nbw = red(-bw[0], -bw[1])
-                u, b = dot(dw, m11, nbw, m21), dot(dw, m12, nbw, m22)
+                # t_w^-1 g t = [[u, b], [0, u^-1]]
+                x = matmul(adj(tw), m)
+                u, b = x[0:2], x[2:4]
                 if u in lifts:
-                    stabilizer.sift(u, b)
+                    sift(u, b)
                 else:
-                    stabilizer.add(u, b, dot(aw, m22, red(-cw[0], -cw[1]), m12), len(queue))
+                    stabilizer.add(u, b, x[6:8], len(queue))
         self.orbit = len(queue) * len(lifts)
         self.stabilizer = stabilizer.translations()
         self.order = self.orbit * self.stabilizer
@@ -406,32 +453,30 @@ class Chain:
     def __contains__(self, key: int) -> bool:
         """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
         [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
-        level, units, (red, _, dot) = self.level, self.units, self.ops
+        level, units, (_, _, _, matmul, adj) = self.level, self.units, self.ops
         if not 0 <= key < level.norm**4 or ResMat(level, key).det() != self.one:
             return False
-        e = _unpack(level, key)
-        g11, g12, g21, g22 = e[0:2], e[2:4], e[4:6], e[6:8]
-        t = self.transversal.get(self.line_key(g11, g21))
+        g = _unpack(level, key)
+        t = self.transversal.get(self.line_key(g[0:2], g[4:6]))
         if t is None:
             return False
-        nbt = red(-t[1][0], -t[1][1])
-        u, b = dot(t[3], g11, nbt, g21), dot(t[3], g12, nbt, g22)
-        return u in units.lifts and units.in_lattice(units.translation(u, b))
+        x = matmul(adj(t), g)
+        u = x[0:2]
+        return u in units.lifts and units.in_lattice(units.translation(u, x[2:4]))
 
     def __iter__(self) -> Iterator[int]:
         """Each element once, packed, as t lift(u) [[1, x], [0, 1]], the
         lines varying fastest, then the units, then the translations."""
-        level, (red, mul, dot) = self.level, self.ops
+        level, (red, _, dot, matmul, _) = self.level, self.ops
         f1, fk, f2 = self.units.lattice
         # K mod the level: x = i (f1, fk) + j (0, f2), i < d1 / f1, j < d2 / f2
         ij = [(i, j) for i in range(level.d1 // f1) for j in range(level.d2 // f2)]
         for x in (red(i * f1, i * fk + j * f2) for i, j in ij):
             for u, (lift_b, u_inv) in self.units.lifts.items():
                 # lift(u) [[1, x], [0, 1]] = [[u, u x + b_u], [0, u^-1]]
-                b = dot(u, x, lift_b, self.one)
-                for t11, t12, t21, t22 in self.transversal.values():
-                    top = (*mul(t11, u), *dot(t11, b, t12, u_inv))
-                    yield _pack(level, (*top, *mul(t21, u), *dot(t21, b, t22, u_inv)))
+                h = (*u, *dot(u, x, lift_b, self.one), 0, 0, *u_inv)
+                for t in self.transversal.values():
+                    yield _pack(level, matmul(t, h))
 
 
 def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:

@@ -17,7 +17,7 @@ from hecke5.ideals import (
     split_rational_prime,
 )
 from hecke5 import quotient as quotient_mod
-from hecke5.matrices import IDENTITY, S, T, eval_word
+from hecke5.matrices import IDENTITY, Mat2, S, T, eval_word
 from hecke5.quotient import (
     DEFAULT_CAP,
     CapExceededError,
@@ -232,7 +232,7 @@ class TestResidueOps:
         pairs=st.lists(st.tuples(st.integers(), st.integers()), min_size=4, max_size=4),
     )
     def test_match_golden_arithmetic(self, level, pairs):
-        red, mul, dot = _residue_ops(level)
+        red, mul, dot, _, _ = _residue_ops(level)
         x, y, z, w = pairs
         gx, gy, gz, gw = (GoldenInt(*p) for p in pairs)
 
@@ -242,6 +242,26 @@ class TestResidueOps:
         assert red(*x) == reduced(gx)
         assert mul(x, y) == reduced(gx * gy)
         assert dot(x, y, z, w) == reduced(gx * gy + gz * gw)
+
+    @given(
+        level=st.sampled_from(ideals_up_to(200)),
+        pairs=st.lists(st.tuples(st.integers(), st.integers()), min_size=8, max_size=8),
+    )
+    def test_fused_product_and_adjugate_match_mat2_arithmetic(self, level, pairs):
+        # matrices as flat 8-tuples of any integers, against `Mat2` on the
+        # same entries reduced by `reduce_pair`
+        _, _, _, matmul, adj = _residue_ops(level)
+        x, y = (tuple(v for p in half for v in p) for half in (pairs[:4], pairs[4:]))
+        mx, my = (Mat2(*(GoldenInt(*p) for p in half)) for half in (pairs[:4], pairs[4:]))
+
+        def reduced(m):
+            return tuple(v for e in m.entries() for v in level.reduce_pair(e.a, e.b))
+
+        assert matmul(x, y) == reduced(mx * my)
+        assert adj(x) == reduced(Mat2(mx.a22, -mx.a12, -mx.a21, mx.a11))
+        # x adj(x) = det(x) I, with the operands reduced or not
+        det = level.reduce_pair(mx.det().a, mx.det().b)
+        assert matmul(x, adj(x)) == matmul(reduced(mx), adj(x)) == (*det, 0, 0, 0, 0, *det)
 
 
 # Every prime power P^e of norm <= 64: the inert (2)^e and (3), (7), the
@@ -538,6 +558,57 @@ class TestChainSift:
         elements = list(Chain(level))
         assert len(elements) == len(set(elements)) == q.order
         assert set(elements) == q.predecessor.keys()
+
+
+class TestWalkBack:
+    """The walk skips the edge back along a generator g with g^2 = +-I
+    from a line that g first reached, after the first: its Schreier
+    generator is +-I each time."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(60)),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=3),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            max_size=2,
+        ),
+        st.integers(0, 2),
+    )
+    def test_a_conjugate_of_s_among_the_generators(self, level, conjugator, others, position):
+        # h S h^-1 (S itself when h is the identity), squaring to -I, at
+        # any place among up to two elementary products
+        product = TestChainOnAnyGenerators.elementary_product
+        h = ResMat(level, product(level, conjugator))
+        involution = h * ResMat.from_mat2(level, S) * h.inverse()
+        assert involution * involution == ResMat.from_mat2(level, -IDENTITY)
+        keys = [product(level, steps) for steps in others]
+        keys.insert(position % (len(keys) + 1), involution.key)
+        chain = Chain(level, gen_keys=keys)
+        closure = semigroup_closure(level, keys)
+        assert chain.order == len(closure)
+        assert sorted(chain) == sorted(closure)
+
+    def test_the_hecke_walk_skips_edges_back_along_s(self, monkeypatch):
+        # at [1,8,11] (prime, so one line form) each edge walked computes
+        # one line key, and there are two edges per line: S and T
+        level = IdealHNF(1, 8, 11)
+        calls = []
+        line_form = quotient_mod._line_form
+
+        def counted_form(power_ideal):
+            form = line_form(power_ideal)
+
+            def counted(a, c):
+                calls.append((a, c))
+                return form(a, c)
+
+            return counted
+
+        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
+        chain = Chain(level)
+        assert chain.order == build_quotient(level).order
+        assert len(calls) < 2 * len(chain.transversal)
 
 
 class TestIndexHelpers:
