@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Time the stabilizer chain (`hecke5.quotient.Chain`) of one or more
+checkouts against each other.
+
+Two measures, each per checkout root given:
+
+- in process: the 27 levels of the `enumerate` benchmark workload
+  (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
+  times.  Every checkout's package is loaded into this one process, and
+  the checkouts take turns on each level, in an order that alternates
+  from pass to pass, so a slow spell of the machine hits them alike.
+  The report is the sum over the levels of each level's fastest time;
+- in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
+  norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
+  time and the child's maxrss, --big-runs times per checkout, the
+  checkouts again taking turns.  --big-runs 0 leaves it out.
+
+Example, a parent commit against the working tree:
+    git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
+    python3 scripts/chain_timing.py /tmp/parent . --passes 20 --big-runs 2
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import LEVELS  # noqa: E402
+
+# run in a child with the checkout's src first on sys.path
+BIG_CHILD = """
+import json, resource, sys, time
+from functools import reduce
+from hecke5.golden import GoldenInt
+from hecke5.ideals import ideal_from_generator, ideal_mul
+from hecke5.quotient import Chain
+level = reduce(ideal_mul, [ideal_from_generator(GoldenInt(2, 1))] * 8)
+start = time.perf_counter()
+order = Chain(level, cap=level.norm ** 2).order
+wall = time.perf_counter() - start
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall_s": wall, "maxrss_mb": maxrss, "order": order}))
+"""
+
+
+def load(root: Path):
+    """The `quotient` and `ideals` modules of the checkout at `root`, loaded
+    apart from those of any other checkout."""
+    for name in [n for n in sys.modules if n == "hecke5" or n.startswith("hecke5.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(root / "src"))
+    try:
+        return importlib.import_module("hecke5.quotient"), importlib.import_module("hecke5.ideals")
+    finally:
+        sys.path.remove(str(root / "src"))
+
+
+def in_process(roots: list[Path], passes: int) -> list[float]:
+    """Each checkout's sum over LEVELS of the fastest `Chain` time."""
+    trees = [load(root) for root in roots]
+    best = [[float("inf")] * len(LEVELS) for _ in roots]
+    for p in range(passes):
+        order = list(range(len(roots)))
+        if p % 2:
+            order.reverse()
+        for j, hnf in enumerate(LEVELS):
+            for i in order:
+                quotient, ideals = trees[i]
+                level = ideals.IdealHNF(*hnf)
+                start = time.perf_counter()
+                quotient.Chain(level)
+                best[i][j] = min(best[i][j], time.perf_counter() - start)
+    return [sum(times) for times in best]
+
+
+def big(root: Path) -> dict:
+    """The chain at (2+L)^8 in a fresh process: wall time and maxrss."""
+    proc = subprocess.run(
+        [sys.executable, "-c", BIG_CHILD],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    if proc.returncode != 0:
+        sys.exit(f"the (2+L)^8 run of {root} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("roots", nargs="+", type=Path, help="checkout roots, each with src/hecke5")
+    parser.add_argument("--passes", type=int, default=20, help="in-process passes over the levels")
+    parser.add_argument("--big-runs", type=int, default=1, help="fresh (2+L)^8 runs per checkout")
+    args = parser.parse_args(argv)
+    roots = [root.resolve() for root in args.roots]
+    for root in roots:
+        if not (root / "src" / "hecke5" / "quotient.py").is_file():
+            parser.error(f"{root} has no src/hecke5/quotient.py")
+
+    sums = in_process(roots, args.passes)
+    print(f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima over {args.passes} passes:")
+    for root, total in zip(roots, sums):
+        print(f"  {root}: {total * 1000:.2f} ms  ({total / sums[0]:.3f} of the first)")
+
+    if args.big_runs > 0:
+        runs: list[list[dict]] = [[] for _ in roots]
+        for r in range(args.big_runs):
+            order = range(len(roots)) if r % 2 == 0 else reversed(range(len(roots)))
+            for i in order:
+                runs[i].append(big(roots[i]))
+        print("Chain at (2+L)^8, fresh processes (wall s / maxrss MB):")
+        for root, results in zip(roots, runs):
+            cells = ", ".join(f"{x['wall_s']:.2f} s / {x['maxrss_mb']:.0f} MB" for x in results)
+            print(f"  {root}: {cells}  (order {results[0]['order']})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

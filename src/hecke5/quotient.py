@@ -47,8 +47,8 @@ closure's row tables and the chain all use it, and no `GoldenInt`.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from math import gcd, prod
+from dataclasses import dataclass, field
+from math import prod
 from operator import add
 from typing import Callable
 
@@ -97,10 +97,21 @@ def _unpack(level: IdealHNF, packed: int) -> Key:
 
 @dataclass(frozen=True)
 class ResMat:
-    """A matrix over the residue ring of a level, keyed by its packed int."""
+    """A matrix over the residue ring of a level, keyed by its packed int.
+
+    `ops` is the level's `_residue_ops`, passed by a caller that holds
+    them (a chain) or built on the first product, determinant or
+    inverse, and handed on to every product and inverse, so a run of
+    products (a power, a commutator) builds them once."""
 
     level: IdealHNF
     key: int
+    ops: tuple | None = field(default=None, compare=False, repr=False)
+
+    def _ops(self) -> tuple:
+        if self.ops is None:
+            object.__setattr__(self, "ops", _residue_ops(self.level))
+        return self.ops  # type: ignore[return-value]
 
     @classmethod
     def from_mat2(cls, level: IdealHNF, m: Mat2) -> ResMat:
@@ -112,8 +123,8 @@ class ResMat:
         return _unpack(self.level, self.key)
 
     def __mul__(self, other: ResMat) -> ResMat:
-        matmul = _residue_ops(self.level)[3]
-        return ResMat(self.level, _pack(self.level, matmul(self.residues(), other.residues())))
+        ops = self._ops()
+        return ResMat(self.level, _pack(self.level, ops[3](self.residues(), other.residues())), ops)
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -125,12 +136,12 @@ class ResMat:
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
-        adj = _residue_ops(self.level)[4]
-        return ResMat(self.level, _pack(self.level, adj(self.residues())))
+        ops = self._ops()
+        return ResMat(self.level, _pack(self.level, ops[4](self.residues())), ops)
 
     def det(self) -> tuple[int, int]:
         """The reduced pair of the determinant."""
-        red, _, dot, *_ = _residue_ops(self.level)
+        red, _, dot, *_ = self._ops()
         a, b, c, d, e, f, g, h = self.residues()
         return dot((a, b), (g, h), red(-c, -d), (e, f))
 
@@ -249,8 +260,9 @@ def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
     else (1, c/a).  P^e divides (N(P^e)) and y conj(y) = N(y), so x / y =
     x conj(y) N(y)^-1, N(y) inverted mod N(P^e) by the builtin `pow`.  A
-    residue y reduced mod P^e is a unit exactly when gcd(N(y), N(P^e)) =
-    1: at a split P it is zL, of norm -z^2; else P is its own conjugate.
+    residue y reduced mod P^e is a unit exactly when N(y) is a unit mod
+    N(P^e), so `pow` raising ValueError means no unit: at a split P a
+    non-unit is zL, of norm -z^2; else P is its own conjugate.
     `power_ideal` is P^e, as `PrimeFactor.power` keeps it."""
     n, d2 = power_ideal.norm, power_ideal.d2
     red, mul, *_ = _residue_ops(power_ideal)
@@ -258,10 +270,10 @@ def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     def ratio(x: Pair, y: Pair) -> int | None:
         # the digit x*d2 + y of x / y, or None when y is no unit
         y0, y1 = y
-        norm = y0 * y0 + y0 * y1 - y1 * y1
-        if gcd(norm, n) != 1:
+        try:
+            s = pow(y0 * y0 + y0 * y1 - y1 * y1, -1, n)
+        except ValueError:
             return None
-        s = pow(norm, -1, n)
         x0, x1 = mul(x, ((y0 + y1) * s, -y1 * s))
         return x0 * d2 + x1
 
@@ -311,7 +323,9 @@ class _LineStabilizer:
         return self.mul(u_inv, (b[0] - lift_b[0], b[1] - lift_b[1]))
 
     def sift(self, u: Pair, b: Pair) -> None:
-        self.span(self.translation(u, b))
+        # once K is every translation, no sift can change it
+        if self.lattice != (1, 0, 1):
+            self.span(self.translation(u, b))
 
     def add(self, u: Pair, b: Pair, u_inv: Pair, lines: int) -> None:
         """Add a generator whose u is new to U' (`sift` takes the others);
@@ -364,8 +378,9 @@ class Chain:
       if it is new.  A line is keyed by its local canonical forms over
       the P^e || A (`_line_form`).  A repeated line w = g v gives the
       Schreier generator t_w^-1 g t_v = [[u, b], [0, u^-1]] of G0, the
-      stabilizer of <e1>: the upper-triangular elements of G.  One
-      fused product, adj(t_w) (g t_v), gives u, b and u^-1 together.
+      stabilizer of <e1>: the upper-triangular elements of G.  The
+      first row of adj(t_w) (g t_v) gives u and b, two `dot`s; u^-1,
+      its lower right entry, is computed only when u is new to U'.
       The walk skips the edge back: if g^2 = +-I and g first reached w
       from v, then t_w = g t_v, so g t_w = +-t_v and the Schreier
       generator of the edge from w by g is +-I, the same for every such
@@ -376,6 +391,15 @@ class Chain:
       K is a lattice of Z^2 with the level (`lattice_hnf`), not always
       an ideal: for the Hecke group at (2) it is Z*2 + Z*L.
       |K| = N(A) / det.
+    - The early stop.  G0 lies in the Borel group B of SL2(O/A), the
+      [[u, b], [0, u^-1]] with u a unit, of order phi(A) N(A), where
+      phi(A) = |(O/A)^x| = prod N(P)^(e-1) (N(P) - 1) over the P^e || A.
+      Once |U'| = phi(A) and K's lattice is (1, 0, 1), every translation,
+      |G0| = |U'| |K| = |B|, so G0 = B: a later Schreier generator lies
+      in G0 already and changes neither U' nor K, and is not computed.
+      Once also all prod N(P)^(e-1) (N(P) + 1) lines of P^1(O/A) are
+      reached, no edge can add a line, and the walk ends, its state the
+      same as that of the whole walk.
 
     `orbit` is lines * |U'|, `stabilizer` |K|, and `order` |G|.  `cap`
     bounds the orbit points, CapExceededError(cap, "orbit") as soon as
@@ -393,12 +417,12 @@ class Chain:
         if gen_keys is None:
             gen_keys = _hecke_generators(level)
         self.level, self.gen_keys = level, gen_keys
-        red, _, _, matmul, adj = self.ops = _residue_ops(level)
+        red, _, dot, matmul, _ = self.ops = _residue_ops(level)
         self.one = one = red(1, 0)
         gens = []  # each generator decoded, a flat 8-tuple
         for g in gen_keys:
             e = _unpack(level, g)
-            if ResMat(level, g).det() != one:
+            if ResMat(level, g, self.ops).det() != one:
                 raise ValueError(f"generator {e} has a determinant other than 1")
             gens.append(e)
         forms = [_line_form(pf.power) for pf in level.factors]
@@ -413,6 +437,11 @@ class Chain:
         self.line_key = line_key
         self.units = stabilizer = _LineStabilizer(level, cap)
         lifts = stabilizer.lifts
+        # phi(A) = |(O/A)^x| and the lines of P^1(O/A): G0 is the Borel
+        # group once |U'| = phi(A) and K is every translation (the early stop)
+        phi = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm - 1) for pf in level.factors)
+        all_lines = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm + 1) for pf in level.factors)
+        borel = False
         identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
         minus = (*minus_one, 0, 0, 0, 0, *minus_one)
         # each g with g^2 = +-I, by its place in gens -> whether an edge
@@ -423,6 +452,8 @@ class Chain:
         via = [-1]  # the generator that first reached each line of the queue
         get, sift = transversal.get, stabilizer.sift
         for t, came in zip(queue, via):
+            if borel and len(queue) == all_lines:
+                break
             for i, g in enumerate(gens):
                 if i == came and i in walked_back:
                     if walked_back[i]:
@@ -439,13 +470,20 @@ class Chain:
                     if len(queue) * len(lifts) > cap:
                         raise CapExceededError(cap, "orbit")
                     continue
-                # t_w^-1 g t = [[u, b], [0, u^-1]]
-                x = matmul(adj(tw), m)
-                u, b = x[0:2], x[2:4]
+                if borel:
+                    continue
+                # t_w^-1 g t = adj(t_w) m = [[u, b], [0, u^-1]], where
+                # adj(t_w) = [[s, -q], [-r, p]] for t_w = [[p, q], [r, s]]
+                p0, p1, q0, q1, r0, r1, s0, s1 = tw
+                m0, m1, m2, m3, m4, m5, m6, m7 = m
+                u = dot((s0, s1), (m0, m1), (-q0, -q1), (m4, m5))
+                b = dot((s0, s1), (m2, m3), (-q0, -q1), (m6, m7))
                 if u in lifts:
                     sift(u, b)
                 else:
-                    stabilizer.add(u, b, x[6:8], len(queue))
+                    u_inv = dot((-r0, -r1), (m2, m3), (p0, p1), (m6, m7))
+                    stabilizer.add(u, b, u_inv, len(queue))
+                borel = len(lifts) == phi and stabilizer.lattice == (1, 0, 1)
         self.orbit = len(queue) * len(lifts)
         self.stabilizer = stabilizer.translations()
         self.order = self.orbit * self.stabilizer
@@ -454,7 +492,7 @@ class Chain:
         """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
         [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
         level, units, (_, _, _, matmul, adj) = self.level, self.units, self.ops
-        if not 0 <= key < level.norm**4 or ResMat(level, key).det() != self.one:
+        if not 0 <= key < level.norm**4 or ResMat(level, key, self.ops).det() != self.one:
             return False
         g = _unpack(level, key)
         t = self.transversal.get(self.line_key(g[0:2], g[4:6]))

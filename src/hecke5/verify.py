@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .golden import GoldenInt, lambda_power
 from .ideals import TAU, IdealHNF, ideal_from_generator
@@ -105,10 +105,8 @@ def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
 
 def _commute(level: IdealHNF, keys) -> bool:
     """Whether the elements with these keys commute pairwise."""
-    return all(
-        ResMat(level, a) * ResMat(level, b) == ResMat(level, b) * ResMat(level, a)
-        for a, b in combinations(keys, 2)
-    )
+    mats = [ResMat(level, key) for key in keys]
+    return all(a * b == b * a for a, b in combinations(mats, 2))
 
 
 def _powers_trivial(level: IdealHNF, keys, p: int) -> bool:
@@ -151,27 +149,28 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
     an elementary abelian group of order p^6 with the expected upper- and
     lower-triangular subgroup structure.
 
-    Two parts are listed by `semigroup_closure`: M, spanned by the first
-    four generators (p^4 elements), and N, by the last two (p^2).  The
-    order of the whole group is counted by the stabilizer chain
-    (`Chain` on all six generators), which walks about p^4 points and
-    never lists the p^6 elements.  `cap` bounds each part's
-    elements and the chain's orbit points: CapExceededError is raised
-    once either passes it, the parts first."""
+    The order of the whole group and of M, the part spanned by the first
+    four generators (p^4 elements), are counted by stabilizer chains
+    (`Chain`), which walk at most p^4 points and list neither.  Only N,
+    the part spanned by the last two (p^2 elements), is listed by
+    `semigroup_closure`; the parts meet in the elements of N that sift
+    into M's chain.  `cap` bounds the chains' orbit points and N's
+    elements: CapExceededError is raised once one passes it, the
+    six-generator chain first."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     level, gen_keys = kernel_layer_generators(p, n)
-    m_group = semigroup_closure(level, gen_keys[:4], cap)
-    n_group = semigroup_closure(level, gen_keys[4:], cap)
     report.add("order", Chain(level, cap, gen_keys).order, p**6)
+    m_chain = Chain(level, cap, gen_keys[:4])
+    n_group = semigroup_closure(level, gen_keys[4:], cap)
     # elementary abelian, with the pairwise commutation computed once
     commute = _commute(level, gen_keys)
     report.add_bool("generators-commute", commute)
     report.add_bool(
         "every-element-has-order-dividing-p", commute and _powers_trivial(level, gen_keys, p)
     )
-    report.add("unipotent-part-order", len(m_group), p**4)
+    report.add("unipotent-part-order", m_chain.order, p**4)
     report.add("diagonal-part-order", len(n_group), p**2)
-    report.add("parts-intersection", len(m_group.keys() & n_group.keys()), 1)
+    report.add("parts-intersection", sum(key in m_chain for key in n_group), 1)
     return report
 
 
@@ -210,9 +209,57 @@ def _coords_mod5(level: IdealHNF, g: Mat2) -> tuple[int, int, int]:
     return i, j, k
 
 
+def _image(vec, mat) -> tuple[int, int, int]:
+    """The row vector times the 3x3 row matrix, over F_5."""
+    x, y, z = vec
+    (a, b, c), (d, e, f), (g, h, i) = mat
+    return (x * a + y * d + z * g) % 5, (x * b + y * e + z * h) % 5, (x * c + y * f + z * i) % 5
+
+
+def _subspace_bases() -> dict[frozenset, tuple]:
+    """Every subspace of F_5^3, as its set of vectors, mapped to a basis it
+    is the span of: the zero space (no basis), each line (its vector v,
+    first nonzero coordinate 1, at the pivot i), v's orthogonal plane
+    (e_j - v_j e_i for j != i: v . (e_j - v_j e_i) = v_j - v_j v_i = 0)
+    and the whole space (e1, e2, e3)."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def span(basis) -> frozenset:
+        vectors = [(0, 0, 0)]
+        for x, y, z in basis:
+            vectors = [((a + c * x) % 5, (b + c * y) % 5, (d + c * z) % 5) for a, b, d in vectors for c in range(5)]
+        return frozenset(vectors)
+
+    bases = [(), units]
+    for v in product(range(5), repeat=3):
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None or v[pivot] != 1:
+            continue
+        bases.append((v,))
+        bases.append(
+            tuple(
+                tuple((e[k] - v[j] * units[pivot][k]) % 5 for k in range(3))
+                for j, e in enumerate(units)
+                if j != pivot
+            )
+        )
+    return {span(basis): basis for basis in bases}
+
+
+def _invariant(subspace: frozenset, basis, actions) -> bool:
+    """Whether every action maps the subspace into itself.  A linear map
+    keeps W exactly when it sends a spanning set of W into W, so only the
+    basis is tested."""
+    return all(_image(b, m) in subspace for m in actions for b in basis)
+
+
 def verify_conjugation_action() -> VerificationReport:
     """Cross-validate the (r, s, t) conjugation actions two ways, then
-    show only the trivial and full subspaces are invariant."""
+    show only the trivial and full subspaces are invariant.
+
+    Each of the 64 subspaces of F_5^3 is built as the span of a basis
+    (`_subspace_bases`), and its invariance is tested on that basis only
+    (`_invariant`), under the derived actions and under the variant."""
     report = VerificationReport("conjugation-action")
     level = ideal_from_generator(5)
     a, b, c = _delta_matrices()
@@ -244,41 +291,16 @@ def verify_conjugation_action() -> VerificationReport:
         detail="the variant negates the s-exponent; conjugation does not",
     )
 
-    vectors = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
-    subspaces = {frozenset([(0, 0, 0)]), frozenset(vectors)}
-    for v in vectors:
-        # one v per line and per plane: its first nonzero coordinate is 1
-        if next((x for x in v if x), 0) != 1:
-            continue
-        line = frozenset(tuple(c * x % 5 for x in v) for c in range(5))
-        subspaces.add(line)
-        plane = frozenset(
-            w for w in vectors if sum(a * b for a, b in zip(v, w)) % 5 == 0
-        )
-        subspaces.add(plane)
+    subspaces = _subspace_bases()
     report.add("subspace-count", len(subspaces), 64)
-
-    def image(vec, mat):
-        return tuple(
-            sum(vec[i] * mat[i][j] for i in range(3)) % 5 for j in range(3)
-        )
-
-    invariant = [
-        sp
-        for sp in subspaces
-        if all(image(v, m) in sp for m in derived.values() for v in sp)
-    ]
+    invariant = [sp for sp, basis in subspaces.items() if _invariant(sp, basis, derived.values())]
     report.add("invariant-subspaces", len(invariant), 2)
     report.add_bool(
         "invariant-are-trivial-and-full",
         {len(sp) for sp in invariant} == {1, 125},
     )
     variant_actions = (derived["S"], T_ACTION_VARIANT, derived["J"])
-    variant_count = sum(
-        1
-        for sp in subspaces
-        if all(image(v, m) in sp for m in variant_actions for v in sp)
-    )
+    variant_count = sum(1 for sp, basis in subspaces.items() if _invariant(sp, basis, variant_actions))
     report.add("invariant-subspaces-under-variant", variant_count, 2)
     return report
 

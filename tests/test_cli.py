@@ -402,7 +402,7 @@ class TestCapErrors:
     def test_verify_kernel_layers_json(self, capsys):
         code, out, err = run(capsys, "verify", "kernel-layers", "--cap", "1000", "--json")
         assert code == 3
-        assert err.startswith("error: quotient exceeded cap 1000")
+        assert err.startswith("error: orbit exceeded cap 1000")
         payload = json.loads(out)
         assert payload["schema"] == "hecke5/v1/error"
         assert (payload["cap"], payload["partial"]) == (1000, 1001)

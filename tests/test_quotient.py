@@ -157,6 +157,23 @@ class TestResMatPower:
                     product = product * (m if n > 0 else m.inverse())
                 assert m**n == product, (key, n)
 
+    def test_a_power_builds_the_level_arithmetic_once(self, monkeypatch):
+        # the inverse's determinant and adjugate and every product of the
+        # square-and-multiply share one `_residue_ops` of the level
+        level = ideal_from_generator(7)
+        m = ResMat.from_mat2(level, S * T)
+        expected = m.inverse() ** 12
+        calls = []
+        residue_ops = quotient_mod._residue_ops
+
+        def counted(level):
+            calls.append(level)
+            return residue_ops(level)
+
+        monkeypatch.setattr(quotient_mod, "_residue_ops", counted)
+        assert ResMat(level, m.key) ** -12 == expected
+        assert len(calls) == 1
+
 
 def golden_entries(m: ResMat) -> list[GoldenInt]:
     r = m.residues()
@@ -609,6 +626,121 @@ class TestWalkBack:
         chain = Chain(level)
         assert chain.order == build_quotient(level).order
         assert len(calls) < 2 * len(chain.transversal)
+
+
+class _ReferenceStabilizer(_LineStabilizer):
+    """`_LineStabilizer` whose sift spans K even once K is every
+    translation."""
+
+    def sift(self, u, b):
+        self.span(self.translation(u, b))
+
+
+def reference_walk(level, gen_keys=None, skip_back=False):
+    """The chain's walk with no shortcut: every edge computes its line key,
+    and every repeated line the whole product adj(t_w) (g t_v) and a sift
+    or an `add`; the walk ends only when the queue does.  `skip_back`
+    keeps one shortcut, the walk-back skip along an involution (see
+    `Chain`).  Returns (transversal, stabilizer)."""
+    if gen_keys is None:
+        gen_keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
+    red, _, _, matmul, adj = _residue_ops(level)
+    one = red(1, 0)
+    gens = [_unpack(level, g) for g in gen_keys]
+    forms = [quotient_mod._line_form(pf.power) for pf in level.factors]
+
+    def line_key(a, c):
+        key = 0
+        for form in forms:
+            key = key * 2 * level.norm + form(a, c)
+        return key
+
+    stabilizer = _ReferenceStabilizer(level, DEFAULT_CAP)
+    identity = (*one, 0, 0, 0, 0, *one)
+    minus = (*red(-1, 0), 0, 0, 0, 0, *red(-1, 0))
+    walked_back = {i: False for i, g in enumerate(gens) if matmul(g, g) in (identity, minus)}
+    transversal = {line_key(one, (0, 0)): identity}
+    queue, via = [identity], [-1]
+    for t, came in zip(queue, via):
+        for i, g in enumerate(gens):
+            if skip_back and i == came and i in walked_back:
+                if walked_back[i]:
+                    continue
+                walked_back[i] = True
+            m = matmul(g, t)
+            key = line_key(m[0:2], m[4:6])
+            if key not in transversal:
+                transversal[key] = m
+                queue.append(m)
+                via.append(i)
+                continue
+            x = matmul(adj(transversal[key]), m)
+            if x[0:2] in stabilizer.lifts:
+                stabilizer.sift(x[0:2], x[2:4])
+            else:
+                stabilizer.add(x[0:2], x[2:4], x[6:8], len(queue))
+    return transversal, stabilizer
+
+
+class TestEarlyStop:
+    """Once G0 is the whole Borel group the walk computes no Schreier
+    generator, and once every line is also reached it ends; K's sift
+    returns at once when K is every translation.  None of it changes the
+    chain's state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(60)),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    def test_same_state_as_the_walk_with_no_shortcut(self, level, generators, hecke):
+        product = TestChainOnAnyGenerators.elementary_product
+        keys = None if hecke else [product(level, steps) for steps in generators]
+        chain = Chain(level, gen_keys=keys)
+        transversal, stabilizer = reference_walk(level, keys)
+        assert list(chain.transversal.items()) == list(transversal.items())
+        assert list(chain.units.lifts.items()) == list(stabilizer.lifts.items())
+        orbit = len(transversal) * len(stabilizer.lifts)
+        assert (chain.orbit, chain.stabilizer) == (orbit, stabilizer.translations())
+        assert chain.units.lattice == stabilizer.lattice
+
+    def test_the_walk_ends_once_its_stabilizer_is_full(self, monkeypatch):
+        # the image at [1,7,41] is all of SL2(F_41): all 42 lines are
+        # reached, and G0 is the Borel group, before the queue is done
+        level = IdealHNF(1, 7, 41)
+        calls = []
+        line_form = quotient_mod._line_form
+
+        def counted_form(power_ideal):
+            form = line_form(power_ideal)
+
+            def counted(a, c):
+                calls.append((a, c))
+                return form(a, c)
+
+            return counted
+
+        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
+        chain = Chain(level)
+        stopped = len(calls)
+        calls.clear()
+        reference_walk(level, skip_back=True)
+        assert chain.order == sl2_order(level)
+        assert (len(chain.transversal), chain.units.lattice) == (42, (1, 0, 1))
+        assert stopped < len(calls)
+
+    def test_a_full_lattice_sifts_nothing(self):
+        # with K every translation, the sift reads no lift: an unknown u passes
+        level = IdealHNF(7, 0, 7)
+        stabilizer = _LineStabilizer(level, DEFAULT_CAP)
+        stabilizer.lattice = (1, 0, 1)
+        stabilizer.sift((3, 0), (1, 0))
+        assert stabilizer.lattice == (1, 0, 1)
 
 
 class TestIndexHelpers:

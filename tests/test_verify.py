@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hecke5 import cli
 from hecke5 import quotient as quotient_mod
@@ -8,11 +10,16 @@ from hecke5.ideals import ideal_from_generator
 from hecke5.matrices import S, T, is_member
 from hecke5.quotient import CapExceededError, ResMat, semigroup_closure
 from hecke5.verify import (
+    ACTION_MATRICES,
     DET1_VARIANT,
     LEVEL2_GENERATORS,
     SAMPLE_MATRICES,
+    T_ACTION_VARIANT,
     VerificationReport,
     _delta_matrices,
+    _image,
+    _invariant,
+    _subspace_bases,
     elementary_abelian,
     kernel_layer_generators,
     verify_all,
@@ -106,6 +113,19 @@ class TestKernelLayer:
         assert verify_kernel_layer(7, 1).passed
         assert sizes and max(sizes) <= 2401
 
+    def test_lists_only_the_diagonal_part(self, monkeypatch):
+        # M and the whole group are chains; only N, p^2 = 49 elements, is listed
+        sizes = []
+
+        def recorded(*args, **kwargs):
+            group = semigroup_closure(*args, **kwargs)
+            sizes.append(len(group))
+            return group
+
+        monkeypatch.setattr(verify_mod, "semigroup_closure", recorded)
+        assert verify_kernel_layer(7, 1).passed
+        assert sizes == [49]
+
 
 class TestElementaryAbelian:
     def test_commuting_is_required(self):
@@ -142,6 +162,64 @@ class TestConjugationAction:
         assert by_name["invariant-subspaces"].computed == "2"
         assert by_name["invariant-subspaces-under-variant"].computed == "2"
         assert by_name["T-action-differs-from-s-inverse-variant"].passed
+
+
+VECTORS = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
+
+
+def filtered_subspaces() -> set[frozenset]:
+    """The 64 subspaces of F_5^3 as they were built before each kept a
+    basis: each line from its vector, each plane by filtering all 125
+    vectors for those orthogonal to it."""
+    subspaces = {frozenset([(0, 0, 0)]), frozenset(VECTORS)}
+    for v in VECTORS:
+        if next((x for x in v if x), 0) != 1:
+            continue
+        subspaces.add(frozenset(tuple(c * x % 5 for x in v) for c in range(5)))
+        subspaces.add(frozenset(w for w in VECTORS if sum(a * b for a, b in zip(v, w)) % 5 == 0))
+    return subspaces
+
+
+def invariant_on_every_vector(subspace, actions) -> bool:
+    """The reference: every vector of the subspace, not a basis, tested."""
+    return all(_image(v, m) in subspace for m in actions for v in subspace)
+
+
+class TestSubspaceBases:
+    """`verify_conjugation_action` builds each subspace as the span of a
+    basis and tests invariance on the basis alone."""
+
+    def test_spans_are_the_filtered_subspaces(self):
+        bases = _subspace_bases()
+        assert len(bases) == 64
+        assert set(bases) == filtered_subspaces()
+        for subspace, basis in bases.items():
+            # a basis: as many vectors as the dimension, 5^dim vectors
+            assert len(subspace) == 5 ** len(basis)
+            assert all(b in subspace for b in basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.tuples(*[st.integers(0, 4)] * 3)] * 3), min_size=1, max_size=3
+        )
+    )
+    def test_basis_invariance_is_invariance(self, actions):
+        for subspace, basis in _subspace_bases().items():
+            assert _invariant(subspace, basis, actions) == invariant_on_every_vector(
+                subspace, actions
+            ), (subspace, actions)
+
+    @pytest.mark.parametrize("variant", [False, True])
+    def test_the_verifier_actions(self, variant):
+        actions = [ACTION_MATRICES[g] for g in "STJ"]
+        if variant:
+            actions[1] = T_ACTION_VARIANT
+        bases = _subspace_bases()
+        by_basis = [sp for sp, basis in bases.items() if _invariant(sp, basis, actions)]
+        by_vector = [sp for sp in bases if invariant_on_every_vector(sp, actions)]
+        assert by_basis == by_vector
+        assert sorted(len(sp) for sp in by_basis) == [1, 125]
 
 
 class TestLevel5Structure:
