@@ -256,7 +256,7 @@ COMMANDS = {
     "verify": Command(
         "machine-verify the supporting computations",
         cmd_verify,
-        cap="elements of a listing, or orbit points of a chain's count",
+        cap="orbit points of a chain's count",
     ),
 }
 

@@ -75,13 +75,6 @@ class GoldenInt:
             return 1 if self.b >= 0 else -1
         return 1 if 2 * self.a + self.b + _floor_sqrt5(self.b) >= 0 else -1
 
-    def divides(self, other: GoldenInt) -> bool:
-        """Exact divisibility test in Z[L]."""
-        if not self:
-            return not other
-        q = exact_div(other, self)
-        return q is not None
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -103,17 +96,6 @@ class UnitDecomposition:
 def compare_real(x: GoldenInt, y: GoldenInt) -> int:
     """-1, 0 or 1 as x <, = or > y under the real embedding."""
     return (x - y).sign()
-
-
-def exact_div(x: GoldenInt, y: GoldenInt) -> GoldenInt | None:
-    """x / y if it lies in Z[L], else None."""
-    if not y:
-        raise ZeroDivisionError("division by zero in Z[L]")
-    n = y.a * y.a + y.a * y.b - y.b * y.b  # signed norm
-    z = x * y.conjugate()
-    if z.a % n or z.b % n:
-        return None
-    return GoldenInt(z.a // n, z.b // n)
 
 
 def _floor_sqrt5(y: int) -> int:

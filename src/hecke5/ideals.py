@@ -8,6 +8,9 @@ structurally.
 An ideal A is also its own residue ring Z[L]/A: a residue is the pair
 (x, y), 0 <= x < d1 and 0 <= y < d2, standing for x + yL, that
 `IdealHNF.reduce_pair` gives.  There is no other form of a residue.
+The ring's arithmetic on residues and on 2x2 matrices of them is
+`IdealHNF.residue_ops`, built on first read and kept by the ideal, as
+its factorization is.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .golden import GoldenInt, gcd_pseudo
+
+Pair = tuple[int, int]  # one residue (x, y), x + yL
+# a 2x2 matrix of residues: the reduced pairs of its entries, row-major
+Key = tuple[int, int, int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -43,10 +50,15 @@ class IdealHNF:
 
     def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
         """The residue (x, y) of a + bL: subtract the row (d1, k) q times to
-        bring a into [0, d1), then reduce mod d2.  `quotient._residue_ops`
-        is the one inlined copy."""
+        bring a into [0, d1), then reduce mod d2.  `residue_ops` is the
+        one inlined copy."""
         q = a // self.d1
         return a - q * self.d1, (b - q * self.k) % self.d2
+
+    @cached_property
+    def residue_ops(self) -> tuple:
+        """`_residue_ops` of this ideal, built on first read."""
+        return _residue_ops(self)
 
     def contains(self, x: GoldenInt) -> bool:
         return self.reduce_pair(x.a, x.b) == (0, 0)
@@ -58,6 +70,77 @@ class IdealHNF:
 
     def __str__(self) -> str:
         return f"[{self.d1},{self.k},{self.d2}]"
+
+
+def _residue_ops(m: IdealHNF) -> tuple:
+    """The one arithmetic of O/m, built once per level as
+    `IdealHNF.residue_ops`, on residues (x, y) = x + yL with L^2 = L + 1
+    and `reduce_pair` inlined: `red(x, y)`, the
+    residue of x + yL; `mul(x, y)`, the product xy; `dot(x, y, z, w)`,
+    xy + zw, an entry of a matrix product; and on matrices as flat
+    8-tuples of their entries' pairs, row-major (`Key`), `matmul(x, y)`,
+    the product xy, and `adj(x)`, the adjugate [[d, -b], [-c, a]] of
+    x = [[a, b], [c, d]], its inverse when det x = 1.  The operands are
+    any integers; the results are reduced."""
+    d1, k, d2 = m.d1, m.k, m.d2
+
+    def red(x: int, y: int) -> Pair:
+        q = x // d1
+        return x - q * d1, (y - q * k) % d2
+
+    def mul(x: Pair, y: Pair) -> Pair:
+        x0, x1 = x
+        y0, y1 = y
+        s = x0 * y0 + x1 * y1
+        q = s // d1
+        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - q * k) % d2
+
+    def dot(x: Pair, y: Pair, z: Pair, w: Pair) -> Pair:
+        x0, x1 = x
+        y0, y1 = y
+        z0, z1 = z
+        w0, w1 = w
+        s = x0 * y0 + x1 * y1 + z0 * w0 + z1 * w1
+        q = s // d1
+        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 + z0 * w1 + z1 * w0 + z1 * w1 - q * k) % d2
+
+    def matmul(x: Key, y: Key) -> Key:
+        # [[p, q], [r, s]] [[t, u], [v, w]], each entry a dot of pairs with
+        # (x0 + x1 L)(y0 + y1 L) = x0 y0 + x1 y1 + (x0 y1 + x1 (y0 + y1)) L
+        p0, p1, q0, q1, r0, r1, s0, s1 = x
+        t0, t1, u0, u1, v0, v1, w0, w1 = y
+        ts, us, vs, ws = t0 + t1, u0 + u1, v0 + v1, w0 + w1
+        a = p0 * t0 + p1 * t1 + q0 * v0 + q1 * v1
+        b = p0 * u0 + p1 * u1 + q0 * w0 + q1 * w1
+        c = r0 * t0 + r1 * t1 + s0 * v0 + s1 * v1
+        d = r0 * u0 + r1 * u1 + s0 * w0 + s1 * w1
+        qa, qb, qc, qd = a // d1, b // d1, c // d1, d // d1
+        return (
+            a - qa * d1,
+            (p0 * t1 + p1 * ts + q0 * v1 + q1 * vs - qa * k) % d2,
+            b - qb * d1,
+            (p0 * u1 + p1 * us + q0 * w1 + q1 * ws - qb * k) % d2,
+            c - qc * d1,
+            (r0 * t1 + r1 * ts + s0 * v1 + s1 * vs - qc * k) % d2,
+            d - qd * d1,
+            (r0 * u1 + r1 * us + s0 * w1 + s1 * ws - qd * k) % d2,
+        )
+
+    def adj(x: Key) -> Key:
+        p0, p1, q0, q1, r0, r1, s0, s1 = x
+        qp, qq, qr, qs = p0 // d1, -q0 // d1, -r0 // d1, s0 // d1
+        return (
+            s0 - qs * d1,
+            (s1 - qs * k) % d2,
+            -q0 - qq * d1,
+            (-q1 - qq * k) % d2,
+            -r0 - qr * d1,
+            (-r1 - qr * k) % d2,
+            p0 - qp * d1,
+            (p1 - qp * k) % d2,
+        )
+
+    return red, mul, dot, matmul, adj
 
 
 def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:

@@ -2,7 +2,8 @@
 
 Two engines, one per kind of question:
 
-- Subgroups.  A subgroup given by packed generators is a `Chain`, a
+- Subgroups, every count and membership test (the index, and all of
+  `verify`).  A subgroup given by packed generators is a `Chain`, a
   three-level stabilizer chain: the orbit of the line <e1> in
   P^1(O/A), then the units U' that the line's stabilizer puts on e1,
   then the translations K that fix e1.  Each of its orbits has about
@@ -13,8 +14,8 @@ Two engines, one per kind of question:
   images of S and T (`_hecke_generators`), so the order is the index
   [H : H(A)] (`index_h`; `index_g` halves it unless -I = I mod A).
   `subgroup_generated`, `power_subgroup` and `is_normal` work on chains.
-- Elements and words, the only use of `semigroup_closure`, the one
-  breadth-first closure: from the identity under right-multiplication
+- Elements and words, for `cosets` alone: `semigroup_closure`, the one
+  breadth-first closure, from the identity under right-multiplication
   by the given generators (a finite group, so semigroup closure
   suffices and words use positive letters only).  It returns an
   insertion-ordered dict mapping each element to its BFS predecessor
@@ -39,7 +40,8 @@ lookups on packed rows, tables filled on demand, one general row
 product per generator for each row that occurs, so nothing is sized by
 N(A) and a cap error at a level of norm 10^10 comes as fast as at (2).
 
-Residues are multiplied in one place, `_residue_ops`, whose fused
+Residues are multiplied in one place, the level's `residue_ops`
+(`IdealHNF.residue_ops`, built once per level object), whose fused
 `matmul` and `adj` work on whole decoded matrices; `ResMat`, the
 closure's row tables and the chain all use it, and no `GoldenInt`.
 """
@@ -47,18 +49,15 @@ closure's row tables and the chain all use it, and no `GoldenInt`.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from operator import add
 from typing import Callable
 
 from .formula import sl2_factor
 from .golden import GoldenInt, format_element, power
-from .ideals import IdealHNF, ideal_divides, lattice_hnf
+from .ideals import IdealHNF, Key, Pair, ideal_divides, lattice_hnf
 from .matrices import Mat2, S, T
-
-# the reduced pairs of the four entries, row-major: an element decoded
-Key = tuple[int, int, int, int, int, int, int, int]
 
 DEFAULT_CAP = 5_000_000
 
@@ -70,9 +69,6 @@ class CapExceededError(RuntimeError):
     def __init__(self, cap: int, what: str = "quotient"):
         self.cap, self.partial = cap, cap + 1
         super().__init__(f"{what} exceeded cap {cap} (partial count {self.partial})")
-
-
-Pair = tuple[int, int]  # one residue (x, y), x + yL
 
 
 def _pack(level: IdealHNF, key: Key) -> int:
@@ -97,21 +93,11 @@ def _unpack(level: IdealHNF, packed: int) -> Key:
 
 @dataclass(frozen=True)
 class ResMat:
-    """A matrix over the residue ring of a level, keyed by its packed int.
-
-    `ops` is the level's `_residue_ops`, passed by a caller that holds
-    them (a chain) or built on the first product, determinant or
-    inverse, and handed on to every product and inverse, so a run of
-    products (a power, a commutator) builds them once."""
+    """A matrix over the residue ring of a level, keyed by its packed int;
+    its arithmetic is the level's `residue_ops`."""
 
     level: IdealHNF
     key: int
-    ops: tuple | None = field(default=None, compare=False, repr=False)
-
-    def _ops(self) -> tuple:
-        if self.ops is None:
-            object.__setattr__(self, "ops", _residue_ops(self.level))
-        return self.ops  # type: ignore[return-value]
 
     @classmethod
     def from_mat2(cls, level: IdealHNF, m: Mat2) -> ResMat:
@@ -123,8 +109,8 @@ class ResMat:
         return _unpack(self.level, self.key)
 
     def __mul__(self, other: ResMat) -> ResMat:
-        ops = self._ops()
-        return ResMat(self.level, _pack(self.level, ops[3](self.residues(), other.residues())), ops)
+        level = self.level
+        return ResMat(level, _pack(level, level.residue_ops[3](self.residues(), other.residues())))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -136,12 +122,12 @@ class ResMat:
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
-        ops = self._ops()
-        return ResMat(self.level, _pack(self.level, ops[4](self.residues())), ops)
+        level = self.level
+        return ResMat(level, _pack(level, level.residue_ops[4](self.residues())))
 
     def det(self) -> tuple[int, int]:
         """The reduced pair of the determinant."""
-        red, _, dot, *_ = self._ops()
+        red, _, dot, *_ = self.level.residue_ops
         a, b, c, d, e, f, g, h = self.residues()
         return dot((a, b), (g, h), red(-c, -d), (e, f))
 
@@ -154,12 +140,13 @@ class ResMat:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Fully enumerated image of the Hecke group modulo an ideal.
+    """Fully enumerated image of the Hecke group modulo an ideal, the
+    elements that `cosets` spells.
 
     Two fields: the level, and predecessor, the closure's dict from each
     element in BFS order to its BFS predecessor (None at the identity),
-    both packed ints (`ResMat.key`).  `order` and `in` are read from that
-    dict, and `coset_words` spells its chains.
+    both packed ints (`ResMat.key`).  `order` is read from that dict, and
+    `coset_words` spells its chains.
     """
 
     level: IdealHNF
@@ -168,9 +155,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.predecessor)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.predecessor
 
 
 def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
@@ -185,76 +169,6 @@ def _hecke_generators(level: IdealHNF) -> list[int]:
     return [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
 
 
-def _residue_ops(m: IdealHNF):
-    """The one arithmetic of O/m in this module, on residues (x, y) =
-    x + yL with L^2 = L + 1 and `reduce_pair` inlined: `red(x, y)`, the
-    residue of x + yL; `mul(x, y)`, the product xy; `dot(x, y, z, w)`,
-    xy + zw, an entry of a matrix product; and on matrices as flat
-    8-tuples of their entries' pairs, row-major (`Key`), `matmul(x, y)`,
-    the product xy, and `adj(x)`, the adjugate [[d, -b], [-c, a]] of
-    x = [[a, b], [c, d]], its inverse when det x = 1.  The operands are
-    any integers; the results are reduced."""
-    d1, k, d2 = m.d1, m.k, m.d2
-
-    def red(x: int, y: int) -> Pair:
-        q = x // d1
-        return x - q * d1, (y - q * k) % d2
-
-    def mul(x: Pair, y: Pair) -> Pair:
-        x0, x1 = x
-        y0, y1 = y
-        s = x0 * y0 + x1 * y1
-        q = s // d1
-        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 - q * k) % d2
-
-    def dot(x: Pair, y: Pair, z: Pair, w: Pair) -> Pair:
-        x0, x1 = x
-        y0, y1 = y
-        z0, z1 = z
-        w0, w1 = w
-        s = x0 * y0 + x1 * y1 + z0 * w0 + z1 * w1
-        q = s // d1
-        return s - q * d1, (x0 * y1 + x1 * y0 + x1 * y1 + z0 * w1 + z1 * w0 + z1 * w1 - q * k) % d2
-
-    def matmul(x: Key, y: Key) -> Key:
-        # [[p, q], [r, s]] [[t, u], [v, w]], each entry a dot of pairs with
-        # (x0 + x1 L)(y0 + y1 L) = x0 y0 + x1 y1 + (x0 y1 + x1 (y0 + y1)) L
-        p0, p1, q0, q1, r0, r1, s0, s1 = x
-        t0, t1, u0, u1, v0, v1, w0, w1 = y
-        ts, us, vs, ws = t0 + t1, u0 + u1, v0 + v1, w0 + w1
-        a = p0 * t0 + p1 * t1 + q0 * v0 + q1 * v1
-        b = p0 * u0 + p1 * u1 + q0 * w0 + q1 * w1
-        c = r0 * t0 + r1 * t1 + s0 * v0 + s1 * v1
-        d = r0 * u0 + r1 * u1 + s0 * w0 + s1 * w1
-        qa, qb, qc, qd = a // d1, b // d1, c // d1, d // d1
-        return (
-            a - qa * d1,
-            (p0 * t1 + p1 * ts + q0 * v1 + q1 * vs - qa * k) % d2,
-            b - qb * d1,
-            (p0 * u1 + p1 * us + q0 * w1 + q1 * ws - qb * k) % d2,
-            c - qc * d1,
-            (r0 * t1 + r1 * ts + s0 * v1 + s1 * vs - qc * k) % d2,
-            d - qd * d1,
-            (r0 * u1 + r1 * us + s0 * w1 + s1 * ws - qd * k) % d2,
-        )
-
-    def adj(x: Key) -> Key:
-        p0, p1, q0, q1, r0, r1, s0, s1 = x
-        qp, qq, qr, qs = p0 // d1, -q0 // d1, -r0 // d1, s0 // d1
-        return (
-            s0 - qs * d1,
-            (s1 - qs * k) % d2,
-            -q0 - qq * d1,
-            (-q1 - qq * k) % d2,
-            -r0 - qr * d1,
-            (-r1 - qr * k) % d2,
-            p0 - qp * d1,
-            (p1 - qp * k) % d2,
-        )
-
-    return red, mul, dot, matmul, adj
-
-
 def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     """The canonical form in P^1(O/P^e) of the line through a unimodular
     column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
@@ -265,7 +179,7 @@ def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     non-unit is zL, of norm -z^2; else P is its own conjugate.
     `power_ideal` is P^e, as `PrimeFactor.power` keeps it."""
     n, d2 = power_ideal.norm, power_ideal.d2
-    red, mul, *_ = _residue_ops(power_ideal)
+    red, mul, *_ = power_ideal.residue_ops
 
     def ratio(x: Pair, y: Pair) -> int | None:
         # the digit x*d2 + y of x / y, or None when y is no unit
@@ -302,7 +216,7 @@ class _LineStabilizer:
 
     def __init__(self, level: IdealHNF, cap: int):
         self.level, self.cap = level, cap
-        self.red, self.mul, self.dot, *_ = _residue_ops(level)
+        self.red, self.mul, self.dot, *_ = level.residue_ops
         one = self.red(1, 0)
         self.lifts: dict[Pair, tuple[Pair, Pair]] = {one: ((0, 0), one)}
         self.chosen: list[tuple[Pair, Pair, Pair]] = []
@@ -417,12 +331,12 @@ class Chain:
         if gen_keys is None:
             gen_keys = _hecke_generators(level)
         self.level, self.gen_keys = level, gen_keys
-        red, _, dot, matmul, _ = self.ops = _residue_ops(level)
+        red, _, dot, matmul, _ = level.residue_ops
         self.one = one = red(1, 0)
         gens = []  # each generator decoded, a flat 8-tuple
         for g in gen_keys:
             e = _unpack(level, g)
-            if ResMat(level, g, self.ops).det() != one:
+            if ResMat(level, g).det() != one:
                 raise ValueError(f"generator {e} has a determinant other than 1")
             gens.append(e)
         forms = [_line_form(pf.power) for pf in level.factors]
@@ -491,8 +405,9 @@ class Chain:
     def __contains__(self, key: int) -> bool:
         """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
         [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
-        level, units, (_, _, _, matmul, adj) = self.level, self.units, self.ops
-        if not 0 <= key < level.norm**4 or ResMat(level, key, self.ops).det() != self.one:
+        level, units = self.level, self.units
+        _, _, _, matmul, adj = level.residue_ops
+        if not 0 <= key < level.norm**4 or ResMat(level, key).det() != self.one:
             return False
         g = _unpack(level, key)
         t = self.transversal.get(self.line_key(g[0:2], g[4:6]))
@@ -505,7 +420,8 @@ class Chain:
     def __iter__(self) -> Iterator[int]:
         """Each element once, packed, as t lift(u) [[1, x], [0, 1]], the
         lines varying fastest, then the units, then the translations."""
-        level, (red, _, dot, matmul, _) = self.level, self.ops
+        level = self.level
+        red, _, dot, matmul, _ = level.residue_ops
         f1, fk, f2 = self.units.lattice
         # K mod the level: x = i (f1, fk) + j (0, f2), i < d1 / f1, j < d2 / f2
         ij = [(i, j) for i in range(level.d1 // f1) for j in range(level.d2 // f2)]
@@ -557,7 +473,7 @@ def coset_words(q: QuotientGroup) -> dict[int, str]:
 
 
 def semigroup_closure(
-    level: IdealHNF, gen_keys: list[int], cap: int | None = None
+    level: IdealHNF, gen_keys: list[int], cap: int = DEFAULT_CAP
 ) -> dict[int, int | None]:
     """Deterministic BFS closure of the identity under right-multiplication.
 
@@ -578,7 +494,7 @@ def semigroup_closure(
     distinct row met, so it holds at most two rows per element and never
     an entry per residue of the level.
     """
-    dot = _residue_ops(level)[2]
+    dot = level.residue_ops[2]
     n, d2 = level.norm, level.d2
     n2 = n * n
     gens = [(g[0:2], g[2:4], g[4:6], g[6:8]) for g in (_unpack(level, g) for g in gen_keys)]
@@ -616,18 +532,18 @@ def semigroup_closure(
                 if w not in predecessor:
                     predecessor[w] = u
                     nxt.append(w)
-                    if cap is not None and len(predecessor) > cap:
+                    if len(predecessor) > cap:
                         raise CapExceededError(cap)
         frontier = nxt
     return predecessor
 
 
-def subgroup_generated(q: QuotientGroup | Chain, gens: list[ResMat]) -> Chain:
-    """The chain of the generators, each of which must be in `q`."""
+def subgroup_generated(group: Chain, gens: list[ResMat]) -> Chain:
+    """The chain of the generators, each of which must sift into `group`."""
     for g in gens:
-        if g.key not in q:
+        if g.key not in group:
             raise ValueError(f"generator {g.residues()} is not in the quotient")
-    return Chain(q.level, gen_keys=[g.key for g in gens])
+    return Chain(group.level, gen_keys=[g.key for g in gens])
 
 
 def power_subgroup(group: Chain, k: int) -> Chain:

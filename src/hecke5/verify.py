@@ -28,10 +28,8 @@ from .quotient import (
     DEFAULT_CAP,
     Chain,
     ResMat,
-    build_quotient,
     is_normal,
     power_subgroup,
-    semigroup_closure,
     subgroup_generated,
 )
 
@@ -149,19 +147,18 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
     an elementary abelian group of order p^6 with the expected upper- and
     lower-triangular subgroup structure.
 
-    The order of the whole group and of M, the part spanned by the first
-    four generators (p^4 elements), are counted by stabilizer chains
-    (`Chain`), which walk at most p^4 points and list neither.  Only N,
-    the part spanned by the last two (p^2 elements), is listed by
-    `semigroup_closure`; the parts meet in the elements of N that sift
-    into M's chain.  `cap` bounds the chains' orbit points and N's
-    elements: CapExceededError is raised once one passes it, the
-    six-generator chain first."""
+    The whole group, M, the part spanned by the first four generators
+    (p^4 elements), and N, the part spanned by the last two (p^2
+    elements), are stabilizer chains (`Chain`), which walk at most p^4
+    points and list no group; the parts meet in the elements of N, each
+    yielded once by its chain, that sift into M's.  `cap` bounds the
+    chains' orbit points: CapExceededError is raised once one passes it,
+    the six-generator chain first."""
     report = VerificationReport(f"kernel-layer(p={p},n={n})")
     level, gen_keys = kernel_layer_generators(p, n)
     report.add("order", Chain(level, cap, gen_keys).order, p**6)
     m_chain = Chain(level, cap, gen_keys[:4])
-    n_group = semigroup_closure(level, gen_keys[4:], cap)
+    n_chain = Chain(level, cap, gen_keys[4:])
     # elementary abelian, with the pairwise commutation computed once
     commute = _commute(level, gen_keys)
     report.add_bool("generators-commute", commute)
@@ -169,8 +166,8 @@ def verify_kernel_layer(p: int, n: int, cap: int = DEFAULT_CAP) -> VerificationR
         "every-element-has-order-dividing-p", commute and _powers_trivial(level, gen_keys, p)
     )
     report.add("unipotent-part-order", m_chain.order, p**4)
-    report.add("diagonal-part-order", len(n_group), p**2)
-    report.add("parts-intersection", sum(key in m_chain for key in n_group), 1)
+    report.add("diagonal-part-order", n_chain.order, p**2)
+    report.add("parts-intersection", sum(key in m_chain for key in n_chain), 1)
     return report
 
 
@@ -353,9 +350,10 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
             f"level2-generator-{i}-trivial-mod-2", _mod_equal(level2, m, IDENTITY)
         )
 
-    # their image mod (4) is elementary abelian of order 16; the quotient
-    # is listed, so a cap below its 320 elements stops the run here
-    q4 = build_quotient(level4, cap)
+    # their image mod (4) is elementary abelian of order 16, each image
+    # sifted into the quotient's chain, whose orbit of e1 has 80 points:
+    # a cap below that stops the run here
+    q4 = Chain(level4, cap)
     imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
     report.add("level2-generators-mod4-order", subgroup_generated(q4, imgs).order, 16)
     keys = [g.key for g in imgs]

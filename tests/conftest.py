@@ -25,6 +25,17 @@ def quotient_cache():
     return get
 
 
+def divides(g: GoldenInt, x: GoldenInt) -> bool:
+    """Whether g divides x in Z[L]: x conj(g) / N(g) has integer
+    coordinates, N(g) the signed norm; zero divides only zero.  A
+    reference for tests; the package decides divisibility by ideals."""
+    if not g:
+        return not x
+    n = g.a * g.a + g.a * g.b - g.b * g.b
+    z = x * g.conjugate()
+    return z.a % n == 0 and z.b % n == 0
+
+
 def random_golden(rng: random.Random, bound: int = 10**6) -> GoldenInt:
     return GoldenInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
 

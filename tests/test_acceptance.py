@@ -1,7 +1,8 @@
 """Acceptance gate: every numbered criterion below must pass exactly.
 
 Each test prints one PASS line on success; run with `-s` to see them.
-Every count here goes through the BFS enumeration `build_quotient`.
+The enumerated indices go through the BFS enumeration `build_quotient`;
+criterion 4 counts with stabilizer chains (`index_h`, `Chain`).
 The full mod-(11) enumeration is marked `extended` and can be
 deselected with `-m "not extended"`.
 """
@@ -26,6 +27,7 @@ from hecke5.matrices import (
     reduce_fraction,
 )
 from hecke5.quotient import (
+    Chain,
     ResMat,
     coset_words,
     index_g,
@@ -129,7 +131,7 @@ class TestCriterion4InhomogeneousIndices:
         assert g2 == 10
         q4 = quotient_cache(4)
         imgs = [ResMat.from_mat2(q4.level, m) for m in LEVEL2_GENERATORS]
-        order_mod4 = subgroup_generated(q4, imgs).order
+        order_mod4 = subgroup_generated(Chain(q4.level), imgs).order
         assert order_mod4 == 16
         # [G(2):G(4)] = [G:G(4)] / [G:G(2)] also gives 16
         assert g4 // g2 == 16

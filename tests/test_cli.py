@@ -417,10 +417,13 @@ class TestCapErrors:
         assert (code, out) == (0, "[PASS] level5-structure\n")
 
     def test_verify_identities(self, capsys):
-        # the identities build the 320-element quotient mod (4)
-        code, _, err = run(capsys, "verify", "identities", "--cap", "100")
-        assert code == 3
-        assert err.startswith("error: quotient exceeded cap 100")
+        # the identities sift into the chain of the quotient mod (4), whose
+        # orbit of e1 has 80 points (20 lines times 4 units), not 320
+        code, out, err = run(capsys, "verify", "identities", "--cap", "79")
+        assert (code, out) == (3, "")
+        assert err == "error: orbit exceeded cap 79 (partial count 80)\n"
+        code, out, _ = run(capsys, "verify", "identities", "--cap", "80")
+        assert (code, out) == (0, "[PASS] identities\n")
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     @pytest.mark.parametrize(

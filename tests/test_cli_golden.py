@@ -177,11 +177,11 @@ INVOCATIONS = [
         "error: quotient exceeded cap 119 (partial count 120)\n",
     ),
     (
-        ["verify", "identities", "--cap", "100", "--json"],
+        ["verify", "identities", "--cap", "79", "--json"],
         3,
-        '{"cap": 100, "error": "quotient exceeded cap 100 (partial count 101)", "partial": 101, '
+        '{"cap": 79, "error": "orbit exceeded cap 79 (partial count 80)", "partial": 80, '
         '"schema": "hecke5/v1/error"}\n',
-        "error: quotient exceeded cap 100 (partial count 101)\n",
+        "error: orbit exceeded cap 79 (partial count 80)\n",
     ),
 ]
 
@@ -305,7 +305,7 @@ ARGUMENTS = {
                 "cap",
                 5000000,
                 None,
-                "most elements of a listing, or orbit points of a chain's count; exit 3 beyond it",
+                "most orbit points of a chain's count; exit 3 beyond it",
             ),
             JSON,
         ],

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
 from hecke5.golden import GoldenInt
+from hecke5 import ideals as ideals_mod
 from hecke5.ideals import (
     IdealHNF,
+    _residue_ops,
     ideal_from_generator,
     ideal_mul,
     ideals_up_to,
@@ -28,7 +30,6 @@ from hecke5.quotient import (
     _LineStabilizer,
     _line_form,
     _pack,
-    _residue_ops,
     _unpack,
     build_quotient,
     coset_words,
@@ -158,21 +159,27 @@ class TestResMatPower:
                 assert m**n == product, (key, n)
 
     def test_a_power_builds_the_level_arithmetic_once(self, monkeypatch):
-        # the inverse's determinant and adjugate and every product of the
-        # square-and-multiply share one `_residue_ops` of the level
-        level = ideal_from_generator(7)
-        m = ResMat.from_mat2(level, S * T)
-        expected = m.inverse() ** 12
+        # a chain, the inverse's determinant and adjugate, every product of
+        # the square-and-multiply and a closure's row tables all read the
+        # one `residue_ops` that the level object keeps
+        expected = ResMat.from_mat2(ideal_from_generator(7), S * T).inverse() ** 12
         calls = []
-        residue_ops = quotient_mod._residue_ops
+        residue_ops = ideals_mod._residue_ops
 
         def counted(level):
             calls.append(level)
             return residue_ops(level)
 
-        monkeypatch.setattr(quotient_mod, "_residue_ops", counted)
-        assert ResMat(level, m.key) ** -12 == expected
-        assert len(calls) == 1
+        monkeypatch.setattr(ideals_mod, "_residue_ops", counted)
+        level = ideal_from_generator(7)
+        m = ResMat.from_mat2(level, S * T)
+        assert Chain(level).order == 117600
+        assert m**-12 == expected
+        assert len(semigroup_closure(level, [m.key])) == 5  # ST has order 5 mod (7)
+        # the chain's line forms read that of each P^e || level, another object
+        powers = [pf.power for pf in level.factors]
+        assert sum(c is level for c in calls) == 1
+        assert all(c is level or any(c is power for power in powers) for c in calls)
 
 
 def golden_entries(m: ResMat) -> list[GoldenInt]:
@@ -870,7 +877,7 @@ class TestSubgroups:
         q = quotient_cache(2)
         s = ResMat.from_mat2(q.level, S)
         t = ResMat.from_mat2(q.level, T)
-        sub = subgroup_generated(q, [s, t])
+        sub = subgroup_generated(Chain(q.level), [s, t])
         assert sub.order == q.order and all(key in sub for key in q.predecessor)
 
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
@@ -879,15 +886,16 @@ class TestSubgroups:
         # a fifth base-N digit: no element packs to it
         stray = ResMat(q.level, bad.key + q.level.norm**4)
         with pytest.raises(ValueError):
-            subgroup_generated(q, [stray])
+            subgroup_generated(Chain(q.level), [stray])
 
     def test_order_divides_group_order(self, quotient_cache):
         q = quotient_cache(TAU)
         keys = list(q.predecessor)
+        group = Chain(q.level)
         rng = random.Random(4)
         for _ in range(10):
             gens = [ResMat(q.level, rng.choice(keys)) for _ in range(2)]
-            sub = subgroup_generated(q, gens)
+            sub = subgroup_generated(group, gens)
             assert q.order % sub.order == 0
 
 

@@ -60,6 +60,23 @@ def test_index_survey_ends_quietly_when_stdout_closes():
     assert (proc.returncode, err) == (0, b"")
 
 
+def test_chain_timing_runs_on_this_checkout():
+    # one in-process pass over the enumerate levels, no fresh (2+L)^8 run;
+    # the script loads this checkout's package from the root it is given
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.startswith("Chain on the 27 enumerate levels")
+    assert len(lines) == 1
+    assert lines[0].strip().startswith(f"{root}: ") and lines[0].endswith("ms  (1.000 of the first)")
+
+
 def test_ideals_up_to_lists_the_survey_levels():
     # the survey lists ideals_up_to, which scans HNF triples; the reference
     # is the principal ideals of every generator in a box, deduplicated

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,31 +102,6 @@ class TestKernelLayer:
         with pytest.raises(CapExceededError) as exc:
             verify_kernel_layer(7, 1, cap=2400)
         assert (exc.value.cap, exc.value.partial) == (2400, 2401)
-
-    def test_lists_no_more_than_the_larger_part(self, monkeypatch):
-        sizes = []
-
-        def recorded(*args, **kwargs):
-            group = semigroup_closure(*args, **kwargs)
-            sizes.append(len(group))
-            return group
-
-        monkeypatch.setattr(verify_mod, "semigroup_closure", recorded)
-        assert verify_kernel_layer(7, 1).passed
-        assert sizes and max(sizes) <= 2401
-
-    def test_lists_only_the_diagonal_part(self, monkeypatch):
-        # M and the whole group are chains; only N, p^2 = 49 elements, is listed
-        sizes = []
-
-        def recorded(*args, **kwargs):
-            group = semigroup_closure(*args, **kwargs)
-            sizes.append(len(group))
-            return group
-
-        monkeypatch.setattr(verify_mod, "semigroup_closure", recorded)
-        assert verify_kernel_layer(7, 1).passed
-        assert sizes == [49]
 
 
 class TestElementaryAbelian:
@@ -258,18 +235,6 @@ class TestLevel5Structure:
         out = capsys.readouterr().out
         assert "FAIL fifth-power-subgroup-index: computed 15000/14999, expected 1" in out
 
-    def test_lists_no_group(self, monkeypatch):
-        # every order, index and membership comes from a chain
-        def listing(*args, **kwargs):
-            raise AssertionError("verify level5 listed a group")
-
-        for module in (quotient_mod, verify_mod):
-            monkeypatch.setattr(module, "semigroup_closure", listing)
-            monkeypatch.setattr(module, "build_quotient", listing)
-        report = verify_level5_structure()
-        assert report.passed, report.witness()
-        assert len(report.checks) == 8
-
 
 class TestIdentities:
     def test_passes(self):
@@ -280,6 +245,29 @@ class TestIdentities:
         report = verify_identities()
         names = [c.name for c in report.checks]
         assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("target", list(verify_mod.VERIFIERS))
+def test_lists_no_group(monkeypatch, target):
+    # every order, index and membership of `verify` comes from a chain:
+    # the listing routines raise wherever a hecke5 module binds them
+    listing_routines = (quotient_mod.build_quotient, quotient_mod.semigroup_closure)
+
+    def listing(*args, **kwargs):
+        raise AssertionError(f"verify {target} listed a group")
+
+    bound = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "hecke5" or module_name.startswith("hecke5.")
+        for name, value in vars(module).items()
+        if any(value is routine for routine in listing_routines)
+    ]
+    assert {name for _, name in bound} == {"build_quotient", "semigroup_closure"}
+    for module, name in bound:
+        monkeypatch.setattr(module, name, listing)
+    reports = verify_mod.VERIFIERS[target](verify_mod.DEFAULT_CAP)
+    assert reports and all(r.passed for r in reports), [r.witness() for r in reports]
 
 
 def test_verify_all_passes():
