@@ -103,6 +103,76 @@ class TestKernelLayer:
             verify_kernel_layer(7, 1, cap=2400)
         assert (exc.value.cap, exc.value.partial) == (2400, 2401)
 
+    def test_lists_no_more_than_the_larger_part(self, monkeypatch):
+        # no listing, and no chain walks more orbit points than M's p^4
+        sizes = []
+
+        def recorded(routine):
+            def listing(*args, **kwargs):
+                group = routine(*args, **kwargs)
+                sizes.append(len(group))
+                return group
+
+            return listing
+
+        _patch_listing(monkeypatch, recorded)
+        orbits, _ = _record_chains(monkeypatch)
+        assert verify_kernel_layer(7, 1).passed
+        assert sizes == []
+        assert orbits and max(orbits) <= 2401
+
+    def test_lists_only_the_diagonal_part(self, monkeypatch):
+        # M and the whole group are counted; only N, p^2 = 49 elements, is
+        # walked element by element, by its chain
+        _patch_listing(monkeypatch, lambda routine: _raise_on_listing("kernel-layers"))
+        _, yielded = _record_chains(monkeypatch)
+        assert verify_kernel_layer(7, 1).passed
+        assert yielded == [49]
+
+
+def _patch_listing(monkeypatch, wrap) -> None:
+    """Replace `build_quotient` and `semigroup_closure`, wherever a hecke5
+    module binds them, by `wrap(routine)`."""
+    listing_routines = (quotient_mod.build_quotient, quotient_mod.semigroup_closure)
+    bound = [
+        (module, name, value)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "hecke5" or module_name.startswith("hecke5.")
+        for name, value in vars(module).items()
+        if any(value is routine for routine in listing_routines)
+    ]
+    assert {name for _, name, _ in bound} == {"build_quotient", "semigroup_closure"}
+    for module, name, value in bound:
+        monkeypatch.setattr(module, name, wrap(value))
+
+
+def _raise_on_listing(target: str):
+    def listing(*args, **kwargs):
+        raise AssertionError(f"verify {target} listed a group")
+
+    return listing
+
+
+def _record_chains(monkeypatch) -> tuple[list[int], list[int]]:
+    """Make `verify` build recording chains; returns the orbit points of
+    each chain built and the elements each full iteration yielded."""
+    orbits, yielded = [], []
+
+    class RecordedChain(quotient_mod.Chain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            orbits.append(self.orbit)
+
+        def __iter__(self):
+            count = 0
+            for key in super().__iter__():
+                count += 1
+                yield key
+            yielded.append(count)
+
+    monkeypatch.setattr(verify_mod, "Chain", RecordedChain)
+    return orbits, yielded
+
 
 class TestElementaryAbelian:
     def test_commuting_is_required(self):
@@ -251,21 +321,7 @@ class TestIdentities:
 def test_lists_no_group(monkeypatch, target):
     # every order, index and membership of `verify` comes from a chain:
     # the listing routines raise wherever a hecke5 module binds them
-    listing_routines = (quotient_mod.build_quotient, quotient_mod.semigroup_closure)
-
-    def listing(*args, **kwargs):
-        raise AssertionError(f"verify {target} listed a group")
-
-    bound = [
-        (module, name)
-        for module_name, module in list(sys.modules.items())
-        if module_name == "hecke5" or module_name.startswith("hecke5.")
-        for name, value in vars(module).items()
-        if any(value is routine for routine in listing_routines)
-    ]
-    assert {name for _, name in bound} == {"build_quotient", "semigroup_closure"}
-    for module, name in bound:
-        monkeypatch.setattr(module, name, listing)
+    _patch_listing(monkeypatch, lambda routine: _raise_on_listing(target))
     reports = verify_mod.VERIFIERS[target](verify_mod.DEFAULT_CAP)
     assert reports and all(r.passed for r in reports), [r.witness() for r in reports]
 
