@@ -2,7 +2,7 @@
 """Time the stabilizer chain (`hecke5.quotient.Chain`) of one or more
 checkouts against each other.
 
-Two measures, each per checkout root given:
+Three measures, each per checkout root given:
 
 - in process: the 27 levels of the `enumerate` benchmark workload
   (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
@@ -10,6 +10,10 @@ Two measures, each per checkout root given:
   the checkouts take turns on each level, in an order that alternates
   from pass to pass, so a slow spell of the machine hits them alike.
   The report is the sum over the levels of each level's fastest time;
+- in process, the same way: the four targets of the `verify` benchmark
+  workload (`bench/workloads.py`, VERIFY_TARGETS), each run through
+  `hecke5.verify.VERIFIERS` at the default cap, reported as the sum
+  over the targets of each target's fastest time;
 - in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
   norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
   time and the child's maxrss, --big-runs times per checkout, the
@@ -29,11 +33,12 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from workloads import LEVELS  # noqa: E402
+from workloads import LEVELS, VERIFY_TARGETS  # noqa: E402
 
 # run in a child with the checkout's src first on sys.path
 BIG_CHILD = """
@@ -52,33 +57,47 @@ print(json.dumps({"wall_s": wall, "maxrss_mb": maxrss, "order": order}))
 
 
 def load(root: Path):
-    """The `quotient` and `ideals` modules of the checkout at `root`, loaded
-    apart from those of any other checkout."""
+    """The `quotient`, `ideals` and `verify` modules of the checkout at
+    `root`, loaded apart from those of any other checkout."""
     for name in [n for n in sys.modules if n == "hecke5" or n.startswith("hecke5.")]:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
     try:
-        return importlib.import_module("hecke5.quotient"), importlib.import_module("hecke5.ideals")
+        return tuple(importlib.import_module(f"hecke5.{name}") for name in ("quotient", "ideals", "verify"))
     finally:
         sys.path.remove(str(root / "src"))
 
 
-def in_process(roots: list[Path], passes: int) -> list[float]:
-    """Each checkout's sum over LEVELS of the fastest `Chain` time."""
-    trees = [load(root) for root in roots]
-    best = [[float("inf")] * len(LEVELS) for _ in roots]
+def in_process(trees: list[tuple], ops: list, passes: int) -> list[float]:
+    """Each checkout's sum over `ops` of the op's fastest time.  An op
+    takes a checkout's modules and returns the call to time, so that
+    what it sets up is not timed."""
+    best = [[float("inf")] * len(ops) for _ in trees]
     for p in range(passes):
-        order = list(range(len(roots)))
+        order = list(range(len(trees)))
         if p % 2:
             order.reverse()
-        for j, hnf in enumerate(LEVELS):
+        for j, op in enumerate(ops):
             for i in order:
-                quotient, ideals = trees[i]
-                level = ideals.IdealHNF(*hnf)
+                call = op(*trees[i])
                 start = time.perf_counter()
-                quotient.Chain(level)
+                call()
                 best[i][j] = min(best[i][j], time.perf_counter() - start)
     return [sum(times) for times in best]
+
+
+def chain_op(hnf: tuple[int, int, int]):
+    return lambda quotient, ideals, verify: partial(quotient.Chain, ideals.IdealHNF(*hnf))
+
+
+def verify_op(target: str):
+    return lambda quotient, ideals, verify: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
+
+
+def report(what: str, roots: list[Path], sums: list[float]) -> None:
+    print(what)
+    for root, total in zip(roots, sums):
+        print(f"  {root}: {total * 1000:.2f} ms  ({total / sums[0]:.3f} of the first)")
 
 
 def big(root: Path) -> dict:
@@ -105,10 +124,17 @@ def main(argv: list[str] | None = None) -> int:
         if not (root / "src" / "hecke5" / "quotient.py").is_file():
             parser.error(f"{root} has no src/hecke5/quotient.py")
 
-    sums = in_process(roots, args.passes)
-    print(f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima over {args.passes} passes:")
-    for root, total in zip(roots, sums):
-        print(f"  {root}: {total * 1000:.2f} ms  ({total / sums[0]:.3f} of the first)")
+    trees = [load(root) for root in roots]
+    report(
+        f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima over {args.passes} passes:",
+        roots,
+        in_process(trees, [chain_op(hnf) for hnf in LEVELS], args.passes),
+    )
+    report(
+        f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima over {args.passes} passes:",
+        roots,
+        in_process(trees, [verify_op(target) for target in VERIFY_TARGETS], args.passes),
+    )
 
     if args.big_runs > 0:
         runs: list[list[dict]] = [[] for _ in roots]

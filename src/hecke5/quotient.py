@@ -13,7 +13,9 @@ Two engines, one per kind of question:
   each element once when iterated.  By default the generators are the
   images of S and T (`_hecke_generators`), so the order is the index
   [H : H(A)] (`index_h`; `index_g` halves it unless -I = I mod A).
-  `subgroup_generated`, `power_subgroup` and `is_normal` work on chains.
+  A chain grows by generators (`Chain.extend`), walking only the edges
+  it has not walked.  `subgroup_generated`, `power_subgroup` and
+  `is_normal` work on chains.
 - Elements and words, for `cosets` alone: `semigroup_closure`, the one
   breadth-first closure, from the identity under right-multiplication
   by the given generators (a finite group, so semigroup closure
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from operator import add
 from typing import Callable
 
@@ -91,6 +93,13 @@ def _unpack(level: IdealHNF, packed: int) -> Key:
     return (*divmod(a, d2), *divmod(b, d2), *divmod(c, d2), *divmod(d, d2))
 
 
+def _det(level: IdealHNF, key: Key) -> Pair:
+    """The reduced pair of the determinant of a decoded matrix, ad - bc."""
+    red, _, dot, *_ = level.residue_ops
+    a, b, c, d, e, f, g, h = key
+    return dot((a, b), (g, h), red(-c, -d), (e, f))
+
+
 @dataclass(frozen=True)
 class ResMat:
     """A matrix over the residue ring of a level, keyed by its packed int;
@@ -125,11 +134,9 @@ class ResMat:
         level = self.level
         return ResMat(level, _pack(level, level.residue_ops[4](self.residues())))
 
-    def det(self) -> tuple[int, int]:
+    def det(self) -> Pair:
         """The reduced pair of the determinant."""
-        red, _, dot, *_ = self.level.residue_ops
-        a, b, c, d, e, f, g, h = self.residues()
-        return dot((a, b), (g, h), red(-c, -d), (e, f))
+        return _det(self.level, self.residues())
 
     @classmethod
     def identity(cls, level: IdealHNF) -> ResMat:
@@ -171,30 +178,36 @@ def _hecke_generators(level: IdealHNF) -> list[int]:
 
 def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     """The canonical form in P^1(O/P^e) of the line through a unimodular
-    column (a, c), as one int below 2 N(P^e): (a/c, 1) when c is a unit,
-    else (1, c/a).  P^e divides (N(P^e)) and y conj(y) = N(y), so x / y =
-    x conj(y) N(y)^-1, N(y) inverted mod N(P^e) by the builtin `pow`.  A
-    residue y reduced mod P^e is a unit exactly when N(y) is a unit mod
-    N(P^e), so `pow` raising ValueError means no unit: at a split P a
-    non-unit is zL, of norm -z^2; else P is its own conjugate.
-    `power_ideal` is P^e, as `PrimeFactor.power` keeps it."""
-    n, d2 = power_ideal.norm, power_ideal.d2
-    red, mul, *_ = power_ideal.residue_ops
-
-    def ratio(x: Pair, y: Pair) -> int | None:
-        # the digit x*d2 + y of x / y, or None when y is no unit
-        y0, y1 = y
-        try:
-            s = pow(y0 * y0 + y0 * y1 - y1 * y1, -1, n)
-        except ValueError:
-            return None
-        x0, x1 = mul(x, ((y0 + y1) * s, -y1 * s))
-        return x0 * d2 + x1
+    column (a, c), as one int below 2 N(P^e): the digit of a/c when c is
+    a unit, else N(P^e) plus the digit of c/a.  P^e divides (N(P^e)) and
+    y conj(y) = N(y), so x / y = x conj(y) N(y)^-1, N(y) inverted mod
+    N(P^e) by the builtin `pow`.  A residue y reduced mod P^e is a unit
+    exactly when N(y) is prime to N(P^e), which a `gcd` decides before
+    any inverse is taken: at a split P a non-unit is zL, of norm -z^2;
+    else P is its own conjugate.  The residue arithmetic is inlined, one
+    reduction of the divisor and one of the product.  `power_ideal` is
+    P^e, as `PrimeFactor.power` keeps it."""
+    n, d1, k, d2 = power_ideal.norm, power_ideal.d1, power_ideal.k, power_ideal.d2
 
     def line_form(a: Pair, c: Pair) -> int:
-        # the norm tells a unit only of a divisor reduced mod P^e; mul reduces x
-        r = ratio(a, red(*c))
-        return n + ratio(c, red(*a)) if r is None else r  # type: ignore[operator]
+        # the norm tells a unit only of a divisor reduced mod P^e
+        x0, x1 = a
+        q = c[0] // d1
+        y0, y1 = c[0] - q * d1, (c[1] - q * k) % d2
+        s = y0 * y0 + y0 * y1 - y1 * y1
+        offset = 0
+        if gcd(s, n) != 1:
+            # c is no unit, so a is one: the form is N(P^e) + c/a
+            x0, x1, offset = y0, y1, n
+            q = a[0] // d1
+            y0, y1 = a[0] - q * d1, (a[1] - q * k) % d2
+            s = y0 * y0 + y0 * y1 - y1 * y1
+        s = pow(s, -1, n)
+        # x / y = x z for z = conj(y) N(y)^-1, reduced as `mul` reduces
+        z0, z1 = (y0 + y1) * s, -y1 * s
+        t = x0 * z0 + x1 * z1
+        q = t // d1
+        return offset + (t - q * d1) * d2 + (x0 * z1 + x1 * z0 + x1 * z1 - q * k) % d2
 
     return line_form
 
@@ -314,31 +327,37 @@ class Chain:
       Once also all prod N(P)^(e-1) (N(P) + 1) lines of P^1(O/A) are
       reached, no edge can add a line, and the walk ends, its state the
       same as that of the whole walk.
+    - Extension.  `extend(gen_keys)` adds generators, and `__init__`
+      extends the chain of no generator, the line <e1> alone, by its
+      own: there is one walk.  Each new generator walks the lines walked
+      so far, and every generator walks each line not walked yet, in the
+      order found, so each (line, generator) edge is walked once, and
+      from scratch this is the breadth-first walk.  U' and K only grow:
+      a Schreier generator of G0 stays one as G grows.  The early stop
+      holds: G0 lies in B whatever G is, and once every line is reached
+      none can be added, so an extension after it walks no edge.
+      `translations()` closes K's lattice under u^2 for the chosen u;
+      closing again after more sifts gives the closure of all of them,
+      the K of all the generators.
 
-    `orbit` is lines * |U'|, `stabilizer` |K|, and `order` |G|.  `cap`
-    bounds the orbit points, CapExceededError(cap, "orbit") as soon as
-    lines times |U'| so far exceed it, so a group far larger than the
-    cap can be counted.  A generator of determinant other than 1 is a
-    ValueError.  The line keys
-    rest on `level.factors`, as the formula does, and `factor_ideal`
-    raises unless they multiply back to the level: a wrong factorization
-    cannot make the two agree silently.
+    `orbit` is lines * |U'|, `stabilizer` |K|, `order` |G| and
+    `gen_keys` the generators, all of every generator added so far.
+    `cap` bounds the orbit points, CapExceededError(cap, "orbit") as
+    soon as lines times |U'| so far exceed it, so a group far larger
+    than the cap can be counted; a chain whose extension raised it is
+    part-walked and answers nothing.  A generator of determinant other
+    than 1 is a ValueError, and leaves the chain as it was.  The line
+    keys rest on `level.factors`, as the formula does, and
+    `factor_ideal` raises unless they multiply back to the level: a
+    wrong factorization cannot make the two agree silently.
     """
 
     def __init__(self, level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None):
         if level.norm < 2:
             raise ValueError("level must be a proper ideal (norm >= 2)")
-        if gen_keys is None:
-            gen_keys = _hecke_generators(level)
-        self.level, self.gen_keys = level, gen_keys
-        red, _, dot, matmul, _ = level.residue_ops
+        self.level, self.cap = level, cap
+        red = level.residue_ops[0]
         self.one = one = red(1, 0)
-        gens = []  # each generator decoded, a flat 8-tuple
-        for g in gen_keys:
-            e = _unpack(level, g)
-            if ResMat(level, g).det() != one:
-                raise ValueError(f"generator {e} has a determinant other than 1")
-            gens.append(e)
         forms = [_line_form(pf.power) for pf in level.factors]
         radix = 2 * level.norm
 
@@ -349,26 +368,56 @@ class Chain:
             return key
 
         self.line_key = line_key
-        self.units = stabilizer = _LineStabilizer(level, cap)
-        lifts = stabilizer.lifts
+        self.units = _LineStabilizer(level, cap)
         # phi(A) = |(O/A)^x| and the lines of P^1(O/A): G0 is the Borel
         # group once |U'| = phi(A) and K is every translation (the early stop)
-        phi = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm - 1) for pf in level.factors)
-        all_lines = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm + 1) for pf in level.factors)
-        borel = False
-        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
-        minus = (*minus_one, 0, 0, 0, 0, *minus_one)
+        self.phi = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm - 1) for pf in level.factors)
+        self.all_lines = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm + 1) for pf in level.factors)
+        self.borel = False
+        self.gen_keys: list[int] = []
+        self.gens: list[Key] = []  # each generator decoded, a flat 8-tuple
         # each g with g^2 = +-I, by its place in gens -> whether an edge
         # back along it has been walked (see the class docstring)
-        walked_back = {i: False for i, g in enumerate(gens) if matmul(g, g) in (identity, minus)}
-        self.transversal = transversal = {line_key(one, (0, 0)): identity}  # line key -> t
-        queue = [identity]
-        via = [-1]  # the generator that first reached each line of the queue
+        self.walked_back: dict[int, bool] = {}
+        identity = (*one, 0, 0, 0, 0, *one)
+        self.transversal = {line_key(one, (0, 0)): identity}  # line key -> t
+        self.queue = [identity]
+        self.via = [-1]  # the generator that first reached each line of the queue
+        self.walked = 0  # the lines at the head of the queue every generator walked
+        self.extend(_hecke_generators(level) if gen_keys is None else gen_keys)
+
+    def extend(self, gen_keys: list[int]) -> None:
+        """Add the generators, walking only the edges not walked yet: the
+        chain becomes that of all it has (see the class docstring)."""
+        level = self.level
+        red, _, dot, matmul, _ = level.residue_ops
+        one = self.one
+        new = [_unpack(level, g) for g in gen_keys]
+        for e in new:
+            if _det(level, e) != one:
+                raise ValueError(f"generator {e} has a determinant other than 1")
+        gens, walked_back = self.gens, self.walked_back
+        start = len(gens)
+        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
+        minus = (*minus_one, 0, 0, 0, 0, *minus_one)
+        for i, g in enumerate(new, start):
+            if matmul(g, g) in (identity, minus):
+                walked_back[i] = False
+        self.gen_keys.extend(gen_keys)
+        gens.extend(new)
+        every = list(enumerate(gens))
+        fresh = every[start:]
+        stabilizer, transversal, queue, via = self.units, self.transversal, self.queue, self.via
+        lifts, cap, line_key, phi, all_lines = stabilizer.lifts, self.cap, self.line_key, self.phi, self.all_lines
+        borel, walked = self.borel, self.walked
         get, sift = transversal.get, stabilizer.sift
+        # the new generators on each line walked so far, then every
+        # generator on each line after it (see the class docstring)
+        v = 0
         for t, came in zip(queue, via):
             if borel and len(queue) == all_lines:
                 break
-            for i, g in enumerate(gens):
+            for i, g in fresh if v < walked else every:
                 if i == came and i in walked_back:
                     if walked_back[i]:
                         continue
@@ -398,21 +447,28 @@ class Chain:
                     u_inv = dot((-r0, -r1), (m2, m3), (p0, p1), (m6, m7))
                     stabilizer.add(u, b, u_inv, len(queue))
                 borel = len(lifts) == phi and stabilizer.lattice == (1, 0, 1)
+            v += 1
+        # after the early stop no edge can change the chain, so the lines
+        # left unwalked are never walked
+        self.walked = v
         self.orbit = len(queue) * len(lifts)
         self.stabilizer = stabilizer.translations()
         self.order = self.orbit * self.stabilizer
+        self.borel = borel
 
     def __contains__(self, key: int) -> bool:
         """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
         [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
         level, units = self.level, self.units
-        _, _, _, matmul, adj = level.residue_ops
-        if not 0 <= key < level.norm**4 or ResMat(level, key).det() != self.one:
+        if not 0 <= key < level.norm**4:
             return False
         g = _unpack(level, key)
+        if _det(level, g) != self.one:
+            return False
         t = self.transversal.get(self.line_key(g[0:2], g[4:6]))
         if t is None:
             return False
+        _, _, _, matmul, adj = level.residue_ops
         x = matmul(adj(t), g)
         u = x[0:2]
         return u in units.lifts and units.in_lattice(units.translation(u, x[2:4]))
@@ -550,14 +606,15 @@ def power_subgroup(group: Chain, k: int) -> Chain:
     """Subgroup generated by all k-th powers (normal: the generating set
     is closed under conjugation), as the chain of the powers it needed:
     a power of an element of `group` that does not sift into the span
-    joins its generators, until the span's order is the group's."""
+    extends it (`Chain.extend`, which walks only the new edges), until
+    the span's order is the group's."""
     if k < 1:
         raise ValueError("power must be >= 1")
     span = Chain(group.level, gen_keys=[])
     for key in group:
         p = (ResMat(group.level, key) ** k).key
         if p not in span:
-            span = Chain(group.level, gen_keys=[*span.gen_keys, p])
+            span.extend([p])
             if span.order == group.order:
                 break
     return span

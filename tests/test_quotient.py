@@ -750,6 +750,93 @@ class TestEarlyStop:
         assert stabilizer.lattice == (1, 0, 1)
 
 
+class TestExtend:
+    """`Chain.extend` walks only the edges of the new generators and of
+    the lines they find: the chain it leaves is the group's, as a chain
+    built from scratch on all the generators counts and sifts it."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(60)),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+    )
+    def test_an_extended_chain_is_the_chain_from_scratch(self, level, generators, split, seed):
+        rng = random.Random(seed)
+        product = TestChainOnAnyGenerators.elementary_product
+        keys = [product(level, steps) for steps in generators]
+        first, rest = keys[: split % (len(keys) + 1)], keys[split % (len(keys) + 1) :]
+        whole = Chain(level, gen_keys=keys)
+        extended = Chain(level, gen_keys=first)
+        extended.extend(rest)
+        assert extended.gen_keys == keys
+        assert (extended.order, extended.orbit, extended.stabilizer) == (
+            whole.order,
+            whole.orbit,
+            whole.stabilizer,
+        )
+        assert extended.units.lattice == whole.units.lattice
+        elements = sorted(whole)
+        assert sorted(extended) == elements
+        members = rng.sample(elements, min(len(elements), 20))
+        others = [
+            product(level, [(rng.random() < 0.5, rng.randrange(10**6)) for _ in range(4)])
+            for _ in range(20)
+        ]
+        for key in members + others:
+            assert (key in extended) == (key in whole), key
+
+    def test_an_extension_after_the_early_stop_walks_no_edge(self, monkeypatch):
+        # at [1,7,41] the walk stops with every line reached and G0 the
+        # Borel group: the chain is all of SL2(F_41), and a member added
+        # as a generator computes no line key
+        level = IdealHNF(1, 7, 41)
+        calls = []
+        line_form = quotient_mod._line_form
+
+        def counted_form(power_ideal):
+            form = line_form(power_ideal)
+
+            def counted(a, c):
+                calls.append((a, c))
+                return form(a, c)
+
+            return counted
+
+        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
+        chain = Chain(level)
+        member = (ResMat.from_mat2(level, S) * ResMat.from_mat2(level, T)).key
+        calls.clear()
+        chain.extend([member])
+        assert calls == []
+        assert chain.order == sl2_order(level)
+        assert chain.gen_keys[-1] == member
+
+    def test_the_cap_fires_inside_an_extension(self):
+        # at p = 7 the part M's orbit of e1 has 49 points, the whole
+        # kernel layer's 2401: a cap of 100 passes M and stops the extension
+        level, keys = kernel_layer_generators(7, 1)
+        chain = Chain(level, 100, keys[:4])
+        assert chain.orbit == 49
+        with pytest.raises(CapExceededError) as exc:
+            chain.extend(keys[4:])
+        assert str(exc.value) == "orbit exceeded cap 100 (partial count 101)"
+
+    def test_a_generator_of_determinant_other_than_one_changes_nothing(self):
+        level = ideal_from_generator(7)
+        chain = Chain(level)
+        order, gen_keys = chain.order, list(chain.gen_keys)
+        doubled = _pack(level, (2, 0, 0, 0, 0, 0, 1, 0))
+        with pytest.raises(ValueError, match="determinant"):
+            chain.extend([ResMat.from_mat2(level, S).key, doubled])
+        assert (chain.order, chain.gen_keys) == (order, gen_keys)
+
+
 class TestIndexHelpers:
     def test_index_multiplicative_for_coprime_levels(self, quotient_cache):
         two, three = ideal_from_generator(2), ideal_from_generator(3)

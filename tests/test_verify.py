@@ -116,7 +116,7 @@ class TestKernelLayer:
             return listing
 
         _patch_listing(monkeypatch, recorded)
-        orbits, _ = _record_chains(monkeypatch)
+        orbits, _, _ = _record_chains(monkeypatch)
         assert verify_kernel_layer(7, 1).passed
         assert sizes == []
         assert orbits and max(orbits) <= 2401
@@ -125,9 +125,18 @@ class TestKernelLayer:
         # M and the whole group are counted; only N, p^2 = 49 elements, is
         # walked element by element, by its chain
         _patch_listing(monkeypatch, lambda routine: _raise_on_listing("kernel-layers"))
-        _, yielded = _record_chains(monkeypatch)
+        _, yielded, _ = _record_chains(monkeypatch)
         assert verify_kernel_layer(7, 1).passed
         assert yielded == [49]
+
+    def test_builds_two_chains_and_extends_one(self, monkeypatch):
+        # M and N from scratch; the whole group is M's chain extended by
+        # N's generators, three walks in all, the last to the p^6 group's
+        # orbit of p^4 points
+        orbits, _, built = _record_chains(monkeypatch)
+        assert verify_kernel_layer(7, 1).passed
+        assert len(built) == 2
+        assert len(orbits) == 3 and orbits[-1] == 2401
 
 
 def _patch_listing(monkeypatch, wrap) -> None:
@@ -153,14 +162,20 @@ def _raise_on_listing(target: str):
     return listing
 
 
-def _record_chains(monkeypatch) -> tuple[list[int], list[int]]:
-    """Make `verify` build recording chains; returns the orbit points of
-    each chain built and the elements each full iteration yielded."""
-    orbits, yielded = [], []
+def _record_chains(monkeypatch) -> tuple[list[int], list[int], list[int]]:
+    """Make `verify` and `quotient` build recording chains; returns the
+    orbit points after each walk (the one a chain built from scratch
+    makes, and each extension), the elements each full iteration
+    yielded, and the orbit points of each chain built from scratch."""
+    orbits, yielded, built = [], [], []
 
     class RecordedChain(quotient_mod.Chain):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            built.append(self.orbit)
+
+        def extend(self, gen_keys):
+            super().extend(gen_keys)
             orbits.append(self.orbit)
 
         def __iter__(self):
@@ -171,7 +186,8 @@ def _record_chains(monkeypatch) -> tuple[list[int], list[int]]:
             yielded.append(count)
 
     monkeypatch.setattr(verify_mod, "Chain", RecordedChain)
-    return orbits, yielded
+    monkeypatch.setattr(quotient_mod, "Chain", RecordedChain)
+    return orbits, yielded, built
 
 
 class TestElementaryAbelian:
@@ -304,6 +320,17 @@ class TestLevel5Structure:
         assert cli.main(["verify", "level5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL fifth-power-subgroup-index: computed 15000/14999, expected 1" in out
+
+
+    def test_power_subgroup_builds_one_chain(self, monkeypatch):
+        # the span starts from no generator and is extended by each power
+        # that does not sift into it: one chain, a walk per power
+        group = quotient_mod.Chain(ideal_from_generator(5))
+        orbits, _, built = _record_chains(monkeypatch)
+        fifth = quotient_mod.power_subgroup(group, 5)
+        assert fifth.order == group.order
+        assert built == [1]
+        assert len(orbits) == 1 + len(fifth.gen_keys)
 
 
 class TestIdentities:
