@@ -23,7 +23,7 @@ import time
 from hecke5.cli import positive_int
 from hecke5.formula import index_formula
 from hecke5.ideals import ideals_up_to
-from hecke5.quotient import index_h, sl2_order
+from hecke5.quotient import Chain, sl2_order
 
 
 def run(max_norm: int, max_enumerate: int) -> None:
@@ -39,7 +39,7 @@ def run(max_norm: int, max_enumerate: int) -> None:
         # max_enumerate never stops a count this test lets through
         if report.total <= max_enumerate:
             start = time.perf_counter()
-            counted = str(index_h(ideal, max_enumerate))
+            counted = str(Chain(ideal, max_enumerate).order)
             elapsed = time.perf_counter() - start
             if int(counted) != report.total:
                 raise AssertionError(

@@ -104,13 +104,17 @@ def cmd_gcd(args):
 def cmd_efactor(args):
     a, b = parse_element(args.a), parse_element(args.b)
     rr = reduce_fraction(a, b)
+    text = f"e = {rr.e}"
+    if not args.json:
+        # only --json prints the completion, whose digits can pass str()'s limit
+        return None, text
     payload = {
         "e": rr.e,
         "unit_sign": rr.unit.sign,
         "quotients": rr.quotients,
         "completion": str(rr.completion),
     }
-    return payload, f"e = {rr.e}"
+    return payload, text
 
 
 def cmd_member(args):

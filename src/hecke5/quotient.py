@@ -12,7 +12,7 @@ Two engines, one per kind of question:
   bounds the orbit of e1, lines times |U'|), membership by a sift, and
   each element once when iterated.  By default the generators are the
   images of S and T (`_hecke_generators`), so the order is the index
-  [H : H(A)] (`index_h`; `index_g` halves it unless -I = I mod A).
+  [H : H(A)] (`index_g` halves it unless -I = I mod A).
   A chain grows by generators (`Chain.extend`), walking only the edges
   it has not walked.  `subgroup_generated`, `power_subgroup` and
   `is_normal` work on chains.
@@ -487,11 +487,6 @@ class Chain:
                 h = (*u, *dot(u, x, lift_b, self.one), 0, 0, *u_inv)
                 for t in self.transversal.values():
                     yield _pack(level, matmul(t, h))
-
-
-def index_h(level: IdealHNF, cap: int = DEFAULT_CAP) -> int:
-    """[H : H(level)], counted by a `Chain`; `cap` bounds orbit points."""
-    return Chain(level, cap).order
 
 
 def sl2_order(level: IdealHNF) -> int:

@@ -51,12 +51,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def witness(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
     def add(self, name: str, computed, expected) -> None:
         self.checks.append(
             CheckResult(name, computed == expected, str(computed), str(expected))

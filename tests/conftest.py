@@ -5,9 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
-from hecke5 import build_quotient, ideal_from_generator
 from hecke5.golden import GoldenInt
+from hecke5.ideals import ideal_from_generator
+from hecke5.quotient import build_quotient
+
+# Tier-1 draws the same examples on every run, so two runs of one tree
+# test the same cases and take comparable time; `explore` draws fresh
+# random examples (`pytest --hypothesis-profile=explore`, which the
+# hypothesis plugin loads after this file, so the option wins).  Neither
+# profile changes a test's example count.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +45,11 @@ def divides(g: GoldenInt, x: GoldenInt) -> bool:
     n = g.a * g.a + g.a * g.b - g.b * g.b
     z = x * g.conjugate()
     return z.a % n == 0 and z.b % n == 0
+
+
+def witness(report):
+    """The first failing check of a verification report, or None."""
+    return next((c for c in report.checks if not c.passed), None)
 
 
 def random_golden(rng: random.Random, bound: int = 10**6) -> GoldenInt:

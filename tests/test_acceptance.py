@@ -2,7 +2,7 @@
 
 Each test prints one PASS line on success; run with `-s` to see them.
 The enumerated indices go through the BFS enumeration `build_quotient`;
-criterion 4 counts with stabilizer chains (`index_h`, `Chain`).
+criterion 4 counts with stabilizer chains (`Chain`).
 The full mod-(11) enumeration is marked `extended` and can be
 deselected with `-m "not extended"`.
 """
@@ -31,7 +31,6 @@ from hecke5.quotient import (
     ResMat,
     coset_words,
     index_g,
-    index_h,
     sl2_order,
     subgroup_generated,
 )
@@ -43,7 +42,7 @@ from hecke5.verify import (
     verify_level5_structure,
 )
 
-from conftest import random_golden, random_word
+from conftest import random_golden, random_word, witness
 
 TAU = GoldenInt(2, 1)
 TAU_11 = GoldenInt(3, 1)
@@ -127,7 +126,7 @@ class TestCriterion3Surjectivity:
 class TestCriterion4InhomogeneousIndices:
     def test_level_two_and_four(self, quotient_cache):
         two, four = ideal_from_generator(2), ideal_from_generator(4)
-        g2, g4 = index_g(two, index_h(two)), index_g(four, index_h(four))
+        g2, g4 = index_g(two, Chain(two).order), index_g(four, Chain(four).order)
         assert g2 == 10
         q4 = quotient_cache(4)
         imgs = [ResMat.from_mat2(q4.level, m) for m in LEVEL2_GENERATORS]
@@ -142,7 +141,7 @@ class TestCriterion5KernelLayers:
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)])
     def test_each_case(self, p, n):
         report = verify_kernel_layer(p, n)
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
 
     def test_summary(self):
         print(
@@ -154,7 +153,7 @@ class TestCriterion5KernelLayers:
 class TestCriterion6ConjugationAction:
     def test_passes(self):
         report = verify_conjugation_action()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
         by_name = {c.name: c for c in report.checks}
         assert by_name["invariant-subspaces"].computed == "2"
         assert by_name["subspace-count"].computed == "64"
@@ -169,7 +168,7 @@ class TestCriterion6ConjugationAction:
 class TestCriterion7Level5Structure:
     def test_passes(self):
         report = verify_level5_structure()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
         by_name = {c.name: c for c in report.checks}
         assert by_name["quotient-order"].computed == "15000"
         assert by_name["delta-subgroup-order"].computed == "125"
@@ -183,7 +182,7 @@ class TestCriterion7Level5Structure:
 class TestCriterion8Identities:
     def test_passes(self):
         report = verify_identities()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
         print(f"PASS criterion 8: all {len(report.checks)} identity checks hold")
 
 

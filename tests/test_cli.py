@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hecke5 import ideals
 from hecke5.cli import COMMANDS, main
-from hecke5.golden import MAX_LITERAL_DIGITS
+from hecke5.golden import MAX_LITERAL_DIGITS, format_element, lambda_power
 from hecke5.matrices import eval_word
 from hecke5.verify import VERIFIERS
 
@@ -59,6 +59,12 @@ class TestElementCommands:
     def test_efactor(self, capsys):
         code, payload = run_json(capsys, "efactor", "2", "3L")
         assert code == 0 and payload["e"] == 2
+
+    def test_efactor_text_prints_no_completion(self, capsys):
+        # L^300 / 1: the completion's entries have more digits than str()
+        # of an int allows, and only --json prints them
+        code, out, err = run(capsys, "efactor", format_element(lambda_power(300)), "1")
+        assert (code, out, err) == (0, "e = 22351\n", "")
 
     def test_bad_element_is_usage_error(self, capsys):
         code, _, err = run(capsys, "norm", "2+x")

@@ -14,7 +14,7 @@ from hecke5.ideals import (
     ideals_up_to,
     split_rational_prime,
 )
-from hecke5.quotient import index_h, sl2_order
+from hecke5.quotient import sl2_order
 
 TAU = GoldenInt(2, 1)
 TAU_IDEAL = IdealHNF(1, 3, 5)

@@ -34,7 +34,6 @@ from hecke5.quotient import (
     build_quotient,
     coset_words,
     index_g,
-    index_h,
     is_normal,
     power_subgroup,
     semigroup_closure,
@@ -406,20 +405,20 @@ class TestOrbitStabilizer:
         levels = [level for level in ideals_up_to(200) if level.norm > 100]
         assert len(levels) == 42
         for level in levels:
-            assert index_h(level) == index_formula(level).total, level
+            assert Chain(level).order == index_formula(level).total, level
 
     def test_matches_formula_on_every_ideal_up_to_norm_400(self):
         levels = ideals_up_to(400)
         assert len(levels) == 171
         for level in levels:
-            assert index_h(level) == index_formula(level).total, level
+            assert Chain(level).order == index_formula(level).total, level
 
     @pytest.mark.extended
     def test_matches_formula_on_every_ideal_up_to_norm_1000(self):
         levels = ideals_up_to(1000)
         assert len(levels) == 430
         for level in levels:
-            assert index_h(level) == index_formula(level).total, level
+            assert Chain(level).order == index_formula(level).total, level
 
     def test_same_pair_as_the_column_walk_up_to_norm_100(self):
         levels = ideals_up_to(100)
@@ -437,7 +436,7 @@ class TestOrbitStabilizer:
     @pytest.mark.extended
     @pytest.mark.parametrize("gen,order", [(13, 4826640), (19, 46785600)])
     def test_beyond_enumeration(self, gen, order):
-        assert index_h(ideal_from_generator(gen)) == order
+        assert Chain(ideal_from_generator(gen)).order == order
 
     def test_orbit_and_stabilizer_at_two(self):
         # mod (2) the image has order 10: 5 of the 15 nonzero columns of F_4^2,
@@ -841,12 +840,12 @@ class TestIndexHelpers:
     def test_index_multiplicative_for_coprime_levels(self, quotient_cache):
         two, three = ideal_from_generator(2), ideal_from_generator(3)
         six = ideal_mul(two, three)
-        assert index_h(six) == quotient_cache(2).order * quotient_cache(3).order == 1200
+        assert Chain(six).order == quotient_cache(2).order * quotient_cache(3).order == 1200
 
     def test_index_g(self):
         two, four = ideal_from_generator(2), ideal_from_generator(4)
-        assert index_g(two, index_h(two)) == 10
-        assert index_g(four, index_h(four)) == 160
+        assert index_g(two, Chain(two).order) == 10
+        assert index_g(four, Chain(four).order) == 160
 
     def test_minus_i(self):
         # -I = I mod (2) only: the index is halved everywhere else
@@ -869,7 +868,7 @@ class TestIndexHelpers:
         # of the residue ring; 3+L has norm 11
         for gen, onto in [(GoldenInt(3, 1), True), (2, False), (3, False)]:
             level = ideal_from_generator(gen)
-            assert (index_h(level) == sl2_order(level)) is onto, gen
+            assert (Chain(level).order == sl2_order(level)) is onto, gen
 
 
 class TestCosetWords:

@@ -1,11 +1,15 @@
 import ast
+import importlib
+import subprocess
 import sys
 import types
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
-import hecke5
-import hecke5.cli  # noqa: F401  (bound as hecke5.cli, the `cli.main` span target)
+import pytest
+
+from conftest import src_env
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hecke5"
 
@@ -29,12 +33,27 @@ def test_bench_span_targets_resolve():
     path = PACKAGE.parents[1] / "bench" / "spans.py"
     spans = types.ModuleType("bench_spans")
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    # the library as bench/worker.py loads it: one attribute per layer
+    lib = types.SimpleNamespace(**{m: importlib.import_module(f"hecke5.{m}") for m in spans.LAYERS})
     missing = [
         name
         for name, module, attribute, _ in spans.TARGETS
-        if spans.resolve(hecke5, module, attribute) is None
+        if spans.resolve(lib, module, attribute) is None
     ]
     assert spans.TARGETS and missing == []
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [("hecke5", ["hecke5"]), ("hecke5.golden", ["hecke5", "hecke5.golden"])],
+)
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    # the package re-exports nothing, so `import hecke5` loads no
+    # submodule, and golden, the bottom layer, imports no other module
+    code = f"import sys, {module}; print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'hecke5'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -172,13 +191,29 @@ def _references(tree: ast.AST) -> Counter[str]:
     )
 
 
+def _definitions(tree: ast.Module) -> Iterator[tuple[ast.stmt, list[str]]]:
+    # each module-level function, class or assignment with the names it
+    # binds, and each public method of a module-level class
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield node, [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield method, [method.name]
+
+
 def test_every_name_has_a_caller():
-    # a module-level function, class or constant of the package is used by
-    # the package outside its own definition, by a script or by the
-    # benchmark; the exports of __init__.py do not count as a use, so a
-    # name that only tests read has no place in the package.  bench/ is
-    # read from its source (span targets as test_bench_span_targets_resolve
-    # reads them), so nothing is written there
+    # a module-level function, class or constant of the package, and a
+    # public method of one of its classes, is used by the package outside
+    # its own definition, by a script or by the benchmark, so a name that
+    # only tests read has no place in the package (`__init__.py` holds
+    # only dunder names).  bench/ is read from its source (span targets as
+    # test_bench_span_targets_resolve reads them), so nothing is written
+    # there
     root = PACKAGE.parents[1]
     outside: Counter[str] = Counter()
     for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py")):
@@ -188,22 +223,11 @@ def test_every_name_has_a_caller():
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
     outside.update(part for _, _, attribute, _ in spans.TARGETS for part in attribute.split("."))
 
-    trees = {
-        path.name: ast.parse(path.read_text(), str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     inside = sum((_references(tree) for tree in trees.values()), Counter())
     found = []
     for filename, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
+        for node, names in _definitions(tree):
             own = _references(node)
             found += [
                 f"{filename}:{node.lineno} {name}"

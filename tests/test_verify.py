@@ -31,6 +31,8 @@ from hecke5.verify import (
     verify_level5_structure,
 )
 
+from conftest import witness
+
 
 class TestReportStructure:
     def test_add_records_mismatch(self):
@@ -38,14 +40,14 @@ class TestReportStructure:
         r.add("x", 1, 1)
         r.add("y", 2, 3)
         assert not r.passed
-        w = r.witness()
+        w = witness(r)
         assert w is not None and w.name == "y"
         assert (w.computed, w.expected) == ("2", "3")
 
     def test_add_bool(self):
         r = VerificationReport("demo")
         r.add_bool("ok", True)
-        assert r.passed and r.witness() is None
+        assert r.passed and witness(r) is None
 
     def test_empty_report_passes(self):
         assert VerificationReport("empty").passed
@@ -72,7 +74,7 @@ class TestKernelLayer:
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 1)])
     def test_passes(self, p, n):
         report = verify_kernel_layer(p, n)
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
 
     def test_check_names_and_counts(self):
         report = verify_kernel_layer(2, 1)
@@ -216,7 +218,7 @@ class TestElementaryAbelian:
 class TestConjugationAction:
     def test_passes(self):
         report = verify_conjugation_action()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
 
     def test_subspace_counts_reported(self):
         report = verify_conjugation_action()
@@ -288,7 +290,7 @@ class TestSubspaceBases:
 class TestLevel5Structure:
     def test_passes(self):
         report = verify_level5_structure()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
 
     def test_key_quantities(self):
         report = verify_level5_structure()
@@ -310,9 +312,9 @@ class TestLevel5Structure:
             return span
 
         monkeypatch.setattr(verify_mod, "power_subgroup", one_short)
-        witness = verify_level5_structure().witness()
-        assert witness is not None
-        assert (witness.name, witness.computed, witness.expected) == (
+        w = witness(verify_level5_structure())
+        assert w is not None
+        assert (w.name, w.computed, w.expected) == (
             "fifth-power-subgroup-index",
             "15000/14999",
             "1",
@@ -336,7 +338,7 @@ class TestLevel5Structure:
 class TestIdentities:
     def test_passes(self):
         report = verify_identities()
-        assert report.passed, report.witness()
+        assert report.passed, witness(report)
 
     def test_every_check_has_distinct_name(self):
         report = verify_identities()
@@ -350,11 +352,11 @@ def test_lists_no_group(monkeypatch, target):
     # the listing routines raise wherever a hecke5 module binds them
     _patch_listing(monkeypatch, lambda routine: _raise_on_listing(target))
     reports = verify_mod.VERIFIERS[target](verify_mod.DEFAULT_CAP)
-    assert reports and all(r.passed for r in reports), [r.witness() for r in reports]
+    assert reports and all(r.passed for r in reports), [witness(r) for r in reports]
 
 
 def test_verify_all_passes():
     reports = verify_all()
     assert len(reports) == 8
     for r in reports:
-        assert r.passed, (r.name, r.witness())
+        assert r.passed, (r.name, witness(r))
