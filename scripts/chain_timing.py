@@ -16,8 +16,12 @@ Three measures, each per checkout root given:
   over the targets of each target's fastest time;
 - in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
   norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
-  time and the child's maxrss, --big-runs times per checkout, the
-  checkouts again taking turns.  --big-runs 0 leaves it out.
+  time and the child's maxrss, in --big-runs rounds after one discarded
+  warm-up round.  Each round runs every checkout once, in an order that
+  alternates from round to round, and reports which ran first and each
+  checkout's wall time minus the first checkout's; the median of those
+  paired differences ends the report, so that the order a pair ran in
+  weighs on both sides alike.  --big-runs 0 leaves it out.
 
 Example, a parent commit against the working tree:
     git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
@@ -30,6 +34,7 @@ import argparse
 import importlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -113,11 +118,41 @@ def big(root: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def paired_rounds(roots: list[Path], rounds: int) -> None:
+    """Print `rounds` rounds of fresh runs at (2+L)^8, after one discarded
+    warm-up round, then the median over the rounds of each checkout's
+    wall time minus the first checkout's."""
+    print("Chain at (2+L)^8, fresh processes, after one discarded warm-up round:")
+    for i, root in enumerate(roots, 1):
+        print(f"  checkout {i}: {root}")
+    differences: list[list[float]] = [[] for _ in roots]
+    for r in range(rounds + 1):
+        order = list(range(len(roots)))
+        if r % 2:
+            order.reverse()
+        results = {i: big(roots[i]) for i in order}
+        if len({x["order"] for x in results.values()}) > 1:
+            sys.exit(f"the checkouts count different orders at (2+L)^8: {results}")
+        if r == 0:
+            continue
+        cells = ", ".join(
+            f"{results[i]['wall_s']:.3f} s / {results[i]['maxrss_mb']:.0f} MB" for i in range(len(roots))
+        )
+        pairs = []
+        for i in range(1, len(roots)):
+            differences[i].append(results[i]["wall_s"] - results[0]["wall_s"])
+            pairs.append(f"{i + 1} - 1 = {differences[i][-1]:+.3f} s")
+        print(f"  round {r}, checkout {order[0] + 1} first: {cells}" + "".join(f"; {p}" for p in pairs))
+    for i in range(1, len(roots)):
+        median = statistics.median(differences[i])
+        print(f"median of {i + 1} - 1 over {rounds} rounds: {median:+.3f} s  (order {results[0]['order']})")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="+", type=Path, help="checkout roots, each with src/hecke5")
     parser.add_argument("--passes", type=int, default=20, help="in-process passes over the levels")
-    parser.add_argument("--big-runs", type=int, default=1, help="fresh (2+L)^8 runs per checkout")
+    parser.add_argument("--big-runs", type=int, default=1, help="rounds of fresh (2+L)^8 runs, after a warm-up")
     args = parser.parse_args(argv)
     roots = [root.resolve() for root in args.roots]
     for root in roots:
@@ -137,15 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.big_runs > 0:
-        runs: list[list[dict]] = [[] for _ in roots]
-        for r in range(args.big_runs):
-            order = range(len(roots)) if r % 2 == 0 else reversed(range(len(roots)))
-            for i in order:
-                runs[i].append(big(roots[i]))
-        print("Chain at (2+L)^8, fresh processes (wall s / maxrss MB):")
-        for root, results in zip(roots, runs):
-            cells = ", ".join(f"{x['wall_s']:.2f} s / {x['maxrss_mb']:.0f} MB" for x in results)
-            print(f"  {root}: {cells}  (order {results[0]['order']})")
+        paired_rounds(roots, args.big_runs)
     return 0
 
 

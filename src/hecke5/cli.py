@@ -6,12 +6,13 @@ Every command is a thin adapter over the library, declared once in
 verification did not pass), 2 usage error (a malformed literal, a
 number that `golden.parse_int` refuses, a zero divisor, a level that is
 not an ideal or is given by both `--level` and `--hnf`, a `--cap` below
-1, an `--out` that cannot be written), 3 a
-safeguard cap was hit (`--cap`, or an internal iteration cap); the error
-goes to stderr and, under `--json`, a `hecke5/v1/error` document with
-`error`, `cap` and `partial` goes to stdout.  A reader that closes stdout
-early (`hecke5 cosets ... | head`) cuts the output short quietly: no
-traceback, and the exit code the command would have had anyway.
+1, an `--out` that cannot be written), 3 a safeguard cap was hit
+(`--cap`, an internal iteration cap, or an element too long to print,
+`golden.format_element`); the error goes to stderr and, under `--json`,
+a `hecke5/v1/error` document with `error`, `cap` and `partial` goes to
+stdout.  A reader that closes stdout early (`hecke5 cosets ... | head`)
+cuts the output short quietly: no traceback, and the exit code the
+command would have had anyway.  `cosets` streams its lines.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .formula import index_formula
 from .golden import (
     IterationCapError,
     NotAnIntegerError,
+    TooLongToPrintError,
     divmod_pseudo,
     format_element,
     gcd_pseudo,
@@ -106,7 +108,7 @@ def cmd_efactor(args):
     rr = reduce_fraction(a, b)
     text = f"e = {rr.e}"
     if not args.json:
-        # only --json prints the completion, whose digits can pass str()'s limit
+        # only --json prints the completion, which can be too long to print
         return None, text
     payload = {
         "e": rr.e,
@@ -182,18 +184,18 @@ def cmd_index(args):
 
 def cmd_cosets(args):
     ideal = _level_ideal(args)
-    q = build_quotient(ideal, args.cap)
+    predecessor = build_quotient(ideal, args.cap)  # a cap error comes before any output
     # the four entries' reduced pairs (x, y), each printed x+yL
-    entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]"
-    text = "\n".join(
-        f"{word}\t{entries.format(*ResMat(q.level, key).residues())}"
-        for key, word in coset_words(q).items()
+    entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]\n"
+    lines = (
+        f"{word}\t{entries.format(*ResMat(ideal, key).residues())}"
+        for key, word in coset_words(ideal, predecessor)
     )
     if args.out == "-":
-        return None, text
+        return None, lines
     with open(args.out, "w") as fh:
-        fh.write(text + "\n")
-    print(f"wrote {q.order} cosets to {args.out}", file=sys.stderr)
+        fh.writelines(lines)
+    print(f"wrote {len(predecessor)} cosets to {args.out}", file=sys.stderr)
     return None, None
 
 
@@ -223,7 +225,8 @@ class Command(NamedTuple):
     """A subcommand and the shared flags it takes: `--level`/`--hnf`,
     `--cap` (`cap` says what it bounds) and `--json`.  The handler returns
     `(payload, text)` or `(payload, text, exit code)`; `main` prints the
-    payload under `--json`, else the text unless it is None."""
+    payload under `--json`, else the text, a string or an iterable of
+    lines written as they come, unless it is None."""
 
     help: str
     handler: Callable
@@ -314,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceededError, IterationCapError) as exc:
+    except (CapExceededError, IterationCapError, TooLongToPrintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         command, text, status = "error", None, [3]
         cap, partial = getattr(exc, "cap", None), getattr(exc, "partial", None)
@@ -323,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "json", False):
             print(json.dumps({"schema": f"hecke5/v1/{command}", **payload}, sort_keys=True))
         elif text is not None:
-            print(text)
+            sys.stdout.writelines([text + "\n"] if isinstance(text, str) else text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); send what is left to

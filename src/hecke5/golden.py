@@ -17,6 +17,7 @@ builtin `pow` (`ideals._is_prime`, `quotient._line_form`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -220,8 +221,8 @@ class NotAnIntegerError(ValueError):
 def parse_int(text: str) -> int:
     """The one integer grammar: an optional sign and 1 to MAX_LITERAL_DIGITS
     ASCII digits, whitespace as in `squeeze_whitespace`.  The bound keeps
-    every answer printable: an index has at most about six times its
-    level's digits, below Python's 4300-digit limit on str(int)."""
+    every index printable: it has at most about six times its level's
+    digits, below Python's 4300-digit limit on str(int)."""
     s = squeeze_whitespace(text)
     digits = s[1:] if s[:1] in ("+", "-") else s
     if not digits or digits.strip(DIGITS):  # what strip leaves is no digit
@@ -278,6 +279,15 @@ def squeeze_whitespace(text: str) -> str:
     return "".join(tokens)
 
 
+class TooLongToPrintError(RuntimeError):
+    """An element with a coefficient past Python's limit on str(int)."""
+
+
 def format_element(x: GoldenInt) -> str:
-    """Canonical form `a+bL`, both coefficients always printed."""
-    return f"{x.a}{x.b:+d}L"
+    """Canonical form `a+bL`, both coefficients always printed.  Every
+    element printed comes here, so one error tells it is too long."""
+    try:
+        return f"{x.a}{x.b:+d}L"
+    except ValueError:  # the limit on str(int)
+        limit = sys.get_int_max_str_digits()
+        raise TooLongToPrintError(f"a coefficient of more than {limit} digits is too long to print") from None

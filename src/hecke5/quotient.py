@@ -23,8 +23,8 @@ Two engines, one per kind of question:
   insertion-ordered dict mapping each element to its BFS predecessor
   (the identity to None), at once the element set, the BFS order and
   the parent map.  `build_quotient` is that closure under the images
-  of S and T, kept with its level as a `QuotientGroup`, which
-  `coset_words` reads in one BFS-order pass.
+  of S and T, and `coset_words` streams its words in one BFS-order
+  pass, keeping the words of one layer to spell the next.
 
 An element has one form everywhere, its packed int (`_pack`): the
 residue (x, y) of an entry (the level is its own residue ring, see
@@ -145,30 +145,11 @@ class ResMat:
         return cls(level, _pack(level, (*one, 0, 0, 0, 0, *one)))
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
-    """Fully enumerated image of the Hecke group modulo an ideal, the
-    elements that `cosets` spells.
-
-    Two fields: the level, and predecessor, the closure's dict from each
-    element in BFS order to its BFS predecessor (None at the identity),
-    both packed ints (`ResMat.key`).  `order` is read from that dict, and
-    `coset_words` spells its chains.
-    """
-
-    level: IdealHNF
-    predecessor: dict[int, int | None]
-
-    @property
-    def order(self) -> int:
-        return len(self.predecessor)
-
-
-def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> QuotientGroup:
-    """BFS closure of {S, T} images modulo the given ideal."""
+def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> dict[int, int | None]:
+    """`semigroup_closure` of the images of S and T mod the level."""
     if level.norm < 2:
         raise ValueError("level must be a proper ideal (norm >= 2)")
-    return QuotientGroup(level, semigroup_closure(level, _hecke_generators(level), cap))
+    return semigroup_closure(level, _hecke_generators(level), cap)
 
 
 def _hecke_generators(level: IdealHNF) -> list[int]:
@@ -503,24 +484,29 @@ def index_g(level: IdealHNF, index: int) -> int:
     return index if ideal_divides(level, IdealHNF(2, 0, 2)) else index // 2
 
 
-def coset_words(q: QuotientGroup) -> dict[int, str]:
-    """{element: positive word in S and T evaluating to it}, in BFS order:
-    each word is its predecessor's word, built earlier, plus one letter."""
-    n = q.level.norm
-    n2 = n * n
-    words: dict[int, str] = {}
-    for key, pred in q.predecessor.items():
+def coset_words(level: IdealHNF, predecessor: dict[int, int | None]) -> Iterator[tuple[int, str]]:
+    """(element, positive word in S and T evaluating to it) in the BFS
+    order of `predecessor`, a closure of `build_quotient`: each word is
+    its predecessor's word plus one letter.  A predecessor lies in the
+    layer just before its element's, so only that layer's words are
+    kept; an element whose predecessor is not among them starts a layer."""
+    n = level.norm
+    n3 = n**3
+    previous: dict[int, str] = {}
+    layer: dict[int, str] = {}
+    for key, pred in predecessor.items():
         if pred is None:
-            words[key] = ""
-            continue
-        # the letter taking a predecessor to its element: T keeps the first
-        # column, the high digit of each packed row; S never does, since it
-        # moves the second column there and a det-1 matrix has distinct columns
-        top, bottom = divmod(key, n2)
-        pred_top, pred_bottom = divmod(pred, n2)
-        same = top // n == pred_top // n and bottom // n == pred_bottom // n
-        words[key] = words[pred] + ("T" if same else "S")
-    return words
+            word = ""
+        else:
+            if pred not in previous:
+                previous, layer = layer, {}
+            # the letter taking a predecessor to its element: T keeps the first
+            # column, digits a and c of a N^3 + b N^2 + c N + d; S never does, since
+            # it moves the second column there and a det-1 matrix has distinct columns
+            same = key // n3 == pred // n3 and key // n % n == pred // n % n
+            word = previous[pred] + ("T" if same else "S")
+        layer[key] = word
+        yield key, word
 
 
 def semigroup_closure(

@@ -23,8 +23,9 @@ settings.load_profile("tier1")
 
 @pytest.fixture(scope="session")
 def quotient_cache():
-    """Shared cache of built quotients; several test modules and the
-    acceptance suite reuse the same levels."""
+    """Shared cache of built quotients, each the closure dict of
+    `build_quotient`; several test modules and the acceptance suite
+    reuse the same levels."""
     cache = {}
 
     def get(gen, cap=5_000_000):

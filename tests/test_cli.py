@@ -2,9 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hecke5 import ideals
 from hecke5.cli import COMMANDS, main
 from hecke5.golden import MAX_LITERAL_DIGITS, format_element, lambda_power
 from hecke5.matrices import eval_word
+from hecke5.quotient import build_quotient
 from hecke5.verify import VERIFIERS
 
 from conftest import run_python_O, src_env
@@ -119,10 +122,36 @@ class TestElementCommands:
         assert captured.err.rstrip().endswith(message)
 
 
+class TestTooLongToPrint:
+    """An element with a coefficient past Python's limit on str(int)
+    (4300 digits by default) exits 3, as a cap does: every element
+    printed goes through `golden.format_element`, which decides it."""
+
+    BIG = format_element(lambda_power(300))  # a 128-character literal
+    MESSAGE = f"a coefficient of more than {sys.get_int_max_str_digits()} digits is too long to print"
+
+    def test_gcd_text(self, capsys):
+        # the pseudo-gcd of L^300 and 1 has coefficients of about 4670 digits
+        code, out, err = run(capsys, "gcd", self.BIG, "1")
+        assert (code, out, err) == (3, "", f"error: {self.MESSAGE}\n")
+
+    @pytest.mark.parametrize("command", ["gcd", "efactor"])
+    def test_json_error_document(self, capsys, command):
+        # efactor prints the completion, of entries as long, only under --json
+        code, out, err = run(capsys, command, self.BIG, "1", "--json")
+        assert (code, err) == (3, f"error: {self.MESSAGE}\n")
+        assert json.loads(out) == {
+            "schema": "hecke5/v1/error",
+            "error": self.MESSAGE,
+            "cap": None,
+            "partial": None,
+        }
+
+
 class TestLiteralBound:
     """An integer literal has at most MAX_LITERAL_DIGITS digits, so that
-    every answer prints: Python converts no int of over 4300 digits to a
-    string."""
+    every index prints: Python converts no int of over 4300 digits to a
+    string.  An element may not (`TestTooLongToPrint`)."""
 
     def test_index_at_the_bound_prints(self, capsys):
         # 10^699, a literal of 700 digits: (2)^699 (5)^699, where (5) is
@@ -546,6 +575,24 @@ class TestCosets:
         code, _, _ = run(capsys, "cosets", "--level", "3", "--cap", "119", "--out", str(target))
         assert code == 3
         assert not target.exists()
+
+    def test_the_words_stream_to_the_file(self, capsys):
+        # a line is written as its word is spelled, so the command's peak
+        # of traced memory stays near that of the closure it reads
+        level = ideals.ideal_from_generator(7)
+        tracemalloc.start()
+        try:
+            build_quotient(level)
+            _, closure_peak = tracemalloc.get_traced_memory()
+            tracemalloc.clear_traces()
+            tracemalloc.reset_peak()
+            code = main(["cosets", "--level", "7", "--out", os.devnull])
+            _, command_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().err == f"wrote 117600 cosets to {os.devnull}\n"
+        assert command_peak < 1.5 * closure_peak, (command_peak, closure_peak)
 
     def test_output_pinned_at_two(self, capsys):
         # the BFS order (S before T, first discovery wins) fixes every line

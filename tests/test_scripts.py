@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import subprocess
 import sys
@@ -78,6 +79,36 @@ def test_chain_timing_runs_on_this_checkout():
     assert rest == []
     for line in (chain_line, verify_line):
         assert line.strip().startswith(f"{root}: ") and line.endswith("ms  (1.000 of the first)")
+
+
+def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
+    # the fresh (2+L)^8 runs, faked: checkout 2 takes 0.1 s longer, and
+    # whichever runs second in a round 1 s less, so the paired
+    # differences are 1.1 and -0.9 s, and their median 0.1 s
+    spec = importlib.util.spec_from_file_location("chain_timing", SCRIPTS / "chain_timing.py")
+    chain_timing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
+    spec.loader.exec_module(chain_timing)
+    calls = []
+
+    def fake_big(root):
+        calls.append(root)
+        wall = 5.0 + (0.1 if root.name == "two" else 0.0) - (len(calls) % 2 == 0)
+        return {"wall_s": wall, "maxrss_mb": 300.0, "order": 120}
+
+    monkeypatch.setattr(chain_timing, "big", fake_big)
+    one, two = Path("one"), Path("two")
+    chain_timing.paired_rounds([one, two], 2)
+    # one warm-up round, then two rounds, the order alternating
+    assert calls == [one, two, two, one, one, two]
+    assert capsys.readouterr().out.splitlines() == [
+        "Chain at (2+L)^8, fresh processes, after one discarded warm-up round:",
+        "  checkout 1: one",
+        "  checkout 2: two",
+        "  round 1, checkout 2 first: 4.000 s / 300 MB, 5.100 s / 300 MB; 2 - 1 = +1.100 s",
+        "  round 2, checkout 1 first: 5.000 s / 300 MB, 4.100 s / 300 MB; 2 - 1 = -0.900 s",
+        "median of 2 - 1 over 2 rounds: +0.100 s  (order 120)",
+    ]
 
 
 def test_ideals_up_to_lists_the_survey_levels():
