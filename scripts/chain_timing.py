@@ -9,11 +9,15 @@ Three measures, each per checkout root given:
   times.  Every checkout's package is loaded into this one process, and
   the checkouts take turns on each level, in an order that alternates
   from pass to pass, so a slow spell of the machine hits them alike.
-  The report is the sum over the levels of each level's fastest time;
+  The report is the sum over the levels of each level's fastest time,
+  and for each checkout after the first, in how many passes its pass
+  total (the sum of its times in that pass) was lower than the first
+  checkout's ("lower in k of n");
 - in process, the same way: the four targets of the `verify` benchmark
   workload (`bench/workloads.py`, VERIFY_TARGETS), each run through
   `hecke5.verify.VERIFIERS` at the default cap, reported as the sum
-  over the targets of each target's fastest time;
+  over the targets of each target's fastest time, with the same count
+  of passes won;
 - in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
   norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
   time and the child's maxrss, in --big-runs rounds after one discarded
@@ -73,11 +77,13 @@ def load(root: Path):
         sys.path.remove(str(root / "src"))
 
 
-def in_process(trees: list[tuple], ops: list, passes: int) -> list[float]:
-    """Each checkout's sum over `ops` of the op's fastest time.  An op
+def in_process(trees: list[tuple], ops: list, passes: int) -> tuple[list[float], list[list[float]]]:
+    """Each checkout's sum over `ops` of the op's fastest time, and its
+    pass totals, the sum over `ops` of its times in each pass.  An op
     takes a checkout's modules and returns the call to time, so that
     what it sets up is not timed."""
     best = [[float("inf")] * len(ops) for _ in trees]
+    totals = [[0.0] * passes for _ in trees]
     for p in range(passes):
         order = list(range(len(trees)))
         if p % 2:
@@ -87,8 +93,10 @@ def in_process(trees: list[tuple], ops: list, passes: int) -> list[float]:
                 call = op(*trees[i])
                 start = time.perf_counter()
                 call()
-                best[i][j] = min(best[i][j], time.perf_counter() - start)
-    return [sum(times) for times in best]
+                elapsed = time.perf_counter() - start
+                best[i][j] = min(best[i][j], elapsed)
+                totals[i][p] += elapsed
+    return [sum(times) for times in best], totals
 
 
 def chain_op(hnf: tuple[int, int, int]):
@@ -99,10 +107,17 @@ def verify_op(target: str):
     return lambda quotient, ideals, verify: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
 
 
-def report(what: str, roots: list[Path], sums: list[float]) -> None:
+def report(what: str, roots: list[Path], measured: tuple[list[float], list[list[float]]]) -> None:
+    """Print each checkout's sum of minima against the first checkout's,
+    and, after the first, in how many passes its pass total was lower."""
+    sums, totals = measured
     print(what)
-    for root, total in zip(roots, sums):
-        print(f"  {root}: {total * 1000:.2f} ms  ({total / sums[0]:.3f} of the first)")
+    for i, (root, total) in enumerate(zip(roots, sums)):
+        line = f"  {root}: {total * 1000:.2f} ms  ({total / sums[0]:.3f} of the first"
+        if i:
+            wins = sum(mine < first for mine, first in zip(totals[i], totals[0]))
+            line += f"; lower in {wins} of {len(totals[0])}"
+        print(line + ")")
 
 
 def big(root: Path) -> dict:

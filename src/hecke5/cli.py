@@ -42,7 +42,6 @@ from .quotient import (
     DEFAULT_CAP,
     CapExceededError,
     Chain,
-    ResMat,
     build_quotient,
     coset_words,
     index_g,
@@ -188,7 +187,7 @@ def cmd_cosets(args):
     # the four entries' reduced pairs (x, y), each printed x+yL
     entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]\n"
     lines = (
-        f"{word}\t{entries.format(*ResMat(ideal, key).residues())}"
+        f"{word}\t{entries.format(*key)}"
         for key, word in coset_words(ideal, predecessor)
     )
     if args.out == "-":

@@ -3,7 +3,7 @@
 Two engines, one per kind of question:
 
 - Subgroups, every count and membership test (the index, and all of
-  `verify`).  A subgroup given by packed generators is a `Chain`, a
+  `verify`).  A subgroup given by generators is a `Chain`, a
   three-level stabilizer chain: the orbit of the line <e1> in
   P^1(O/A), then the units U' that the line's stabilizer puts on e1,
   then the translations K that fix e1.  Each of its orbits has about
@@ -26,25 +26,23 @@ Two engines, one per kind of question:
   of S and T, and `coset_words` streams its words in one BFS-order
   pass, keeping the words of one layer to spell the next.
 
-An element has one form everywhere, its packed int (`_pack`): the
-residue (x, y) of an entry (the level is its own residue ring, see
-`IdealHNF.reduce_pair`) is the digit x*d2 + y in [0, N), N = N(A), and
-the four entries are the base-N digits of one int, row-major.  It is
-`ResMat.key`, every closure's keys and values, and what a chain takes,
-sifts and yields, which makes the enumeration deterministic, hashable
-and small.  Only this module reads the digits: `ResMat` decodes its
-operands for its arithmetic, and `ResMat.residues` gives the eight
-residue integers to a caller that prints them.  (The chain keeps its
-transversal matrices decoded, as flat 8-tuples of their residues like
-`_unpack` returns, multiplies them with one fused 2x2 product, and
-packs only the elements it yields.)  The closure multiplies by table
-lookups on packed rows, tables filled on demand, one general row
-product per generator for each row that occurs, so nothing is sized by
-N(A) and a cap error at a level of norm 10^10 comes as fast as at (2).
+An element has one form at every interface, its `Key` (`ideals.Key`):
+the reduced pairs (x, y) of its four entries, row-major, a flat
+8-tuple (the level is its own residue ring, see `IdealHNF.reduce_pair`).
+It is `ResMat.key`, what a chain takes, sifts and yields, and what
+`coset_words` yields and `cosets` prints.  The closure alone stores its
+elements packed (`_pack`): the residue (x, y) of an entry is the digit
+x*d2 + y in [0, N), N = N(A), and the four entries are the base-N
+digits of one int, row-major, which keeps the listing of (11) small.
+It takes `Key`s as generators, and `coset_words` decodes each element it
+yields (`_unpack`).  The closure multiplies by table lookups on packed
+rows, tables filled on demand, one general row product per generator
+for each row that occurs, so nothing is sized by N(A) and a cap error
+at a level of norm 10^10 comes as fast as at (2).
 
 Residues are multiplied in one place, the level's `residue_ops`
 (`IdealHNF.residue_ops`, built once per level object), whose fused
-`matmul` and `adj` work on whole decoded matrices; `ResMat`, the
+`matmul` and `adj` work on whole `Key`s; `ResMat`, the
 closure's row tables and the chain all use it, and no `GoldenInt`.
 """
 
@@ -74,9 +72,10 @@ class CapExceededError(RuntimeError):
 
 
 def _pack(level: IdealHNF, key: Key) -> int:
-    """The packed form of an element: the residue (x, y) of each entry is
-    the digit x*d2 + y in [0, N), N = N(level), and the four entries are
-    the base-N digits of one int, row-major.  Distinct keys pack apart."""
+    """The packed form of an element, as the closure stores it: the
+    residue (x, y) of each entry is the digit x*d2 + y in [0, N),
+    N = N(level), and the four entries are the base-N digits of one int,
+    row-major.  Distinct keys pack apart."""
     n, d2 = level.norm, level.d2
     packed = 0
     for i in range(0, 8, 2):
@@ -94,7 +93,7 @@ def _unpack(level: IdealHNF, packed: int) -> Key:
 
 
 def _det(level: IdealHNF, key: Key) -> Pair:
-    """The reduced pair of the determinant of a decoded matrix, ad - bc."""
+    """The reduced pair of the determinant of a `Key`, ad - bc."""
     red, _, dot, *_ = level.residue_ops
     a, b, c, d, e, f, g, h = key
     return dot((a, b), (g, h), red(-c, -d), (e, f))
@@ -102,24 +101,20 @@ def _det(level: IdealHNF, key: Key) -> Pair:
 
 @dataclass(frozen=True)
 class ResMat:
-    """A matrix over the residue ring of a level, keyed by its packed int;
-    its arithmetic is the level's `residue_ops`."""
+    """A matrix over the residue ring of a level, keyed by its `Key`, the
+    reduced pairs (x, y), x + yL, of its entries, row-major; its
+    arithmetic is the level's `residue_ops`."""
 
     level: IdealHNF
-    key: int
+    key: Key
 
     @classmethod
     def from_mat2(cls, level: IdealHNF, m: Mat2) -> ResMat:
         key = tuple(x for e in m.entries() for x in level.reduce_pair(e.a, e.b))
-        return cls(level, _pack(level, key))  # type: ignore[arg-type]
-
-    def residues(self) -> Key:
-        """The reduced pairs (x, y), x + yL, of the four entries, row-major."""
-        return _unpack(self.level, self.key)
+        return cls(level, key)  # type: ignore[arg-type]
 
     def __mul__(self, other: ResMat) -> ResMat:
-        level = self.level
-        return ResMat(level, _pack(level, level.residue_ops[3](self.residues(), other.residues())))
+        return ResMat(self.level, self.level.residue_ops[3](self.key, other.key))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -131,18 +126,17 @@ class ResMat:
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
-        level = self.level
-        return ResMat(level, _pack(level, level.residue_ops[4](self.residues())))
+        return ResMat(self.level, self.level.residue_ops[4](self.key))
 
     def det(self) -> Pair:
         """The reduced pair of the determinant."""
-        return _det(self.level, self.residues())
+        return _det(self.level, self.key)
 
     @classmethod
     def identity(cls, level: IdealHNF) -> ResMat:
         # zero is (0, 0) in every residue ring
         one = level.reduce_pair(1, 0)
-        return cls(level, _pack(level, (*one, 0, 0, 0, 0, *one)))
+        return cls(level, (*one, 0, 0, 0, 0, *one))
 
 
 def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> dict[int, int | None]:
@@ -152,8 +146,8 @@ def build_quotient(level: IdealHNF, cap: int = DEFAULT_CAP) -> dict[int, int | N
     return semigroup_closure(level, _hecke_generators(level), cap)
 
 
-def _hecke_generators(level: IdealHNF) -> list[int]:
-    """The packed images of S and T mod the level, in that order."""
+def _hecke_generators(level: IdealHNF) -> list[Key]:
+    """The images of S and T mod the level, in that order."""
     return [ResMat.from_mat2(level, S).key, ResMat.from_mat2(level, T).key]
 
 
@@ -272,7 +266,7 @@ class _LineStabilizer:
 
 
 class Chain:
-    """The group G that the packed generators `gen_keys` span mod the
+    """The group G that the generators `gen_keys` (`Key`s) span mod the
     level, acting on columns, as a stabilizer chain with base the line
     <e1> in P^1(O/A), then e1 (Sims 1970; Holt, Eick & O'Brien, Handbook
     of Computational Group Theory, 2005, 4.1 and 4.4).  `None` means the
@@ -333,7 +327,7 @@ class Chain:
     wrong factorization cannot make the two agree silently.
     """
 
-    def __init__(self, level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None):
+    def __init__(self, level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[Key] | None = None):
         if level.norm < 2:
             raise ValueError("level must be a proper ideal (norm >= 2)")
         self.level, self.cap = level, cap
@@ -355,9 +349,8 @@ class Chain:
         self.phi = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm - 1) for pf in level.factors)
         self.all_lines = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm + 1) for pf in level.factors)
         self.borel = False
-        self.gen_keys: list[int] = []
-        self.gens: list[Key] = []  # each generator decoded, a flat 8-tuple
-        # each g with g^2 = +-I, by its place in gens -> whether an edge
+        self.gen_keys: list[Key] = []
+        # each g with g^2 = +-I, by its place in gen_keys -> whether an edge
         # back along it has been walked (see the class docstring)
         self.walked_back: dict[int, bool] = {}
         identity = (*one, 0, 0, 0, 0, *one)
@@ -367,25 +360,23 @@ class Chain:
         self.walked = 0  # the lines at the head of the queue every generator walked
         self.extend(_hecke_generators(level) if gen_keys is None else gen_keys)
 
-    def extend(self, gen_keys: list[int]) -> None:
+    def extend(self, gen_keys: list[Key]) -> None:
         """Add the generators, walking only the edges not walked yet: the
         chain becomes that of all it has (see the class docstring)."""
         level = self.level
         red, _, dot, matmul, _ = level.residue_ops
         one = self.one
-        new = [_unpack(level, g) for g in gen_keys]
-        for e in new:
-            if _det(level, e) != one:
-                raise ValueError(f"generator {e} has a determinant other than 1")
-        gens, walked_back = self.gens, self.walked_back
+        for g in gen_keys:
+            if _det(level, g) != one:
+                raise ValueError(f"generator {g} has a determinant other than 1")
+        gens, walked_back = self.gen_keys, self.walked_back
         start = len(gens)
         identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
         minus = (*minus_one, 0, 0, 0, 0, *minus_one)
-        for i, g in enumerate(new, start):
+        for i, g in enumerate(gen_keys, start):
             if matmul(g, g) in (identity, minus):
                 walked_back[i] = False
-        self.gen_keys.extend(gen_keys)
-        gens.extend(new)
+        gens.extend(gen_keys)
         every = list(enumerate(gens))
         fresh = every[start:]
         stabilizer, transversal, queue, via = self.units, self.transversal, self.queue, self.via
@@ -437,13 +428,10 @@ class Chain:
         self.order = self.orbit * self.stabilizer
         self.borel = borel
 
-    def __contains__(self, key: int) -> bool:
+    def __contains__(self, g: Key) -> bool:
         """The sift of g: t, its line's transversal, then t^-1 g = [[u, b],
         [0, u^-1]] with u in U', then lift(u)^-1 t^-1 g in K."""
         level, units = self.level, self.units
-        if not 0 <= key < level.norm**4:
-            return False
-        g = _unpack(level, key)
         if _det(level, g) != self.one:
             return False
         t = self.transversal.get(self.line_key(g[0:2], g[4:6]))
@@ -454,8 +442,8 @@ class Chain:
         u = x[0:2]
         return u in units.lifts and units.in_lattice(units.translation(u, x[2:4]))
 
-    def __iter__(self) -> Iterator[int]:
-        """Each element once, packed, as t lift(u) [[1, x], [0, 1]], the
+    def __iter__(self) -> Iterator[Key]:
+        """Each element once, as t lift(u) [[1, x], [0, 1]], the
         lines varying fastest, then the units, then the translations."""
         level = self.level
         red, _, dot, matmul, _ = level.residue_ops
@@ -467,7 +455,7 @@ class Chain:
                 # lift(u) [[1, x], [0, 1]] = [[u, u x + b_u], [0, u^-1]]
                 h = (*u, *dot(u, x, lift_b, self.one), 0, 0, *u_inv)
                 for t in self.transversal.values():
-                    yield _pack(level, matmul(t, h))
+                    yield matmul(t, h)
 
 
 def sl2_order(level: IdealHNF) -> int:
@@ -484,9 +472,9 @@ def index_g(level: IdealHNF, index: int) -> int:
     return index if ideal_divides(level, IdealHNF(2, 0, 2)) else index // 2
 
 
-def coset_words(level: IdealHNF, predecessor: dict[int, int | None]) -> Iterator[tuple[int, str]]:
-    """(element, positive word in S and T evaluating to it) in the BFS
-    order of `predecessor`, a closure of `build_quotient`: each word is
+def coset_words(level: IdealHNF, predecessor: dict[int, int | None]) -> Iterator[tuple[Key, str]]:
+    """(element's `Key`, positive word in S and T evaluating to it) in the
+    BFS order of `predecessor`, a closure of `build_quotient`: each word is
     its predecessor's word plus one letter.  A predecessor lies in the
     layer just before its element's, so only that layer's words are
     kept; an element whose predecessor is not among them starts a layer."""
@@ -494,7 +482,7 @@ def coset_words(level: IdealHNF, predecessor: dict[int, int | None]) -> Iterator
     n3 = n**3
     previous: dict[int, str] = {}
     layer: dict[int, str] = {}
-    for key, pred in predecessor.items():
+    for packed, pred in predecessor.items():
         if pred is None:
             word = ""
         else:
@@ -503,14 +491,14 @@ def coset_words(level: IdealHNF, predecessor: dict[int, int | None]) -> Iterator
             # the letter taking a predecessor to its element: T keeps the first
             # column, digits a and c of a N^3 + b N^2 + c N + d; S never does, since
             # it moves the second column there and a det-1 matrix has distinct columns
-            same = key // n3 == pred // n3 and key // n % n == pred // n % n
+            same = packed // n3 == pred // n3 and packed // n % n == pred // n % n
             word = previous[pred] + ("T" if same else "S")
-        layer[key] = word
-        yield key, word
+        layer[packed] = word
+        yield _unpack(level, packed), word
 
 
 def semigroup_closure(
-    level: IdealHNF, gen_keys: list[int], cap: int = DEFAULT_CAP
+    level: IdealHNF, gen_keys: list[Key], cap: int = DEFAULT_CAP
 ) -> dict[int, int | None]:
     """Deterministic BFS closure of the identity under right-multiplication.
 
@@ -518,9 +506,10 @@ def semigroup_closure(
     its predecessor (None at the identity); each element was first reached
     from its predecessor by the first generator, in `gen_keys` order, that
     reaches it.  In a finite group semigroup closure equals subgroup
-    closure, so no inverse is needed.  Generators, elements and
-    predecessors are packed ints (`ResMat.key`).  Raises CapExceededError
-    once more than `cap` elements are found.
+    closure, so no inverse is needed.  The generators are `Key`s; the
+    elements and predecessors are stored packed (`_pack`), the closure's
+    own form, which `coset_words` decodes.  Raises CapExceededError once
+    more than `cap` elements are found.
 
     A packed element is top * N^2 + bottom for its two packed rows, and
     the rows of u*g are the rows of u times g, so one table from a packed
@@ -534,7 +523,7 @@ def semigroup_closure(
     dot = level.residue_ops[2]
     n, d2 = level.norm, level.d2
     n2 = n * n
-    gens = [(g[0:2], g[2:4], g[4:6], g[6:8]) for g in (_unpack(level, g) for g in gen_keys)]
+    gens = [(g[0:2], g[2:4], g[4:6], g[6:8]) for g in gen_keys]
     # packed row -> its products with the generators, times N^2 or as is
     high: dict[int, tuple[int, ...]] = {}
     low: dict[int, tuple[int, ...]] = {}
@@ -551,7 +540,7 @@ def semigroup_closure(
         low[row] = tuple(products)
         high[row] = tuple(p * n2 for p in products)
 
-    identity = ResMat.identity(level).key
+    identity = _pack(level, ResMat.identity(level).key)
     predecessor: dict[int, int | None] = {identity: None}
     frontier = [identity]
     while frontier:
@@ -579,7 +568,7 @@ def subgroup_generated(group: Chain, gens: list[ResMat]) -> Chain:
     """The chain of the generators, each of which must sift into `group`."""
     for g in gens:
         if g.key not in group:
-            raise ValueError(f"generator {g.residues()} is not in the quotient")
+            raise ValueError(f"generator {g.key} is not in the quotient")
     return Chain(group.level, gen_keys=[g.key for g in gens])
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .golden import GoldenInt, lambda_power
-from .ideals import TAU, IdealHNF, ideal_from_generator
+from .ideals import TAU, IdealHNF, Key, ideal_from_generator
 from .matrices import (
     IDENTITY,
     Mat2,
@@ -115,7 +115,7 @@ def elementary_abelian(level: IdealHNF, gen_keys, p: int) -> bool:
     return _commute(level, gen_keys) and _powers_trivial(level, gen_keys, p)
 
 
-def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[int]]:
+def kernel_layer_generators(p: int, n: int) -> tuple[IdealHNF, list[Key]]:
     """The level (p^(n+1)) and the keys of the six unipotent matrices at
     depth p^n: x_i, y_i and z_i for i = 0, 1."""
     level = ideal_from_generator(p ** (n + 1))
@@ -311,7 +311,11 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     group = Chain(level, cap)
     report.add("quotient-order", group.order, 15000)
     delta = [ResMat.from_mat2(level, m) for m in _delta_matrices()]
-    report.add_bool("delta-in-quotient", all(d.key in group for d in delta))
+    inside = all(d.key in group for d in delta)
+    report.add_bool("delta-in-quotient", inside)
+    if not inside:
+        # the checks below are of the subgroup that delta generates in it
+        return report
     sub = subgroup_generated(group, delta)
     report.add("delta-subgroup-order", sub.order, 125)
     report.add_bool("delta-subgroup-normal", is_normal(sub))
@@ -354,7 +358,9 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     # a cap below that stops the run here
     q4 = Chain(level4, cap)
     imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
-    report.add("level2-generators-mod4-order", subgroup_generated(q4, imgs).order, 16)
+    outside = [g.key for g in imgs if g.key not in q4]
+    order = f"generator {outside[0]} not in the quotient" if outside else subgroup_generated(q4, imgs).order
+    report.add("level2-generators-mod4-order", order, 16)
     keys = [g.key for g in imgs]
     report.add_bool("level2-generators-mod4-exponent-2", elementary_abelian(level4, keys, 2))
 

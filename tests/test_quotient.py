@@ -49,8 +49,13 @@ from test_acceptance import BASE_LEVELS
 TAU = GoldenInt(2, 1)
 
 
+def decoded(level: IdealHNF, closure) -> list[Key]:
+    """The `Key`s of a closure's packed elements, in its order."""
+    return [_unpack(level, key) for key in closure]
+
+
 def chain_counts(
-    level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[int] | None = None
+    level: IdealHNF, cap: int = DEFAULT_CAP, gen_keys: list[Key] | None = None
 ) -> tuple[int, int]:
     """(|orbit of e1|, |stabilizer of e1|) as the level's `Chain` counts
     them; their product is its order."""
@@ -77,7 +82,8 @@ class TestBuildQuotient:
     def test_elements_unique_and_start_at_identity(self, quotient_cache):
         q = quotient_cache(3)
         assert len(set(q)) == len(q)
-        assert next(iter(q)) == ResMat.identity(ideal_from_generator(3)).key
+        level = ideal_from_generator(3)
+        assert _unpack(level, next(iter(q))) == ResMat.identity(level).key
 
     def test_deterministic(self, quotient_cache):
         q1 = quotient_cache(3)
@@ -87,7 +93,7 @@ class TestBuildQuotient:
     def test_bfs_order_pinned(self, quotient_cache):
         q, level = quotient_cache(5), ideal_from_generator(5)
         # the digest of the elements as 8-tuples of residues, in BFS order
-        elements = tuple(ResMat(level, key).residues() for key in q)
+        elements = tuple(decoded(level, q))
         assert (
             hashlib.sha256(repr(elements).encode()).hexdigest()
             == "2c5f1c5395ca59f22be72fd0b1fdaf56d4d1ab93d56174009467d31c593da1e5"
@@ -106,24 +112,25 @@ class TestBuildQuotient:
     def test_closure_under_product(self, quotient_cache):
         q, level = quotient_cache(TAU), ideal_from_generator(TAU)
         rng = random.Random(1)
-        keys = list(q)
+        keys = decoded(level, q)
+        members = set(keys)
         for _ in range(100):
             u = ResMat(level, rng.choice(keys))
             v = ResMat(level, rng.choice(keys))
-            assert (u * v).key in q
-            assert u.inverse().key in q
+            assert (u * v).key in members
+            assert u.inverse().key in members
 
     def test_all_elements_have_det_one(self, quotient_cache):
         q, level = quotient_cache(4), ideal_from_generator(4)
         one = level.reduce_pair(1, 0)
-        assert all(ResMat(level, k).det() == one for k in q)
+        assert all(ResMat(level, k).det() == one for k in decoded(level, q))
 
 
 class TestResMatInverse:
     def test_inverse(self, quotient_cache):
         q, level = quotient_cache(TAU), ideal_from_generator(TAU)
         ident = ResMat.identity(level)
-        for key in list(q)[:50]:
+        for key in decoded(level, q)[:50]:
             m = ResMat(level, key)
             assert m * m.inverse() == ident == m.inverse() * m
 
@@ -149,7 +156,7 @@ class TestResMatPower:
     def test_matches_repeated_product(self, quotient_cache):
         q, level = quotient_cache(TAU), ideal_from_generator(TAU)
         ident = ResMat.identity(level)
-        for key in list(q)[:: len(q) // 12]:
+        for key in decoded(level, q)[:: len(q) // 12]:
             m = ResMat(level, key)
             for n in range(-7, 8):
                 product = ident
@@ -182,7 +189,7 @@ class TestResMatPower:
 
 
 def golden_entries(m: ResMat) -> list[GoldenInt]:
-    r = m.residues()
+    r = m.key
     return [GoldenInt(r[i], r[i + 1]) for i in range(0, 8, 2)]
 
 
@@ -195,11 +202,11 @@ class TestResMatArithmetic:
     def test_product_and_det_match_golden_arithmetic(self, quotient_cache, gen, data):
         q, level = quotient_cache(gen), ideal_from_generator(gen)
         matrix = st.one_of(st.sampled_from(list(q)), st.integers(0, level.norm**4 - 1))
-        x, y = (ResMat(level, data.draw(matrix)) for _ in range(2))
+        x, y = (ResMat(level, _unpack(level, data.draw(matrix))) for _ in range(2))
         (a, b, c, d), (e, f, g, h) = golden_entries(x), golden_entries(y)
         product = [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
         expected = tuple(r for p in product for r in level.reduce_pair(p.a, p.b))
-        assert (x * y).residues() == expected
+        assert (x * y).key == expected
         det = a * d - b * c
         assert x.det() == level.reduce_pair(det.a, det.b)
 
@@ -361,7 +368,7 @@ class TestLineStabilizer:
             stabilizer = _LineStabilizer(level, DEFAULT_CAP)
             for u, b, u_inv in gens:
                 stabilizer.add(u, b, u_inv, 1)
-            keys = [_pack(level, (*u, *b, 0, 0, *u_inv)) for u, b, u_inv in gens]
+            keys = [(*u, *b, 0, 0, *u_inv) for u, b, u_inv in gens]
             group = semigroup_closure(level, keys)
             assert len(stabilizer.lifts) * stabilizer.translations() == len(group), gens
             assert set(stabilizer.lifts) == {_unpack(level, key)[:2] for key in group}, gens
@@ -492,8 +499,8 @@ class TestOrbitStabilizer:
 
 
 class TestChainOnAnyGenerators:
-    """`Chain` with `gen_keys` counts the group any packed generators
-    span: orbit * stabilizer is the size of their closure."""
+    """`Chain` with `gen_keys` counts the group any generators span:
+    orbit * stabilizer is the size of their closure."""
 
     @staticmethod
     def elementary_product(level, steps):
@@ -504,7 +511,7 @@ class TestChainOnAnyGenerators:
         for upper, d in steps:
             x = divmod(d % level.norm, level.d2)
             entries = (*one, *x, 0, 0, *one) if upper else (*one, 0, 0, *x, *one)
-            product = product * ResMat(level, _pack(level, entries))
+            product = product * ResMat(level, entries)
         return product.key
 
     @settings(max_examples=40, deadline=None)
@@ -537,7 +544,7 @@ class TestChainOnAnyGenerators:
 
     def test_a_generator_of_determinant_other_than_one_is_rejected(self):
         level = ideal_from_generator(7)
-        doubled = _pack(level, (2, 0, 0, 0, 0, 0, 1, 0))
+        doubled = (2, 0, 0, 0, 0, 0, 1, 0)
         with pytest.raises(ValueError, match="determinant"):
             chain_counts(level, gen_keys=[doubled])
 
@@ -563,31 +570,31 @@ class TestChainSift:
         chain = Chain(level, gen_keys=keys)
         closure = semigroup_closure(level, keys)
         n4 = level.norm**4
-        members = rng.sample(sorted(closure), min(len(closure), 40))
+        members = decoded(level, rng.sample(sorted(closure), min(len(closure), 40)))
         # determinant 1, in the subgroup or not
         others = [
             product(level, [(rng.random() < 0.5, rng.randrange(10**6)) for _ in range(4)])
             for _ in range(40)
         ]
         # almost all of determinant other than 1
-        anything = [rng.randrange(n4) for _ in range(40)]
+        anything = decoded(level, [rng.randrange(n4) for _ in range(40)])
+        elements = set(decoded(level, closure))
         for key in members + others + anything:
-            assert (key in chain) == (key in closure), key
+            assert (key in chain) == (key in elements), key
         assert all(key in chain for key in members)
         # a member times diag(1, 2): its line, u and b pass through the
         # sift's lookups, and only the determinant 2 keeps it out
         one = level.reduce_pair(1, 0)
-        scale = ResMat(level, _pack(level, (*one, 0, 0, 0, 0, *level.reduce_pair(2, 0))))
+        scale = ResMat(level, (*one, 0, 0, 0, 0, *level.reduce_pair(2, 0)))
         assert not any((ResMat(level, key) * scale).key in chain for key in members)
-        assert not any(key in chain for key in (-1, -n4, n4, n4 + rng.randrange(n4)))
-        assert sorted(chain) == sorted(closure)
+        assert sorted(chain) == sorted(elements)
 
     @pytest.mark.parametrize("level", ideals_up_to(40), ids=str)
     def test_iteration_lists_each_element_once(self, quotient_cache, level):
         q = quotient_cache(level)
         elements = list(Chain(level))
         assert len(elements) == len(set(elements)) == len(q)
-        assert set(elements) == q.keys()
+        assert set(elements) == set(decoded(level, q))
 
 
 class TestWalkBack:
@@ -617,7 +624,7 @@ class TestWalkBack:
         chain = Chain(level, gen_keys=keys)
         closure = semigroup_closure(level, keys)
         assert chain.order == len(closure)
-        assert sorted(chain) == sorted(closure)
+        assert sorted(chain) == sorted(decoded(level, closure))
 
     def test_the_hecke_walk_skips_edges_back_along_s(self, monkeypatch):
         # at [1,8,11] (prime, so one line form) each edge walked computes
@@ -659,7 +666,7 @@ def reference_walk(level, gen_keys=None, skip_back=False):
         gen_keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
     red, _, _, matmul, adj = _residue_ops(level)
     one = red(1, 0)
-    gens = [_unpack(level, g) for g in gen_keys]
+    gens = list(gen_keys)
     forms = [quotient_mod._line_form(pf.power) for pf in level.factors]
 
     def line_key(a, c):
@@ -837,7 +844,7 @@ class TestExtend:
         level = ideal_from_generator(7)
         chain = Chain(level)
         order, gen_keys = chain.order, list(chain.gen_keys)
-        doubled = _pack(level, (2, 0, 0, 0, 0, 0, 1, 0))
+        doubled = (2, 0, 0, 0, 0, 0, 1, 0)
         with pytest.raises(ValueError, match="determinant"):
             chain.extend([ResMat.from_mat2(level, S).key, doubled])
         assert (chain.order, chain.gen_keys) == (order, gen_keys)
@@ -889,12 +896,13 @@ class TestCosetWords:
         q = quotient_cache(TAU)
         words = dict(coset_words(ideal_from_generator(TAU), q))
         assert len(words) == len(q)
-        assert list(words) == list(q)
+        assert list(words) == decoded(ideal_from_generator(TAU), q)
 
     def test_non_member_has_no_word(self, quotient_cache):
         q, level = quotient_cache(2), ideal_from_generator(2)
-        # a fifth base-N digit: no element packs to it
-        stray = ResMat.from_mat2(level, T).key + level.norm**4
+        # an entry's residue past its range: no element has it
+        key = ResMat.from_mat2(level, T).key
+        stray = (*key[:7], key[7] + level.d2)
         with pytest.raises(KeyError):
             dict(coset_words(level, q))[stray]
 
@@ -916,32 +924,28 @@ class TestCosetWords:
         def chain_word(key):
             letters = []
             while (pred := q[key]) is not None:
-                u, w = ResMat(level, pred).residues(), ResMat(level, key).residues()
+                u, w = _unpack(level, pred), _unpack(level, key)
                 same = (u[0], u[1], u[4], u[5]) == (w[0], w[1], w[4], w[5])
                 letters.append("T" if same else "S")
                 key = pred
             return "".join(reversed(letters))
 
         assert len(q) == 15000
-        assert words == {key: chain_word(key) for key in q}
+        assert words == {_unpack(level, key): chain_word(key) for key in q}
         for key, pred in q.items():
             if pred is not None:
-                assert len(words[key]) == len(words[pred]) + 1
+                assert len(words[_unpack(level, key)]) == len(words[_unpack(level, pred)]) + 1
 
 
-def subgroup_from_predicate(level: IdealHNF, q: dict[int, int | None], which: str) -> set[int]:
-    """The members of a congruence-condition subgroup, read off the packed
-    digits of the elements of the level's quotient `q`: `H0` (lower-left
-    entry 0) or `H1` (additionally both diagonal entries 1); the
-    reference for the chain."""
-    n = level.norm
-    n2 = n * n
-    # the digit of 1, the identity's lowest; a packed bottom row below N
-    # has lower-left digit 0
-    one = ResMat.identity(level).key % n
-    members = {key for key in q if key % n2 < n}
+def subgroup_from_predicate(level: IdealHNF, q: dict[int, int | None], which: str) -> set[Key]:
+    """The members of a congruence-condition subgroup, read off the entries
+    of the elements of the level's quotient `q`: `H0` (lower-left entry
+    0) or `H1` (additionally both diagonal entries 1); the reference for
+    the chain."""
+    one = level.reduce_pair(1, 0)
+    members = {key for key in decoded(level, q) if key[4:6] == (0, 0)}
     if which == "H1":
-        members = {key for key in members if key % n2 == one and key // (n2 * n) == one}
+        members = {key for key in members if key[0:2] == key[6:8] == one}
     return members
 
 
@@ -972,19 +976,19 @@ class TestSubgroups:
         s = ResMat.from_mat2(level, S)
         t = ResMat.from_mat2(level, T)
         sub = subgroup_generated(Chain(level), [s, t])
-        assert sub.order == len(q) and all(key in sub for key in q)
+        assert sub.order == len(q) and all(key in sub for key in decoded(level, q))
 
     def test_subgroup_generated_rejects_outsiders(self, quotient_cache):
         level = ideal_from_generator(2)
-        bad = ResMat.from_mat2(level, -IDENTITY * T)
-        # a fifth base-N digit: no element packs to it
-        stray = ResMat(level, bad.key + level.norm**4)
-        with pytest.raises(ValueError):
-            subgroup_generated(Chain(level), [stray])
+        # diag(L, L^-1) of order 3, which the image mod (2), of order 10,
+        # does not have, and diag(1, L) of determinant L
+        for outsider in ((0, 1, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 0, 1)):
+            with pytest.raises(ValueError):
+                subgroup_generated(Chain(level), [ResMat(level, outsider)])
 
     def test_order_divides_group_order(self, quotient_cache):
         q, level = quotient_cache(TAU), ideal_from_generator(TAU)
-        keys = list(q)
+        keys = decoded(level, q)
         group = Chain(level)
         rng = random.Random(4)
         for _ in range(10):
@@ -1007,7 +1011,7 @@ class TestPowerSubgroup:
         for k in (2, 3, 5):
             fast = power_subgroup(Chain(level), k)
             # oracle: repeatedly multiply the set of k-th powers until stable
-            gens = {(ResMat(level, key) ** k).key for key in q}
+            gens = {(ResMat(level, key) ** k).key for key in decoded(level, q)}
             members = set(gens) | {ResMat.identity(level).key}
             changed = True
             while changed:
@@ -1033,13 +1037,13 @@ class TestPowerSubgroup:
         q, level = quotient_cache(gen), ideal_from_generator(gen)
         # the reference: tabulate every element's k-th power in BFS order,
         # then grow the span from that table
-        powers = dict.fromkeys((ResMat(level, key) ** k).key for key in q)
+        powers = dict.fromkeys((ResMat(level, key) ** k).key for key in decoded(level, q))
         members = {ResMat.identity(level).key}
-        gens: list[int] = []
+        gens: list[Key] = []
         for p in powers:
             if p not in members:
                 gens.append(p)
-                members = semigroup_closure(level, gens)
+                members = set(decoded(level, semigroup_closure(level, gens)))
                 if len(members) == len(q):
                     break
         span = power_subgroup(Chain(level), k)
@@ -1090,17 +1094,16 @@ def key_mul(u: Key, v: Key, d1: int, k: int, d2: int) -> Key:
     return tuple(entries)
 
 
-def key_mul_closure(level: IdealHNF, gen_keys: list[int]) -> dict[Key, Key | None]:
+def key_mul_closure(level: IdealHNF, gen_keys: list[Key]) -> dict[Key, Key | None]:
     """The closure as it was before packing: a BFS on 8-tuples of residues,
     each product a general `key_mul`; the reference for the packed walk."""
-    gens = [ResMat(level, g).residues() for g in gen_keys]
-    identity = ResMat.identity(level).residues()
+    identity = ResMat.identity(level).key
     predecessor: dict[Key, Key | None] = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for u in frontier:
-            for g in gens:
+            for g in gen_keys:
                 w = key_mul(u, g, level.d1, level.k, level.d2)
                 if w not in predecessor:
                     predecessor[w] = u
@@ -1109,11 +1112,11 @@ def key_mul_closure(level: IdealHNF, gen_keys: list[int]) -> dict[Key, Key | Non
     return predecessor
 
 
-def st_case(level: IdealHNF) -> tuple[IdealHNF, list[int]]:
+def st_case(level: IdealHNF) -> tuple[IdealHNF, list[Key]]:
     return level, [ResMat.from_mat2(level, m).key for m in (S, T)]
 
 
-def delta_case() -> tuple[IdealHNF, list[int]]:
+def delta_case() -> tuple[IdealHNF, list[Key]]:
     level = ideal_from_generator(5)
     return level, [ResMat.from_mat2(level, m).key for m in _delta_matrices()]
 
@@ -1156,9 +1159,9 @@ class TestPackedClosure:
         )
         packed = _pack(level, residues)
         assert 0 <= packed < level.norm**4
-        assert ResMat(level, packed).residues() == residues
+        assert _unpack(level, packed) == residues
         number = data.draw(st.integers(0, level.norm**4 - 1))
-        assert _pack(level, ResMat(level, number).residues()) == number
+        assert _pack(level, _unpack(level, number)) == number
 
     @pytest.mark.parametrize("case", CLOSURE_CASES)
     def test_matches_key_mul_bfs(self, case):

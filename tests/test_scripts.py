@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -81,14 +82,51 @@ def test_chain_timing_runs_on_this_checkout():
         assert line.strip().startswith(f"{root}: ") and line.endswith("ms  (1.000 of the first)")
 
 
-def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
-    # the fresh (2+L)^8 runs, faked: checkout 2 takes 0.1 s longer, and
-    # whichever runs second in a round 1 s less, so the paired
-    # differences are 1.1 and -0.9 s, and their median 0.1 s
+def load_chain_timing(monkeypatch):
     spec = importlib.util.spec_from_file_location("chain_timing", SCRIPTS / "chain_timing.py")
     chain_timing = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
     spec.loader.exec_module(chain_timing)
+    return chain_timing
+
+
+def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
+    # two ops on two checkouts, timed on a fake clock: checkout 2's op
+    # minima sum to 0.625 s against 1.25 s, and its pass totals (0.625,
+    # 2.125, 1 and 1.125 s against 1.25 s each) are lower in 3 of the 4
+    # passes, though its second op is the slower in the last
+    chain_timing = load_chain_timing(monkeypatch)
+    clock = [0.0]
+    monkeypatch.setattr(chain_timing, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    costs = {
+        ("one", "a"): iter([1.0] * 4),
+        ("one", "b"): iter([0.25] * 4),
+        ("two", "a"): iter([0.5, 2.0, 0.75, 0.625]),
+        ("two", "b"): iter([0.125, 0.125, 0.25, 0.5]),
+    }
+
+    def op(name):
+        def call(tree):
+            cost = next(costs[tree, name])
+            return lambda: clock.__setitem__(0, clock[0] + cost)
+
+        return call
+
+    measured = chain_timing.in_process([("one",), ("two",)], [op("a"), op("b")], 4)
+    assert measured == ([1.25, 0.625], [[1.25] * 4, [0.625, 2.125, 1.0, 1.125]])
+    chain_timing.report("two ops:", [Path("one"), Path("two")], measured)
+    assert capsys.readouterr().out.splitlines() == [
+        "two ops:",
+        "  one: 1250.00 ms  (1.000 of the first)",
+        "  two: 625.00 ms  (0.500 of the first; lower in 3 of 4)",
+    ]
+
+
+def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
+    # the fresh (2+L)^8 runs, faked: checkout 2 takes 0.1 s longer, and
+    # whichever runs second in a round 1 s less, so the paired
+    # differences are 1.1 and -0.9 s, and their median 0.1 s
+    chain_timing = load_chain_timing(monkeypatch)
     calls = []
 
     def fake_big(root):

@@ -180,6 +180,30 @@ def test_one_root_of_five():
     assert helper and found == []
 
 
+def test_the_packed_form_stays_in_the_closure():
+    # a residue matrix is its Key at every interface; the packed int is
+    # the closure's storage, so `_pack` and `_unpack` are named (read,
+    # written or imported) only in their own definitions, in
+    # `semigroup_closure`, which stores packed elements, and in
+    # `coset_words`, which decodes them
+    packed = {"_pack", "_unpack"}
+    allowed = packed | {"semigroup_closure", "coset_words"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {
+            id(node)
+            for f in tree.body
+            if path.name == "quotient.py" and getattr(f, "name", None) in allowed
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            names += [getattr(node, "id", None), getattr(node, "attr", None)]
+            if id(node) not in inside:
+                found += [f"{path.name}:{node.lineno} {name}" for name in names if name in packed]
+    assert found == []
+
 
 def _references(tree: ast.AST) -> Counter[str]:
     # how often a tree reads or writes each name, as a variable or an

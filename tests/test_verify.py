@@ -10,7 +10,7 @@ from hecke5 import verify as verify_mod
 from hecke5.golden import GoldenInt, ONE
 from hecke5.ideals import ideal_from_generator
 from hecke5.matrices import S, T, is_member
-from hecke5.quotient import CapExceededError, ResMat, semigroup_closure
+from hecke5.quotient import CapExceededError, ResMat, _unpack, semigroup_closure
 from hecke5.verify import (
     ACTION_MATRICES,
     DET1_VARIANT,
@@ -202,7 +202,7 @@ class TestElementaryAbelian:
         group = semigroup_closure(level, keys)
         assert all(ResMat(level, k) ** 2 == identity for k in keys)
         assert len(group) == 10
-        assert any(ResMat(level, g) ** 2 != identity for g in group)
+        assert any(ResMat(level, _unpack(level, g)) ** 2 != identity for g in group)
         assert not elementary_abelian(level, keys, 2)
 
     @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
@@ -210,7 +210,7 @@ class TestElementaryAbelian:
         level, gen_keys = kernel_layer_generators(p, n)
         identity = ResMat.identity(level)
         group = semigroup_closure(level, gen_keys)
-        scan = all(ResMat(level, g) ** p == identity for g in group)
+        scan = all(ResMat(level, _unpack(level, g)) ** p == identity for g in group)
         assert elementary_abelian(level, gen_keys, p) == scan
         assert scan and len(group) == p**6
 
@@ -324,6 +324,20 @@ class TestLevel5Structure:
         assert "FAIL fifth-power-subgroup-index: computed 15000/14999, expected 1" in out
 
 
+    def test_a_delta_outside_the_quotient_fails_the_check(self, monkeypatch, capsys):
+        # a first delta of determinant -L sifts out: the report stops at
+        # that check, and the CLI reports a failed verification, exit 1
+        a, b, c = _delta_matrices()
+        monkeypatch.setattr(verify_mod, "_delta_matrices", lambda: (SAMPLE_MATRICES[2], b, c))
+        report = verify_level5_structure()
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("quotient-order", True),
+            ("delta-in-quotient", False),
+        ]
+        assert cli.main(["verify", "level5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL delta-in-quotient: computed False, expected True" in out
+
     def test_power_subgroup_builds_one_chain(self, monkeypatch):
         # the span starts from no generator and is extended by each power
         # that does not sift into it: one chain, a walk per power
@@ -339,6 +353,19 @@ class TestIdentities:
     def test_passes(self):
         report = verify_identities()
         assert report.passed, witness(report)
+
+    def test_a_generator_outside_the_quotient_fails_the_order_check(self, monkeypatch, capsys):
+        # a level-(2) generator replaced by one of determinant -L: its
+        # image mod (4) sifts out of the quotient, which fails the order
+        # check, and the CLI reports a failed verification, exit 1
+        generators = (SAMPLE_MATRICES[2], *LEVEL2_GENERATORS[1:])
+        monkeypatch.setattr(verify_mod, "LEVEL2_GENERATORS", generators)
+        by_name = {c.name: c for c in verify_identities().checks}
+        order = by_name["level2-generators-mod4-order"]
+        assert not order.passed and order.computed.endswith("not in the quotient")
+        assert cli.main(["verify", "identities"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL level2-generators-mod4-order: computed generator (" in out
 
     def test_every_check_has_distinct_name(self):
         report = verify_identities()
