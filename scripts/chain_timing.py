@@ -27,6 +27,9 @@ Three measures, each per checkout root given:
   paired differences ends the report, so that the order a pair ran in
   weighs on both sides alike.  --big-runs 0 leaves it out.
 
+--passes reads a positive integer as `hecke5 --cap` does
+(`cli.positive_int`), and a negative --big-runs is a usage error (exit 2).
+
 Example, a parent commit against the working tree:
     git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
     python3 scripts/chain_timing.py /tmp/parent . --passes 20 --big-runs 2
@@ -45,8 +48,10 @@ import time
 from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
+from hecke5.cli import positive_int  # noqa: E402
 from workloads import LEVELS, VERIFY_TARGETS  # noqa: E402
 
 # run in a child with the checkout's src first on sys.path
@@ -166,9 +171,11 @@ def paired_rounds(roots: list[Path], rounds: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="+", type=Path, help="checkout roots, each with src/hecke5")
-    parser.add_argument("--passes", type=int, default=20, help="in-process passes over the levels")
+    parser.add_argument("--passes", type=positive_int, default=20, help="in-process passes over the levels")
     parser.add_argument("--big-runs", type=int, default=1, help="rounds of fresh (2+L)^8 runs, after a warm-up")
     args = parser.parse_args(argv)
+    if args.big_runs < 0:
+        parser.error("argument --big-runs: a count of rounds, 0 or more")
     roots = [root.resolve() for root in args.roots]
     for root in roots:
         if not (root / "src" / "hecke5" / "quotient.py").is_file():

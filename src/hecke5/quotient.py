@@ -121,16 +121,12 @@ class ResMat:
 
     def inverse(self) -> ResMat:
         # the adjugate, which is the inverse only when det is 1
-        det = self.det()
+        det = _det(self.level, self.key)
         if det != self.level.reduce_pair(1, 0):
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
         return ResMat(self.level, self.level.residue_ops[4](self.key))
-
-    def det(self) -> Pair:
-        """The reduced pair of the determinant."""
-        return _det(self.level, self.key)
 
     @classmethod
     def identity(cls, level: IdealHNF) -> ResMat:
@@ -353,7 +349,8 @@ class Chain:
         # each g with g^2 = +-I, by its place in gen_keys -> whether an edge
         # back along it has been walked (see the class docstring)
         self.walked_back: dict[int, bool] = {}
-        identity = (*one, 0, 0, 0, 0, *one)
+        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
+        self.plus_minus_one = (identity, (*minus_one, 0, 0, 0, 0, *minus_one))
         self.transversal = {line_key(one, (0, 0)): identity}  # line key -> t
         self.queue = [identity]
         self.via = [-1]  # the generator that first reached each line of the queue
@@ -364,17 +361,14 @@ class Chain:
         """Add the generators, walking only the edges not walked yet: the
         chain becomes that of all it has (see the class docstring)."""
         level = self.level
-        red, _, dot, matmul, _ = level.residue_ops
-        one = self.one
+        _, _, dot, matmul, _ = level.residue_ops
         for g in gen_keys:
-            if _det(level, g) != one:
+            if _det(level, g) != self.one:
                 raise ValueError(f"generator {g} has a determinant other than 1")
         gens, walked_back = self.gen_keys, self.walked_back
         start = len(gens)
-        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
-        minus = (*minus_one, 0, 0, 0, 0, *minus_one)
         for i, g in enumerate(gen_keys, start):
-            if matmul(g, g) in (identity, minus):
+            if matmul(g, g) in self.plus_minus_one:
                 walked_back[i] = False
         gens.extend(gen_keys)
         every = list(enumerate(gens))

@@ -187,8 +187,7 @@ T_ACTION_VARIANT = ((1, 4, 2), (0, 1, 0), (0, 1, 1))
 def _coords_mod5(level: IdealHNF, g: Mat2) -> tuple[int, int, int]:
     """(i, j, k) with g = r^i s^j t^k inside the elementary abelian level
     quotient; entries of (g - I)/(L+2) are integers mod 5."""
-    pi = TAU
-    multiples = [level.reduce_pair(pi.a * d, pi.b * d) for d in range(5)]
+    multiples = [level.reduce_pair(TAU.a * d, TAU.b * d) for d in range(5)]
     w = []
     for e, ident in zip(g.entries(), IDENTITY.entries()):
         diff = e - ident
@@ -212,61 +211,46 @@ def _image(vec, mat) -> tuple[int, int, int]:
     return (x * a + y * d + z * g) % 5, (x * b + y * e + z * h) % 5, (x * c + y * f + z * i) % 5
 
 
-def _subspace_bases() -> dict[frozenset, tuple]:
-    """Every subspace of F_5^3, as its set of vectors, mapped to a basis it
-    is the span of: the zero space (no basis), each line (its vector v,
-    first nonzero coordinate 1, at the pivot i), v's orthogonal plane
-    (e_j - v_j e_i for j != i: v . (e_j - v_j e_i) = v_j - v_j v_i = 0)
-    and the whole space (e1, e2, e3)."""
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def span(basis) -> frozenset:
-        vectors = [(0, 0, 0)]
-        for x, y, z in basis:
-            vectors = [((a + c * x) % 5, (b + c * y) % 5, (d + c * z) % 5) for a, b, d in vectors for c in range(5)]
-        return frozenset(vectors)
-
-    bases = [(), units]
-    for v in product(range(5), repeat=3):
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None or v[pivot] != 1:
-            continue
-        bases.append((v,))
-        bases.append(
-            tuple(
-                tuple((e[k] - v[j] * units[pivot][k]) % 5 for k in range(3))
-                for j, e in enumerate(units)
-                if j != pivot
-            )
-        )
-    return {span(basis): basis for basis in bases}
+# the 31 lines of F_5^3, each by its vector with first nonzero coordinate 1
+LINES = tuple(v for v in product(range(5), repeat=3) if next((x for x in v if x), 0) == 1)
 
 
-def _invariant(subspace: frozenset, basis, actions) -> bool:
-    """Whether every action maps the subspace into itself.  A linear map
-    keeps W exactly when it sends a spanning set of W into W, so only the
-    basis is tested."""
-    return all(_image(b, m) in subspace for m in actions for b in basis)
+def _invariant_sizes(actions) -> list[int]:
+    """The sorted sizes of the subspaces of F_5^3 that every action maps
+    into itself.  Besides 0 and F_5^3, each subspace is a line <v> or a
+    plane v^perp = {w : w . v = 0}, one of each for each v in LINES.  <v>
+    is invariant when each m sends v into <v>.  As (w m) . v = w . (v m^T),
+    v^perp is invariant when each m^T does: then w . v = 0 gives
+    (w m) . v = 0, and else some w in v^perp has w . (v m^T) != 0, the dot
+    form being non-degenerate."""
+    transposes = [tuple(zip(*m)) for m in actions]
+    sizes = [1, 125]
+    for v in LINES:
+        line = {tuple(c * x % 5 for x in v) for c in range(5)}
+        for size, maps in ((5, actions), (25, transposes)):
+            if all(_image(v, m) in line for m in maps):
+                sizes.append(size)
+    return sorted(sizes)
 
 
 def verify_conjugation_action() -> VerificationReport:
     """Cross-validate the (r, s, t) conjugation actions two ways, then
     show only the trivial and full subspaces are invariant.
 
-    Each of the 64 subspaces of F_5^3 is built as the span of a basis
-    (`_subspace_bases`), and its invariance is tested on that basis only
-    (`_invariant`), under the derived actions and under the variant."""
+    Each of the 64 subspaces of F_5^3 is 0, F_5^3, or a line or plane
+    that one of the 31 vectors of `LINES` spans or is orthogonal to, so
+    invariance is tested on those vectors alone (`_invariant_sizes`),
+    under the derived actions and under the variant."""
     report = VerificationReport("conjugation-action")
     level = ideal_from_generator(5)
     a, b, c = _delta_matrices()
     r = (a * c) * (a * b)
     s = (a * c) * (a * b).inverse()
     t = b * c
-    pi = TAU
     expected_offsets = {
-        "r": Mat2(GoldenInt(1, 0), GoldenInt(0, 0), pi * 3, GoldenInt(1, 0)),
-        "s": Mat2(GoldenInt(1, 0), pi * 3, GoldenInt(0, 0), GoldenInt(1, 0)),
-        "t": Mat2(GoldenInt(1, 0) - pi * 3, GoldenInt(0, 0), GoldenInt(0, 0), GoldenInt(1, 0) + pi * 3),
+        "r": Mat2(GoldenInt(1, 0), GoldenInt(0, 0), TAU * 3, GoldenInt(1, 0)),
+        "s": Mat2(GoldenInt(1, 0), TAU * 3, GoldenInt(0, 0), GoldenInt(1, 0)),
+        "t": Mat2(GoldenInt(1, 0) - TAU * 3, GoldenInt(0, 0), GoldenInt(0, 0), GoldenInt(1, 0) + TAU * 3),
     }
     for name, m in zip("rst", (r, s, t)):
         report.add_bool(
@@ -287,17 +271,12 @@ def verify_conjugation_action() -> VerificationReport:
         detail="the variant negates the s-exponent; conjugation does not",
     )
 
-    subspaces = _subspace_bases()
-    report.add("subspace-count", len(subspaces), 64)
-    invariant = [sp for sp, basis in subspaces.items() if _invariant(sp, basis, derived.values())]
+    report.add("subspace-count", 2 + 2 * len(LINES), 64)
+    invariant = _invariant_sizes(derived.values())
     report.add("invariant-subspaces", len(invariant), 2)
-    report.add_bool(
-        "invariant-are-trivial-and-full",
-        {len(sp) for sp in invariant} == {1, 125},
-    )
-    variant_actions = (derived["S"], T_ACTION_VARIANT, derived["J"])
-    variant_count = sum(1 for sp, basis in subspaces.items() if _invariant(sp, basis, variant_actions))
-    report.add("invariant-subspaces-under-variant", variant_count, 2)
+    report.add_bool("invariant-are-trivial-and-full", set(invariant) == {1, 125})
+    variant = _invariant_sizes([derived["S"], T_ACTION_VARIANT, derived["J"]])
+    report.add("invariant-subspaces-under-variant", len(variant), 2)
     return report
 
 
@@ -399,23 +378,20 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
         "20L^5-equals-60-mod-25", level25.reduce_pair(lhs.a, lhs.b) == level25.reduce_pair(60, 0)
     )
 
-    # the basic level-(L+2) element: explicit entries, membership and
-    # triviality mod (L+2)
-    a_tau = (T ** -2) * SAMPLE_MATRICES[3]
+    # the basic level-(L+2) element, T^-2 times the fourth sample and the
+    # first delta generator: explicit entries, membership and triviality
+    # mod (L+2)
+    a, b, c = _delta_matrices()
     stated_tau = Mat2.from_ints([[(-6, -11), (5, 10)], [(3, 4), (-2, -4)]])
-    report.add("tau-level-element-matrix", str(a_tau), str(stated_tau))
-    report.add_bool("tau-level-element-member", is_member(a_tau))
-    report.add_bool(
-        "tau-level-element-trivial-mod-tau", _mod_equal(level_tau, a_tau, IDENTITY)
-    )
+    report.add("tau-level-element-matrix", str(a), str(stated_tau))
+    report.add_bool("tau-level-element-member", is_member(a))
+    report.add_bool("tau-level-element-trivial-mod-tau", _mod_equal(level_tau, a, IDENTITY))
 
     # congruences of the three delta generators mod 5
-    a, b, c = _delta_matrices()
-    pi = TAU
     delta_targets = {
-        "a": Mat2(GoldenInt(1, 0) + pi * 4, GoldenInt(0, 0), pi * 4, GoldenInt(1, 0) + pi),
-        "b": Mat2(GoldenInt(1, 0) + pi, pi, GoldenInt(0, 0), GoldenInt(1, 0) + pi * 4),
-        "c": Mat2(GoldenInt(1, 0) + pi, pi * 4, GoldenInt(0, 0), GoldenInt(1, 0) + pi * 4),
+        "a": Mat2(GoldenInt(1, 0) + TAU * 4, GoldenInt(0, 0), TAU * 4, GoldenInt(1, 0) + TAU),
+        "b": Mat2(GoldenInt(1, 0) + TAU, TAU, GoldenInt(0, 0), GoldenInt(1, 0) + TAU * 4),
+        "c": Mat2(GoldenInt(1, 0) + TAU, TAU * 4, GoldenInt(0, 0), GoldenInt(1, 0) + TAU * 4),
     }
     for name, m in zip("abc", (a, b, c)):
         report.add_bool(f"delta-{name}-mod5", _mod_equal(level5, m, delta_targets[name]))

@@ -144,6 +144,18 @@ INVOCATIONS = [
         "sha256:e3bb37e20854312fa0ade696256146495c36184693cfec0caf9ec8add4e31537",
         "",
     ),
+    (
+        ["verify", "kernel-layers", "--json"],
+        0,
+        "sha256:75add116b3c92634bed55f71c58324955658c28aee79af6c9f703659eecb3813",
+        "",
+    ),
+    (
+        ["verify", "all", "--json"],
+        0,
+        "sha256:cb5d3ed59d4c440119f60bb066899d3dbff361af427f92687f8943b8484b8643",
+        "",
+    ),
     # usage errors the library reports
     (["norm", "2+x"], 2, "", "error: bad element literal at position 2: '2+x'\n"),
     (["norm", "2+x", "--json"], 2, "", "error: bad element literal at position 2: '2+x'\n"),

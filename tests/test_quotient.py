@@ -4,7 +4,7 @@ import random
 from functools import cache, reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke5.formula import index_formula
@@ -28,6 +28,7 @@ from hecke5.quotient import (
     Key,
     ResMat,
     _LineStabilizer,
+    _det,
     _line_form,
     _pack,
     _unpack,
@@ -123,7 +124,7 @@ class TestBuildQuotient:
     def test_all_elements_have_det_one(self, quotient_cache):
         q, level = quotient_cache(4), ideal_from_generator(4)
         one = level.reduce_pair(1, 0)
-        assert all(ResMat(level, k).det() == one for k in decoded(level, q))
+        assert all(_det(level, k) == one for k in decoded(level, q))
 
 
 class TestResMatInverse:
@@ -208,7 +209,7 @@ class TestResMatArithmetic:
         expected = tuple(r for p in product for r in level.reduce_pair(p.a, p.b))
         assert (x * y).key == expected
         det = a * d - b * c
-        assert x.det() == level.reduce_pair(det.a, det.b)
+        assert _det(level, x.key) == level.reduce_pair(det.a, det.b)
 
 
 def column_walk(level: IdealHNF) -> tuple[int, int]:
@@ -604,7 +605,7 @@ class TestWalkBack:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        st.sampled_from(ideals_up_to(60)),
+        st.sampled_from([level for level in ideals_up_to(60) if sl2_order(level) <= 50_000]),
         st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=3),
         st.lists(
             st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
@@ -612,6 +613,9 @@ class TestWalkBack:
         ),
         st.integers(0, 2),
     )
+    # one larger level, once: [[1, 1], [0, 1]] and a conjugate of S span
+    # SL2 at [1,34,59], of order 205,320
+    @example(IdealHNF(1, 34, 59), [(False, 3)], [[(True, 1)]], 0)
     def test_a_conjugate_of_s_among_the_generators(self, level, conjugator, others, position):
         # h S h^-1 (S itself when h is the identity), squaring to -I, at
         # any place among up to two elementary products

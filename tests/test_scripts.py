@@ -49,6 +49,28 @@ def test_index_survey_reads_integers_like_the_cli(option, value):
     assert f"argument {option}: invalid positive_int value" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--passes", "0"], "argument --passes: invalid positive_int value"),
+        (["--passes", "-3"], "argument --passes: invalid positive_int value"),
+        (["--passes", "1_0"], "argument --passes: invalid positive_int value"),
+        (["--big-runs", "-1"], "argument --big-runs: a count of rounds, 0 or more"),
+    ],
+)
+def test_chain_timing_reads_counts_like_the_cli(args, message):
+    # --passes through cli.positive_int; --big-runs 0 means no fresh run,
+    # below it is a usage error
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "chain_timing.py"), str(SCRIPTS.parent), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert message in proc.stderr
+
+
 def test_index_survey_ends_quietly_when_stdout_closes():
     # `index_survey.py | head`: the reader is gone before the first row
     proc = subprocess.Popen(

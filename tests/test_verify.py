@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke5 import cli
@@ -15,13 +15,13 @@ from hecke5.verify import (
     ACTION_MATRICES,
     DET1_VARIANT,
     LEVEL2_GENERATORS,
+    LINES,
     SAMPLE_MATRICES,
     T_ACTION_VARIANT,
     VerificationReport,
     _delta_matrices,
     _image,
-    _invariant,
-    _subspace_bases,
+    _invariant_sizes,
     elementary_abelian,
     kernel_layer_generators,
     verify_all,
@@ -233,9 +233,9 @@ VECTORS = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
 
 
 def filtered_subspaces() -> set[frozenset]:
-    """The 64 subspaces of F_5^3 as they were built before each kept a
-    basis: each line from its vector, each plane by filtering all 125
-    vectors for those orthogonal to it."""
+    """The 64 subspaces of F_5^3 as sets of vectors: each line from its
+    vector, each plane by filtering all 125 vectors for those orthogonal
+    to it."""
     subspaces = {frozenset([(0, 0, 0)]), frozenset(VECTORS)}
     for v in VECTORS:
         if next((x for x in v if x), 0) != 1:
@@ -250,18 +250,17 @@ def invariant_on_every_vector(subspace, actions) -> bool:
     return all(_image(v, m) in subspace for m in actions for v in subspace)
 
 
-class TestSubspaceBases:
-    """`verify_conjugation_action` builds each subspace as the span of a
-    basis and tests invariance on the basis alone."""
+class TestInvariantSizes:
+    """`verify_conjugation_action` tests each line <v> and plane v^perp on
+    the vector v of `LINES` alone, against the actions and their transposes."""
 
-    def test_spans_are_the_filtered_subspaces(self):
-        bases = _subspace_bases()
-        assert len(bases) == 64
-        assert set(bases) == filtered_subspaces()
-        for subspace, basis in bases.items():
-            # a basis: as many vectors as the dimension, 5^dim vectors
-            assert len(subspace) == 5 ** len(basis)
-            assert all(b in subspace for b in basis)
+    def test_lines_and_their_duals_are_the_filtered_subspaces(self):
+        lines = {frozenset(tuple(c * x % 5 for x in v) for c in range(5)) for v in LINES}
+        planes = {frozenset(w for w in VECTORS if sum(a * b for a, b in zip(v, w)) % 5 == 0) for v in LINES}
+        subspaces = {frozenset([(0, 0, 0)]), frozenset(VECTORS)} | lines | planes
+        assert len(LINES) == 31
+        assert len(subspaces) == 2 + 2 * len(LINES) == 64
+        assert subspaces == filtered_subspaces()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,22 +268,20 @@ class TestSubspaceBases:
             st.tuples(*[st.tuples(*[st.integers(0, 4)] * 3)] * 3), min_size=1, max_size=3
         )
     )
-    def test_basis_invariance_is_invariance(self, actions):
-        for subspace, basis in _subspace_bases().items():
-            assert _invariant(subspace, basis, actions) == invariant_on_every_vector(
-                subspace, actions
-            ), (subspace, actions)
+    # two upper-triangular actions that keep 2 lines but 6 planes: a plane
+    # tested against the actions, not their transposes, gives 2 planes
+    @example([((1, 0, 0), (0, 2, 0), (0, 0, 1)), ((1, 4, 0), (0, 2, 0), (0, 0, 1))])
+    def test_same_sizes_as_every_vector_of_every_subspace(self, actions):
+        by_vector = [len(sp) for sp in filtered_subspaces() if invariant_on_every_vector(sp, actions)]
+        assert _invariant_sizes(actions) == sorted(by_vector), actions
 
     @pytest.mark.parametrize("variant", [False, True])
     def test_the_verifier_actions(self, variant):
         actions = [ACTION_MATRICES[g] for g in "STJ"]
         if variant:
             actions[1] = T_ACTION_VARIANT
-        bases = _subspace_bases()
-        by_basis = [sp for sp, basis in bases.items() if _invariant(sp, basis, actions)]
-        by_vector = [sp for sp in bases if invariant_on_every_vector(sp, actions)]
-        assert by_basis == by_vector
-        assert sorted(len(sp) for sp in by_basis) == [1, 125]
+        by_vector = [len(sp) for sp in filtered_subspaces() if invariant_on_every_vector(sp, actions)]
+        assert _invariant_sizes(actions) == sorted(by_vector) == [1, 125]
 
 
 class TestLevel5Structure:
