@@ -27,6 +27,11 @@ Three measures, each per checkout root given:
   paired differences ends the report, so that the order a pair ran in
   weighs on both sides alike.  --big-runs 0 leaves it out.
 
+The in-process sums and passes won compare the checkouts within one
+invocation only, and each header says so: the machine's speed drifts
+between invocations far more than two trees differ, so the same tree's
+sum can move by half from one invocation to the next.
+
 --passes reads a positive integer as `hecke5 --cap` does
 (`cli.positive_int`), and a negative --big-runs is a usage error (exit 2).
 
@@ -182,13 +187,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{root} has no src/hecke5/quotient.py")
 
     trees = [load(root) for root in roots]
+    within = f"over {args.passes} passes (sums and passes won compare only within this invocation):"
     report(
-        f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima over {args.passes} passes:",
+        f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima {within}",
         roots,
         in_process(trees, [chain_op(hnf) for hnf in LEVELS], args.passes),
     )
     report(
-        f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima over {args.passes} passes:",
+        f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima {within}",
         roots,
         in_process(trees, [verify_op(target) for target in VERIFY_TARGETS], args.passes),
     )

@@ -234,17 +234,33 @@ def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:
 
 @dataclass(frozen=True)
 class PrimeFactor:
-    """P = (generator) above p = `rational_prime`.  `exponent` is that of P
-    in (p) from `split_rational_prime`, in the level from `factor_ideal`,
-    and `power` is P^exponent."""
+    """P above p = `rational_prime`.  `exponent` is that of P in (p) from
+    `split_rational_prime`, in the level from `factor_ideal`, and `power`
+    is P^exponent.  The `generator` of P is found on first read: only
+    `factor` prints it, and for a split prime it costs a pseudo-Euclidean
+    gcd, so the index path never asks for it."""
 
     prime: IdealHNF
-    generator: GoldenInt
     exponent: int
     residue_degree: int
     ramified: bool
     rational_prime: int
     power: IdealHNF
+
+    @cached_property
+    def generator(self) -> GoldenInt:
+        """2 + L above 5, p for an inert p, and gcd(p, L - t) for a split
+        prime (1, k, p), whose root is t = 1 - k mod p."""
+        p = self.rational_prime
+        if self.ramified:
+            return TAU
+        if self.residue_degree == 2:
+            return GoldenInt(p, 0)
+        t = (1 - self.prime.k) % p
+        g, _ = gcd_pseudo(GoldenInt(p, 0), GoldenInt(-t, 1))
+        if ideal_from_generator(g) != self.prime:
+            raise RuntimeError(f"gcd({p}, L - {t}) = {g} does not generate {self.prime}")
+        return g
 
 
 def _is_prime(n: int) -> bool:
@@ -293,29 +309,29 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
     """Factor the ideal (p) for a rational prime p.
 
     p = 5 ramifies as (2+L)^2; p = +-1 mod 5 splits into two degree-1
-    primes found as gcd(p, L - t) for the roots t of t^2 = t + 1 mod p;
-    everything else (p = +-2 mod 5) is inert.
+    primes (p, L - t), one for each root t of t^2 = t + 1 mod p;
+    everything else (p = +-2 mod 5) is inert.  (p, L - t) holds 1 + kL
+    exactly when 1 + kt = 0 mod p, and k = 1 - t solves that (1 + t - t^2
+    = 0), so its HNF is (1, 1 - t mod p, p), read off t with no gcd.  The
+    scan over t stops at the first root: the two roots sum to 1, so the
+    other is 1 - t, whose prime is (1, t, p).  The primes come in the
+    order of their k; `PrimeFactor.generator` finds a generator only when
+    it is read.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     if p == 5:
-        return (PrimeFactor(ideal_from_generator(TAU), TAU, 2, 1, True, p, ideal_from_generator(p)),)
+        return (PrimeFactor(ideal_from_generator(TAU), 2, 1, True, p, ideal_from_generator(p)),)
     if p % 5 in (1, 4):
-        factors = []
-        for t in range(p):
-            if (t * t - t - 1) % p == 0:
-                g, _ = gcd_pseudo(GoldenInt(p, 0), GoldenInt(-t, 1))
-                prime = ideal_from_generator(g)
-                if prime.norm != p:
-                    raise RuntimeError(f"gcd({p}, L - {t}) = {g} has norm {prime.norm}, not {p}")
-                factors.append(PrimeFactor(prime, g, 1, 1, False, p, prime))
-        if len(factors) != 2 or factors[0].prime == factors[1].prime:
-            raise RuntimeError(f"{p} split into {[str(f.prime) for f in factors]}, not two primes")
-        factors.sort(key=lambda f: (f.prime.d1, f.prime.k, f.prime.d2))
-        return tuple(factors)
-    gp = GoldenInt(p, 0)
-    prime = ideal_from_generator(gp)
-    return (PrimeFactor(prime, gp, 1, 2, False, p, prime),)
+        t = next((t for t in range(p) if (t * t - t - 1) % p == 0), None)
+        if t is None:
+            raise RuntimeError(f"t^2 = t + 1 has no root mod {p}")
+        primes = sorted({IdealHNF(1, (1 - t) % p, p), IdealHNF(1, t, p)}, key=lambda x: x.k)
+        if len(primes) != 2:
+            raise RuntimeError(f"{p} split into {[str(x) for x in primes]}, not two primes")
+        return tuple(PrimeFactor(prime, 1, 1, False, p, prime) for prime in primes)
+    prime = ideal_from_generator(p)
+    return (PrimeFactor(prime, 1, 2, False, p, prime),)
 
 
 def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5 import ideals
+from hecke5 import golden, ideals
 from hecke5.cli import COMMANDS, main
 from hecke5.golden import MAX_LITERAL_DIGITS, format_element, lambda_power
 from hecke5.matrices import eval_word
@@ -346,6 +346,26 @@ class TestLevelCommands:
         code, _ = run_json(capsys, *argv, "--level", "6")
         assert code == 0
         assert calls == [ideals.ideal_from_generator(6)]
+
+    @pytest.mark.parametrize("argv,expected", [(("index", "--formula"), 0), (("factor",), 4)])
+    def test_gcd_only_for_printed_generators(self, capsys, monkeypatch, argv, expected):
+        # (2090) = (2)(5)(11)(19): a split prime's HNF is read off its root,
+        # so only `factor`, which prints the generators, runs one gcd for
+        # each of the four split primes; every binding of gcd_pseudo is
+        # wrapped, as in test_level_factored_once
+        gcd_pseudo, calls = golden.gcd_pseudo, []
+
+        def counting_gcd_pseudo(a, b):
+            calls.append((a, b))
+            return gcd_pseudo(a, b)
+
+        for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "hecke5"]:
+            for name, value in list(vars(module).items()):
+                if value is gcd_pseudo:
+                    monkeypatch.setattr(module, name, counting_gcd_pseudo)
+        code, _ = run_json(capsys, *argv, "--level", "2090")
+        assert code == 0
+        assert len(calls) == expected
 
     def test_index_deterministic(self, capsys):
         _, out1, _ = run(capsys, "index", "--level", "4", "--json")

@@ -72,6 +72,23 @@ INVOCATIONS = [
         '"ramified": true}], "norm": 5, "schema": "hecke5/v1/factor"}\n',
         "",
     ),
+    # split primes: each generator is gcd(p, L - t) for the prime's root t
+    (["factor", "--level", "11"], 0, "(-81+50L)^1 * (23-14L)^1\n", ""),
+    (
+        ["factor", "--level", "11", "--json"],
+        0,
+        '{"factors": [{"degree": 1, "exponent": 1, "generator": "-81+50L", "hnf": [1, 4, 11], '
+        '"ramified": false}, {"degree": 1, "exponent": 1, "generator": "23-14L", "hnf": [1, 8, 11], '
+        '"ramified": false}], "norm": 121, "schema": "hecke5/v1/factor"}\n',
+        "",
+    ),
+    (
+        ["factor", "--level", "209"],
+        0,
+        "(-81+50L)^1 * (23-14L)^1 * (115-71L)^1 * (-17+11L)^1\n",
+        "",
+    ),
+    (["factor", "--hnf", "1,383,1009"], 0, "(689365-426051L)^1\n", ""),
     (["sl2order", "--level", "3"], 0, "720\n", ""),
     (
         ["sl2order", "--level", "3", "--json"],

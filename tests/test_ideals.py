@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5.golden import GoldenInt, LAMBDA, lambda_power
+from hecke5.golden import GoldenInt, LAMBDA, gcd_pseudo, lambda_power
 from hecke5.ideals import (
     IdealHNF,
     TAU,
@@ -225,6 +225,26 @@ class TestSplitting:
 
     def test_deterministic_order(self):
         assert split_rational_prime(11) == split_rational_prime(11)
+
+    def test_split_primes_below_5000_match_the_gcd_construction(self):
+        # oracle: each root t of t^2 = t + 1 from sympy's square roots of 5
+        # (t = (1 + r) / 2 for r^2 = 5), and each prime as the ideal of
+        # gcd(p, L - t), in the order of the roots' primes' k
+        for p in sympy.primerange(2, 5000):
+            if p % 5 not in (1, 4):
+                continue
+            factors = split_rational_prime(p)
+            half = pow(2, -1, p)
+            roots = sorted((1 + r) * half % p for r in sympy.ntheory.sqrt_mod(5, p, all_roots=True))
+            assert len(roots) == 2 and all((t * t - t - 1) % p == 0 for t in roots)
+            gcd_primes = sorted(
+                (ideal_from_generator(gcd_pseudo(GoldenInt(p, 0), GoldenInt(-t, 1))[0]) for t in roots),
+                key=lambda x: x.k,
+            )
+            assert [f.prime for f in factors] == gcd_primes
+            assert sorted((1 - f.prime.k) % p for f in factors) == roots
+            for f in factors:
+                assert ideal_from_generator(f.generator) == f.prime
 
     @pytest.mark.parametrize("p", [2, 3, 5, 11, 19])
     def test_power_is_prime_to_exponent(self, p):
