@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the stabilizer chain (`hecke5.quotient.Chain`) of one or more
-checkouts against each other.
+"""Time the stabilizer chain (`hecke5.quotient.Chain`), the verifiers
+and the membership test of one or more checkouts against each other.
 
-Three measures, each per checkout root given:
+Four measures, each per checkout root given:
 
 - in process: the 27 levels of the `enumerate` benchmark workload
   (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
@@ -18,6 +18,11 @@ Three measures, each per checkout root given:
   `hecke5.verify.VERIFIERS` at the default cap, reported as the sum
   over the targets of each target's fastest time, with the same count
   of passes won;
+- in process, the same way: the 1000 ops of the `membership` benchmark
+  workload (`bench/workloads.py`, Membership, seed 1), each one call of
+  its `run` on the checkout's `golden` and `matrices`, reported as the
+  sum over the ops of each op's fastest time, with the same count of
+  passes won;
 - in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
   norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
   time and the child's maxrss, in --big-runs rounds after one discarded
@@ -52,12 +57,13 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 from hecke5.cli import positive_int  # noqa: E402
-from workloads import LEVELS, VERIFY_TARGETS  # noqa: E402
+from workloads import LEVELS, VERIFY_TARGETS, Membership  # noqa: E402
 
 # run in a child with the checkout's src first on sys.path
 BIG_CHILD = """
@@ -75,14 +81,19 @@ print(json.dumps({"wall_s": wall, "maxrss_mb": maxrss, "order": order}))
 """
 
 
+MODULES = ("quotient", "ideals", "verify", "golden", "matrices")
+MEMBERSHIP_SEED = 1
+
+
 def load(root: Path):
-    """The `quotient`, `ideals` and `verify` modules of the checkout at
-    `root`, loaded apart from those of any other checkout."""
+    """The `quotient`, `ideals`, `verify`, `golden` and `matrices` modules
+    of the checkout at `root`, loaded apart from those of any other
+    checkout."""
     for name in [n for n in sys.modules if n == "hecke5" or n.startswith("hecke5.")]:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
     try:
-        return tuple(importlib.import_module(f"hecke5.{name}") for name in ("quotient", "ideals", "verify"))
+        return tuple(importlib.import_module(f"hecke5.{name}") for name in MODULES)
     finally:
         sys.path.remove(str(root / "src"))
 
@@ -110,11 +121,20 @@ def in_process(trees: list[tuple], ops: list, passes: int) -> tuple[list[float],
 
 
 def chain_op(hnf: tuple[int, int, int]):
-    return lambda quotient, ideals, verify: partial(quotient.Chain, ideals.IdealHNF(*hnf))
+    return lambda quotient, ideals, *_: partial(quotient.Chain, ideals.IdealHNF(*hnf))
 
 
 def verify_op(target: str):
-    return lambda quotient, ideals, verify: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
+    return lambda quotient, ideals, verify, *_: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
+
+
+def membership_ops(trees: list[tuple]) -> list:
+    """One op per op of the `membership` workload: its `run` on the op,
+    with the workload's library the checkout's `golden` and `matrices`."""
+    workloads = {
+        tree: Membership(SimpleNamespace(**dict(zip(MODULES, tree))), MEMBERSHIP_SEED) for tree in trees
+    }
+    return [lambda *tree, op=op: partial(workloads[tree].run, op) for op in workloads[trees[0]].ops]
 
 
 def report(what: str, roots: list[Path], measured: tuple[list[float], list[list[float]]]) -> None:
@@ -197,6 +217,12 @@ def main(argv: list[str] | None = None) -> int:
         f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima {within}",
         roots,
         in_process(trees, [verify_op(target) for target in VERIFY_TARGETS], args.passes),
+    )
+    ops = membership_ops(trees)
+    report(
+        f"membership on its {len(ops)} ops (seed {MEMBERSHIP_SEED}), sum of per-op minima {within}",
+        roots,
+        in_process(trees, ops, args.passes),
     )
 
     if args.big_runs > 0:

@@ -289,13 +289,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# 399165290221 * 798330580441, the least composite that `_is_prime` calls prime
+_PSI12 = 318665857834031151167461
+
+
 def _factor_int(n: int) -> dict[int, int]:
+    """Trial division.  Past d = 1000 it stops once the cofactor n is
+    prime by `_is_prime`, tested each time n changes, but only below
+    _PSI12, where that test is exact; a larger cofactor is divided on."""
     out: dict[int, int] = {}
-    d = 2
+    d, tested = 2, 1
     while d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
+        if d > 1000 and n != tested:
+            if n < _PSI12 and _is_prime(n):
+                break
+            tested = n
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1

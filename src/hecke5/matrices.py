@@ -157,15 +157,29 @@ def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
 
 
 def is_member(m: Mat2) -> bool:
-    """Membership in the Hecke group: det 1 and both columns reduced, that
-    is, each column (a, b)^T has reduced factor 0, so it already occurs as
-    a column of a group element."""
+    """Membership in the Hecke group: det 1, the first column reduced, and
+    its quotients, replayed on the second column, ending in LZ.
+
+    The reduction of the first column (a, c) with e = 0 spells the group
+    element X, the product of T^q S^-1 over its quotients, with
+    X^-1 (a, c)^T = (g, 0)^T, g = +-1.  Each step maps a column (x, z) to
+    (z, qLz - x), so the replay on the second column gives X^-1 m =
+    [[g, y], [0, g]] (det 1 forces the corner), y the final x.
+    (<=) if y = nL, then m = X * g * T^(gn) is in the group, since
+    -I = S^2 is.  (=>) if m is in the group, so is X^-1 m, which fixes
+    infinity; the stabilizer of infinity in the group is +-<T> (Hecke
+    1936), so y is in LZ.  A det-1 matrix has coprime columns, so the
+    reduction cannot raise.
+    """
     if m.det() != ONE:
         return False
-    try:
-        return reduce_fraction(m.a11, m.a21).e == 0 and reduce_fraction(m.a12, m.a22).e == 0
-    except NotCoprimeError:
+    rr = reduce_fraction(m.a11, m.a21)
+    if rr.e != 0:
         return False
+    x0, x1, z0, z1 = m.a12.a, m.a12.b, m.a22.a, m.a22.b  # x = x0 + x1 L, z = z0 + z1 L
+    for q in rr.quotients:
+        x0, x1, z0, z1 = z0, z1, q * z1 - x0, q * (z0 + z1) - x1
+    return x0 == 0
 
 
 def complete_column(a: GoldenInt, c: GoldenInt) -> Mat2:

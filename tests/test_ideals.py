@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from functools import reduce
 from itertools import combinations
@@ -9,6 +10,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke5 import ideals
 from hecke5.golden import GoldenInt, LAMBDA, gcd_pseudo, lambda_power
 from hecke5.ideals import (
     IdealHNF,
@@ -294,6 +296,16 @@ class TestFactorIdeal:
             (1000000007, 1, 2)
         ]
 
+    def test_inert_prime_near_10_to_15_is_factored_at_once(self):
+        # trial division to sqrt(10^15 + 37) took about 2 s; the prime
+        # cofactor now ends it once d passes 1000
+        start = time.perf_counter()
+        factors = factor_ideal(ideal_from_generator(10**15 + 37))
+        assert time.perf_counter() - start < 1
+        assert [(f.rational_prime, f.exponent, f.residue_degree) for f in factors] == [
+            (10**15 + 37, 1, 2)
+        ]
+
     @given(nonzero_elements)
     @settings(max_examples=60, deadline=None)
     def test_reconstruction(self, g):
@@ -307,6 +319,51 @@ class TestFactorIdeal:
         assert ideal.norm == 1 or all(
             f.prime.norm > 1 for f in factors
         )
+
+
+class TestFactorInt:
+    def test_psi12_is_the_bound_of_the_prime_test(self):
+        # the least composite that passes the twelve Miller-Rabin bases
+        assert ideals._PSI12 == 399165290221 * 798330580441
+        assert ideals._is_prime(ideals._PSI12) and not sympy.isprime(ideals._PSI12)
+
+    def test_matches_sympy_on_large_prime_cofactors(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            smooth = math.prod(rng.choice((2, 3, 5, 7, 997, 1009, 65537)) for _ in range(rng.randint(0, 6)))
+            middle = sympy.prevprime(rng.randint(1001, 10**5)) if rng.random() < 0.5 else 1
+            big = sympy.prevprime(rng.randint(10**6, 10**20))
+            n = smooth * middle * big
+            assert ideals._factor_int(n) == sympy.factorint(n), n
+
+    def test_matches_sympy_below_10_to_7(self):
+        rng = random.Random(20261020)
+        for n in [*range(1, 2000), *(rng.randint(2000, 10**7) for _ in range(2000))]:
+            assert ideals._factor_int(n) == sympy.factorint(n), n
+
+    def test_no_cofactor_at_or_above_psi12_is_tested(self, monkeypatch):
+        # a prime test that says yes to everything: the exit it allows
+        # may be taken only below the bound; with the bound lowered to the
+        # prime p, 1009 * p keeps dividing past d = 1009 and finds p itself
+        asked = []
+        monkeypatch.setattr(ideals, "_is_prime", lambda n: asked.append(n) or True)
+        n = 1009**7 * 1013 * 1019 * 1021  # above the bound until 1009 is out
+        assert n > ideals._PSI12
+        assert ideals._factor_int(n) == {1009: 7, 1013 * 1019 * 1021: 1}
+        assert asked == [1013 * 1019 * 1021]
+        p = 10000019
+        monkeypatch.setattr(ideals, "_PSI12", p)
+        asked.clear()
+        assert ideals._factor_int(1009 * p) == {1009: 1, p: 1} == sympy.factorint(1009 * p)
+        assert asked == []
+        assert ideals._factor_int(1009 * 1013 * 9999991) == {1009: 1, 1013: 1, 9999991: 1}
+        assert asked == [9999991]
+
+    def test_no_prime_test_below_d_1000(self, monkeypatch):
+        # norms below 10^6 are trial-divided as before, with no prime test
+        monkeypatch.setattr(ideals, "_is_prime", lambda n: pytest.fail(f"prime test on {n}"))
+        for n in (999983, 997 * 991, 2**19, 10**6 - 1):
+            assert ideals._factor_int(n) == sympy.factorint(n)
 
 
 class TestIdealsUpTo:

@@ -222,6 +222,25 @@ class TestMembership:
             m = Mat2(lambda_power(k), ZERO, ZERO, lambda_power(-k)) * eval_word(word)
             assert is_member(m) is (k == 0), (word, k)
 
+    def test_second_column_criterion(self):
+        # X [[g, y], [0, g]] for a member X and g = +-1 is a member exactly
+        # when y is in LZ (the stabilizer of infinity is +-<T>), exactly
+        # when its second column is reduced.  Its first column, g times
+        # X's, is reduced either way, so the y outside LZ are the
+        # non-members that only the second column rejects.
+        rng = random.Random(20261019)
+        outside = 0
+        for _ in range(400):
+            x = eval_word(random_word(rng))
+            g = rng.choice((ONE, -ONE))
+            y = GoldenInt(rng.randint(-3, 3), rng.randint(-3, 3))
+            m = x * Mat2(g, y, ZERO, g)
+            assert reduce_fraction(m.a11, m.a21).e == 0
+            second_reduced = reduce_fraction(m.a12, m.a22).e == 0
+            assert is_member(m) is (y.a == 0) is second_reduced, (m, y)
+            outside += y.a != 0
+        assert outside > 300
+
 
 class TestCompleteColumn:
     def test_first_column_and_membership(self):

@@ -85,9 +85,9 @@ def test_index_survey_ends_quietly_when_stdout_closes():
 
 
 def test_chain_timing_runs_on_this_checkout():
-    # one in-process pass over the enumerate levels and over the verify
-    # targets, no fresh (2+L)^8 run; the script loads this checkout's
-    # package from the root it is given
+    # one in-process pass over the enumerate levels, the verify targets
+    # and the membership ops, no fresh (2+L)^8 run; the script loads this
+    # checkout's package from the root it is given
     root = SCRIPTS.parent
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
@@ -96,11 +96,14 @@ def test_chain_timing_runs_on_this_checkout():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    chain_header, chain_line, verify_header, verify_line, *rest = proc.stdout.splitlines()
+    chain_header, chain_line, verify_header, verify_line, member_header, member_line, *rest = (
+        proc.stdout.splitlines()
+    )
     assert chain_header.startswith("Chain on the 27 enumerate levels")
     assert verify_header.startswith("verify on its 4 targets")
+    assert member_header.startswith("membership on its 1000 ops (seed 1)")
     assert rest == []
-    for line in (chain_line, verify_line):
+    for line in (chain_line, verify_line, member_line):
         assert line.strip().startswith(f"{root}: ") and line.endswith("ms  (1.000 of the first)")
 
 
