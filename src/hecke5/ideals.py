@@ -9,8 +9,8 @@ An ideal A is also its own residue ring Z[L]/A: a residue is the pair
 (x, y), 0 <= x < d1 and 0 <= y < d2, standing for x + yL, that
 `IdealHNF.reduce_pair` gives.  There is no other form of a residue.
 The ring's arithmetic on residues and on 2x2 matrices of them is
-`IdealHNF.residue_ops`, built on first read and kept by the ideal, as
-its factorization is.
+`IdealHNF.residue_ops`, four functions (`mul`, `dot`, `matmul`, `adj`)
+built on first read and kept by the ideal, as its factorization is.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class IdealHNF:
 
     def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
         """The residue (x, y) of a + bL: subtract the row (d1, k) q times to
-        bring a into [0, d1), then reduce mod d2.  `residue_ops` is the
-        one inlined copy."""
+        bring a into [0, d1), then reduce mod d2."""
         q = a // self.d1
         return a - q * self.d1, (b - q * self.k) % self.d2
 
@@ -74,19 +73,14 @@ class IdealHNF:
 
 def _residue_ops(m: IdealHNF) -> tuple:
     """The one arithmetic of O/m, built once per level as
-    `IdealHNF.residue_ops`, on residues (x, y) = x + yL with L^2 = L + 1
-    and `reduce_pair` inlined: `red(x, y)`, the
-    residue of x + yL; `mul(x, y)`, the product xy; `dot(x, y, z, w)`,
+    `IdealHNF.residue_ops`, on residues (x, y) = x + yL with L^2 = L + 1,
+    four functions: `mul(x, y)`, the product xy; `dot(x, y, z, w)`,
     xy + zw, an entry of a matrix product; and on matrices as flat
     8-tuples of their entries' pairs, row-major (`Key`), `matmul(x, y)`,
     the product xy, and `adj(x)`, the adjugate [[d, -b], [-c, a]] of
     x = [[a, b], [c, d]], its inverse when det x = 1.  The operands are
-    any integers; the results are reduced."""
+    any integers; the results are reduced as `reduce_pair` reduces."""
     d1, k, d2 = m.d1, m.k, m.d2
-
-    def red(x: int, y: int) -> Pair:
-        q = x // d1
-        return x - q * d1, (y - q * k) % d2
 
     def mul(x: Pair, y: Pair) -> Pair:
         x0, x1 = x
@@ -140,7 +134,7 @@ def _residue_ops(m: IdealHNF) -> tuple:
             (p1 - qp * k) % d2,
         )
 
-    return red, mul, dot, matmul, adj
+    return mul, dot, matmul, adj
 
 
 def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -263,20 +257,24 @@ class PrimeFactor:
         return g
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the twelve prime bases up to 37: deterministic only
-    below about 3.18 * 10^23 (Sorenson & Webster, "Strong pseudoprimes to
-    twelve prime bases", Math. Comp. 86 (2017)), probable-prime above."""
+    """A screen by the twelve primes up to 37, then Miller-Rabin to the
+    same bases (`_MR_BASES`): deterministic only below about 3.18 * 10^23
+    (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+    Math. Comp. 86 (2017)), probable-prime above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

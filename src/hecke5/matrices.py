@@ -77,7 +77,6 @@ class Mat2:
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 S = Mat2(ZERO, ONE, -ONE, ZERO)
 T = Mat2(ONE, LAMBDA, ZERO, ONE)
-S_INV = Mat2(ZERO, -ONE, ONE, ZERO)
 
 # a letter as the step (q, r) of `_column_product`: T^q, then S^r
 _STEPS = {"S": (0, 1), "s": (0, -1), "T": (1, 0), "t": (-1, 0)}
@@ -201,7 +200,7 @@ def parabolic_conjugate(a: GoldenInt, c: GoldenInt, m: int) -> Mat2:
     off-identity entry is divisible by m.
     """
     x = complete_column(a, c)
-    out = x * Mat2(ONE, GoldenInt(0, m), ZERO, ONE) * x.inverse()
+    out = x * translation(m) * x.inverse()
     ml = GoldenInt(0, m)
     expected = Mat2(
         ONE - a * c * ml, a * a * ml, -(c * c) * ml, ONE + a * c * ml

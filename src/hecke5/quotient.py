@@ -94,9 +94,8 @@ def _unpack(level: IdealHNF, packed: int) -> Key:
 
 def _det(level: IdealHNF, key: Key) -> Pair:
     """The reduced pair of the determinant of a `Key`, ad - bc."""
-    red, _, dot, *_ = level.residue_ops
     a, b, c, d, e, f, g, h = key
-    return dot((a, b), (g, h), red(-c, -d), (e, f))
+    return level.residue_ops[1]((a, b), (g, h), (-c, -d), (e, f))
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class ResMat:
         return cls(level, key)  # type: ignore[arg-type]
 
     def __mul__(self, other: ResMat) -> ResMat:
-        return ResMat(self.level, self.level.residue_ops[3](self.key, other.key))
+        return ResMat(self.level, self.level.residue_ops[2](self.key, other.key))
 
     def __pow__(self, n: int) -> ResMat:
         return power(self if n >= 0 else self.inverse(), abs(n), ResMat.identity(self.level))
@@ -126,7 +125,7 @@ class ResMat:
             raise ValueError(
                 f"det {format_element(GoldenInt(*det))} is not 1: the adjugate is no inverse"
             )
-        return ResMat(self.level, self.level.residue_ops[4](self.key))
+        return ResMat(self.level, self.level.residue_ops[3](self.key))
 
     @classmethod
     def identity(cls, level: IdealHNF) -> ResMat:
@@ -155,9 +154,10 @@ def _line_form(power_ideal: IdealHNF) -> Callable[[Pair, Pair], int]:
     N(P^e) by the builtin `pow`.  A residue y reduced mod P^e is a unit
     exactly when N(y) is prime to N(P^e), which a `gcd` decides before
     any inverse is taken: at a split P a non-unit is zL, of norm -z^2;
-    else P is its own conjugate.  The residue arithmetic is inlined, one
-    reduction of the divisor and one of the product.  `power_ideal` is
-    P^e, as `PrimeFactor.power` keeps it."""
+    else P is its own conjugate.  The arithmetic is inlined, not called
+    (`reduce_pair`, `mul`), as it runs on every edge of every chain walk:
+    one reduction of the divisor and one of the product.  `power_ideal`
+    is P^e, as `PrimeFactor.power` keeps it."""
     n, d1, k, d2 = power_ideal.norm, power_ideal.d1, power_ideal.k, power_ideal.d2
 
     def line_form(a: Pair, c: Pair) -> int:
@@ -200,8 +200,8 @@ class _LineStabilizer:
 
     def __init__(self, level: IdealHNF, cap: int):
         self.level, self.cap = level, cap
-        self.red, self.mul, self.dot, *_ = level.residue_ops
-        one = self.red(1, 0)
+        self.mul, self.dot, *_ = level.residue_ops
+        one = level.reduce_pair(1, 0)
         self.lifts: dict[Pair, tuple[Pair, Pair]] = {one: ((0, 0), one)}
         self.chosen: list[tuple[Pair, Pair, Pair]] = []
         self.lattice = (level.d1, level.k, level.d2)  # K's HNF triple
@@ -327,8 +327,7 @@ class Chain:
         if level.norm < 2:
             raise ValueError("level must be a proper ideal (norm >= 2)")
         self.level, self.cap = level, cap
-        red = level.residue_ops[0]
-        self.one = one = red(1, 0)
+        self.one = one = level.reduce_pair(1, 0)
         forms = [_line_form(pf.power) for pf in level.factors]
         radix = 2 * level.norm
 
@@ -349,7 +348,7 @@ class Chain:
         # each g with g^2 = +-I, by its place in gen_keys -> whether an edge
         # back along it has been walked (see the class docstring)
         self.walked_back: dict[int, bool] = {}
-        identity, minus_one = (*one, 0, 0, 0, 0, *one), red(-1, 0)
+        identity, minus_one = (*one, 0, 0, 0, 0, *one), level.reduce_pair(-1, 0)
         self.plus_minus_one = (identity, (*minus_one, 0, 0, 0, 0, *minus_one))
         self.transversal = {line_key(one, (0, 0)): identity}  # line key -> t
         self.queue = [identity]
@@ -361,7 +360,7 @@ class Chain:
         """Add the generators, walking only the edges not walked yet: the
         chain becomes that of all it has (see the class docstring)."""
         level = self.level
-        _, _, dot, matmul, _ = level.residue_ops
+        _, dot, matmul, _ = level.residue_ops
         for g in gen_keys:
             if _det(level, g) != self.one:
                 raise ValueError(f"generator {g} has a determinant other than 1")
@@ -431,7 +430,7 @@ class Chain:
         t = self.transversal.get(self.line_key(g[0:2], g[4:6]))
         if t is None:
             return False
-        _, _, _, matmul, adj = level.residue_ops
+        _, _, matmul, adj = level.residue_ops
         x = matmul(adj(t), g)
         u = x[0:2]
         return u in units.lifts and units.in_lattice(units.translation(u, x[2:4]))
@@ -440,11 +439,11 @@ class Chain:
         """Each element once, as t lift(u) [[1, x], [0, 1]], the
         lines varying fastest, then the units, then the translations."""
         level = self.level
-        red, _, dot, matmul, _ = level.residue_ops
+        _, dot, matmul, _ = level.residue_ops
         f1, fk, f2 = self.units.lattice
         # K mod the level: x = i (f1, fk) + j (0, f2), i < d1 / f1, j < d2 / f2
         ij = [(i, j) for i in range(level.d1 // f1) for j in range(level.d2 // f2)]
-        for x in (red(i * f1, i * fk + j * f2) for i, j in ij):
+        for x in (level.reduce_pair(i * f1, i * fk + j * f2) for i, j in ij):
             for u, (lift_b, u_inv) in self.units.lifts.items():
                 # lift(u) [[1, x], [0, 1]] = [[u, u x + b_u], [0, u^-1]]
                 h = (*u, *dot(u, x, lift_b, self.one), 0, 0, *u_inv)
@@ -514,7 +513,7 @@ def semigroup_closure(
     distinct row met, so it holds at most two rows per element and never
     an entry per residue of the level.
     """
-    dot = level.residue_ops[2]
+    dot = level.residue_ops[1]
     n, d2 = level.norm, level.d2
     n2 = n * n
     gens = [(g[0:2], g[2:4], g[4:6], g[6:8]) for g in gen_keys]
@@ -558,12 +557,12 @@ def semigroup_closure(
     return predecessor
 
 
-def subgroup_generated(group: Chain, gens: list[ResMat]) -> Chain:
-    """The chain of the generators, each of which must sift into `group`."""
-    for g in gens:
-        if g.key not in group:
-            raise ValueError(f"generator {g.key} is not in the quotient")
-    return Chain(group.level, gen_keys=[g.key for g in gens])
+def subgroup_generated(group: Chain, gen_keys: list[Key]) -> Chain:
+    """The chain of the generator `Key`s, each of which must sift into `group`."""
+    for g in gen_keys:
+        if g not in group:
+            raise ValueError(f"generator {g} is not in the quotient")
+    return Chain(group.level, gen_keys=gen_keys)
 
 
 def power_subgroup(group: Chain, k: int) -> Chain:

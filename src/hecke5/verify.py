@@ -18,7 +18,6 @@ from .matrices import (
     IDENTITY,
     Mat2,
     S,
-    S_INV,
     T,
     is_member,
     parabolic_conjugate,
@@ -90,7 +89,7 @@ def _delta_matrices() -> tuple[Mat2, Mat2, Mat2]:
     """Three elements of the level-(L+2) subgroup whose images generate
     the kernel of the map from the level-5 quotient down to level (L+2)."""
     a = (T ** -2) * SAMPLE_MATRICES[3]
-    b = S * a * S_INV
+    b = S * a * S.inverse()
     c = J * a * J
     return a, b, c
 
@@ -289,8 +288,8 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     level = ideal_from_generator(5)
     group = Chain(level, cap)
     report.add("quotient-order", group.order, 15000)
-    delta = [ResMat.from_mat2(level, m) for m in _delta_matrices()]
-    inside = all(d.key in group for d in delta)
+    delta = [ResMat.from_mat2(level, m).key for m in _delta_matrices()]
+    inside = all(d in group for d in delta)
     report.add_bool("delta-in-quotient", inside)
     if not inside:
         # the checks below are of the subgroup that delta generates in it
@@ -298,19 +297,14 @@ def verify_level5_structure(cap: int = DEFAULT_CAP) -> VerificationReport:
     sub = subgroup_generated(group, delta)
     report.add("delta-subgroup-order", sub.order, 125)
     report.add_bool("delta-subgroup-normal", is_normal(sub))
-    keys = [d.key for d in delta]
-    report.add_bool("delta-subgroup-elementary-abelian", elementary_abelian(level, keys, 5))
+    report.add_bool("delta-subgroup-elementary-abelian", elementary_abelian(level, delta, 5))
     # an index is exact: a subgroup order that does not divide the group
     # order fails the check with its fraction as the witness
     report.add("quotient-by-delta", Fraction(group.order, sub.order), 120)
     fifth = power_subgroup(group, 5)
     report.add("fifth-power-subgroup-index", Fraction(group.order, fifth.order), 1)
-    s_img = ResMat.from_mat2(level, S)
-    t5_img = ResMat.from_mat2(level, T**5)
-    report.add_bool(
-        "S-and-T5-in-fifth-powers",
-        s_img.key in fifth and t5_img.key in fifth,
-    )
+    in_fifth = all(ResMat.from_mat2(level, m).key in fifth for m in (S, T**5))
+    report.add_bool("S-and-T5-in-fifth-powers", in_fifth)
     return report
 
 
@@ -336,12 +330,11 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     # sifted into the quotient's chain, whose orbit of e1 has 80 points:
     # a cap below that stops the run here
     q4 = Chain(level4, cap)
-    imgs = [ResMat.from_mat2(level4, m) for m in LEVEL2_GENERATORS]
-    outside = [g.key for g in imgs if g.key not in q4]
+    imgs = [ResMat.from_mat2(level4, m).key for m in LEVEL2_GENERATORS]
+    outside = [g for g in imgs if g not in q4]
     order = f"generator {outside[0]} not in the quotient" if outside else subgroup_generated(q4, imgs).order
     report.add("level2-generators-mod4-order", order, 16)
-    keys = [g.key for g in imgs]
-    report.add_bool("level2-generators-mod4-exponent-2", elementary_abelian(level4, keys, 2))
+    report.add_bool("level2-generators-mod4-exponent-2", elementary_abelian(level4, imgs, 2))
 
     # sample matrices: three are members; the third has det -L and its
     # unit-corrected det-1 variant is a member
@@ -356,13 +349,9 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
             f"translations-{aa}-{bb}-members",
             is_member(translation(aa)) and is_member(translation(bb)),
         )
-        # m*aa + n*bb = 1 by scanning small combinations
-        m, n = next(
-            (m, n)
-            for m in range(-bb, bb + 1)
-            for n in range(-aa, aa + 1)
-            if m * aa + n * bb == 1
-        )
+        # m*aa + n*bb = 1, m the inverse of aa mod bb
+        m = pow(aa, -1, bb)
+        n = (1 - m * aa) // bb
         report.add(
             f"T-from-translations-{aa}-{bb}",
             str(translation(aa) ** m * translation(bb) ** n),

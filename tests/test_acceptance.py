@@ -128,7 +128,7 @@ class TestCriterion4InhomogeneousIndices:
         two, four = ideal_from_generator(2), ideal_from_generator(4)
         g2, g4 = index_g(two, Chain(two).order), index_g(four, Chain(four).order)
         assert g2 == 10
-        imgs = [ResMat.from_mat2(four, m) for m in LEVEL2_GENERATORS]
+        imgs = [ResMat.from_mat2(four, m).key for m in LEVEL2_GENERATORS]
         order_mod4 = subgroup_generated(Chain(four), imgs).order
         assert order_mod4 == 16
         # [G(2):G(4)] = [G:G(4)] / [G:G(2)] also gives 16

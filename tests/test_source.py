@@ -261,3 +261,20 @@ def test_every_name_has_a_caller():
                 and not outside[name]
             ]
     assert found == []
+
+
+def test_every_import_is_read():
+    # every name a package module or a script imports is read in that
+    # module, so a deletion leaves no import behind (`__future__` aside)
+    root = PACKAGE.parents[1]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((root / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                found += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert found == []
