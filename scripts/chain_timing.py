@@ -38,7 +38,8 @@ between invocations far more than two trees differ, so the same tree's
 sum can move by half from one invocation to the next.
 
 --passes reads a positive integer as `hecke5 --cap` does
-(`cli.positive_int`), and a negative --big-runs is a usage error (exit 2).
+(`cli.positive_int`), --big-runs an integer in the same grammar
+(`golden.parse_int`); a negative --big-runs is a usage error (exit 2).
 
 Example, a parent commit against the working tree:
     git archive HEAD~1 --prefix=parent/ | tar -x -C /tmp
@@ -63,6 +64,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 from hecke5.cli import positive_int  # noqa: E402
+from hecke5.golden import parse_int  # noqa: E402
 from workloads import LEVELS, VERIFY_TARGETS, Membership  # noqa: E402
 
 # run in a child with the checkout's src first on sys.path
@@ -197,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="+", type=Path, help="checkout roots, each with src/hecke5")
     parser.add_argument("--passes", type=positive_int, default=20, help="in-process passes over the levels")
-    parser.add_argument("--big-runs", type=int, default=1, help="rounds of fresh (2+L)^8 runs, after a warm-up")
+    parser.add_argument("--big-runs", type=parse_int, default=1, help="rounds of fresh (2+L)^8 runs, after a warm-up")
     args = parser.parse_args(argv)
     if args.big_runs < 0:
         parser.error("argument --big-runs: a count of rounds, 0 or more")

@@ -79,8 +79,11 @@ def _residue_ops(m: IdealHNF) -> tuple:
     8-tuples of their entries' pairs, row-major (`Key`), `matmul(x, y)`,
     the product xy, and `adj(x)`, the adjugate [[d, -b], [-c, a]] of
     x = [[a, b], [c, d]], its inverse when det x = 1.  The operands are
-    any integers; the results are reduced as `reduce_pair` reduces."""
+    any integers; the results are reduced as `reduce_pair` reduces: `adj`,
+    run only in sifts and inverses, calls it, and the other three, run on
+    every edge of a walk, inline it in the product."""
     d1, k, d2 = m.d1, m.k, m.d2
+    red = m.reduce_pair
 
     def mul(x: Pair, y: Pair) -> Pair:
         x0, x1 = x
@@ -122,61 +125,29 @@ def _residue_ops(m: IdealHNF) -> tuple:
 
     def adj(x: Key) -> Key:
         p0, p1, q0, q1, r0, r1, s0, s1 = x
-        qp, qq, qr, qs = p0 // d1, -q0 // d1, -r0 // d1, s0 // d1
-        return (
-            s0 - qs * d1,
-            (s1 - qs * k) % d2,
-            -q0 - qq * d1,
-            (-q1 - qq * k) % d2,
-            -r0 - qr * d1,
-            (-r1 - qr * k) % d2,
-            p0 - qp * d1,
-            (p1 - qp * k) % d2,
-        )
+        return (*red(s0, s1), *red(-q0, -q1), *red(-r0, -r1), *red(p0, p1))
 
     return mul, dot, matmul, adj
 
 
 def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """HNF (d1, k, d2) of a full-rank row lattice in Z^2.
-
-    The lattice is spanned by (d1, k) and (0, d2), with d1, d2 > 0 and
-    0 <= k < d2, and has determinant d1 * d2.  It need not be an ideal.
-    """
-    r1 = (0, 0)
-    for row in rows:
-        if row == (0, 0):
-            continue
-        g, u, v = _xgcd(r1[0], row[0])
-        if g == 0:
-            # both first coordinates vanish; fold into the y pool later
-            continue
-        r1 = (g, u * r1[1] + v * row[1])
-    d1 = r1[0]
-    if d1 == 0:
+    """HNF (d1, k, d2) of a full-rank row lattice in Z^2, spanned by
+    (d1, k) and (0, d2), d1, d2 > 0 and 0 <= k < d2, of determinant
+    d1 * d2; it need not be an ideal.  One Euclid pass (Cohen, "A Course
+    in Computational Algebraic Number Theory", 1993, 2.4.3) folds each row
+    (x, y) into a basis (a, b), (0, c): Euclid's steps on a and x, each
+    unimodular, so the span is kept, until x = 0; then c = gcd(c, y)."""
+    a = b = c = 0
+    for x, y in rows:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        c = math.gcd(c, y)
+    if a == 0 or c == 0:
         raise ValueError("lattice is not of full rank")
-    ys = [row[1] - (row[0] // d1) * r1[1] for row in rows]
-    d2 = 0
-    for y in ys:
-        d2 = math.gcd(d2, y)
-    if d2 == 0:
-        raise ValueError("lattice is not of full rank")
-    return d1, r1[1] % d2, d2
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
+    if a < 0:
+        a, b = -a, -b
+    return a, b % c, c
 
 
 def ideal_from_generator(g: GoldenInt | int) -> IdealHNF:

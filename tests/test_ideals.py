@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke5 import ideals
@@ -106,6 +106,10 @@ class TestLatticeHNF:
             lattice_hnf([(0, 3), (0, 5)])
 
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=6))
+    @example([(10**30 + 7, -(10**30) + 3), (-(10**30) + 1, 10**30 - 11), (3 * 10**29, 10**30 + 1)])
+    @example([(-6, 4), (-10, -3), (-15, 7)])
+    @example([(0, 0), (4, 6), (0, 0), (6, 1)])
+    @example([(2 * (10**30 + 3), -4 * (10**30 - 1)), (-3 * (10**30 + 3), 6 * (10**30 - 1))])
     @settings(max_examples=300)
     def test_spans_the_same_lattice(self, rows):
         # the determinant of the span is the gcd of the 2x2 minors

@@ -56,11 +56,13 @@ def test_index_survey_reads_integers_like_the_cli(option, value):
         (["--passes", "-3"], "argument --passes: invalid positive_int value"),
         (["--passes", "1_0"], "argument --passes: invalid positive_int value"),
         (["--big-runs", "-1"], "argument --big-runs: a count of rounds, 0 or more"),
+        (["--big-runs", "1_0"], "argument --big-runs: invalid parse_int value"),
+        (["--big-runs", "\u0663"], "argument --big-runs: invalid parse_int value"),
     ],
 )
 def test_chain_timing_reads_counts_like_the_cli(args, message):
-    # --passes through cli.positive_int; --big-runs 0 means no fresh run,
-    # below it is a usage error
+    # --passes through cli.positive_int, --big-runs through golden.parse_int;
+    # --big-runs 0 means no fresh run, below it is a usage error
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(SCRIPTS.parent), *args],
         capture_output=True,

@@ -180,6 +180,40 @@ def test_one_root_of_five():
     assert helper and found == []
 
 
+def test_one_reduction():
+    # a residue is reduced by IdealHNF.reduce_pair; only the products that
+    # run on every edge of a walk inline that reduction, fused with the
+    # product: `_residue_ops`' mul, dot and matmul, and quotient._line_form.
+    # So a floor division by d1 appears only in those five functions
+    allowed = {
+        ("ideals.py", "IdealHNF", "reduce_pair"),
+        ("ideals.py", "_residue_ops", "mul"),
+        ("ideals.py", "_residue_ops", "dot"),
+        ("ideals.py", "_residue_ops", "matmul"),
+        ("quotient.py", "_line_form", None),
+    }
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for f in tree.body:
+            for g in [f, *getattr(f, "body", [])]:
+                scope = (path.name, getattr(f, "name", None), None if g is f else getattr(g, "name", None))
+                if scope in allowed:
+                    seen.add(scope)
+                    inside.update(id(node) for node in ast.walk(g))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+                divisor = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv):
+                divisor = node.value
+            else:
+                continue
+            if "d1" in (getattr(divisor, "id", None), getattr(divisor, "attr", None)) and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert seen == allowed and found == []
+
+
 def test_the_packed_form_stays_in_the_closure():
     # a residue matrix is its Key at every interface; the packed int is
     # the closure's storage, so `_pack` and `_unpack` are named (read,
