@@ -2,7 +2,7 @@
 """Time the stabilizer chain (`hecke5.quotient.Chain`), the verifiers
 and the membership test of one or more checkouts against each other.
 
-Four measures, each per checkout root given:
+Four measures and one count, each per checkout root given:
 
 - in process: the 27 levels of the `enumerate` benchmark workload
   (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
@@ -13,6 +13,11 @@ Four measures, each per checkout root given:
   and for each checkout after the first, in how many passes its pass
   total (the sum of its times in that pass) was lower than the first
   checkout's ("lower in k of n");
+- the work those 27 chains do, as the calls of their line forms
+  (`quotient._line_form`): one per prime power of the level for each
+  line key, the key of <e1> and one per edge walked.  Unlike the
+  timings it does not drift with the machine.  The checkout's
+  `_line_form` is patched only while the chains are built;
 - in process, the same way: the four targets of the `verify` benchmark
   workload (`bench/workloads.py`, VERIFY_TARGETS), each run through
   `hecke5.verify.VERIFIERS` at the default cap, reported as the sum
@@ -126,6 +131,31 @@ def chain_op(hnf: tuple[int, int, int]):
     return lambda quotient, ideals, *_: partial(quotient.Chain, ideals.IdealHNF(*hnf))
 
 
+def line_form_calls(quotient, ideals, *_) -> int:
+    """The calls of the line forms that `Chain` makes on the enumerate
+    levels, with the checkout's `_line_form` restored after."""
+    calls = 0
+    line_form = quotient._line_form
+
+    def counted_form(power_ideal):
+        form = line_form(power_ideal)
+
+        def counted(a, c):
+            nonlocal calls
+            calls += 1
+            return form(a, c)
+
+        return counted
+
+    quotient._line_form = counted_form
+    try:
+        for hnf in LEVELS:
+            quotient.Chain(ideals.IdealHNF(*hnf))
+    finally:
+        quotient._line_form = line_form
+    return calls
+
+
 def verify_op(target: str):
     return lambda quotient, ideals, verify, *_: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
 
@@ -215,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         roots,
         in_process(trees, [chain_op(hnf) for hnf in LEVELS], args.passes),
     )
+    print(f"line-form calls of the {len(LEVELS)} enumerate chains, a work count the same on any machine:")
+    for root, tree in zip(roots, trees):
+        print(f"  {root}: {line_form_calls(*tree):,}")
     report(
         f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima {within}",
         roots,

@@ -22,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .formula import index_formula
@@ -207,7 +206,7 @@ def cmd_verify(args):
     payload = {
         "passed": ok,
         "reports": [
-            {"name": r.name, "passed": r.passed, "checks": [asdict(c) for c in r.checks]}
+            {"name": r.name, "passed": r.passed, "checks": [vars(c) for c in r.checks]}
             for r in reports
         ],
     }

@@ -295,18 +295,15 @@ class Chain:
       Once |U'| = phi(A) and K's lattice is (1, 0, 1), every translation,
       |G0| = |U'| |K| = |B|, so G0 = B: a later Schreier generator lies
       in G0 already and changes neither U' nor K, and is not computed.
-      Once also all prod N(P)^(e-1) (N(P) + 1) lines of P^1(O/A) are
-      reached, no edge can add a line, and the walk ends, its state the
-      same as that of the whole walk.
     - Extension.  `extend(gen_keys)` adds generators, and `__init__`
       extends the chain of no generator, the line <e1> alone, by its
-      own: there is one walk.  Each new generator walks the lines walked
-      so far, and every generator walks each line not walked yet, in the
+      own: there is one walk, and it ends only when its queue does.
+      Each new generator walks every line found so far, and every
+      generator walks each line found during the extension, in the
       order found, so each (line, generator) edge is walked once, and
       from scratch this is the breadth-first walk.  U' and K only grow:
       a Schreier generator of G0 stays one as G grows.  The early stop
-      holds: G0 lies in B whatever G is, and once every line is reached
-      none can be added, so an extension after it walks no edge.
+      holds: G0 lies in B whatever G is.
       `translations()` closes K's lattice under u^2 for the chosen u;
       closing again after more sifts gives the closure of all of them,
       the K of all the generators.
@@ -339,10 +336,9 @@ class Chain:
 
         self.line_key = line_key
         self.units = _LineStabilizer(level, cap)
-        # phi(A) = |(O/A)^x| and the lines of P^1(O/A): G0 is the Borel
-        # group once |U'| = phi(A) and K is every translation (the early stop)
+        # phi(A) = |(O/A)^x|: G0 is the Borel group once |U'| = phi(A)
+        # and K is every translation (the early stop)
         self.phi = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm - 1) for pf in level.factors)
-        self.all_lines = prod(pf.prime.norm ** (pf.exponent - 1) * (pf.prime.norm + 1) for pf in level.factors)
         self.borel = False
         self.gen_keys: list[Key] = []
         # each g with g^2 = +-I, by its place in gen_keys -> whether an edge
@@ -353,7 +349,6 @@ class Chain:
         self.transversal = {line_key(one, (0, 0)): identity}  # line key -> t
         self.queue = [identity]
         self.via = [-1]  # the generator that first reached each line of the queue
-        self.walked = 0  # the lines at the head of the queue every generator walked
         self.extend(_hecke_generators(level) if gen_keys is None else gen_keys)
 
     def extend(self, gen_keys: list[Key]) -> None:
@@ -373,16 +368,13 @@ class Chain:
         every = list(enumerate(gens))
         fresh = every[start:]
         stabilizer, transversal, queue, via = self.units, self.transversal, self.queue, self.via
-        lifts, cap, line_key, phi, all_lines = stabilizer.lifts, self.cap, self.line_key, self.phi, self.all_lines
-        borel, walked = self.borel, self.walked
+        lifts, cap, line_key, phi, borel = stabilizer.lifts, self.cap, self.line_key, self.phi, self.borel
         get, sift = transversal.get, stabilizer.sift
-        # the new generators on each line walked so far, then every
-        # generator on each line after it (see the class docstring)
-        v = 0
-        for t, came in zip(queue, via):
-            if borel and len(queue) == all_lines:
-                break
-            for i, g in fresh if v < walked else every:
+        # the new generators on each line found so far, then every
+        # generator on each line found now (see the class docstring)
+        old = len(queue)
+        for v, (t, came) in enumerate(zip(queue, via)):
+            for i, g in fresh if v < old else every:
                 if i == came and i in walked_back:
                     if walked_back[i]:
                         continue
@@ -412,10 +404,6 @@ class Chain:
                     u_inv = dot((-r0, -r1), (m2, m3), (p0, p1), (m6, m7))
                     stabilizer.add(u, b, u_inv, len(queue))
                 borel = len(lifts) == phi and stabilizer.lattice == (1, 0, 1)
-            v += 1
-        # after the early stop no edge can change the chain, so the lines
-        # left unwalked are never walked
-        self.walked = v
         self.orbit = len(queue) * len(lifts)
         self.stabilizer = stabilizer.translations()
         self.order = self.orbit * self.stabilizer

@@ -65,6 +65,42 @@ def chain_counts(
     return chain.orbit, chain.stabilizer
 
 
+@pytest.fixture
+def line_form_calls(monkeypatch):
+    """The (a, c) of every call of a line form built after the fixture, in
+    order: one per line key at a level with one prime power."""
+    calls = []
+    line_form = quotient_mod._line_form
+
+    def counted_form(power_ideal):
+        form = line_form(power_ideal)
+
+        def counted(a, c):
+            calls.append((a, c))
+            return form(a, c)
+
+        return counted
+
+    monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
+    return calls
+
+
+@pytest.fixture
+def schreier_calls(monkeypatch):
+    """The (u, b) of every sift and `add` into a line stabilizer after the
+    fixture, the chain's or `reference_walk`'s: one per Schreier
+    generator computed, and one per sift of a collision inside `add`."""
+    calls = []
+    for cls, name in ((_LineStabilizer, "sift"), (_LineStabilizer, "add"), (_ReferenceStabilizer, "sift")):
+
+        def counted(self, u, b, *rest, method=getattr(cls, name)):
+            calls.append((u, b))
+            return method(self, u, b, *rest)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestBuildQuotient:
     @pytest.mark.parametrize(
         "gen,order",
@@ -471,31 +507,18 @@ class TestOrbitStabilizer:
         assert exc.value.partial == 2400
         assert str(exc.value).startswith("orbit exceeded cap 2399")
 
-    def test_cap_fires_before_the_walk_ends(self, monkeypatch):
+    def test_cap_fires_before_the_walk_ends(self, line_form_calls):
         # at [1,8,11], lines * |U'| passes 40 when a line is added, not when
         # U' grows: the error comes before every line has been walked.  A
         # line walked is one call of the line form ([1,8,11] is prime)
         level = IdealHNF(1, 8, 11)
-        calls = []
-        line_form = quotient_mod._line_form
-
-        def counted_form(power_ideal):
-            form = line_form(power_ideal)
-
-            def counted(a, c):
-                calls.append((a, c))
-                return form(a, c)
-
-            return counted
-
-        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
         chain_counts(level)
-        full_walk = len(calls)
-        calls.clear()
+        full_walk = len(line_form_calls)
+        line_form_calls.clear()
         with pytest.raises(CapExceededError) as exc:
             chain_counts(level, cap=40)
         assert str(exc.value) == "orbit exceeded cap 40 (partial count 41)"
-        assert len(calls) < full_walk
+        assert len(line_form_calls) < full_walk
 
 
 class TestChainOnAnyGenerators:
@@ -629,26 +652,13 @@ class TestWalkBack:
         assert chain.order == len(closure)
         assert sorted(chain) == sorted(decoded(level, closure))
 
-    def test_the_hecke_walk_skips_edges_back_along_s(self, monkeypatch):
+    def test_the_hecke_walk_skips_edges_back_along_s(self, line_form_calls):
         # at [1,8,11] (prime, so one line form) each edge walked computes
         # one line key, and there are two edges per line: S and T
         level = IdealHNF(1, 8, 11)
-        calls = []
-        line_form = quotient_mod._line_form
-
-        def counted_form(power_ideal):
-            form = line_form(power_ideal)
-
-            def counted(a, c):
-                calls.append((a, c))
-                return form(a, c)
-
-            return counted
-
-        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
         chain = Chain(level)
         assert chain.order == len(build_quotient(level))
-        assert len(calls) < 2 * len(chain.transversal)
+        assert len(line_form_calls) < 2 * len(chain.transversal)
 
 
 class _ReferenceStabilizer(_LineStabilizer):
@@ -662,9 +672,10 @@ class _ReferenceStabilizer(_LineStabilizer):
 def reference_walk(level, gen_keys=None, skip_back=False):
     """The chain's walk with no shortcut: every edge computes its line key,
     and every repeated line the whole product adj(t_w) (g t_v) and a sift
-    or an `add`; the walk ends only when the queue does.  `skip_back`
-    keeps one shortcut, the walk-back skip along an involution (see
-    `Chain`).  Returns (transversal, stabilizer)."""
+    or an `add`, also once G0 is the Borel group, and the sift spans K
+    even once K is every translation.  `skip_back` keeps one shortcut,
+    the walk-back skip along an involution (see `Chain`).  Returns
+    (transversal, stabilizer)."""
     if gen_keys is None:
         gen_keys = [ResMat.from_mat2(level, m).key for m in (S, T)]
     _, _, matmul, adj = _residue_ops(level)
@@ -708,9 +719,9 @@ def reference_walk(level, gen_keys=None, skip_back=False):
 
 class TestEarlyStop:
     """Once G0 is the whole Borel group the walk computes no Schreier
-    generator, and once every line is also reached it ends; K's sift
-    returns at once when K is every translation.  None of it changes the
-    chain's state."""
+    generator, though it still walks every line and ends only when its
+    queue does; K's sift returns at once when K is every translation.
+    Neither changes the chain's state."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -733,30 +744,51 @@ class TestEarlyStop:
         assert (chain.orbit, chain.stabilizer) == (orbit, stabilizer.translations())
         assert chain.units.lattice == stabilizer.lattice
 
-    def test_the_walk_ends_once_its_stabilizer_is_full(self, monkeypatch):
-        # the image at [1,7,41] is all of SL2(F_41): all 42 lines are
-        # reached, and G0 is the Borel group, before the queue is done
+    def test_a_full_stabilizer_ends_the_sifts_not_the_walk(self, line_form_calls, schreier_calls):
+        # the image at [1,7,41] is all of SL2(F_41), and G0 is the Borel
+        # group before the queue is done: the chain walks as many edges as
+        # the walk with only the walk-back skip, but computes fewer
+        # Schreier generators than it, which computes one on every
+        # repeated line (both count the sifts inside `add` alike)
         level = IdealHNF(1, 7, 41)
-        calls = []
-        line_form = quotient_mod._line_form
-
-        def counted_form(power_ideal):
-            form = line_form(power_ideal)
-
-            def counted(a, c):
-                calls.append((a, c))
-                return form(a, c)
-
-            return counted
-
-        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
         chain = Chain(level)
-        stopped = len(calls)
-        calls.clear()
+        walked, computed = len(line_form_calls), len(schreier_calls)
+        line_form_calls.clear()
+        schreier_calls.clear()
         reference_walk(level, skip_back=True)
         assert chain.order == sl2_order(level)
         assert (len(chain.transversal), chain.units.lattice) == (42, (1, 0, 1))
-        assert stopped < len(calls)
+        assert walked == len(line_form_calls) == 71
+        assert computed < len(schreier_calls)
+
+    @pytest.mark.parametrize("level", [level for level in ideals_up_to(60) if len(level.factors) == 1], ids=str)
+    def test_every_line_walks_every_generator_but_the_edges_back(self, level, line_form_calls):
+        # at a prime power a line form call is one edge: the key of the
+        # line <e1>, then each generator on each line, less the edges back
+        # along an involution after the first (`TestWalkBack`); on the
+        # Hecke generators and on three drawn sets, two with a conjugate
+        # of S among them
+        rng = random.Random(level.norm)
+
+        def draw(length):
+            steps = [(rng.random() < 0.5, rng.randrange(10**6)) for _ in range(length)]
+            return TestChainOnAnyGenerators.elementary_product(level, steps)
+
+        s = ResMat.from_mat2(level, S)
+        drawn = []
+        for involution in (False, True, True):
+            keys = [draw(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            if involution:
+                h = ResMat(level, draw(1))
+                keys.insert(rng.randint(0, len(keys)), (h * s * h.inverse()).key)
+            drawn.append(keys)
+        plus_minus_one = {ResMat.identity(level).key, (s * s).key}
+        for keys in (None, *drawn):
+            line_form_calls.clear()
+            chain = Chain(level, gen_keys=keys)
+            squares = [(ResMat(level, g) ** 2).key for g in chain.gen_keys]
+            back = sum(max(0, chain.via.count(i) - 1) for i, sq in enumerate(squares) if sq in plus_minus_one)
+            assert len(line_form_calls) == 1 + len(chain.gen_keys) * len(chain.transversal) - back
 
     def test_a_full_lattice_sifts_nothing(self):
         # with K every translation, the sift reads no lift: an unknown u passes
@@ -808,29 +840,18 @@ class TestExtend:
         for key in members + others:
             assert (key in extended) == (key in whole), key
 
-    def test_an_extension_after_the_early_stop_walks_no_edge(self, monkeypatch):
-        # at [1,7,41] the walk stops with every line reached and G0 the
-        # Borel group: the chain is all of SL2(F_41), and a member added
-        # as a generator computes no line key
+    def test_an_extension_after_the_early_stop_walks_each_line_once(self, line_form_calls, schreier_calls):
+        # at [1,7,41] the chain is all of SL2(F_41) and G0 the Borel
+        # group: a member added as a generator walks each of the 42 lines
+        # once and computes no Schreier generator
         level = IdealHNF(1, 7, 41)
-        calls = []
-        line_form = quotient_mod._line_form
-
-        def counted_form(power_ideal):
-            form = line_form(power_ideal)
-
-            def counted(a, c):
-                calls.append((a, c))
-                return form(a, c)
-
-            return counted
-
-        monkeypatch.setattr(quotient_mod, "_line_form", counted_form)
         chain = Chain(level)
         member = (ResMat.from_mat2(level, S) * ResMat.from_mat2(level, T)).key
-        calls.clear()
+        line_form_calls.clear()
+        schreier_calls.clear()
         chain.extend([member])
-        assert calls == []
+        assert len(line_form_calls) == len(chain.transversal) == 42
+        assert schreier_calls == []
         assert chain.order == sl2_order(level)
         assert chain.gen_keys[-1] == member
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,8 +89,9 @@ def test_index_survey_ends_quietly_when_stdout_closes():
 
 def test_chain_timing_runs_on_this_checkout():
     # one in-process pass over the enumerate levels, the verify targets
-    # and the membership ops, no fresh (2+L)^8 run; the script loads this
-    # checkout's package from the root it is given
+    # and the membership ops, and the line-form calls of the enumerate
+    # chains, no fresh (2+L)^8 run; the script loads this checkout's
+    # package from the root it is given
     root = SCRIPTS.parent
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
@@ -98,10 +100,13 @@ def test_chain_timing_runs_on_this_checkout():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    chain_header, chain_line, verify_header, verify_line, member_header, member_line, *rest = (
-        proc.stdout.splitlines()
-    )
+    (
+        chain_header, chain_line, count_header, count_line,
+        verify_header, verify_line, member_header, member_line, *rest,
+    ) = proc.stdout.splitlines()
     assert chain_header.startswith("Chain on the 27 enumerate levels")
+    assert count_header.startswith("line-form calls of the 27 enumerate chains")
+    assert re.fullmatch(rf"  {re.escape(str(root))}: \d{{1,3}}(,\d{{3}})*", count_line)
     assert verify_header.startswith("verify on its 4 targets")
     assert member_header.startswith("membership on its 1000 ops (seed 1)")
     assert rest == []
