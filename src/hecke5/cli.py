@@ -7,7 +7,8 @@ verification did not pass), 2 usage error (a malformed literal, a
 number that `golden.parse_int` refuses, a zero divisor, a level that is
 not an ideal or is given by both `--level` and `--hnf`, a `--cap` below
 1, an `--out` that cannot be written), 3 a safeguard cap was hit
-(`--cap`, an internal iteration cap, or an element too long to print,
+(`--cap`, the pseudo-Euclidean loop's coordinate budget,
+`golden.EUCLID_BUDGET_BITS`, or an element too long to print,
 `golden.format_element`); the error goes to stderr and, under `--json`,
 a `hecke5/v1/error` document with `error`, `cap` and `partial` goes to
 stdout.  A reader that closes stdout early (`hecke5 cosets ... | head`)

@@ -26,7 +26,9 @@ class NotAUnitError(ValueError):
 
 
 class IterationCapError(RuntimeError):
-    """Safeguard cap hit; indicates a bug, not a user error."""
+    """A bound on the work ran out: `pseudo_euclid`'s coordinate budget,
+    a limit on the input, or `unit_log`'s walk from its guess, which only
+    a wrong guess reaches.  The CLI exits 3."""
 
 
 @dataclass(frozen=True)
@@ -132,24 +134,43 @@ def divmod_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
     return q, a - c * q
 
 
-def gcd_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[GoldenInt, list[int]]:
-    """Last nonzero remainder of iterated pseudo-division, plus quotients.
+# the most bits a remainder's L-coordinate may have in `pseudo_euclid`
+EUCLID_BUDGET_BITS = 2**15
 
-    The cap converts a (theoretically impossible) non-terminating run into
-    a diagnosable error.
+
+def pseudo_euclid(a: GoldenInt, b: GoldenInt, sign: int) -> tuple[GoldenInt, list[int]]:
+    """The last nonzero remainder and the quotients of a, b <- b, sign*r
+    over (q, r) = divmod_pseudo(a, b), until b = 0.
+
+    sign = 1 is the gcd recursion, sign = -1 the lambda-continued fraction
+    of `matrices.reduce_fraction`.  Away from ties the second's quotients
+    are the first's times (-1)^i, but divmod_pseudo rounds a tie into a
+    half-open interval, so there the two sequences split.
+
+    A remainder whose L-coordinate passes EUCLID_BUDGET_BITS bits raises
+    IterationCapError, and so the loop ends.  In real value |r| <= 0.81|b|,
+    so no remainder exceeds the input and |r.a| <= |input| + L|r.b|: both
+    coordinates are bounded, hence so is |conj r|, and a nonzero r has
+    |r| = |N(r)| / |conj r| >= 1 / |conj r|.  Falling by 0.81 per step
+    between those bounds, the real value reaches 0 within about
+    3.3 * (budget + input bits) steps.
     """
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    bits = max(abs(x).bit_length() for x in (a.a, a.b, b.a, b.b))
-    cap = 64 + 4 * bits
     quotients: list[int] = []
     while b:
-        if len(quotients) > cap:
-            raise IterationCapError(f"gcd exceeded {cap} pseudo-divisions")
         q, r = divmod_pseudo(a, b)
+        if r.b.bit_length() > EUCLID_BUDGET_BITS:
+            raise IterationCapError(f"a remainder passed the {EUCLID_BUDGET_BITS}-bit coordinate budget")
         quotients.append(q)
-        a, b = b, r
+        a, b = b, r if sign == 1 else -r
     return a, quotients
+
+
+def gcd_pseudo(a: GoldenInt, b: GoldenInt) -> tuple[GoldenInt, list[int]]:
+    """Last nonzero remainder of iterated pseudo-division, plus quotients:
+    `pseudo_euclid` with sign 1."""
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    return pseudo_euclid(a, b, 1)
 
 
 def unit_log(x: GoldenInt) -> UnitDecomposition:

@@ -5,7 +5,7 @@ the membership test, column completion and parabolic conjugates."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .golden import (
     GoldenInt,
@@ -13,9 +13,9 @@ from .golden import (
     ONE,
     UnitDecomposition,
     ZERO,
-    divmod_pseudo,
     parse_element,
     power,
+    pseudo_euclid,
     squeeze_whitespace,
     unit_log,
 )
@@ -127,7 +127,7 @@ class ReductionResult:
 
     e: int
     unit: UnitDecomposition
-    quotients: list[int] = field(default_factory=list)
+    quotients: list[int]
 
     @property
     def completion(self) -> Mat2:
@@ -136,7 +136,8 @@ class ReductionResult:
 
 
 def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
-    """Run the pseudo-Euclidean recursion on (a, b) and keep its quotients.
+    """Run the lambda-continued fraction (`pseudo_euclid` with sign -1)
+    on (a, b) and keep its quotients.
 
     Requires gcd(a, b) to be a unit.  The reduced factor e is minus the
     L-exponent of the final remainder, so a*L^e / b*L^e is the reduced
@@ -144,11 +145,7 @@ def reduce_fraction(a: GoldenInt, b: GoldenInt) -> ReductionResult:
     """
     if not a and not b:
         raise ValueError("reduce_fraction(0, 0) is undefined")
-    quotients: list[int] = []
-    while b:
-        q, r = divmod_pseudo(a, b)
-        quotients.append(q)
-        a, b = b, -r
+    a, quotients = pseudo_euclid(a, b, -1)
     if a.norm() != 1:
         raise NotCoprimeError(f"gcd is {a}, not a unit")
     unit = unit_log(a)

@@ -434,6 +434,25 @@ class TestCapErrors:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (3, "", "error: orbit exceeded cap 10 (partial count 11)\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gcd", "--json", format_element(lambda_power(1000)), "1"],
+            ["efactor", "--json", format_element(lambda_power(1000)), "1"],
+            ["member", "--json", f"[[{format_element(lambda_power(1000))},-1],[1,0]]"],
+            ["gcd", "--json", "--", format_element(lambda_power(-3000)), format_element(lambda_power(-7))],
+        ],
+        ids=["gcd", "efactor", "member", "gcd-negative-powers"],
+    )
+    def test_coordinate_budget(self, capsys, argv):
+        # units of large exponent: the pseudo-Euclidean loop's coordinate
+        # budget ends each of these in well under a second
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 3 and err.endswith("-bit coordinate budget\n")
+        assert json.loads(out) == {"schema": "hecke5/v1/error", "error": err[7:-1], "cap": None, "partial": None}
+
     def test_orbit_of_a_hundred_million_columns(self, capsys):
         # (101) has norm 10,201: the orbit of e1 has 104,040,000 points,
         # counted without walking them

@@ -169,6 +169,10 @@ class TestDivmodPseudo:
             (GoldenInt(5, 0), GoldenInt(2, 0), 2, GoldenInt(5, -4)),
             # boundary: r equals |bL|/2 exactly and is included
             (LAMBDA, GoldenInt(2, 0), 0, LAMBDA),
+            # a tie, where negating a moves q by one, not to -q: the third
+            # steps of reduce_fraction and gcd_pseudo on (-3+3L, -2-2L)
+            (GoldenInt(3, -3), GoldenInt(-4, 2), 2, GoldenInt(-1, 1)),
+            (GoldenInt(-3, 3), GoldenInt(-4, 2), -1, GoldenInt(-1, 1)),
         ],
     )
     def test_examples(self, a, b, q, r):
@@ -320,6 +324,20 @@ class TestGcdPseudo:
     def test_both_zero(self):
         with pytest.raises(ValueError):
             gcd_pseudo(ZERO, ZERO)
+
+    def test_tie_splits_from_the_continued_fraction(self):
+        # reduce_fraction's quotients on this pair are [0, 2, 2, 1, 2, 1]:
+        # alternating their signs would give [0, -2, 2, -1, 2, -1], but the
+        # tie at the third step splits the two sequences
+        g, steps = gcd_pseudo(GoldenInt(-3, 3), GoldenInt(-2, -2))
+        assert g == GoldenInt(-5, 3) and g.norm() == 1
+        assert steps == [0, -2, 1, 1, -2, 1]
+
+    def test_coordinate_budget(self):
+        # L^1000 against 1: the 50th remainder's L-coordinate passes the
+        # budget, well before the loop's time grows to tens of seconds
+        with pytest.raises(IterationCapError, match="a remainder passed the 32768-bit coordinate budget"):
+            gcd_pseudo(lambda_power(1000), ONE)
 
     @given(nonzero, nonzero)
     @settings(max_examples=200)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5.golden import GoldenInt, LAMBDA, ONE, ZERO, lambda_power
+from hecke5.golden import GoldenInt, IterationCapError, LAMBDA, ONE, ZERO, lambda_power
 from hecke5.matrices import (
     IDENTITY,
     Mat2,
@@ -122,10 +122,29 @@ class TestReduceFraction:
             (GoldenInt(2, 0), 3 * lambda_power(1), 2),
             (ONE, ZERO, 0),
             (LAMBDA, ZERO, -1),
+            # the smallest coprime pair where a tie splits these quotients
+            # from gcd_pseudo's: see test_tie_splits_from_the_gcd
+            (GoldenInt(-3, 3), GoldenInt(-2, -2), 4),
         ],
     )
     def test_reduced_factor_examples(self, a, b, e):
         assert reduce_fraction(a, b).e == e
+
+    def test_tie_splits_from_the_gcd(self):
+        # gcd_pseudo's quotients on this pair are [0, -2, 1, 1, -2, 1], not
+        # these with alternating signs: the third step is a tie of
+        # divmod_pseudo, which rounds -x/c and x/c to the same side
+        rr = reduce_fraction(GoldenInt(-3, 3), GoldenInt(-2, -2))
+        assert rr.quotients == [0, 2, 2, 1, 2, 1]
+        assert (rr.unit.sign, rr.e) == (-1, 4)
+        assert str(rr.completion) == "[[-3-6L,4+4L],[10+16L,-7-14L]]"
+
+    def test_coordinate_budget(self):
+        # L^300 against 1 reaches a 15,517-bit coordinate, inside the
+        # 32,768-bit budget; L^1600 passes it
+        assert reduce_fraction(lambda_power(300), ONE).e == 22351
+        with pytest.raises(IterationCapError, match="32768-bit coordinate budget"):
+            reduce_fraction(lambda_power(1600), ONE)
 
     def test_zero_zero(self):
         with pytest.raises(ValueError):

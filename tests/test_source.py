@@ -214,6 +214,29 @@ def test_one_reduction():
     assert seen == allowed and found == []
 
 
+def test_one_pseudo_euclidean_loop():
+    # the lambda-continued fraction and the gcd run one loop,
+    # golden.pseudo_euclid, over divmod_pseudo; the one other call of
+    # divmod_pseudo is the `divmod` command's single division
+    allowed = {("golden.py", "pseudo_euclid"), ("cli.py", "cmd_divmod")}
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for f in tree.body:
+            if (path.name, getattr(f, "name", None)) in allowed:
+                seen.add((path.name, f.name))
+                inside.update(id(node) for node in ast.walk(f))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "divmod_pseudo" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and id(node) not in inside
+        ]
+    assert seen == allowed and found == []
+
+
 def test_the_packed_form_stays_in_the_closure():
     # a residue matrix is its Key at every interface; the packed int is
     # the closure's storage, so `_pack` and `_unpack` are named (read,
