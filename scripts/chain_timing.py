@@ -2,7 +2,7 @@
 """Time the stabilizer chain (`hecke5.quotient.Chain`), the verifiers
 and the membership test of one or more checkouts against each other.
 
-Four measures and one count, each per checkout root given:
+Four measures and two counts, each per checkout root given:
 
 - in process: the 27 levels of the `enumerate` benchmark workload
   (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
@@ -18,6 +18,9 @@ Four measures and one count, each per checkout root given:
   line key, the key of <e1> and one per edge walked.  Unlike the
   timings it does not drift with the machine.  The checkout's
   `_line_form` is patched only while the chains are built;
+- the `GoldenInt`s that the 1000 `membership` ops below build, each
+  op run once, a count as steady as the last.  The checkout's
+  `GoldenInt.__init__` is patched only while the ops run;
 - in process, the same way: the four targets of the `verify` benchmark
   workload (`bench/workloads.py`, VERIFY_TARGETS), each run through
   `hecke5.verify.VERIFIERS` at the default cap, reported as the sum
@@ -41,6 +44,12 @@ The in-process sums and passes won compare the checkouts within one
 invocation only, and each header says so: the machine's speed drifts
 between invocations far more than two trees differ, so the same tree's
 sum can move by half from one invocation to the next.
+
+Every timed call also answers: a chain its order, a verify target
+whether all its reports pass, a membership op whether `is_member` was
+right.  A wrong answer is never timed as if it were right: an answer
+False, or another than the first checkout's, ends the script with
+exit 1 and a message naming the op.
 
 --passes reads a positive integer as `hecke5 --cap` does
 (`cli.positive_int`), --big-runs an integer in the same grammar
@@ -105,30 +114,39 @@ def load(root: Path):
         sys.path.remove(str(root / "src"))
 
 
-def in_process(trees: list[tuple], ops: list, passes: int) -> tuple[list[float], list[list[float]]]:
+def in_process(trees: list[tuple], ops: list[tuple], passes: int) -> tuple[list[float], list[list[float]]]:
     """Each checkout's sum over `ops` of the op's fastest time, and its
-    pass totals, the sum over `ops` of its times in each pass.  An op
-    takes a checkout's modules and returns the call to time, so that
-    what it sets up is not timed."""
+    pass totals, the sum over `ops` of its times in each pass.  An op is
+    a name and a function that takes a checkout's modules and returns the
+    call to time, so that what it sets up is not timed.  The call returns
+    its answer; in any pass, an answer False or unlike the first
+    checkout's exits 1 with the op's name and every checkout's answer."""
     best = [[float("inf")] * len(ops) for _ in trees]
     totals = [[0.0] * passes for _ in trees]
     for p in range(passes):
         order = list(range(len(trees)))
         if p % 2:
             order.reverse()
-        for j, op in enumerate(ops):
+        for j, (name, op) in enumerate(ops):
+            answers = [None] * len(trees)
             for i in order:
                 call = op(*trees[i])
                 start = time.perf_counter()
-                call()
+                answers[i] = call()
                 elapsed = time.perf_counter() - start
                 best[i][j] = min(best[i][j], elapsed)
                 totals[i][p] += elapsed
+            if any(answer is False or answer != answers[0] for answer in answers):
+                sys.exit(f"wrong answer, not timed: {name}: the checkouts, as given, answer {answers!r}")
     return [sum(times) for times in best], totals
 
 
-def chain_op(hnf: tuple[int, int, int]):
-    return lambda quotient, ideals, *_: partial(quotient.Chain, ideals.IdealHNF(*hnf))
+def chain_op(hnf: tuple[int, int, int]) -> tuple:
+    def op(quotient, ideals, *_):
+        level = ideals.IdealHNF(*hnf)
+        return lambda: quotient.Chain(level).order
+
+    return f"Chain at {hnf}", op
 
 
 def line_form_calls(quotient, ideals, *_) -> int:
@@ -156,17 +174,49 @@ def line_form_calls(quotient, ideals, *_) -> int:
     return calls
 
 
-def verify_op(target: str):
-    return lambda quotient, ideals, verify, *_: partial(verify.VERIFIERS[target], quotient.DEFAULT_CAP)
+def verify_op(target: str) -> tuple:
+    def op(quotient, ideals, verify, *_):
+        return lambda: all(report.passed for report in verify.VERIFIERS[target](quotient.DEFAULT_CAP))
+
+    return f"verify {target}", op
 
 
-def membership_ops(trees: list[tuple]) -> list:
+def membership(tree: tuple) -> Membership:
+    """The `membership` workload, its library the checkout's `golden` and
+    `matrices`."""
+    return Membership(SimpleNamespace(**dict(zip(MODULES, tree))), MEMBERSHIP_SEED)
+
+
+def membership_ops(trees: list[tuple]) -> list[tuple]:
     """One op per op of the `membership` workload: its `run` on the op,
-    with the workload's library the checkout's `golden` and `matrices`."""
-    workloads = {
-        tree: Membership(SimpleNamespace(**dict(zip(MODULES, tree))), MEMBERSHIP_SEED) for tree in trees
-    }
-    return [lambda *tree, op=op: partial(workloads[tree].run, op) for op in workloads[trees[0]].ops]
+    which answers whether `is_member` was right."""
+    workloads = {tree: membership(tree) for tree in trees}
+    return [
+        (f"membership op {j} {op!r}", lambda *tree, op=op: partial(workloads[tree].run, op))
+        for j, op in enumerate(workloads[trees[0]].ops)
+    ]
+
+
+def golden_int_constructions(tree: tuple) -> int:
+    """The `GoldenInt`s that the `membership` ops build, each op run once,
+    with the checkout's `GoldenInt.__init__` restored after."""
+    workload = membership(tree)
+    golden_int = workload.lib.golden.GoldenInt
+    calls = 0
+    init = golden_int.__init__
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    golden_int.__init__ = counted
+    try:
+        for op in workload.ops:
+            workload.run(op)
+    finally:
+        golden_int.__init__ = init
+    return calls
 
 
 def report(what: str, roots: list[Path], measured: tuple[list[float], list[list[float]]]) -> None:
@@ -248,6 +298,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"line-form calls of the {len(LEVELS)} enumerate chains, a work count the same on any machine:")
     for root, tree in zip(roots, trees):
         print(f"  {root}: {line_form_calls(*tree):,}")
+    print(
+        f"GoldenInt constructions of the {Membership.OPS} membership ops (seed {MEMBERSHIP_SEED}),"
+        " a work count the same on any machine:"
+    )
+    for root, tree in zip(roots, trees):
+        print(f"  {root}: {golden_int_constructions(tree):,}")
     report(
         f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima {within}",
         roots,

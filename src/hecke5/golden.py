@@ -31,12 +31,46 @@ class IterationCapError(RuntimeError):
     a wrong guess reaches.  The CLI exits 3."""
 
 
-@dataclass(frozen=True)
 class GoldenInt:
-    """a + b*L with exact integer coordinates."""
+    """a + b*L with exact integer coordinates.
 
+    An immutable value with the equality, hash, repr and copying of a
+    frozen dataclass, written out by hand: a frozen dataclass writes
+    each field through `object.__setattr__`, slower than the slot
+    descriptor's `__set__` (`_set_a`, `_set_b`) that `__init__` calls,
+    and every step of `divmod_pseudo` builds six or seven.  Assigning or
+    deleting any attribute raises AttributeError, and there is no
+    `__dict__`.
+    """
+
+    __slots__ = ("a", "b")
     a: int
     b: int
+
+    def __init__(self, a: int, b: int) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GoldenInt:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"GoldenInt(a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through __init__, not setattr
+        return GoldenInt, (self.a, self.b)
 
     def __add__(self, other: GoldenInt) -> GoldenInt:
         return GoldenInt(self.a + other.a, self.b + other.b)
@@ -81,6 +115,9 @@ class GoldenInt:
     def __str__(self) -> str:
         return format_element(self)
 
+
+_set_a = GoldenInt.a.__set__
+_set_b = GoldenInt.b.__set__
 
 ZERO = GoldenInt(0, 0)
 ONE = GoldenInt(1, 0)

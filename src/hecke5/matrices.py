@@ -29,12 +29,43 @@ class NotReducedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Mat2:
+    """[[a11, a12], [a21, a22]] over Z[L]: an immutable slotted value,
+    written out by hand for the reason `GoldenInt` is, with a frozen
+    dataclass's equality, hash, repr and copying."""
+
+    __slots__ = ("a11", "a12", "a21", "a22")
     a11: GoldenInt
     a12: GoldenInt
     a21: GoldenInt
     a22: GoldenInt
+
+    def __init__(self, a11: GoldenInt, a12: GoldenInt, a21: GoldenInt, a22: GoldenInt) -> None:
+        _set_a11(self, a11)
+        _set_a12(self, a12)
+        _set_a21(self, a21)
+        _set_a22(self, a22)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Mat2:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+    def __repr__(self) -> str:
+        return f"Mat2(a11={self.a11!r}, a12={self.a12!r}, a21={self.a21!r}, a22={self.a22!r})"
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through __init__, not setattr
+        return Mat2, self.entries()
 
     @classmethod
     def from_ints(cls, rows: list[list[tuple[int, int]]]) -> Mat2:
@@ -73,6 +104,11 @@ class Mat2:
     def __str__(self) -> str:
         return f"[[{self.a11},{self.a12}],[{self.a21},{self.a22}]]"
 
+
+_set_a11 = Mat2.a11.__set__
+_set_a12 = Mat2.a12.__set__
+_set_a21 = Mat2.a21.__set__
+_set_a22 = Mat2.a22.__set__
 
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 S = Mat2(ZERO, ONE, -ONE, ZERO)

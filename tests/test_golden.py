@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -103,6 +105,49 @@ def reference_divmod(a: GoldenInt, b: GoldenInt) -> tuple[int, GoldenInt]:
 def abs_real(x: GoldenInt) -> GoldenInt:
     """|x| under the real embedding."""
     return x if x.sign() >= 0 else -x
+
+
+class TestValueSemantics:
+    # GoldenInt keeps a frozen dataclass's value semantics; only the
+    # missing __dict__ is new with the slotted class
+    def test_equal_values_compare_and_hash_equal(self):
+        x, y = GoldenInt(3, -2), GoldenInt(3, -2)
+        assert x is not y and x == y and hash(x) == hash(y)
+        assert x != GoldenInt(-2, 3) and len({x, y, GoldenInt(-2, 3)}) == 2
+
+    def test_never_equal_to_another_type(self):
+        assert GoldenInt(1, 0) != 1
+        assert GoldenInt(1, 0) != (1, 0)
+        assert GoldenInt.__eq__(ONE, 1) is NotImplemented
+
+    def test_repr(self):
+        assert repr(GoldenInt(1, 2)) == "GoldenInt(a=1, b=2)"
+        assert repr(GoldenInt(-7, 0)) == "GoldenInt(a=-7, b=0)"
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda x: setattr(x, "a", 5), lambda x: delattr(x, "b"), lambda x: setattr(x, "c", 0)],
+        ids=["set", "delete", "add"],
+    )
+    def test_immutable(self, change):
+        x = GoldenInt(3, -2)
+        with pytest.raises(AttributeError):
+            change(x)
+        assert x == GoldenInt(3, -2) and not hasattr(x, "c")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in (0, pickle.HIGHEST_PROTOCOL)],
+        ids=["copy", "deepcopy", "pickle-0", "pickle-highest"],
+    )
+    def test_copies_are_equal(self, clone):
+        x = GoldenInt(3, -(2**100))
+        y = clone(x)
+        assert type(y) is GoldenInt and y == x and hash(y) == hash(x)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(GoldenInt(3, -2), "__dict__")
 
 
 class TestMul:

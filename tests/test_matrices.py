@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -61,6 +63,52 @@ class TestMat2:
     def test_from_ints(self):
         m = Mat2.from_ints([[(0, 1), (1, 0)], [(0, 0), (2, -1)]])
         assert m.a11 == LAMBDA and m.a22 == GoldenInt(2, -1)
+
+
+class TestMat2ValueSemantics:
+    # Mat2 keeps a frozen dataclass's value semantics; only the missing
+    # __dict__ is new with the slotted class
+    def test_equal_values_compare_and_hash_equal(self):
+        m, n = eval_word("TT"), translation(2)
+        assert m is not n and m == n and hash(m) == hash(n)
+        assert m != T and len({m, n, T}) == 2
+
+    def test_never_equal_to_a_tuple(self):
+        assert T != T.entries()
+        assert IDENTITY != ((1, 0), (0, 1))
+        assert Mat2.__eq__(T, T.entries()) is NotImplemented
+
+    def test_repr(self):
+        assert repr(T) == (
+            "Mat2(a11=GoldenInt(a=1, b=0), a12=GoldenInt(a=0, b=1), "
+            "a21=GoldenInt(a=0, b=0), a22=GoldenInt(a=1, b=0))"
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda m: setattr(m, "a11", ZERO), lambda m: delattr(m, "a22"), lambda m: setattr(m, "det2", 0)],
+        ids=["set", "delete", "add"],
+    )
+    def test_immutable(self, change):
+        m = eval_word("ST")
+        with pytest.raises(AttributeError):
+            change(m)
+        assert m == S * T and not hasattr(m, "det2")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [lambda m, p=p: pickle.loads(pickle.dumps(m, p)) for p in (0, pickle.HIGHEST_PROTOCOL)],
+        ids=["copy", "deepcopy", "pickle-0", "pickle-highest"],
+    )
+    def test_copies_are_equal(self, clone):
+        m = eval_word("TTsTTTS")
+        n = clone(m)
+        assert type(n) is Mat2 and n == m and hash(n) == hash(m)
+        assert all(type(x) is GoldenInt for x in n.entries())
+
+    def test_no_instance_dict(self):
+        assert not hasattr(eval_word("ST"), "__dict__")
 
 
 class TestWordRelations:

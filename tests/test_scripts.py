@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -89,9 +89,9 @@ def test_index_survey_ends_quietly_when_stdout_closes():
 
 def test_chain_timing_runs_on_this_checkout():
     # one in-process pass over the enumerate levels, the verify targets
-    # and the membership ops, and the line-form calls of the enumerate
-    # chains, no fresh (2+L)^8 run; the script loads this checkout's
-    # package from the root it is given
+    # and the membership ops, the line-form calls of the enumerate chains
+    # and the GoldenInts the membership ops build, no fresh (2+L)^8 run;
+    # the script loads this checkout's package from the root it is given
     root = SCRIPTS.parent
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
@@ -101,12 +101,14 @@ def test_chain_timing_runs_on_this_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     (
-        chain_header, chain_line, count_header, count_line,
+        chain_header, chain_line, count_header, count_line, golden_header, golden_line,
         verify_header, verify_line, member_header, member_line, *rest,
     ) = proc.stdout.splitlines()
     assert chain_header.startswith("Chain on the 27 enumerate levels")
     assert count_header.startswith("line-form calls of the 27 enumerate chains")
-    assert re.fullmatch(rf"  {re.escape(str(root))}: \d{{1,3}}(,\d{{3}})*", count_line)
+    assert golden_header.startswith("GoldenInt constructions of the 1000 membership ops (seed 1)")
+    for line in (count_line, golden_line):
+        assert re.fullmatch(rf"  {re.escape(str(root))}: \d{{1,3}}(,\d{{3}})*", line)
     assert verify_header.startswith("verify on its 4 targets")
     assert member_header.startswith("membership on its 1000 ops (seed 1)")
     assert rest == []
@@ -142,7 +144,7 @@ def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
             cost = next(costs[tree, name])
             return lambda: clock.__setitem__(0, clock[0] + cost)
 
-        return call
+        return name, call
 
     measured = chain_timing.in_process([("one",), ("two",)], [op("a"), op("b")], 4)
     assert measured == ([1.25, 0.625], [[1.25] * 4, [0.625, 2.125, 1.0, 1.125]])
@@ -152,6 +154,54 @@ def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
         "  one: 1250.00 ms  (1.000 of the first)",
         "  two: 625.00 ms  (0.500 of the first; lower in 3 of 4)",
     ]
+
+
+def fail_a_check(verifier):
+    def failing(cap):
+        reports = verifier(cap)
+        reports[0].add("a check that fails", 1, 2)
+        return reports
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "module, attribute, broken, message",
+    [
+        (
+            "matrices", "is_member", lambda is_member: lambda m: not is_member(m),
+            r"membership op 0 \('[STst]+', -?\d+\): the checkouts, as given, answer \[True, False\]",
+        ),
+        (
+            "verify", "VERIFIERS",
+            lambda verifiers: {**verifiers, "conjugation-action": fail_a_check(verifiers["conjugation-action"])},
+            r"verify conjugation-action: the checkouts, as given, answer \[True, False\]",
+        ),
+        (
+            "quotient", "Chain", lambda chain: lambda level: SimpleNamespace(order=chain(level).order + 1),
+            r"Chain at \(2, 0, 2\): the checkouts, as given, answer \[(\d+), (?!\1\])\d+\]",
+        ),
+    ],
+    ids=["membership", "verify", "chain"],
+)
+def test_chain_timing_exits_on_a_wrong_answer(monkeypatch, module, attribute, broken, message):
+    # a second checkout with one function broken: the first op it answers
+    # wrongly ends the run, exit 1 (a str exit code) naming the op
+    chain_timing = load_chain_timing(monkeypatch)
+    tree = tuple(importlib.import_module(f"hecke5.{name}") for name in chain_timing.MODULES)
+    i = chain_timing.MODULES.index(module)
+    bad = ModuleType(tree[i].__name__)
+    vars(bad).update(vars(tree[i]))
+    setattr(bad, attribute, broken(getattr(tree[i], attribute)))
+    trees = [tree, tree[:i] + (bad,) + tree[i + 1:]]
+    ops = {
+        "matrices": lambda: chain_timing.membership_ops(trees)[:2],
+        "verify": lambda: [chain_timing.verify_op("conjugation-action")],
+        "quotient": lambda: [chain_timing.chain_op((2, 0, 2))],
+    }[module]()
+    with pytest.raises(SystemExit) as exited:
+        chain_timing.in_process(trees, ops, 1)
+    assert re.fullmatch("wrong answer, not timed: " + message, exited.value.code)
 
 
 def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
