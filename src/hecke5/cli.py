@@ -5,8 +5,9 @@ Every command is a thin adapter over the library, declared once in
 `schema` field.  Exit codes: 0 success, 1 mathematical failure (a
 verification did not pass), 2 usage error (a malformed literal, a
 number that `golden.parse_int` refuses, a zero divisor, a level that is
-not an ideal or is given by both `--level` and `--hnf`, a `--cap` below
-1, an `--out` that cannot be written), 3 a safeguard cap was hit
+not an ideal or is given by both `--level` and `--hnf`, two of
+`index`'s `--enumerate`, `--formula` and `--both`, a `--cap` below 1,
+an `--out` that cannot be written), 3 a safeguard cap was hit
 (`--cap`, the pseudo-Euclidean loop's coordinate budget,
 `golden.EUCLID_BUDGET_BITS`, or an element too long to print,
 `golden.format_element`); the error goes to stderr and, under `--json`,
@@ -290,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=command.handler)
 
     index = sub.choices["index"]
+    modes = index.add_mutually_exclusive_group()
     for mode in ("enumerate", "formula", "both"):
-        index.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
+        modes.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
     index.set_defaults(mode="both")
     sub.choices["cosets"].add_argument("--out", default="-", help="output file ('-' for stdout)")
     sub.choices["verify"].add_argument("target", choices=["all", *verify_mod.VERIFIERS])

@@ -29,10 +29,11 @@ class NotReducedError(ValueError):
     pass
 
 
+@dataclass(frozen=True, init=False)
 class Mat2:
-    """[[a11, a12], [a21, a22]] over Z[L]: an immutable slotted value,
-    written out by hand for the reason `GoldenInt` is, with a frozen
-    dataclass's equality, hash, repr and copying."""
+    """[[a11, a12], [a21, a22]] over Z[L]: a frozen dataclass on explicit
+    `__slots__` with a hand-written `__init__` and `__reduce__`, for the
+    reasons `GoldenInt` has them."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
     a11: GoldenInt
@@ -46,25 +47,7 @@ class Mat2:
         _set_a21(self, a21)
         _set_a22(self, a22)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Mat2:
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
-
-    def __repr__(self) -> str:
-        return f"Mat2(a11={self.a11!r}, a12={self.a12!r}, a21={self.a21!r}, a22={self.a22!r})"
-
     def __reduce__(self) -> tuple:
-        # copy, deepcopy and pickle rebuild through __init__, not setattr
         return Mat2, self.entries()
 
     @classmethod

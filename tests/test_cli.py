@@ -296,6 +296,17 @@ class TestLevelCommands:
         assert out == ""
         assert err == "error: give only one of --level or --hnf\n"
 
+    @pytest.mark.parametrize("modes", [("--enumerate", "--formula"), ("--both", "--enumerate"), ("--formula", "--both")])
+    def test_two_index_modes_is_usage_error(self, capsys, modes):
+        # the last mode used to win silently: --enumerate --formula ran --formula
+        code, out, err = run(capsys, "index", "--level", "2", *modes)
+        assert code == 2
+        assert out == ""
+        assert f"argument {modes[1]}: not allowed with argument {modes[0]}" in err
+
+    def test_repeated_index_mode_answers(self, capsys):
+        assert run_json(capsys, "index", "--level", "2", "--both", "--both") == run_json(capsys, "index", "--level", "2")
+
     @pytest.mark.parametrize("hnf", ["1,2", "a,b,c", "1,2,3,4", ""])
     def test_malformed_hnf_names_the_flag(self, capsys, hnf):
         code, out, err = run(capsys, "factor", "--hnf", hnf)

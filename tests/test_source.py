@@ -214,6 +214,39 @@ def test_one_reduction():
     assert seen == allowed and found == []
 
 
+def test_value_classes_are_generated_dataclasses():
+    # a class's equality, hash, repr and immutability come from
+    # @dataclass, never by hand; a slotted value class (GoldenInt, Mat2)
+    # is @dataclass(frozen=True, init=False) and writes only its fast
+    # __init__ (and __reduce__).  No dataclass passes `slots`: on
+    # CPython 3.11 (and 3.10, 3.12) slots=True builds a second class,
+    # whose generated frozen __setattr__ then raises TypeError, not
+    # AttributeError, for a new attribute
+    by_hand = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"}
+    slotted_decorator = "dataclass(frozen=True, init=False)"
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bound = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+                bound.update(
+                    t.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.Assign)
+                    for t in stmt.targets
+                    if isinstance(t, ast.Name)
+                )
+                found += [f"{path.name}:{node.lineno} {node.name}.{name}" for name in sorted(bound & by_hand)]
+                if "__slots__" in bound:
+                    seen.add(node.name)
+                    if slotted_decorator not in map(ast.unparse, node.decorator_list):
+                        found.append(f"{path.name}:{node.lineno} {node.name} not @{slotted_decorator}")
+            elif isinstance(node, ast.Call) and "dataclass" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if any(k.arg == "slots" for k in node.keywords):
+                    found.append(f"{path.name}:{node.lineno} slots=")
+    assert seen == {"GoldenInt", "Mat2"} and found == []
+
+
 def test_one_pseudo_euclidean_loop():
     # the lambda-continued fraction and the gcd run one loop,
     # golden.pseudo_euclid, over divmod_pseudo; the one other call of
