@@ -2,10 +2,10 @@
 
 Every command is a thin adapter over the library, declared once in
 `COMMANDS`; `--json` emits a single JSON document with a versioned
-`schema` field.  Exit codes: 0 success, 1 mathematical failure (a
-verification did not pass), 2 usage error (a malformed literal, a
-number that `golden.parse_int` refuses, a zero divisor, a level that is
-not an ideal or is given by both `--level` and `--hnf`, two of
+`schema` field.  Exit codes: 0 success, 1 a payload whose `passed` is
+false (a verification did not pass), 2 usage error (a malformed literal,
+a number that `golden.parse_int` refuses, a zero divisor, a level that
+is not an ideal or is given by both `--level` and `--hnf`, two of
 `index`'s `--enumerate`, `--formula` and `--both`, a `--cap` below 1,
 an `--out` that cannot be written), 3 a safeguard cap was hit
 (`--cap`, the pseudo-Euclidean loop's coordinate budget,
@@ -85,26 +85,22 @@ def _level_ideal(args) -> IdealHNF:
     return ideal_from_generator(parse_element(args.level))
 
 
-def cmd_norm(args):
-    x = parse_element(args.element)
+def cmd_norm(args, x):
     return {"element": format_element(x), "norm": x.norm()}, str(x.norm())
 
 
-def cmd_divmod(args):
-    a, b = parse_element(args.a), parse_element(args.b)
+def cmd_divmod(args, a, b):
     q, r = divmod_pseudo(a, b)
     return {"q": q, "r": format_element(r)}, f"q = {q}, r = {format_element(r)}"
 
 
-def cmd_gcd(args):
-    a, b = parse_element(args.a), parse_element(args.b)
+def cmd_gcd(args, a, b):
     g, quots = gcd_pseudo(a, b)
     text = f"gcd = {format_element(g)}  (quotients {quots})"
     return {"gcd": format_element(g), "quotients": quots}, text
 
 
-def cmd_efactor(args):
-    a, b = parse_element(args.a), parse_element(args.b)
+def cmd_efactor(args, a, b):
     rr = reduce_fraction(a, b)
     text = f"e = {rr.e}"
     if not args.json:
@@ -119,20 +115,17 @@ def cmd_efactor(args):
     return payload, text
 
 
-def cmd_member(args):
-    m = parse_matrix(args.matrix)
+def cmd_member(args, m):
     ok = is_member(m)
     return {"member": ok}, str(ok).lower()
 
 
-def cmd_complete(args):
-    a, c = parse_element(args.a), parse_element(args.c)
+def cmd_complete(args, a, c):
     x = complete_column(a, c)
     return {"matrix": str(x)}, str(x)
 
 
-def cmd_factor(args):
-    ideal = _level_ideal(args)
+def cmd_factor(args, ideal):
     factors = [
         {
             "hnf": [pf.prime.d1, pf.prime.k, pf.prime.d2],
@@ -147,14 +140,12 @@ def cmd_factor(args):
     return {"norm": ideal.norm, "factors": factors}, text
 
 
-def cmd_sl2order(args):
-    ideal = _level_ideal(args)
+def cmd_sl2order(args, ideal):
     n = sl2_order(ideal)
     return {"order": n}, str(n)
 
 
-def cmd_index(args):
-    ideal = _level_ideal(args)
+def cmd_index(args, ideal):
     payload: dict = {"level": str(ideal), "norm": ideal.norm, "sl2_order": sl2_order(ideal)}
     lines = [f"level {ideal} of norm {ideal.norm}"]
     if args.mode in ("formula", "both"):
@@ -182,8 +173,7 @@ def cmd_index(args):
     return payload, "\n".join(lines)
 
 
-def cmd_cosets(args):
-    ideal = _level_ideal(args)
+def cmd_cosets(args, ideal):
     predecessor = build_quotient(ideal, args.cap)  # a cap error comes before any output
     # the four entries' reduced pairs (x, y), each printed x+yL
     entries = "[[{}{:+d}L,{}{:+d}L],[{}{:+d}L,{}{:+d}L]]\n"
@@ -200,10 +190,9 @@ def cmd_cosets(args):
 
 
 def cmd_verify(args):
-    if args.target == "all":
-        reports = verify_mod.verify_all(args.cap)
-    else:
-        reports = verify_mod.VERIFIERS[args.target](args.cap)
+    # `all` runs every target, in the table's order
+    targets = verify_mod.VERIFIERS if args.target == "all" else [args.target]
+    reports = [r for t in targets for r in verify_mod.VERIFIERS[t](args.cap)]
     ok = all(r.passed for r in reports)
     payload = {
         "passed": ok,
@@ -218,15 +207,16 @@ def cmd_verify(args):
         for c in r.checks:
             if not c.passed:
                 lines.append(f"    FAIL {c.name}: computed {c.computed}, expected {c.expected}")
-    return payload, "\n".join(lines), 0 if ok else 1
+    return payload, "\n".join(lines)
 
 
 class Command(NamedTuple):
     """A subcommand and the shared flags it takes: `--level`/`--hnf`,
-    `--cap` (`cap` says what it bounds) and `--json`.  The handler returns
-    `(payload, text)` or `(payload, text, exit code)`; `main` prints the
-    payload under `--json`, else the text, a string or an iterable of
-    lines written as they come, unless it is None."""
+    `--cap` (`cap` says what it bounds) and `--json`.  The handler takes
+    `args` and the values `main` read (a `level` row's ideal, else each
+    positional through `parse`) and returns `(payload, text)`; `main`
+    prints the payload under `--json`, else the text, a string or an
+    iterable of lines written as they come, unless it is None."""
 
     help: str
     handler: Callable
@@ -234,6 +224,7 @@ class Command(NamedTuple):
     level: bool = False
     cap: str | None = None
     json: bool = True
+    parse: Callable = parse_element
 
 
 COMMANDS = {
@@ -241,7 +232,9 @@ COMMANDS = {
     "divmod": Command("pseudo-Euclidean division a = (qL)b + r", cmd_divmod, ("a", "b")),
     "gcd": Command("pseudo-Euclidean gcd", cmd_gcd, ("a", "b")),
     "efactor": Command("reduced factor e(a/b) of a fraction", cmd_efactor, ("a", "b")),
-    "member": Command("Hecke group membership test for a matrix", cmd_member, ("matrix",)),
+    "member": Command(
+        "Hecke group membership test for a matrix", cmd_member, ("matrix",), parse=parse_matrix
+    ),
     "complete": Command(
         "complete a reduced column (a, c) to a group element", cmd_complete, ("a", "c")
     ),
@@ -288,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP, help=cap_help)
         if command.json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=command.handler)
 
     index = sub.choices["index"]
     modes = index.add_mutually_exclusive_group()
@@ -312,15 +304,21 @@ def main(argv: list[str] | None = None) -> int:
     # argparse itself exits 2 on usage errors
     args = _parser().parse_args(argv)
     command = args.command
+    row = COMMANDS[command]
     try:
-        payload, text, *status = args.func(args)
+        if row.level:
+            values = [_level_ideal(args)]
+        else:
+            values = [row.parse(getattr(args, name)) for name in row.positionals]
+        payload, text = row.handler(args, *values)
+        status = 1 if payload and payload.get("passed") is False else 0
     # ZeroDivisionError: a zero divisor argument; OSError: opening `--out`
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceededError, IterationCapError, TooLongToPrintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        command, text, status = "error", None, [3]
+        command, text, status = "error", None, 3
         cap, partial = getattr(exc, "cap", None), getattr(exc, "partial", None)
         payload = {"error": str(exc), "cap": cap, "partial": partial}
     try:
@@ -333,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed stdout early (`| head`); send what is left to
         # devnull so that the flush at interpreter exit stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return status[0] if status else 0
+    return status
 
 
 if __name__ == "__main__":

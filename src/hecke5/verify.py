@@ -432,7 +432,3 @@ VERIFIERS = {
     "level5": lambda cap: [verify_level5_structure(cap)],
     "identities": lambda cap: [verify_identities(cap)],
 }
-
-
-def verify_all(cap: int = DEFAULT_CAP) -> list[VerificationReport]:
-    return [report for run in VERIFIERS.values() for report in run(cap)]

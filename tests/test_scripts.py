@@ -87,6 +87,19 @@ def test_index_survey_ends_quietly_when_stdout_closes():
     assert (proc.returncode, err) == (0, b"")
 
 
+def test_index_survey_exits_on_a_disagreement(monkeypatch):
+    # a count one above the formula ends the survey with one line naming
+    # the level and both numbers (exit 1), not a traceback
+    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    chain = survey.Chain
+    monkeypatch.setattr(survey, "Chain", lambda ideal, cap: SimpleNamespace(order=chain(ideal, cap).order + 1))
+    with pytest.raises(SystemExit) as exc:
+        survey.run(4, 500_000)
+    assert exc.value.code == "level [2,0,2]: formula 10 != count 11"
+
+
 def test_chain_timing_runs_on_this_checkout():
     # one in-process pass over the enumerate levels, the verify targets
     # and the membership ops, the line-form calls of the enumerate chains

@@ -214,6 +214,25 @@ def test_one_reduction():
     assert seen == allowed and found == []
 
 
+def test_main_reads_every_input():
+    # cli.main reads each command's inputs from its COMMANDS row and picks
+    # every exit code, so a handler takes the values it is given, reads no
+    # raw input and returns (payload, text), never an exit code
+    readers = {"parse_element", "parse_matrix", "parse_int", "_level_ideal"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    found = []
+    for f in handlers:
+        for node in ast.walk(f):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in readers:
+                    found.append(f"{f.name}:{node.lineno} calls {name}")
+            elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3:
+                found.append(f"{f.name}:{node.lineno} returns three values")
+    assert handlers and found == []
+
+
 def test_value_classes_are_generated_dataclasses():
     # a class's equality, hash, repr and immutability come from
     # @dataclass, never by hand; a slotted value class (GoldenInt, Mat2)

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -24,7 +25,6 @@ from hecke5.verify import (
     _invariant_sizes,
     elementary_abelian,
     kernel_layer_generators,
-    verify_all,
     verify_conjugation_action,
     verify_identities,
     verify_kernel_layer,
@@ -334,6 +334,10 @@ class TestLevel5Structure:
         assert cli.main(["verify", "level5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL delta-in-quotient: computed False, expected True" in out
+        # under --json the same failure is one document, and still exit 1
+        assert cli.main(["verify", "level5", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["schema"], doc["passed"]) == ("hecke5/v1/verify", False)
 
     def test_power_subgroup_builds_one_chain(self, monkeypatch):
         # the span starts from no generator and is extended by each power
@@ -380,7 +384,8 @@ def test_lists_no_group(monkeypatch, target):
 
 
 def test_verify_all_passes():
-    reports = verify_all()
+    # `verify all` runs every target in the table's order
+    reports = [r for run in verify_mod.VERIFIERS.values() for r in run(verify_mod.DEFAULT_CAP)]
     assert len(reports) == 8
     for r in reports:
         assert r.passed, (r.name, witness(r))
