@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Time the stabilizer chain (`hecke5.quotient.Chain`), the verifiers
-and the membership test of one or more checkouts against each other.
+"""Time the stabilizer chain (`hecke5.quotient.Chain`), the verifiers,
+the membership test and the closed formula of one or more checkouts
+against each other.
 
-Four measures and two counts, each per checkout root given:
+Five measures and three counts, each per checkout root given:
 
 - in process: the 27 levels of the `enumerate` benchmark workload
   (`bench/workloads.py`, LEVELS), each counted by `Chain` --passes
@@ -31,6 +32,14 @@ Four measures and two counts, each per checkout root given:
   its `run` on the checkout's `golden` and `matrices`, reported as the
   sum over the ops of each op's fastest time, with the same count of
   passes won;
+- in process, the same way: the first 1000 ops of the `formula`
+  benchmark workload (`bench/workloads.py`, Formula, seed 1, five passes
+  of 200 levels), each one call of its `run` on the checkout's
+  `ideals`, `formula` and `quotient`, with the same sum and count;
+- the `GoldenInt`s that those 1000 `formula` ops build and their calls
+  of `ideals.ideal_mul`, each op run once, two counts as steady as the
+  others.  `GoldenInt.__init__` and `ideal_mul` are patched only while
+  the ops run;
 - in a fresh process: the chain at (2+L)^8, of norm 5^8 (its cap the
   norm squared, above its orbit of about 1.5 * 10^11 points), with its wall
   time and the child's maxrss, in --big-runs rounds after one discarded
@@ -79,7 +88,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 from hecke5.cli import positive_int  # noqa: E402
 from hecke5.golden import parse_int  # noqa: E402
-from workloads import LEVELS, VERIFY_TARGETS, Membership  # noqa: E402
+from workloads import LEVELS, VERIFY_TARGETS, Formula, Membership  # noqa: E402
 
 # run in a child with the checkout's src first on sys.path
 BIG_CHILD = """
@@ -97,14 +106,15 @@ print(json.dumps({"wall_s": wall, "maxrss_mb": maxrss, "order": order}))
 """
 
 
-MODULES = ("quotient", "ideals", "verify", "golden", "matrices")
-MEMBERSHIP_SEED = 1
+MODULES = ("quotient", "ideals", "verify", "golden", "matrices", "formula")
+SEED = 1  # of the membership and formula ops
+FORMULA_PASSES = 5  # of 200 levels each
 
 
 def load(root: Path):
-    """The `quotient`, `ideals`, `verify`, `golden` and `matrices` modules
-    of the checkout at `root`, loaded apart from those of any other
-    checkout."""
+    """The `quotient`, `ideals`, `verify`, `golden`, `matrices` and
+    `formula` modules of the checkout at `root`, loaded apart from those
+    of any other checkout."""
     for name in [n for n in sys.modules if n == "hecke5" or n.startswith("hecke5.")]:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
@@ -181,42 +191,59 @@ def verify_op(target: str) -> tuple:
     return f"verify {target}", op
 
 
-def membership(tree: tuple) -> Membership:
-    """The `membership` workload, its library the checkout's `golden` and
-    `matrices`."""
-    return Membership(SimpleNamespace(**dict(zip(MODULES, tree))), MEMBERSHIP_SEED)
+def library(tree: tuple) -> SimpleNamespace:
+    """A checkout's modules as the benchmark's workloads read them, one
+    attribute per module."""
+    return SimpleNamespace(**dict(zip(MODULES, tree)))
 
 
-def membership_ops(trees: list[tuple]) -> list[tuple]:
-    """One op per op of the `membership` workload: its `run` on the op,
-    which answers whether `is_member` was right."""
-    workloads = {tree: membership(tree) for tree in trees}
+def workload_ops(kind: type, trees: list[tuple], ops: list) -> list[tuple]:
+    """One op per op in `ops` of the benchmark workload `kind` (seed
+    `SEED`): its `run` on the checkout's modules, which answers whether
+    the op's result was right."""
+    workloads = {tree: kind(library(tree), SEED) for tree in trees}
     return [
-        (f"membership op {j} {op!r}", lambda *tree, op=op: partial(workloads[tree].run, op))
-        for j, op in enumerate(workloads[trees[0]].ops)
+        (f"{kind.name} op {j} {op!r}", lambda *tree, op=op: partial(workloads[tree].run, op))
+        for j, op in enumerate(ops)
     ]
 
 
-def golden_int_constructions(tree: tuple) -> int:
-    """The `GoldenInt`s that the `membership` ops build, each op run once,
-    with the checkout's `GoldenInt.__init__` restored after."""
-    workload = membership(tree)
-    golden_int = workload.lib.golden.GoldenInt
-    calls = 0
-    init = golden_int.__init__
+def membership_ops(trees: list[tuple]) -> list[tuple]:
+    """The ops of the `membership` workload."""
+    return workload_ops(Membership, trees, Membership(None, SEED).ops)
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
+
+def formula_ops(trees: list[tuple]) -> list[tuple]:
+    """The ops of the first `FORMULA_PASSES` passes of the `formula`
+    workload, drawn as the benchmark draws them."""
+    draws = Formula(None, SEED)
+    return workload_ops(Formula, trees, [op for index in range(FORMULA_PASSES) for op in draws.pass_ops(index)])
+
+
+def work_counts(tree: tuple, ops: list[tuple]) -> tuple[int, int]:
+    """The `GoldenInt`s that `ops` build and their calls of
+    `ideals.ideal_mul`, each op run once, with the checkout's
+    `GoldenInt.__init__` and `ideal_mul` restored after."""
+    lib = library(tree)
+    golden_int, ideals = lib.golden.GoldenInt, lib.ideals
+    init, ideal_mul = golden_int.__init__, ideals.ideal_mul
+    counts = [0, 0]
+
+    def counted_init(self, *args):
+        counts[0] += 1
         init(self, *args)
 
-    golden_int.__init__ = counted
+    def counted_mul(*args):
+        counts[1] += 1
+        return ideal_mul(*args)
+
+    golden_int.__init__, ideals.ideal_mul = counted_init, counted_mul
     try:
-        for op in workload.ops:
-            workload.run(op)
+        for _, op in ops:
+            op(*tree)()
     finally:
-        golden_int.__init__ = init
-    return calls
+        golden_int.__init__, ideals.ideal_mul = init, ideal_mul
+    return counts[0], counts[1]
 
 
 def report(what: str, roots: list[Path], measured: tuple[list[float], list[list[float]]]) -> None:
@@ -289,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{root} has no src/hecke5/quotient.py")
 
     trees = [load(root) for root in roots]
+    member_ops, formula_op_list = membership_ops(trees), formula_ops(trees)
     within = f"over {args.passes} passes (sums and passes won compare only within this invocation):"
     report(
         f"Chain on the {len(LEVELS)} enumerate levels, sum of per-level minima {within}",
@@ -299,22 +327,33 @@ def main(argv: list[str] | None = None) -> int:
     for root, tree in zip(roots, trees):
         print(f"  {root}: {line_form_calls(*tree):,}")
     print(
-        f"GoldenInt constructions of the {Membership.OPS} membership ops (seed {MEMBERSHIP_SEED}),"
+        f"GoldenInt constructions of the {len(member_ops)} membership ops (seed {SEED}),"
         " a work count the same on any machine:"
     )
     for root, tree in zip(roots, trees):
-        print(f"  {root}: {golden_int_constructions(tree):,}")
+        print(f"  {root}: {work_counts(tree, member_ops)[0]:,}")
     report(
         f"verify on its {len(VERIFY_TARGETS)} targets, sum of per-target minima {within}",
         roots,
         in_process(trees, [verify_op(target) for target in VERIFY_TARGETS], args.passes),
     )
-    ops = membership_ops(trees)
     report(
-        f"membership on its {len(ops)} ops (seed {MEMBERSHIP_SEED}), sum of per-op minima {within}",
+        f"membership on its {len(member_ops)} ops (seed {SEED}), sum of per-op minima {within}",
         roots,
-        in_process(trees, ops, args.passes),
+        in_process(trees, member_ops, args.passes),
     )
+    report(
+        f"formula on its first {len(formula_op_list)} ops (seed {SEED}), sum of per-op minima {within}",
+        roots,
+        in_process(trees, formula_op_list, args.passes),
+    )
+    print(
+        f"GoldenInt constructions and ideal_mul calls of the {len(formula_op_list)} formula ops"
+        f" (seed {SEED}), work counts the same on any machine:"
+    )
+    for root, tree in zip(roots, trees):
+        golden_ints, ideal_muls = work_counts(tree, formula_op_list)
+        print(f"  {root}: {golden_ints:,} GoldenInts, {ideal_muls:,} ideal_mul calls")
 
     if args.big_runs > 0:
         paired_rounds(roots, args.big_runs)

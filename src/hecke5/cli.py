@@ -9,7 +9,8 @@ is not an ideal or is given by both `--level` and `--hnf`, two of
 `index`'s `--enumerate`, `--formula` and `--both`, a `--cap` below 1,
 an `--out` that cannot be written), 3 a safeguard cap was hit
 (`--cap`, the pseudo-Euclidean loop's coordinate budget,
-`golden.EUCLID_BUDGET_BITS`, or an element too long to print,
+`golden.EUCLID_BUDGET_BITS`, trial division's budget of divisors,
+`ideals._DIVISOR_BUDGET`, or an element too long to print,
 `golden.format_element`); the error goes to stderr and, under `--json`,
 a `hecke5/v1/error` document with `error`, `cap` and `partial` goes to
 stdout.  A reader that closes stdout early (`hecke5 cosets ... | head`)

@@ -27,8 +27,9 @@ class NotAUnitError(ValueError):
 
 class IterationCapError(RuntimeError):
     """A bound on the work ran out: `pseudo_euclid`'s coordinate budget,
-    a limit on the input, or `unit_log`'s walk from its guess, which only
-    a wrong guess reaches.  The CLI exits 3."""
+    trial division's budget of divisors (`ideals._factor_int`), a limit
+    on the input, or `unit_log`'s walk from its guess, which only a wrong
+    guess reaches.  The CLI exits 3."""
 
 
 @dataclass(frozen=True, init=False)

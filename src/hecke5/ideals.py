@@ -16,10 +16,10 @@ built on first read and kept by the ideal, as its factorization is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
-from .golden import GoldenInt, gcd_pseudo
+from .golden import GoldenInt, IterationCapError, gcd_pseudo
 
 Pair = tuple[int, int]  # one residue (x, y), x + yL
 # a 2x2 matrix of residues: the reduced pairs of its entries, row-major
@@ -38,15 +38,12 @@ class IdealHNF:
             raise ValueError(f"not a valid HNF triple: {(d1, k, d2)}")
         # an ideal is closed under multiplication by L, (x, y) -> (y, x + y);
         # checking the two basis rows (d1, k) and (0, d2) suffices
-        if not (self.contains(GoldenInt(k, d1 + k)) and self.contains(GoldenInt(d2, d2))):
+        if not (self.contains(k, d1 + k) and self.contains(d2, d2)):
             raise ValueError(f"HNF triple {(d1, k, d2)} is a lattice but not an ideal")
 
     @property
     def norm(self) -> int:
         return self.d1 * self.d2
-
-    def basis(self) -> tuple[GoldenInt, GoldenInt]:
-        return GoldenInt(self.d1, self.k), GoldenInt(0, self.d2)
 
     def reduce_pair(self, a: int, b: int) -> tuple[int, int]:
         """The residue (x, y) of a + bL: subtract the row (d1, k) q times to
@@ -59,8 +56,9 @@ class IdealHNF:
         """`_residue_ops` of this ideal, built on first read."""
         return _residue_ops(self)
 
-    def contains(self, x: GoldenInt) -> bool:
-        return self.reduce_pair(x.a, x.b) == (0, 0)
+    def contains(self, a: int, b: int) -> bool:
+        """True iff a + bL lies in the ideal."""
+        return self.reduce_pair(a, b) == (0, 0)
 
     @cached_property
     def factors(self) -> tuple[PrimeFactor, ...]:
@@ -150,25 +148,37 @@ def lattice_hnf(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a, b % c, c
 
 
+def _built(triple: tuple[int, int, int]) -> IdealHNF:
+    """The ideal of an HNF triple that the program built: one that is not
+    an ideal is a fault of the program, not of its input, so it raises
+    RuntimeError, not the ValueError of a malformed level."""
+    try:
+        return IdealHNF(*triple)
+    except ValueError as exc:
+        raise RuntimeError(f"internal error: {exc}") from exc
+
+
 def ideal_from_generator(g: GoldenInt | int) -> IdealHNF:
     """HNF of the principal ideal (g), spanned over Z by g and L*g."""
     if isinstance(g, int):
         g = GoldenInt(g, 0)
     if not g:
         raise ValueError("zero element does not generate a lattice of full rank")
-    ideal = IdealHNF(*lattice_hnf([(g.a, g.b), (g.b, g.a + g.b)]))
+    ideal = _built(lattice_hnf([(g.a, g.b), (g.b, g.a + g.b)]))
     if ideal.norm != g.norm():
         raise RuntimeError(f"ideal {ideal} of ({g}) has norm {ideal.norm}, not {g.norm()}")
     return ideal
 
 
 def ideal_mul(x: IdealHNF, y: IdealHNF) -> IdealHNF:
-    rows = []
-    for e in x.basis():
-        for f in y.basis():
-            p = e * f
-            rows.append((p.a, p.b))
-    out = IdealHNF(*lattice_hnf(rows))
+    """The product, spanned by the four products of the basis rows (a, b)
+    and (c, d), each a + bL times c + dL = ac + bd + (ad + bc + bd)L."""
+    rows = [
+        (a * c + b * d, a * d + b * c + b * d)
+        for a, b in ((x.d1, x.k), (0, x.d2))
+        for c, d in ((y.d1, y.k), (0, y.d2))
+    ]
+    out = _built(lattice_hnf(rows))
     if out.norm != x.norm * y.norm:
         raise RuntimeError(f"{x} * {y} = {out} has norm {out.norm}, not {x.norm * y.norm}")
     return out
@@ -193,8 +203,9 @@ def ideals_up_to(norm: int) -> list[IdealHNF]:
 
 
 def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:
-    """True iff y is contained in x as a lattice (i.e. x | y)."""
-    return all(x.contains(e) for e in y.basis())
+    """True iff y is contained in x as a lattice (i.e. x | y): both basis
+    rows of y lie in x."""
+    return x.contains(y.d1, y.k) and x.contains(0, y.d2)
 
 
 @dataclass(frozen=True)
@@ -260,22 +271,30 @@ def _is_prime(n: int) -> bool:
 
 # 399165290221 * 798330580441, the least composite that `_is_prime` calls prime
 _PSI12 = 318665857834031151167461
+# the largest trial divisor: about 5 * 10^6 divisions, under a second
+_DIVISOR_BUDGET = 10**7
 
 
 def _factor_int(n: int) -> dict[int, int]:
     """Trial division.  Past d = 1000 it stops once the cofactor n is
     prime by `_is_prime`, tested each time n changes, but only below
-    _PSI12, where that test is exact; a larger cofactor is divided on."""
+    _PSI12, where that test is exact; a larger cofactor is divided on.
+    Past d = _DIVISOR_BUDGET a cofactor still unresolved (two prime
+    factors above the budget, or a prime at or above _PSI12) raises
+    IterationCapError."""
     out: dict[int, int] = {}
     d, tested = 2, 1
     while d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        if d > 1000 and n != tested:
-            if n < _PSI12 and _is_prime(n):
-                break
-            tested = n
+        if d > 1000:
+            if n != tested:
+                if n < _PSI12 and _is_prime(n):
+                    break
+                tested = n
+            if d > _DIVISOR_BUDGET:
+                raise IterationCapError(f"trial division passed d = {_DIVISOR_BUDGET} with a cofactor unfactored")
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
@@ -306,7 +325,7 @@ def split_rational_prime(p: int) -> tuple[PrimeFactor, ...]:
         t = next((t for t in range(p) if (t * t - t - 1) % p == 0), None)
         if t is None:
             raise RuntimeError(f"t^2 = t + 1 has no root mod {p}")
-        primes = sorted({IdealHNF(1, (1 - t) % p, p), IdealHNF(1, t, p)}, key=lambda x: x.k)
+        primes = sorted({_built((1, (1 - t) % p, p)), _built((1, t, p))}, key=lambda x: x.k)
         if len(primes) != 2:
             raise RuntimeError(f"{p} split into {[str(x) for x in primes]}, not two primes")
         return tuple(PrimeFactor(prime, 1, 1, False, p, prime) for prime in primes)
@@ -320,13 +339,16 @@ def factor_ideal(ideal: IdealHNF) -> list[PrimeFactor]:
     check = IdealHNF(1, 0, 1)
     for p in sorted(_factor_int(ideal.d2)):  # d1 | d2: the norm's primes
         for pf in split_rational_prime(p):
-            e = 0
-            power = pf.prime  # P^(e+1); once e > 0, exact is P^e
+            # power is P^(e+1), built only when its norm divides N(A),
+            # as it must if it holds A; once e > 0, exact is P^e
+            e, power = 0, pf.prime
             while ideal_divides(power, ideal):
-                e += 1
-                exact, power = power, ideal_mul(power, pf.prime)
+                e, exact = e + 1, power
+                if ideal.norm % (power.norm * pf.prime.norm):
+                    break
+                power = ideal_mul(power, pf.prime)
             if e:
-                out.append(replace(pf, exponent=e, power=exact))
+                out.append(PrimeFactor(pf.prime, e, pf.residue_degree, pf.ramified, p, exact))
                 check = ideal_mul(check, exact)
     if check != ideal:
         raise RuntimeError(f"factorization of {ideal} reconstructs {check}")

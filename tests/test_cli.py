@@ -464,6 +464,17 @@ class TestCapErrors:
         assert code == 3 and err.endswith("-bit coordinate budget\n")
         assert json.loads(out) == {"schema": "hecke5/v1/error", "error": err[7:-1], "cap": None, "partial": None}
 
+    @pytest.mark.parametrize("command", [["index", "--formula"], ["factor"]])
+    def test_division_budget(self, capsys, command):
+        # 10^24 + 7 is an inert prime at or above psi12, past the exact
+        # range of the prime test: trial division runs to its budget of
+        # divisors and ends there
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--level", "1000000000000000000000007", "--json")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (3, "error: trial division passed d = 10000000 with a cofactor unfactored\n")
+        assert json.loads(out) == {"schema": "hecke5/v1/error", "error": err[7:-1], "cap": None, "partial": None}
+
     def test_orbit_of_a_hundred_million_columns(self, capsys):
         # (101) has norm 10,201: the orbit of e1 has 104,040,000 points,
         # counted without walking them
@@ -550,6 +561,14 @@ class TestNonIdealLevels:
         assert proc.returncode == 2, proc
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "not an ideal" in proc.stderr
+
+    def test_a_triple_the_program_built_is_a_fault_not_a_usage_error(self, monkeypatch):
+        # (1, 1, 2) is not an ideal: built by the program, here the prime
+        # above 2 of a well-formed level, it raises RuntimeError, which
+        # `main` does not report as exit 2
+        monkeypatch.setattr(ideals, "lattice_hnf", lambda rows: (1, 1, 2))
+        with pytest.raises(RuntimeError, match="not an ideal"):
+            main(["index", "--formula", "--hnf", "2,0,2"])
 
 
 class TestUsageErrorsUnderPythonO:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke5 import ideals
-from hecke5.golden import GoldenInt, LAMBDA, gcd_pseudo, lambda_power
+from hecke5.golden import GoldenInt, IterationCapError, LAMBDA, gcd_pseudo, lambda_power
 from hecke5.ideals import (
     IdealHNF,
     TAU,
@@ -63,9 +64,9 @@ class TestIdealHNF:
 
     def test_contains(self):
         a = IdealHNF(1, 3, 5)
-        assert a.contains(GoldenInt(2, 1))
-        assert a.contains(GoldenInt(1, 3))
-        assert not a.contains(GoldenInt(1, 0))
+        assert a.contains(2, 1)
+        assert a.contains(1, 3)
+        assert not a.contains(1, 0)
 
     def test_lattice_that_is_not_an_ideal_rejected(self):
         # Z*1 + Z*2L: L * 1 = L is not in it
@@ -164,8 +165,9 @@ class TestFromGenerator:
     def test_norm_and_membership(self, g):
         ideal = ideal_from_generator(g)
         assert ideal.norm == g.norm()
-        assert ideal.contains(g)
-        assert ideal.contains(LAMBDA * g)
+        lg = LAMBDA * g
+        assert ideal.contains(g.a, g.b)
+        assert ideal.contains(lg.a, lg.b)
 
 
 class TestIdealArithmetic:
@@ -188,6 +190,42 @@ class TestIdealArithmetic:
         a, b = ideal_from_generator(g), ideal_from_generator(h)
         p = ideal_mul(a, b)
         assert ideal_divides(a, p) and ideal_divides(b, p)
+
+
+def basis(x: IdealHNF) -> tuple[GoldenInt, GoldenInt]:
+    return GoldenInt(x.d1, x.k), GoldenInt(0, x.d2)
+
+
+def reference_mul(x: IdealHNF, y: IdealHNF) -> IdealHNF:
+    """x * y as the span of the GoldenInt products of the two bases."""
+    products = [e * f for e in basis(x) for f in basis(y)]
+    return IdealHNF(*lattice_hnf([(p.a, p.b) for p in products]))
+
+
+def reference_divides(x: IdealHNF, y: IdealHNF) -> bool:
+    """x | y exactly when x + y, the span of both bases, is x."""
+    return lattice_hnf([(e.a, e.b) for e in basis(x) + basis(y)]) == (x.d1, x.k, x.d2)
+
+
+class TestAgainstGoldenIntReference:
+    """`ideal_mul` and `ideal_divides` run on the HNF integers; the
+    reference builds GoldenInts."""
+
+    def test_every_pair_up_to_norm_120(self):
+        small = ideals_up_to(120)
+        assert len(small) > 40
+        for x in small:
+            for y in small:
+                assert ideal_mul(x, y) == reference_mul(x, y), (x, y)
+                assert ideal_divides(x, y) == reference_divides(x, y), (x, y)
+
+    @given(nonzero_elements, nonzero_elements)
+    @settings(max_examples=200)
+    def test_principal_ideals(self, g, h):
+        x, y = ideal_from_generator(g), ideal_from_generator(h)
+        assert ideal_mul(x, y) == reference_mul(x, y)
+        assert ideal_divides(x, y) == reference_divides(x, y)
+        assert ideal_divides(y, x) == reference_divides(y, x)
 
 
 class TestSplitting:
@@ -324,6 +362,15 @@ class TestFactorIdeal:
             f.prime.norm > 1 for f in factors
         )
 
+    def test_degrees_and_exponents_add_up_to_the_norm(self):
+        # for every ideal of norm <= 1000 and every p: the sum of f * e over
+        # the primes above p is v_p(N(A)), read from sympy
+        for ideal in ideals_up_to(1000):
+            found = Counter()
+            for f in ideal.factors:
+                found[f.rational_prime] += f.residue_degree * f.exponent
+            assert found == sympy.factorint(ideal.norm), ideal
+
 
 class TestFactorInt:
     def test_psi12_is_the_bound_of_the_prime_test(self):
@@ -362,6 +409,19 @@ class TestFactorInt:
         assert asked == []
         assert ideals._factor_int(1009 * 1013 * 9999991) == {1009: 1, 1013: 1, 9999991: 1}
         assert asked == [9999991]
+
+    def test_division_budget(self, monkeypatch):
+        # a cofactor with two prime factors above the budget is not
+        # factored; one prime factor above it, below psi12, still is
+        monkeypatch.setattr(ideals, "_DIVISOR_BUDGET", 1500)
+        with pytest.raises(IterationCapError, match="trial division passed d = 1500"):
+            ideals._factor_int(2 * 1511 * 1523)
+        assert ideals._factor_int(2 * 1499 * (10**9 + 7)) == {2: 1, 1499: 1, 10**9 + 7: 1}
+
+    def test_a_prime_factor_near_the_budget_above_a_large_prime(self):
+        # the budget is the divisor 10^7, which 3,000,017 stays below
+        p = sympy.nextprime(10**18)
+        assert ideals._factor_int(3000017 * p) == {3000017: 1, p: 1}
 
     def test_no_prime_test_below_d_1000(self, monkeypatch):
         # norms below 10^6 are trial-divided as before, with no prime test
@@ -423,7 +483,7 @@ class TestResidueRing:
                 for b in range(-12, 13):
                     x = GoldenInt(a, b)
                     assert (ideal.reduce_pair(a, b) == (0, 0)) == divides(g, x)
-                    assert ideal.contains(x) == divides(g, x)
+                    assert ideal.contains(a, b) == divides(g, x)
 
     @given(
         st.builds(GoldenInt, st.integers(-50, 50), st.integers(-50, 50)),

@@ -351,7 +351,7 @@ class TestLineForm:
         power_ideal = reduce(ideal_mul, [prime] * e)
         n, d1, k = power_ideal.norm, power_ideal.d1, power_ideal.k
         residues = [(x, y) for x in range(d1) for y in range(power_ideal.d2)]
-        units = {r for r in residues if not prime.contains(GoldenInt(*r))}
+        units = {r for r in residues if not prime.contains(*r)}
 
         def mul(u, x):
             p = GoldenInt(*u) * GoldenInt(*x)

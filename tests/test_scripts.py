@@ -101,10 +101,12 @@ def test_index_survey_exits_on_a_disagreement(monkeypatch):
 
 
 def test_chain_timing_runs_on_this_checkout():
-    # one in-process pass over the enumerate levels, the verify targets
-    # and the membership ops, the line-form calls of the enumerate chains
-    # and the GoldenInts the membership ops build, no fresh (2+L)^8 run;
-    # the script loads this checkout's package from the root it is given
+    # one in-process pass over the enumerate levels, the verify targets,
+    # the membership ops and the formula ops, the line-form calls of the
+    # enumerate chains, the GoldenInts the membership ops build and the
+    # GoldenInts and ideal_mul calls of the formula ops, no fresh
+    # (2+L)^8 run; the script loads this checkout's package from the
+    # root it is given
     root = SCRIPTS.parent
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
@@ -115,7 +117,8 @@ def test_chain_timing_runs_on_this_checkout():
     assert proc.returncode == 0, proc.stderr
     (
         chain_header, chain_line, count_header, count_line, golden_header, golden_line,
-        verify_header, verify_line, member_header, member_line, *rest,
+        verify_header, verify_line, member_header, member_line,
+        formula_header, formula_line, formula_count_header, formula_count_line, *rest,
     ) = proc.stdout.splitlines()
     assert chain_header.startswith("Chain on the 27 enumerate levels")
     assert count_header.startswith("line-form calls of the 27 enumerate chains")
@@ -124,8 +127,12 @@ def test_chain_timing_runs_on_this_checkout():
         assert re.fullmatch(rf"  {re.escape(str(root))}: \d{{1,3}}(,\d{{3}})*", line)
     assert verify_header.startswith("verify on its 4 targets")
     assert member_header.startswith("membership on its 1000 ops (seed 1)")
+    assert formula_header.startswith("formula on its first 1000 ops (seed 1)")
+    assert formula_count_header.startswith("GoldenInt constructions and ideal_mul calls of the 1000 formula ops (seed 1)")
+    count = r"\d{1,3}(,\d{3})*"
+    assert re.fullmatch(rf"  {re.escape(str(root))}: {count} GoldenInts, {count} ideal_mul calls", formula_count_line)
     assert rest == []
-    for line in (chain_line, verify_line, member_line):
+    for line in (chain_line, verify_line, member_line, formula_line):
         assert line.strip().startswith(f"{root}: ") and line.endswith("ms  (1.000 of the first)")
 
 

@@ -289,6 +289,36 @@ def test_one_pseudo_euclidean_loop():
     assert seen == allowed and found == []
 
 
+def test_ideal_arithmetic_on_integers():
+    # the ideal arithmetic that factoring runs reads the HNF integers:
+    # none of these functions builds a GoldenInt, asks for a basis of
+    # GoldenInts or copies a dataclass with `replace`
+    functions = {
+        ("IdealHNF", "__post_init__"),
+        ("IdealHNF", "contains"),
+        ("ideal_mul",),
+        ("ideal_divides",),
+        ("factor_ideal",),
+    }
+    forbidden = {"GoldenInt", "basis", "replace"}
+    tree = ast.parse((PACKAGE / "ideals.py").read_text())
+    seen, found = set(), []
+    for f in tree.body:
+        for g in [f, *getattr(f, "body", [])]:
+            name = getattr(f, "name", None)
+            scope = (name,) if g is f else (name, getattr(g, "name", None))
+            if scope not in functions:
+                continue
+            seen.add(scope)
+            found += [
+                f"{'.'.join(scope)}:{node.lineno} {called}"
+                for node in ast.walk(g)
+                if isinstance(node, ast.Call)
+                and (called := getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in forbidden
+            ]
+    assert seen == functions and found == []
+
+
 def test_the_packed_form_stays_in_the_closure():
     # a residue matrix is its Key at every interface; the packed int is
     # the closure's storage, so `_pack` and `_unpack` are named (read,
