@@ -187,19 +187,22 @@ def ideal_mul(x: IdealHNF, y: IdealHNF) -> IdealHNF:
 def ideals_up_to(norm: int) -> list[IdealHNF]:
     """Every ideal of norm 2 to `norm`, ordered by (norm, d1, k).
 
-    An ideal's HNF is d1 times that of a primitive ideal (1, j, m): L *
-    (0, d2) = (d2, d2) lies in the lattice only when d1 | d2 and d1 | k.
-    And (1, j, m) is an ideal exactly when L * (1 + jL) = j + (1 + j)L
-    lies in it, that is, when j^2 - j - 1 = 0 mod m.  So the scan is over
-    d1, m and j < m, and `IdealHNF` checks each triple it keeps.
+    Z[L] is norm-Euclidean (Hardy & Wright, "An Introduction to the
+    Theory of Numbers", ch. 14), so every ideal is (h), h = a + bL, and
+    the list is the ideals of the h with 2 <= |N(h)| <= norm in a box.
+    The box: a unit L^j multiplies |h/h'| by L^2j, so some associate has
+    |h/h'| in [1/L, L), and then |h|^2, |h'|^2 <= L N(h).  As a = (h/L +
+    h'L)/sqrt5 and b = (h - h')/sqrt5, with L + 1/L = sqrt5, both |a| and
+    |b| are at most sqrt(L N(h)) <= sqrt(13/8 norm), as 13/8 > L.  And
+    -h generates (h), so b >= 0.
     """
-    out = []
-    for d1 in range(1, math.isqrt(norm) + 1):
-        for m in range(1, norm // (d1 * d1) + 1):
-            out.extend(
-                IdealHNF(d1, j * d1, d1 * m) for j in range(m) if (j * j - j - 1) % m == 0
-            )
-    return sorted((x for x in out if x.norm >= 2), key=lambda x: (x.norm, x.d1, x.k))
+    r = math.isqrt(13 * norm // 8)
+    found = {
+        ideal_from_generator(h)
+        for h in (GoldenInt(a, b) for a in range(-r, r + 1) for b in range(r + 1))
+        if 2 <= h.norm() <= norm
+    }
+    return sorted(found, key=lambda x: (x.norm, x.d1, x.k))
 
 
 def ideal_divides(x: IdealHNF, y: IdealHNF) -> bool:

@@ -17,8 +17,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_index_survey_runs_and_counts_agree_with_formula():
+    # the chain counts every level at its default cap, [1,10,89] and
+    # [1,80,89] (index 704,880) and [1,43,95] and [1,53,95] (index
+    # 820,800) among them
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-norm", "20"],
+        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-norm", "100"],
         capture_output=True,
         text=True,
         env=src_env(),
@@ -27,15 +30,16 @@ def test_index_survey_runs_and_counts_agree_with_formula():
     assert proc.returncode == 0, proc.stderr
     header, _, *rows = proc.stdout.splitlines()
     assert header.split() == ["level", "norm", "formula", "counted", "sl2", "onto", "sec"]
-    table = [dict(zip(header.split(), row.split())) for row in rows]
-    counted = [row for row in table if row["counted"] != "-"]
-    assert counted and len(counted) == len(table)
-    for row in counted:
+    table = {row["level"]: row for row in (dict(zip(header.split(), row.split())) for row in rows)}
+    assert len(table) == len(rows) == 43
+    for row in table.values():
         assert row["formula"] == row["counted"], row
+    assert [table[level]["counted"] for level in ("[1,10,89]", "[1,80,89]", "[1,43,95]", "[1,53,95]")] == [
+        "704880", "704880", "820800", "820800",
+    ]
 
 
-
-@pytest.mark.parametrize("option", ["--max-norm", "--max-enumerate"])
+@pytest.mark.parametrize("option", ["--max-norm"])
 @pytest.mark.parametrize("value", ["1_0", "\u0663" + "00", "0", "-5"])
 def test_index_survey_reads_integers_like_the_cli(option, value):
     # cli.positive_int: no underscores, no non-ASCII digits, at least 1
@@ -48,6 +52,18 @@ def test_index_survey_reads_integers_like_the_cli(option, value):
     )
     assert proc.returncode == 2, proc.stdout
     assert f"argument {option}: invalid positive_int value" in proc.stderr
+
+
+def test_index_survey_has_no_enumeration_bound():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-enumerate", "500000"],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert "unrecognized arguments: --max-enumerate" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -94,10 +110,26 @@ def test_index_survey_exits_on_a_disagreement(monkeypatch):
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
     chain = survey.Chain
-    monkeypatch.setattr(survey, "Chain", lambda ideal, cap: SimpleNamespace(order=chain(ideal, cap).order + 1))
+    monkeypatch.setattr(survey, "Chain", lambda ideal: SimpleNamespace(order=chain(ideal).order + 1))
     with pytest.raises(SystemExit) as exc:
-        survey.run(4, 500_000)
+        survey.run(4)
     assert exc.value.code == "level [2,0,2]: formula 10 != count 11"
+
+
+def test_index_survey_prints_a_dash_past_the_cap(monkeypatch, capsys):
+    # a chain that passes its cap leaves its level uncounted, `-`, and the
+    # survey goes on
+    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+
+    def capped(ideal):
+        raise survey.CapExceededError(5_000_000, "orbit")
+
+    monkeypatch.setattr(survey, "Chain", capped)
+    survey.run(4)
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split()))["counted"] == "-"
 
 
 def test_chain_timing_runs_on_this_checkout():
@@ -252,8 +284,8 @@ def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
 
 
 def test_ideals_up_to_lists_the_survey_levels():
-    # the survey lists ideals_up_to, which scans HNF triples; the reference
-    # is the principal ideals of every generator in a box, deduplicated
+    # the survey lists ideals_up_to; the reference is the principal ideals
+    # of every generator in a box, deduplicated
     bound = math.isqrt(400) + 2
     levels = {
         ideal_from_generator(GoldenInt(a, b))
