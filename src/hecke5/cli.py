@@ -7,7 +7,8 @@ false (a verification did not pass), 2 usage error (a malformed literal,
 a number that `golden.parse_int` refuses, a zero divisor, a level that
 is not an ideal or is given by both `--level` and `--hnf`, two of
 `index`'s `--enumerate`, `--formula` and `--both`, a `--cap` below 1,
-an `--out` that cannot be written), 3 a safeguard cap was hit
+a `--max-norm` outside 2 to `verify.MAX_SURVEY_NORM`, an `--out` that
+cannot be written), 3 a safeguard cap was hit
 (`--cap`, the pseudo-Euclidean loop's coordinate budget,
 `golden.EUCLID_BUDGET_BITS`, trial division's budget of divisors,
 `ideals._DIVISOR_BUDGET`, or an element too long to print,
@@ -193,7 +194,7 @@ def cmd_cosets(args, ideal):
 def cmd_verify(args):
     # `all` runs every target, in the table's order
     targets = verify_mod.VERIFIERS if args.target == "all" else [args.target]
-    reports = [r for t in targets for r in verify_mod.VERIFIERS[t](args.cap)]
+    reports = [r for t in targets for r in verify_mod.VERIFIERS[t](args.cap, args.max_norm)]
     ok = all(r.passed for r in reports)
     payload = {
         "passed": ok,
@@ -289,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         modes.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
     index.set_defaults(mode="both")
     sub.choices["cosets"].add_argument("--out", default="-", help="output file ('-' for stdout)")
-    sub.choices["verify"].add_argument("target", choices=["all", *verify_mod.VERIFIERS])
+    verify = sub.choices["verify"]
+    verify.add_argument("target", choices=["all", *verify_mod.VERIFIERS])
+    norm_help = f"survey the levels of norm 2 to this, at most {verify_mod.MAX_SURVEY_NORM}"
+    verify.add_argument("--max-norm", type=positive_int, default=verify_mod.SURVEY_NORM, help=norm_help)
     return parser
 
 

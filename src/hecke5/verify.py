@@ -3,7 +3,9 @@ identities the index results rest on.
 
 Every verifier recomputes its claim from scratch with exact arithmetic
 and reports per-check pass/fail with the computed and expected values; a
-failing check carries a witness.
+failing check carries a witness.  The survey (`verify_survey`) is the
+one check of the index formula against the chain's count over a range
+of levels.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
+from .formula import index_formula
 from .golden import GoldenInt, lambda_power
-from .ideals import TAU, IdealHNF, Key, ideal_from_generator
+from .ideals import TAU, IdealHNF, Key, ideal_from_generator, ideals_up_to
 from .matrices import (
     IDENTITY,
     Mat2,
@@ -25,6 +28,7 @@ from .matrices import (
 )
 from .quotient import (
     DEFAULT_CAP,
+    CapExceededError,
     Chain,
     ResMat,
     is_normal,
@@ -422,13 +426,39 @@ def verify_identities(cap: int = DEFAULT_CAP) -> VerificationReport:
     return report
 
 
-# `hecke5 verify <target>`: each target's reports from a cap, in the order
-# `verify all` runs them
+# the survey's norm bound when none is given (43 levels), and the largest
+# it takes: listing the levels costs time linear in the bound, about 11 s
+# at 10^6
+SURVEY_NORM = 100
+MAX_SURVEY_NORM = 10**6
+
+
+def verify_survey(max_norm: int, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The closed formula against the chain's count on every level of
+    norm 2 to `max_norm` (`ideals_up_to`), one check per level named by
+    its HNF [d1,k,d2].  A bound outside 2 to MAX_SURVEY_NORM is a
+    ValueError, raised before any level is listed, and a chain that
+    passes `cap` raises CapExceededError naming its level."""
+    if not 2 <= max_norm <= MAX_SURVEY_NORM:
+        raise ValueError(f"max-norm {max_norm} is outside 2 to {MAX_SURVEY_NORM}")
+    report = VerificationReport(f"survey(max-norm={max_norm})")
+    for level in ideals_up_to(max_norm):
+        try:
+            order = Chain(level, cap).order
+        except CapExceededError as exc:
+            raise CapExceededError(cap, f"orbit at level {level}") from exc
+        report.add(str(level), order, index_formula(level).total)
+    return report
+
+
+# `hecke5 verify <target>`: each target's reports from a cap and a norm
+# bound (read only by the survey), in the order `verify all` runs them
 VERIFIERS = {
-    "kernel-layers": lambda cap: [
+    "kernel-layers": lambda cap, *_: [
         verify_kernel_layer(p, n, cap) for p, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1))
     ],
-    "conjugation-action": lambda cap: [verify_conjugation_action()],
-    "level5": lambda cap: [verify_level5_structure(cap)],
-    "identities": lambda cap: [verify_identities(cap)],
+    "conjugation-action": lambda cap, *_: [verify_conjugation_action()],
+    "level5": lambda cap, *_: [verify_level5_structure(cap)],
+    "identities": lambda cap, *_: [verify_identities(cap)],
+    "survey": lambda cap, max_norm=SURVEY_NORM: [verify_survey(max_norm, cap)],
 }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke5 import golden, ideals
+from hecke5 import golden, ideals, verify
 from hecke5.cli import COMMANDS, main
 from hecke5.golden import MAX_LITERAL_DIGITS, format_element, lambda_power
 from hecke5.matrices import eval_word
@@ -537,6 +537,22 @@ class TestCapErrors:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"argument --cap: invalid positive_int value: '{cap}'")
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663" + "00", "0", "-5"])
+    def test_max_norm_reads_integers_like_the_cap(self, capsys, value):
+        # cli.positive_int: no underscores, no non-ASCII digits, at least 1
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "survey", "--max-norm", value])
+        assert exc.value.code == 2
+        assert "argument --max-norm: invalid positive_int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_norm", ["1", "1000001", str(10**30)])
+    def test_max_norm_out_of_range_is_usage_error(self, capsys, monkeypatch, max_norm):
+        # refused before any level is listed: listing 10^30 would never end
+        monkeypatch.setattr(verify, "ideals_up_to", lambda bound: pytest.fail(f"levels listed to {bound}"))
+        assert run(capsys, "verify", "survey", "--max-norm", max_norm) == (
+            2, "", f"error: max-norm {max_norm} is outside 2 to 1000000\n",
+        )
+
     @pytest.mark.parametrize("command", ["factor", "sl2order"])
     def test_commands_that_enumerate_nothing_take_no_cap(self, command):
         with pytest.raises(SystemExit) as exc:
@@ -610,6 +626,19 @@ class TestClosedStdout:
         assert first.endswith(b"]]\n")
         assert err == b""
         assert proc.returncode == 0
+
+    def test_survey_with_stdout_closed_is_quiet(self):
+        # like `hecke5 verify survey --max-norm 20 | head`, the reader gone
+        # before the first line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hecke5.cli", "verify", "survey", "--max-norm", "20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
 
 class TestCosets:
@@ -816,8 +845,9 @@ INVOCATIONS = {
     ),
     "cosets": levels.map(lambda lv: ["cosets", *lv, *CAP]),
     "verify": st.builds(
-        lambda target, flag: ["verify", target, *CAP, *flag],
+        lambda target, norm, flag: ["verify", target, *norm, *CAP, *flag],
         st.sampled_from(["all", *VERIFIERS]),
+        st.sampled_from([[], *(["--max-norm", n] for n in ("1", "2", "20", str(10**6 + 1), str(10**30), "x"))]),
         json_flag,
     ),
 }

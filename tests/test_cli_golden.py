@@ -170,7 +170,7 @@ INVOCATIONS = [
     (
         ["verify", "all", "--json"],
         0,
-        "sha256:cb5d3ed59d4c440119f60bb066899d3dbff361af427f92687f8943b8484b8643",
+        "sha256:7ca186f966b39857076dacc94f3501513ae1ec3a38306852dadcba0233198d90",
         "",
     ),
     # usage errors the library reports
@@ -327,7 +327,7 @@ ARGUMENTS = {
         {},
     ),
     "verify": (
-        [("target", ["all", "kernel-layers", "conjugation-action", "level5", "identities"], None)],
+        [("target", ["all", "kernel-layers", "conjugation-action", "level5", "identities", "survey"], None)],
         [
             (
                 ["--cap"],
@@ -337,6 +337,13 @@ ARGUMENTS = {
                 "most orbit points of a chain's count; exit 3 beyond it",
             ),
             JSON,
+            (
+                ["--max-norm"],
+                "max_norm",
+                100,
+                None,
+                "survey the levels of norm 2 to this, at most 1000000",
+            ),
         ],
         {},
     ),

@@ -494,6 +494,20 @@ class TestIdealsUpTo:
         assert ideals_up_to(4) == [IdealHNF(2, 0, 2)]
 
 
+def test_ideals_up_to_lists_the_survey_levels():
+    # the survey lists ideals_up_to; the reference is the principal ideals
+    # of every generator in a box, deduplicated
+    bound = math.isqrt(400) + 2
+    levels = {
+        ideal_from_generator(GoldenInt(a, b))
+        for a in range(-bound, bound + 1)
+        for b in range(-bound, bound + 1)
+        if 2 <= GoldenInt(a, b).norm() <= 400
+    }
+    assert len(levels) == 171
+    assert ideals_up_to(400) == sorted(levels, key=lambda x: (x.norm, x.d1, x.k))
+
+
 def residue(ideal: IdealHNF, x: GoldenInt) -> GoldenInt:
     """The reduced pair of x mod the ideal, as an element."""
     return GoldenInt(*ideal.reduce_pair(x.a, x.b))

@@ -1,5 +1,4 @@
 import importlib.util
-import math
 import re
 import subprocess
 import sys
@@ -8,62 +7,7 @@ from types import ModuleType, SimpleNamespace
 
 import pytest
 
-from hecke5.golden import GoldenInt
-from hecke5.ideals import ideal_from_generator, ideals_up_to
-
-from conftest import src_env
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def test_index_survey_runs_and_counts_agree_with_formula():
-    # the chain counts every level at its default cap, [1,10,89] and
-    # [1,80,89] (index 704,880) and [1,43,95] and [1,53,95] (index
-    # 820,800) among them
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-norm", "100"],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, _, *rows = proc.stdout.splitlines()
-    assert header.split() == ["level", "norm", "formula", "counted", "sl2", "onto", "sec"]
-    table = {row["level"]: row for row in (dict(zip(header.split(), row.split())) for row in rows)}
-    assert len(table) == len(rows) == 43
-    for row in table.values():
-        assert row["formula"] == row["counted"], row
-    assert [table[level]["counted"] for level in ("[1,10,89]", "[1,80,89]", "[1,43,95]", "[1,53,95]")] == [
-        "704880", "704880", "820800", "820800",
-    ]
-
-
-@pytest.mark.parametrize("option", ["--max-norm"])
-@pytest.mark.parametrize("value", ["1_0", "\u0663" + "00", "0", "-5"])
-def test_index_survey_reads_integers_like_the_cli(option, value):
-    # cli.positive_int: no underscores, no non-ASCII digits, at least 1
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "index_survey.py"), option, value],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 2, proc.stdout
-    assert f"argument {option}: invalid positive_int value" in proc.stderr
-
-
-def test_index_survey_has_no_enumeration_bound():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-enumerate", "500000"],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 2, proc.stdout
-    assert "unrecognized arguments: --max-enumerate" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -88,48 +32,6 @@ def test_chain_timing_reads_counts_like_the_cli(args, message):
     )
     assert proc.returncode == 2, proc.stdout
     assert message in proc.stderr
-
-
-def test_index_survey_ends_quietly_when_stdout_closes():
-    # `index_survey.py | head`: the reader is gone before the first row
-    proc = subprocess.Popen(
-        [sys.executable, str(SCRIPTS / "index_survey.py"), "--max-norm", "20"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=src_env(),
-    )
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (0, b"")
-
-
-def test_index_survey_exits_on_a_disagreement(monkeypatch):
-    # a count one above the formula ends the survey with one line naming
-    # the level and both numbers (exit 1), not a traceback
-    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-    chain = survey.Chain
-    monkeypatch.setattr(survey, "Chain", lambda ideal: SimpleNamespace(order=chain(ideal).order + 1))
-    with pytest.raises(SystemExit) as exc:
-        survey.run(4)
-    assert exc.value.code == "level [2,0,2]: formula 10 != count 11"
-
-
-def test_index_survey_prints_a_dash_past_the_cap(monkeypatch, capsys):
-    # a chain that passes its cap leaves its level uncounted, `-`, and the
-    # survey goes on
-    spec = importlib.util.spec_from_file_location("index_survey", SCRIPTS / "index_survey.py")
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
-
-    def capped(ideal):
-        raise survey.CapExceededError(5_000_000, "orbit")
-
-    monkeypatch.setattr(survey, "Chain", capped)
-    survey.run(4)
-    header, _, row = capsys.readouterr().out.splitlines()
-    assert dict(zip(header.split(), row.split()))["counted"] == "-"
 
 
 def test_chain_timing_runs_on_this_checkout():
@@ -281,17 +183,3 @@ def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
         "  round 2, checkout 1 first: 5.000 s / 300 MB, 4.100 s / 300 MB; 2 - 1 = -0.900 s",
         "median of 2 - 1 over 2 rounds: +0.100 s  (order 120)",
     ]
-
-
-def test_ideals_up_to_lists_the_survey_levels():
-    # the survey lists ideals_up_to; the reference is the principal ideals
-    # of every generator in a box, deduplicated
-    bound = math.isqrt(400) + 2
-    levels = {
-        ideal_from_generator(GoldenInt(a, b))
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, bound + 1)
-        if 2 <= GoldenInt(a, b).norm() <= 400
-    }
-    assert len(levels) == 171
-    assert ideals_up_to(400) == sorted(levels, key=lambda x: (x.norm, x.d1, x.k))

@@ -1,5 +1,6 @@
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -374,6 +375,53 @@ class TestIdentities:
         assert len(names) == len(set(names))
 
 
+class TestSurvey:
+    def test_counts_agree_with_the_formula(self, capsys):
+        # one check per level of norm 2 to 100, each chain counted at the
+        # default cap, [1,10,89] and [1,80,89] (index 704,880) and
+        # [1,43,95] and [1,53,95] (index 820,800) among them
+        assert cli.main(["verify", "survey", "--max-norm", "100", "--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["name"] == "survey(max-norm=100)"
+        checks = {c["name"]: c for c in report["checks"]}
+        assert len(checks) == len(report["checks"]) == 43
+        assert all(c["passed"] and c["computed"] == c["expected"] for c in checks.values())
+        assert [checks[level]["computed"] for level in ("[1,10,89]", "[1,80,89]", "[1,43,95]", "[1,53,95]")] == [
+            "704880", "704880", "820800", "820800",
+        ]
+
+    def test_a_disagreement_fails_its_check(self, monkeypatch, capsys):
+        # a count one above the formula is a failed check with both
+        # numbers as its witness, and the CLI exits 1
+        chain = verify_mod.Chain
+        monkeypatch.setattr(
+            verify_mod, "Chain", lambda level, cap: SimpleNamespace(order=chain(level, cap).order + 1)
+        )
+        assert cli.main(["verify", "survey", "--max-norm", "4"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] survey(max-norm=4)\n    FAIL [2,0,2]: computed 11, expected 10\n"
+        )
+
+    def test_past_the_cap_names_the_level(self, capsys):
+        # the first level whose orbit passes the cap ends the survey,
+        # exit 3, and the error names it
+        assert cli.main(["verify", "survey", "--max-norm", "100", "--cap", "1000", "--json"]) == 3
+        captured = capsys.readouterr()
+        error = "orbit at level [1,7,41] exceeded cap 1000 (partial count 1001)"
+        assert captured.err == f"error: {error}\n"
+        payload = json.loads(captured.out)
+        assert (payload["schema"], payload["error"], payload["cap"], payload["partial"]) == (
+            "hecke5/v1/error", error, 1000, 1001,
+        )
+
+    @pytest.mark.extended
+    def test_every_ideal_up_to_norm_1000(self, capsys):
+        assert cli.main(["verify", "survey", "--max-norm", "1000", "--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert len(report["checks"]) == 430
+        assert all(c["passed"] for c in report["checks"])
+
+
 @pytest.mark.parametrize("target", list(verify_mod.VERIFIERS))
 def test_lists_no_group(monkeypatch, target):
     # every order, index and membership of `verify` comes from a chain:
@@ -386,6 +434,6 @@ def test_lists_no_group(monkeypatch, target):
 def test_verify_all_passes():
     # `verify all` runs every target in the table's order
     reports = [r for run in verify_mod.VERIFIERS.values() for r in run(verify_mod.DEFAULT_CAP)]
-    assert len(reports) == 8
+    assert len(reports) == 9
     for r in reports:
         assert r.passed, (r.name, witness(r))
