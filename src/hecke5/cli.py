@@ -192,6 +192,9 @@ def cmd_cosets(args, ideal):
 
 
 def cmd_verify(args):
+    # the bound is checked before any target runs, whether it reads it or not
+    if not 2 <= args.max_norm <= verify_mod.MAX_SURVEY_NORM:
+        raise ValueError(f"max-norm {args.max_norm} is outside 2 to {verify_mod.MAX_SURVEY_NORM}")
     # `all` runs every target, in the table's order
     targets = verify_mod.VERIFIERS if args.target == "all" else [args.target]
     reports = [r for t in targets for r in verify_mod.VERIFIERS[t](args.cap, args.max_norm)]

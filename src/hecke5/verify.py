@@ -436,11 +436,8 @@ MAX_SURVEY_NORM = 10**6
 def verify_survey(max_norm: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """The closed formula against the chain's count on every level of
     norm 2 to `max_norm` (`ideals_up_to`), one check per level named by
-    its HNF [d1,k,d2].  A bound outside 2 to MAX_SURVEY_NORM is a
-    ValueError, raised before any level is listed, and a chain that
+    its HNF [d1,k,d2] (`cli.cmd_verify` bounds `max_norm`).  A chain that
     passes `cap` raises CapExceededError naming its level."""
-    if not 2 <= max_norm <= MAX_SURVEY_NORM:
-        raise ValueError(f"max-norm {max_norm} is outside 2 to {MAX_SURVEY_NORM}")
     report = VerificationReport(f"survey(max-norm={max_norm})")
     for level in ideals_up_to(max_norm):
         try:
@@ -454,11 +451,11 @@ def verify_survey(max_norm: int, cap: int = DEFAULT_CAP) -> VerificationReport:
 # `hecke5 verify <target>`: each target's reports from a cap and a norm
 # bound (read only by the survey), in the order `verify all` runs them
 VERIFIERS = {
-    "kernel-layers": lambda cap, *_: [
+    "kernel-layers": lambda cap, _: [
         verify_kernel_layer(p, n, cap) for p, n in ((2, 1), (2, 2), (3, 1), (5, 1), (7, 1))
     ],
-    "conjugation-action": lambda cap, *_: [verify_conjugation_action()],
-    "level5": lambda cap, *_: [verify_level5_structure(cap)],
-    "identities": lambda cap, *_: [verify_identities(cap)],
-    "survey": lambda cap, max_norm=SURVEY_NORM: [verify_survey(max_norm, cap)],
+    "conjugation-action": lambda cap, _: [verify_conjugation_action()],
+    "level5": lambda cap, _: [verify_level5_structure(cap)],
+    "identities": lambda cap, _: [verify_identities(cap)],
+    "survey": lambda cap, max_norm: [verify_survey(max_norm, cap)],
 }

@@ -553,6 +553,16 @@ class TestCapErrors:
             2, "", f"error: max-norm {max_norm} is outside 2 to 1000000\n",
         )
 
+    @pytest.mark.parametrize("target", ["kernel-layers", "all"])
+    def test_max_norm_is_checked_before_any_target(self, capsys, monkeypatch, target):
+        # every target refuses the bound, also one that does not read it,
+        # and `all` refuses it before its first target runs
+        for name in VERIFIERS:
+            monkeypatch.setitem(VERIFIERS, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+        assert run(capsys, "verify", target, "--max-norm", "1") == (
+            2, "", "error: max-norm 1 is outside 2 to 1000000\n",
+        )
+
     @pytest.mark.parametrize("command", ["factor", "sl2order"])
     def test_commands_that_enumerate_nothing_take_no_cap(self, command):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,13 @@ import importlib.util
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
 import pytest
+
+from hecke5 import golden, ideals, matrices, quotient
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,12 +38,10 @@ def test_chain_timing_reads_counts_like_the_cli(args, message):
 
 
 def test_chain_timing_runs_on_this_checkout():
-    # one in-process pass over the enumerate levels, the verify targets,
-    # the membership ops and the formula ops, the line-form calls of the
-    # enumerate chains, the GoldenInts the membership ops build and the
-    # GoldenInts and ideal_mul calls of the formula ops, no fresh
-    # (2+L)^8 run; the script loads this checkout's package from the
-    # root it is given
+    # one in-process pass over the ops of each benchmark workload, each
+    # followed by the line-form calls, GoldenInts and ideal_mul calls of
+    # its ops, no fresh (2+L)^8 run; the script loads this checkout's
+    # package from the root it is given
     root = SCRIPTS.parent
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "chain_timing.py"), str(root), "--passes", "1", "--big-runs", "0"],
@@ -49,25 +50,18 @@ def test_chain_timing_runs_on_this_checkout():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (
-        chain_header, chain_line, count_header, count_line, golden_header, golden_line,
-        verify_header, verify_line, member_header, member_line,
-        formula_header, formula_line, formula_count_header, formula_count_line, *rest,
-    ) = proc.stdout.splitlines()
-    assert chain_header.startswith("Chain on the 27 enumerate levels")
-    assert count_header.startswith("line-form calls of the 27 enumerate chains")
-    assert golden_header.startswith("GoldenInt constructions of the 1000 membership ops (seed 1)")
-    for line in (count_line, golden_line):
-        assert re.fullmatch(rf"  {re.escape(str(root))}: \d{{1,3}}(,\d{{3}})*", line)
-    assert verify_header.startswith("verify on its 4 targets")
-    assert member_header.startswith("membership on its 1000 ops (seed 1)")
-    assert formula_header.startswith("formula on its first 1000 ops (seed 1)")
-    assert formula_count_header.startswith("GoldenInt constructions and ideal_mul calls of the 1000 formula ops (seed 1)")
+    lines = proc.stdout.splitlines()
+    workloads = [("enumerate", 27), ("membership", 1000), ("formula", 1000), ("verify", 4)]
+    assert len(lines) == 4 * len(workloads)
     count = r"\d{1,3}(,\d{3})*"
-    assert re.fullmatch(rf"  {re.escape(str(root))}: {count} GoldenInts, {count} ideal_mul calls", formula_count_line)
-    assert rest == []
-    for line in (chain_line, verify_line, member_line, formula_line):
-        assert line.strip().startswith(f"{root}: ") and line.endswith("ms  (1.000 of the first)")
+    for j, (name, ops) in enumerate(workloads):
+        header, timing, count_header, counts = lines[4 * j:4 * j + 4]
+        assert header.startswith(f"{name} on its {ops} ops (seed 1), sum of per-op minima over 1 passes")
+        assert timing.strip().startswith(f"{root}: ") and timing.endswith("ms  (1.000 of the first)")
+        assert count_header.startswith(f"calls made by the {ops} {name} ops, each run once")
+        assert re.fullmatch(
+            rf"  {re.escape(str(root))}: {count} line-form calls, {count} GoldenInts, {count} ideal_mul calls", counts
+        )
 
 
 def load_chain_timing(monkeypatch):
@@ -76,6 +70,21 @@ def load_chain_timing(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
     spec.loader.exec_module(chain_timing)
     return chain_timing
+
+
+@pytest.fixture
+def own_modules():
+    """Put this process's hecke5 modules back after a test that loads
+    copies of them with the script's `load`, which replaces them."""
+
+    def hecke5_modules():
+        return {name: module for name, module in sys.modules.items() if name.partition(".")[0] == "hecke5"}
+
+    saved = hecke5_modules()
+    yield
+    for name in hecke5_modules():
+        del sys.modules[name]
+    sys.modules.update(saved)
 
 
 def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
@@ -95,12 +104,12 @@ def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
 
     def op(name):
         def call(tree):
-            cost = next(costs[tree, name])
-            return lambda: clock.__setitem__(0, clock[0] + cost)
+            clock[0] += next(costs[tree, name])
+            return True
 
-        return name, call
+        return name, [partial(call, "one"), partial(call, "two")]
 
-    measured = chain_timing.in_process([("one",), ("two",)], [op("a"), op("b")], 4)
+    measured = chain_timing.in_process([op("a"), op("b")], 4)
     assert measured == ([1.25, 0.625], [[1.25] * 4, [0.625, 2.125, 1.0, 1.125]])
     chain_timing.report("two ops:", [Path("one"), Path("two")], measured)
     assert capsys.readouterr().out.splitlines() == [
@@ -111,51 +120,108 @@ def test_chain_timing_counts_the_passes_won_in_process(monkeypatch, capsys):
 
 
 def fail_a_check(verifier):
-    def failing(cap):
-        reports = verifier(cap)
+    def failing(*args):
+        reports = verifier(*args)
         reports[0].add("a check that fails", 1, 2)
         return reports
 
     return failing
 
 
+def off_by_one(chain):
+    def broken(level, cap):
+        real = chain(level, cap)
+        return SimpleNamespace(order=real.order + 1, orbit=real.orbit, stabilizer=real.stabilizer)
+
+    return broken
+
+
 @pytest.mark.parametrize(
-    "module, attribute, broken, message",
+    "workload, module, attribute, broken, message",
     [
         (
-            "matrices", "is_member", lambda is_member: lambda m: not is_member(m),
+            "membership", "matrices", "is_member", lambda is_member: lambda m: not is_member(m),
             r"membership op 0 \('[STst]+', -?\d+\): the checkouts, as given, answer \[True, False\]",
         ),
         (
-            "verify", "VERIFIERS",
+            "verify", "verify", "VERIFIERS",
             lambda verifiers: {**verifiers, "conjugation-action": fail_a_check(verifiers["conjugation-action"])},
-            r"verify conjugation-action: the checkouts, as given, answer \[True, False\]",
+            r"verify op \d 'conjugation-action': the checkouts, as given, answer \[True, False\]",
         ),
         (
-            "quotient", "Chain", lambda chain: lambda level: SimpleNamespace(order=chain(level).order + 1),
-            r"Chain at \(2, 0, 2\): the checkouts, as given, answer \[(\d+), (?!\1\])\d+\]",
+            "enumerate", "cli", "Chain", off_by_one,
+            r"enumerate op 0 \(\d+, \d+, \d+\): the checkouts, as given, answer \[True, False\]",
         ),
     ],
-    ids=["membership", "verify", "chain"],
+    ids=["membership", "verify", "enumerate"],
 )
-def test_chain_timing_exits_on_a_wrong_answer(monkeypatch, module, attribute, broken, message):
-    # a second checkout with one function broken: the first op it answers
-    # wrongly ends the run, exit 1 (a str exit code) naming the op
+def test_chain_timing_exits_on_a_wrong_answer(monkeypatch, own_modules, workload, module, attribute, broken, message):
+    # a second copy of this checkout with one function broken: the first
+    # op it answers wrongly ends the run, exit 1 (a str exit code) naming
+    # the op
     chain_timing = load_chain_timing(monkeypatch)
-    tree = tuple(importlib.import_module(f"hecke5.{name}") for name in chain_timing.MODULES)
-    i = chain_timing.MODULES.index(module)
-    bad = ModuleType(tree[i].__name__)
-    vars(bad).update(vars(tree[i]))
-    setattr(bad, attribute, broken(getattr(tree[i], attribute)))
-    trees = [tree, tree[:i] + (bad,) + tree[i + 1:]]
-    ops = {
-        "matrices": lambda: chain_timing.membership_ops(trees)[:2],
-        "verify": lambda: [chain_timing.verify_op("conjugation-action")],
-        "quotient": lambda: [chain_timing.chain_op((2, 0, 2))],
-    }[module]()
+    libs = [chain_timing.load(SCRIPTS.parent) for _ in range(2)]
+    bad = getattr(libs[1], module)
+    assert bad is not getattr(libs[0], module)
+    setattr(bad, attribute, broken(getattr(bad, attribute)))
     with pytest.raises(SystemExit) as exited:
-        chain_timing.in_process(trees, ops, 1)
+        chain_timing.in_process(chain_timing.workload_ops(workload, libs), 1)
     assert re.fullmatch("wrong answer, not timed: " + message, exited.value.code)
+
+
+def test_call_counts_agree_with_patched_counts(monkeypatch):
+    # the trace hook against the patched counters it replaced, kept here
+    # as the reference: the line-form calls of the chains of the 27
+    # enumerate levels, and the GoldenInts built by 100 membership ops
+    chain_timing = load_chain_timing(monkeypatch)
+    from workloads import LEVELS, Membership
+
+    chains = [partial(quotient.Chain, ideals.IdealHNF(*hnf)) for hnf in LEVELS]
+    workload = Membership(SimpleNamespace(golden=golden, matrices=matrices), 1)
+    members = [partial(workload.run, op) for op in workload.ops[:100]]
+    traced = chain_timing.call_counts(chains)["line-form calls"], chain_timing.call_counts(members)["GoldenInts"]
+
+    patched = [0, 0]
+    line_form, init = quotient._line_form, golden.GoldenInt.__init__
+
+    def counted_form(power_ideal):
+        form = line_form(power_ideal)
+
+        def counted(a, c):
+            patched[0] += 1
+            return form(a, c)
+
+        return counted
+
+    def counted_init(self, *args):
+        patched[1] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(quotient, "_line_form", counted_form)
+    for chain in chains:
+        chain()
+    monkeypatch.setattr(golden.GoldenInt, "__init__", counted_init)
+    for member in members:
+        member()
+    assert traced == tuple(patched)
+    assert patched[0] > 0 and patched[1] > 0
+
+
+def test_call_counts_sets_the_previous_trace_function_again(monkeypatch):
+    chain_timing = load_chain_timing(monkeypatch)
+
+    def previous(frame, event, arg):
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(previous)
+    try:
+        counts = chain_timing.call_counts([lambda: golden.GoldenInt(1, 1)])
+        after = sys.gettrace()
+    finally:
+        sys.settrace(before)
+    assert after is previous
+    assert counts == {"line-form calls": 0, "GoldenInts": 1, "ideal_mul calls": 0}
 
 
 def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):

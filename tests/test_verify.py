@@ -427,13 +427,13 @@ def test_lists_no_group(monkeypatch, target):
     # every order, index and membership of `verify` comes from a chain:
     # the listing routines raise wherever a hecke5 module binds them
     _patch_listing(monkeypatch, lambda routine: _raise_on_listing(target))
-    reports = verify_mod.VERIFIERS[target](verify_mod.DEFAULT_CAP)
+    reports = verify_mod.VERIFIERS[target](verify_mod.DEFAULT_CAP, verify_mod.SURVEY_NORM)
     assert reports and all(r.passed for r in reports), [witness(r) for r in reports]
 
 
 def test_verify_all_passes():
     # `verify all` runs every target in the table's order
-    reports = [r for run in verify_mod.VERIFIERS.values() for r in run(verify_mod.DEFAULT_CAP)]
+    reports = [r for run in verify_mod.VERIFIERS.values() for r in run(verify_mod.DEFAULT_CAP, verify_mod.SURVEY_NORM)]
     assert len(reports) == 9
     for r in reports:
         assert r.passed, (r.name, witness(r))
