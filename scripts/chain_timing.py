@@ -15,8 +15,8 @@ one call of the workload's own `run` on the checkout's modules, so that
   first checkout's ("lower in k of n").  These compare the checkouts
   within one invocation only, as each header says: the machine's speed
   drifts between invocations far more than two trees differ;
-- the calls the ops make, each op run once, of `line_form` in
-  `quotient.py`, `__init__` in `golden.py` (one per GoldenInt) and
+- the calls the ops make, each op run once, of `line_form` and `sift`
+  in `quotient.py`, `__init__` in `golden.py` (one per GoldenInt) and
   `ideal_mul` in `ideals.py`, counted by a trace hook, so that nothing
   in a checkout is patched.  These counts do not drift with the machine.
 
@@ -81,6 +81,7 @@ PASSES = {"formula": 5}  # passes of the workload's ops drawn; one if not listed
 # (file in a hecke5 directory, function name) -> what its calls count
 COUNTED = {
     ("quotient.py", "line_form"): "line-form calls",
+    ("quotient.py", "sift"): "sift calls",
     ("golden.py", "__init__"): "GoldenInts",
     ("ideals.py", "ideal_mul"): "ideal_mul calls",
 }

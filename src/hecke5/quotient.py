@@ -190,12 +190,31 @@ class _LineStabilizer:
     `lifts[u] = (b, u^-1)`, and K, the translations [[1, x], [0, 1]] of
     G0, kept as a lattice of Z^2 spanned with the level.
 
-    A generator whose u lies outside U' so far joins `chosen`, and U' is
-    extended by walking each new edge once; every other generator
-    (`sift`), and every edge that meets a point already reached (a
-    collision), is sifted through the lift of its u to a translation.  Conjugation by
-    [[u, b], [0, u^-1]] scales a translation by u^2, so `translations`
-    closes K under multiplication by u^2 for each chosen u.
+    A generator whose u lies in U' already is sifted (`sift`): the lift
+    of its u takes it to a translation, which K spans.  A generator
+    g = [[u, b], [0, u^-1]] whose u is new joins `chosen` (`add`), and
+    U' is extended through its abelian presentation (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, 4.4 and 8):
+
+    - U' lies in (O/A)^x, which is abelian.  Let m be the least j >= 1
+      with u^j in U'_old.  Then U'_new is the disjoint union of the
+      cosets U'_old u^j, j = 0, ..., m - 1, and each is the one before
+      times u: lift(p u) = lift(p) g, so each new unit costs one product
+      and no point can collide.  Each coset is led by u^j, whose lift is
+      g^j, so the first step that lands in U'_old is u^m.
+    - The kernel of the map from the free group on the chosen
+      generators onto U' is the normal closure of the presentation's
+      relators: the power relator lift(u^m)^-1 g^m, a translation that
+      `sift` takes, and for each earlier chosen c the commutator
+      (c g)^-1 (g c) = [[1, (u c_u)^-1 (b_gc - b_cg)], [0, 1]], where
+      b_gc = u c_b + b c_u^-1 and b_cg = c_u b + c_b u^-1, which K
+      spans.  Conjugation by [[v, c], [0, v^-1]] scales a translation by
+      v^2, so the translations of that normal closure are the Z-span of
+      the relators' translations closed under u^2 for each chosen u:
+      the closure `translations` takes.  No other translation of the
+      chosen generators' group is missed, so the walk need not take
+      the new generator from every old point, nor the old ones from
+      every new point.
     """
 
     def __init__(self, level: IdealHNF, cap: int):
@@ -229,23 +248,30 @@ class _LineStabilizer:
         """Add a generator whose u is new to U' (`sift` takes the others);
         raise CapExceededError once `lines` times |U'| exceeds the cap."""
         lifts, mul, dot = self.lifts, self.mul, self.dot
-        chosen = self.chosen
-        chosen.append((u, b, u_inv))
-        # the new generator on every old point, every generator on every
-        # new point: each edge is walked once, from its point's final lift
-        pending = [(p, chosen[-1:]) for p in lifts]
-        for p, gens in pending:
-            p_b, p_inv = lifts[p]
-            for g_u, g_b, g_inv in gens:
-                # lift(p) g = [[p g_u, p g_b + p_b g_inv], [0, p_inv g_inv]]
-                q, q_b = mul(p, g_u), dot(p, g_b, p_b, g_inv)
+        # one commutator relator per earlier chosen generator (see the
+        # class docstring); mul takes the difference unreduced
+        for c_u, c_b, c_inv in self.chosen:
+            gc, cg = dot(u, c_b, b, c_inv), dot(c_u, b, c_b, u_inv)
+            self.span(mul(mul(u_inv, c_inv), (gc[0] - cg[0], gc[1] - cg[1])))
+        self.chosen.append((u, b, u_inv))
+        # the cosets U'_old u^j, each the one before times g and led by
+        # u^j (U'_old is led by 1), until u^m lands in U'_old
+        coset = list(lifts)
+        while True:
+            step = []
+            for p in coset:
+                # lift(p) g = [[p u, p b + p_b u^-1], [0, p_inv u^-1]]
+                p_b, p_inv = lifts[p]
+                q, q_b = mul(p, u), dot(p, b, p_b, u_inv)
                 if q in lifts:
+                    # q is u^m: the power relator
                     self.sift(q, q_b)
-                    continue
-                lifts[q] = (q_b, mul(p_inv, g_inv))
-                pending.append((q, chosen))
+                    return
+                lifts[q] = (q_b, mul(p_inv, u_inv))
+                step.append(q)
                 if lines * len(lifts) > self.cap:
                     raise CapExceededError(self.cap, "orbit")
+            coset = step
 
     def translations(self) -> int:
         """|K|, once every generator is added."""
@@ -288,7 +314,11 @@ class Chain:
       group of translations [[1, x], [0, 1]] in G0, so |G0| = |U'| |K|.
       K is a lattice of Z^2 with the level (`lattice_hnf`), not always
       an ideal: for the Hecke group at (2) it is Z*2 + Z*L.
-      |K| = N(A) / det.
+      |K| = N(A) / det.  U' is abelian, so a Schreier generator whose u
+      is new extends it one coset of the old U' at a time, one product
+      per new unit, and K gains only the translations of the relators
+      of U''s presentation, one power and one commutator per generator
+      chosen before; every other Schreier generator is sifted.
     - The early stop.  G0 lies in the Borel group B of SL2(O/A), the
       [[u, b], [0, u^-1]] with u a unit, of order phi(A) N(A), where
       phi(A) = |(O/A)^x| = prod N(P)^(e-1) (N(P) - 1) over the P^e || A.

@@ -89,7 +89,7 @@ def line_form_calls(monkeypatch):
 def schreier_calls(monkeypatch):
     """The (u, b) of every sift and `add` into a line stabilizer after the
     fixture, the chain's or `reference_walk`'s: one per Schreier
-    generator computed, and one per sift of a collision inside `add`."""
+    generator computed, and one per power relator sifted inside `add`."""
     calls = []
     for cls, name in ((_LineStabilizer, "sift"), (_LineStabilizer, "add"), (_ReferenceStabilizer, "sift")):
 
@@ -378,7 +378,7 @@ class TestLineStabilizer:
     |U'| |K| is the order of the group they generate, by the closure, and
     U' is the set of its upper-left entries.  The images of S and T at
     the levels of norm <= 1000 get the right count without the
-    collisions of the U' walk or the u^2 closure of K; these do not."""
+    relators of U''s presentation or the u^2 closure of K; these do not."""
 
     @pytest.mark.parametrize(
         "level",
@@ -873,6 +873,200 @@ class TestExtend:
         with pytest.raises(ValueError, match="determinant"):
             chain.extend([ResMat.from_mat2(level, S).key, doubled])
         assert (chain.order, chain.gen_keys) == (order, gen_keys)
+
+
+def full_walk_add(self, u, b, u_inv, lines):
+    """`_LineStabilizer.add` as a walk of every edge, the reference for
+    the walk through U''s presentation: the new generator from every old
+    unit and every chosen generator from every new unit, each edge walked
+    once from its unit's final lift, and each collision sifted."""
+    lifts, mul, dot = self.lifts, self.mul, self.dot
+    chosen = self.chosen
+    chosen.append((u, b, u_inv))
+    pending = [(p, chosen[-1:]) for p in lifts]
+    for p, gens in pending:
+        p_b, p_inv = lifts[p]
+        for g_u, g_b, g_inv in gens:
+            q, q_b = mul(p, g_u), dot(p, g_b, p_b, g_inv)
+            if q in lifts:
+                self.sift(q, q_b)
+                continue
+            lifts[q] = (q_b, mul(p_inv, g_inv))
+            pending.append((q, chosen))
+            if lines * len(lifts) > self.cap:
+                raise CapExceededError(self.cap, "orbit")
+
+
+class _FullWalkStabilizer(_LineStabilizer):
+    add = full_walk_add
+
+
+def full_walk_chain(level, gen_keys):
+    """The `Chain` of `gen_keys` whose line stabilizer walks every edge
+    (`full_walk_add`): the chain of no generator, its stabilizer swapped
+    before any is added, then extended."""
+    chain = Chain(level, gen_keys=[])
+    chain.units = _FullWalkStabilizer(level, chain.cap)
+    chain.extend(gen_keys)
+    return chain
+
+
+def assert_same_chain(chain, reference, rng):
+    """`chain` and the full walk's `reference`, of the same generators,
+    have the same U', K, counts and members, and each of `chain`'s lifts
+    [[u, b], [0, u^-1]] sifts into it, with u u^-1 = 1."""
+    level = chain.level
+    assert set(chain.units.lifts) == set(reference.units.lifts)
+    assert chain.units.lattice == reference.units.lattice
+    counts = (chain.orbit, chain.stabilizer, chain.order)
+    assert counts == (reference.orbit, reference.stabilizer, reference.order)
+    mul = level.residue_ops[0]
+    for u, (b, u_inv) in chain.units.lifts.items():
+        assert mul(u, u_inv) == chain.one
+        assert (*u, *b, 0, 0, *u_inv) in chain
+    # 25 products of the generators, members, and 25 elementary products
+    gens = [ResMat(level, key) for key in chain.gen_keys]
+    identity = ResMat.identity(level)
+    members = [math.prod(rng.choices(gens, k=rng.randint(1, 8)), start=identity).key for _ in range(25)]
+    product = TestChainOnAnyGenerators.elementary_product
+    others = [product(level, [(rng.random() < 0.5, rng.randrange(10**6)) for _ in range(4)]) for _ in range(25)]
+    assert all(key in chain for key in members)
+    for key in members + others:
+        assert (key in chain) == (key in reference), key
+
+
+# levels whose unit groups are cyclic, (7), [1,3,5], or not, (4), (8),
+# (9), [2,6,10]
+UNIT_LEVELS = [(4, 0, 4), (7, 0, 7), (8, 0, 8), (9, 0, 9), (2, 6, 10), (1, 3, 5)]
+
+
+def residues_and_inverses(level):
+    """The residues of the level, and each unit's inverse, by search."""
+    mul = level.residue_ops[0]
+    residues = [(x, y) for x in range(level.d1) for y in range(level.d2)]
+    one = level.reduce_pair(1, 0)
+    return residues, {u: v for u in residues for v in residues if mul(u, v) == one}
+
+
+class TestPresentationWalk:
+    """`_LineStabilizer.add` extends U' one coset of U'_old at a time and
+    sifts only the relators of U''s presentation: the same chain as the
+    walk of every edge (`full_walk_add`), for less work."""
+
+    @pytest.mark.parametrize(
+        "level", [level for level in ideals_up_to(100) if index_formula(level).total <= 150_000], ids=str
+    )
+    def test_the_hecke_chain_is_the_full_walk_s(self, level):
+        # the 27 levels of norm <= 100 and index <= 150,000
+        hecke = [ResMat.from_mat2(level, m).key for m in (S, T)]
+        assert_same_chain(Chain(level), full_walk_chain(level, hecke), random.Random(str(level)))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)])
+    def test_the_kernel_layer_chains_are_the_full_walk_s(self, p, n):
+        level, keys = kernel_layer_generators(p, n)
+        assert_same_chain(Chain(level, gen_keys=keys), full_walk_chain(level, keys), random.Random(p * n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(ideals_up_to(60)),
+        st.lists(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+    )
+    # an extension after the early stop: [[1, L], [0, 1]] and [[1, 0],
+    # [L, 1]] span SL2(F_41) at [1,7,41], so G0 is the Borel group first
+    @example(IdealHNF(1, 7, 41), [[(True, 1)], [(False, 1)], [(True, 2), (False, 3)]], 2, 0)
+    def test_an_extended_chain_is_the_full_walk_s(self, level, generators, split, seed):
+        product = TestChainOnAnyGenerators.elementary_product
+        keys = [product(level, steps) for steps in generators]
+        first, rest = keys[: split % (len(keys) + 1)], keys[split % (len(keys) + 1) :]
+        chain, reference = Chain(level, gen_keys=first), full_walk_chain(level, first)
+        chain.extend(rest)
+        reference.extend(rest)
+        assert_same_chain(chain, reference, random.Random(seed))
+
+    @pytest.mark.parametrize("hnf", UNIT_LEVELS)
+    def test_drawn_generators_give_the_full_walk_s_units_and_translations(self, hnf):
+        # a line stabilizer alone, with no line walk to sift more: K is
+        # what the relators give, as `TestLineStabilizer` draws generators
+        level = IdealHNF(*hnf)
+        residues, inverse = residues_and_inverses(level)
+        rng = random.Random(str(level))
+        for _ in range(30):
+            stabilizers = _LineStabilizer(level, DEFAULT_CAP), _FullWalkStabilizer(level, DEFAULT_CAP)
+            for u in rng.sample(sorted(inverse), rng.randint(1, 3)):
+                b = rng.choice([(0, 0), rng.choice(residues)])
+                for stabilizer in stabilizers:
+                    if u in stabilizer.lifts:
+                        stabilizer.sift(u, b)
+                    else:
+                        stabilizer.add(u, b, inverse[u], 1)
+            new, full = stabilizers
+            assert set(new.lifts) == set(full.lifts)
+            assert (new.translations(), new.lattice) == (full.translations(), full.lattice)
+
+    @pytest.mark.parametrize("hnf", UNIT_LEVELS)
+    def test_one_step_per_new_unit_and_one_commutator_per_earlier_generator(self, monkeypatch, hnf):
+        # a point step is one `dot` (and a `mul`); a commutator two `dot`s
+        # and one span outside a sift.  Each `add`: |U'_new| - |U'_old| + 1
+        # steps, k commutators for the k generators chosen before, and one
+        # sift, the power relator's.  On the Hecke generators and on drawn
+        # [[u, b], [0, u^-1]], as `TestLineStabilizer` draws them
+        level = IdealHNF(*hnf)  # a fresh object: its residue_ops are wrapped here alone
+        mul, dot, matmul, adj = level.residue_ops
+        counts = dict(dot=0, sifts=0, sifting=0, commutators=0)
+
+        def counted_dot(*args):
+            counts["dot"] += 1
+            return dot(*args)
+
+        level.__dict__["residue_ops"] = (mul, counted_dot, matmul, adj)
+        add, sift, span = _LineStabilizer.add, _LineStabilizer.sift, _LineStabilizer.span
+        costs = []
+
+        def counted_add(self, u, b, u_inv, lines):
+            before, k = len(self.lifts), len(self.chosen)
+            counts.update(dot=0, sifts=0, sifting=0, commutators=0)
+            add(self, u, b, u_inv, lines)
+            steps = counts["dot"] - 2 * counts["commutators"]
+            costs.append((steps, counts["commutators"], counts["sifts"], len(self.lifts) - before + 1, k))
+
+        def counted_sift(self, u, b):
+            counts["sifts"] += 1
+            counts["sifting"] += 1
+            sift(self, u, b)
+            counts["sifting"] -= 1
+
+        def counted_span(self, x):
+            counts["commutators"] += not counts["sifting"]
+            span(self, x)
+
+        monkeypatch.setattr(_LineStabilizer, "add", counted_add)
+        monkeypatch.setattr(_LineStabilizer, "sift", counted_sift)
+        monkeypatch.setattr(_LineStabilizer, "span", counted_span)
+        assert Chain(level).order == index_formula(level).total
+        residues, inverse = residues_and_inverses(level)
+        rng = random.Random(str(level))
+        for _ in range(20):
+            stabilizer = _LineStabilizer(level, DEFAULT_CAP)
+            for u in rng.sample(sorted(inverse), 3):
+                if u not in stabilizer.lifts:
+                    stabilizer.add(u, rng.choice(residues), inverse[u], 1)
+        for steps, commutators, sifts, new_plus_one, k in costs:
+            assert (steps, commutators, sifts) == (new_plus_one, k, 1), costs
+        assert max(k for *_, k in costs) >= 1
+
+    def test_the_cap_fires_inside_the_unit_walk(self):
+        # at (9) the Hecke chain has 90 lines and 36 units; with a cap of
+        # 100 the walk of U' passes it at 18 lines, not the line walk
+        with pytest.raises(CapExceededError) as exc:
+            Chain(IdealHNF(9, 0, 9), 100)
+        assert (exc.value.cap, exc.value.partial) == (100, 101)
+        assert exc.traceback[-1].name == "add"
 
 
 class TestIndexHelpers:

@@ -39,7 +39,7 @@ def test_chain_timing_reads_counts_like_the_cli(args, message):
 
 def test_chain_timing_runs_on_this_checkout():
     # one in-process pass over the ops of each benchmark workload, each
-    # followed by the line-form calls, GoldenInts and ideal_mul calls of
+    # followed by the line-form calls, sift calls, GoldenInts and ideal_mul calls of
     # its ops, no fresh (2+L)^8 run; the script loads this checkout's
     # package from the root it is given
     root = SCRIPTS.parent
@@ -59,9 +59,8 @@ def test_chain_timing_runs_on_this_checkout():
         assert header.startswith(f"{name} on its {ops} ops (seed 1), sum of per-op minima over 1 passes")
         assert timing.strip().startswith(f"{root}: ") and timing.endswith("ms  (1.000 of the first)")
         assert count_header.startswith(f"calls made by the {ops} {name} ops, each run once")
-        assert re.fullmatch(
-            rf"  {re.escape(str(root))}: {count} line-form calls, {count} GoldenInts, {count} ideal_mul calls", counts
-        )
+        what = ["line-form calls", "sift calls", "GoldenInts", "ideal_mul calls"]
+        assert re.fullmatch(rf"  {re.escape(str(root))}: " + ", ".join(f"{count} {w}" for w in what), counts)
 
 
 def load_chain_timing(monkeypatch):
@@ -221,7 +220,7 @@ def test_call_counts_sets_the_previous_trace_function_again(monkeypatch):
     finally:
         sys.settrace(before)
     assert after is previous
-    assert counts == {"line-form calls": 0, "GoldenInts": 1, "ideal_mul calls": 0}
+    assert counts == {"line-form calls": 0, "sift calls": 0, "GoldenInts": 1, "ideal_mul calls": 0}
 
 
 def test_chain_timing_pairs_the_fresh_runs(monkeypatch, capsys):
